@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
+from . import evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
 from .errors import PertkitError
 from .iotools import load_matrix, load_model, load_schedule, parse_state
 from .reporting import Report
@@ -37,7 +37,6 @@ def _report(config: RunConfig, columns) -> Report:
         config={k: v for k, v in config.params.items()},
         seed=config.seed,
         columns=list(columns),
-        version=__version__,
         timestamp=ts,
     )
 
@@ -102,7 +101,7 @@ def _run_eig_perturb(config: RunConfig) -> Report:
     series = spectral.eigenvalue_coefficients(a, b, i, order, contour=contour)
     rep = _report(config, ["k", "coefficient", "oracle", "residual", "tolerance"])
 
-    is_diag = np.linalg.norm(a - np.diag(np.diagonal(a))) <= 1e-14 * max(matcore.op_norm(a), 1e-300)
+    is_diag = matcore.is_diagonal(a)
     lam = np.real(np.diagonal(a))
     for k, coeff in enumerate(series.coefficients):
         oracle = ""

@@ -129,7 +129,7 @@ def exp_series_terms(a, b, t: float, m_max: int, g: TimeGrid) -> list:
 
 def _interaction_picture(a: np.ndarray):
     """Return ``s -> e^{isA} B e^{-isA}`` applier built from A's structure."""
-    if matcore.herm_defect(a) <= 1e-10 * max(matcore.op_norm(a), 1e-300):
+    if matcore.is_hermitian(a):
         dec = matcore.eig_hermitian(a)
         lam, v = dec.eigenvalues, dec.eigenvectors
 
@@ -213,15 +213,6 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
     return u
 
 
-def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
-    if n_intervals % 2:
-        raise ValueError("Simpson rule needs an even number of intervals")
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.ndarray:
     """Damped time integral ``-i * integral_0^{t_max} e^{it(A+B) - tau t} dt``.
 
@@ -236,9 +227,9 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     steps = g.steps + (g.steps % 2)
     h = t_max / steps
     ts = h * np.arange(steps + 1)
-    weights = _simpson_weights(steps, h)
+    weights = matcore.simpson_weights(steps, h)
 
-    if matcore.herm_defect(m) <= 1e-10 * max(matcore.op_norm(m), 1e-300):
+    if matcore.is_hermitian(m):
         dec = matcore.eig_hermitian(m)
         lam, v = dec.eigenvalues, dec.eigenvectors
         # diagonal quadrature per eigenvalue
@@ -361,7 +352,7 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
 def _integral_on_nodes(values: np.ndarray, h: float) -> float:
     n = values.size - 1
     if n % 2 == 0:
-        w = _simpson_weights(n, h)
+        w = matcore.simpson_weights(n, h)
     else:
         w = np.full(n + 1, h)
         w[0] = w[-1] = h / 2

@@ -2,11 +2,13 @@
 
 Matrix files are ``{"rows": n, "cols": m, "data": [...]}`` with row-major
 ``data`` whose entries are ``[re, im]`` pairs or bare numbers for real
-matrices; a nested list of rows is also accepted.
+matrices; a nested list of rows is also accepted.  JSON booleans are
+rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -16,26 +18,35 @@ from .errors import MatrixFormatError
 from .symdiag import MultisetState, TrilinearVertex, box_grid
 
 
-def _entry_to_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
-    ):
-        return complex(entry[0], entry[1])
-    raise MatrixFormatError(f"bad matrix entry at {where}: {entry!r}")
+def _entry(x) -> complex | None:
+    """A number or an ``[re, im]`` pair as complex; None if malformed.
+
+    JSON booleans are malformed, not 0 and 1."""
+    parts = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0)
+    if all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in parts):
+        try:
+            return complex(parts[0], parts[1])
+        except OverflowError:
+            pass
+    return None
 
 
-def _is_entry(x) -> bool:
-    if isinstance(x, (int, float)):
-        return True
-    return (
-        isinstance(x, (list, tuple))
-        and len(x) == 2
-        and all(isinstance(c, (int, float)) for c in x)
-    )
+def _cells_to_complex(cells: list) -> np.ndarray | None:
+    """Row-major entries as a complex vector, or None if any is malformed.
+
+    When all entries are numbers, or all are ``[re, im]`` lists, C-level
+    ``map`` checks the leaf types and one ``np.asarray`` converts them."""
+    leaves = cells
+    if set(map(type, cells)) == {list} and set(map(len, cells)) == {2}:
+        leaves = itertools.chain.from_iterable(cells)
+    if set(map(type, leaves)) <= {int, float}:
+        try:
+            arr = np.asarray(cells, dtype=float)
+        except OverflowError:
+            return None
+        return arr.view(complex).reshape(-1) if arr.ndim == 2 else arr.astype(complex)
+    values = [_entry(x) for x in cells]
+    return None if None in values else np.array(values, dtype=complex)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -47,22 +58,22 @@ def matrix_from_json(obj) -> np.ndarray:
         raise MatrixFormatError(f"matrix object needs rows/cols/data: {exc}") from exc
     if rows < 1 or cols < 1 or not isinstance(data, list):
         raise MatrixFormatError("rows/cols must be positive and data a list")
-    out = np.empty((rows, cols), dtype=complex)
-    if len(data) == rows * cols and all(_is_entry(x) for x in data):
-        for k, entry in enumerate(data):
-            out[k // cols, k % cols] = _entry_to_complex(entry, f"index {k}")
-        return out
-    if len(data) == rows and all(
-        isinstance(row, list) and len(row) == cols and all(_is_entry(x) for x in row)
-        for row in data
-    ):
-        for r, row in enumerate(data):
-            for c, entry in enumerate(row):
-                out[r, c] = _entry_to_complex(entry, f"({r},{c})")
-        return out
-    raise MatrixFormatError(
-        f"ragged or malformed data: expected {rows * cols} flat entries or {rows} rows of {cols}"
-    )
+    layouts = []
+    if len(data) == rows * cols:
+        layouts.append(data)
+    if len(data) == rows and all(isinstance(row, list) and len(row) == cols for row in data):
+        layouts.append(list(itertools.chain.from_iterable(data)))
+    if not layouts:
+        raise MatrixFormatError(
+            f"ragged or malformed data: expected {rows * cols} flat entries or {rows} rows of {cols}"
+        )
+    for cells in layouts:
+        values = _cells_to_complex(cells)
+        if values is not None:
+            return values.reshape(rows, cols)
+    cells = layouts[-1]
+    k = next(k for k, x in enumerate(cells) if _entry(x) is None)
+    raise MatrixFormatError(f"bad matrix entry at index {k} (row {k // cols}, col {k % cols}): {cells[k]!r}")
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -3,17 +3,28 @@
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 This module provides the validated core every other module builds on:
 spectral norm, guarded inverse, Hermitian eigendecomposition, matrix
-exponential, and circular contour quadrature of analytic maps.
+exponential, circular contour quadrature of analytic maps, and the one
+set of Simpson weights.
+
+Guard policy: every Hermiticity, diagonality and singularity decision is
+made here.  :func:`is_hermitian`, :func:`is_diagonal` and :func:`inverse`
+first try to decide from O(n^2) Frobenius norms, via
+``||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F``, and accept or reject only
+with a factor-2 margin and finite norms.  Otherwise the exact SVD test
+runs, so every verdict is the SVD verdict.  :func:`solve` keeps its SVD
+test, and reported norms are always :func:`op_norm`.
 
 All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dznrm2
 
 from .errors import (
     ContourEnclosureError,
@@ -38,7 +49,7 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise MatrixFormatError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise MatrixFormatError("matrix contains non-finite entries")
     if square and a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
@@ -47,7 +58,7 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 def as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=complex).reshape(-1)
-    if a.size < 1 or not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if a.size < 1 or not np.isfinite(a).all():
         raise MatrixFormatError("expected a finite, non-empty vector")
     return a
 
@@ -64,10 +75,42 @@ def herm_defect(m) -> float:
     return float(np.linalg.norm(a - a.conj().T, 2))
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm by BLAS ``nrm2``, which scales and so cannot underflow."""
+    return float(dznrm2(x.ravel()))
+
+
+def _decide(a: np.ndarray, rtol: float, defect_lo: float, defect_hi: float, exact) -> bool:
+    """``defect <= rtol * max(||A||_2, 1e-300)`` for a defect known to lie in
+    ``[defect_lo, defect_hi]``; calls ``exact()`` when the bounds leave it open."""
+    a_fro = _fro(a)
+    lo, hi = max(a_fro / math.sqrt(a.shape[0]), 1e-300), max(a_fro, 1e-300)
+    if math.isfinite(defect_hi + hi):
+        if 2.0 * defect_hi <= rtol * lo:
+            return True
+        if defect_lo > 2.0 * rtol * hi:
+            return False
+    return exact()
+
+
+def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
+    """Whether ``||A - A*||_2 <= rtol * max(||A||_2, 1e-300)``."""
+    a = as_matrix(m, square=True)
+    d = _fro(a - a.conj().T)
+    return _decide(a, rtol, d / math.sqrt(a.shape[0]), d,
+                   lambda: herm_defect(a) <= rtol * max(op_norm(a), 1e-300))
+
+
+def is_diagonal(m, rtol: float = 1e-14) -> bool:
+    """Whether ``||offdiag(A)||_F <= rtol * max(||A||_2, 1e-300)``."""
+    a = as_matrix(m, square=True)
+    off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
+    return _decide(a, rtol, off, off, lambda: off <= rtol * max(op_norm(a), 1e-300))
+
+
 def require_hermitian(m, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m, square=True)
-    scale = max(op_norm(a), 1e-300)
-    if herm_defect(a) > rtol * scale:
+    if not is_hermitian(a, rtol):
         raise NotHermitianError(f"{what} is not Hermitian to relative {rtol:g}")
     return a
 
@@ -76,15 +119,25 @@ def inverse(m) -> np.ndarray:
     """Inverse of a square matrix, guarded against near-singularity.
 
     Raises :class:`SingularMatrixError` when the smallest singular value is
-    below ``SINGULARITY_RTOL`` times the largest.
+    below ``SINGULARITY_RTOL`` times the largest.  The solve runs first, and
+    the SVD is skipped when ``1 / (||A||_F ||X||_F)``, which bounds
+    ``sigma_min / sigma_max`` from below up to the LU backward error, is at
+    least twice the threshold.
     """
     a = as_matrix(m, square=True)
+    eye = np.eye(a.shape[0], dtype=complex)
+    try:
+        x = np.linalg.solve(a, eye)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None and 2.0 * SINGULARITY_RTOL * _fro(a) * _fro(x) <= 1.0:
+        return x
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] < SINGULARITY_RTOL * max(s[0], 1e-300):
         raise SingularMatrixError(
             f"matrix singular to tolerance (sigma_min/sigma_max = {s[-1] / max(s[0], 1e-300):.3e})"
         )
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
+    return np.linalg.solve(a, eye) if x is None else x
 
 
 def solve(m, rhs) -> np.ndarray:
@@ -120,6 +173,16 @@ def eig_hermitian(m) -> SpectralDecomposition:
     a = require_hermitian(m)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def simpson_weights(n_intervals: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on ``n_intervals + 1`` equispaced nodes."""
+    if n_intervals % 2:
+        raise ValueError("Simpson rule needs an even number of intervals")
+    w = np.ones(n_intervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
 
 
 def expm(m) -> np.ndarray:

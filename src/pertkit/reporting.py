@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
+
 
 def fmt(x) -> str:
     if isinstance(x, (np.integer,)):
@@ -47,7 +49,7 @@ class Report:
     columns: list
     rows: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    version: str = "0.1.0"
+    version: str = __version__
     timestamp: str | None = None
 
     def add_row(self, *values) -> None:

@@ -20,7 +20,8 @@ import numpy as np
 from . import matcore
 from .errors import DefinitenessError, EnumerationLimitError, ShapeError
 
-#: Exhaustive index-path enumeration guard for the simplex representation.
+#: Exhaustive index-path enumeration guard for the simplex representation
+#: and the scattering index sums.
 PATH_ENUMERATION_CAP = 10**7
 
 
@@ -203,7 +204,7 @@ def feynman_parameter_entry(
     if tau <= 0:
         raise ValueError("tau must be positive")
     a = matcore.as_matrix(a_diag, square=True)
-    if np.linalg.norm(a - np.diag(np.diagonal(a))) > 1e-14 * max(matcore.op_norm(a), 1e-300):
+    if not matcore.is_diagonal(a):
         raise ValueError("A must be diagonal for the Feynman-parameter representation")
     lam = np.real(np.diagonal(a)).copy()
     b = matcore.as_matrix(b, square=True)

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import matcore
 from .errors import EnumerationLimitError, ShapeError
-
-PATH_ENUMERATION_CAP = 10**7
+from .resolvent import PATH_ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ class ScatteringSeries:
 def _eigenbasis(a: np.ndarray):
     """(eigenvalues, eigenvectors) with matrix-index semantics for diagonal A."""
     a = matcore.require_hermitian(a, what="A")
-    off = a - np.diag(np.diagonal(a))
-    if np.linalg.norm(off) <= 1e-14 * max(matcore.op_norm(a), 1e-300):
+    if matcore.is_diagonal(a):
         return np.real(np.diagonal(a)).copy(), np.eye(a.shape[0], dtype=complex)
     dec = matcore.eig_hermitian(a)
     return dec.eigenvalues, dec.eigenvectors
@@ -110,10 +108,7 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     steps = steps + (steps % 2)
     h = t_max / steps
     ts = h * np.arange(steps + 1)
-    weights = np.ones(steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
+    weights = matcore.simpson_weights(steps, h)
     phases = np.exp((1j * freq[None, :] - 2.0 * q.tau) * ts[:, None])
     integral = complex(np.sum(weights[:, None] * phases * amp[None, :]))
     return 2.0 * q.tau * integral
@@ -156,7 +151,7 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     if ell < 2:
         raise ValueError("the multi-index sum is defined for ell >= 2")
     a = matcore.as_matrix(a_diag, square=True)
-    if np.linalg.norm(a - np.diag(np.diagonal(a))) > 1e-14 * max(matcore.op_norm(a), 1e-300):
+    if not matcore.is_diagonal(a):
         raise ValueError("A must be diagonal for the index sum")
     lam = np.real(np.diagonal(a))
     b = matcore.as_matrix(b, square=True)

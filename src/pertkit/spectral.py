@@ -168,7 +168,7 @@ def lambda4_closed_form(a_diag, b, i: int) -> float:
     """
     a = matcore.as_matrix(a_diag, square=True)
     lam = np.real(np.diagonal(a))
-    if np.linalg.norm(a - np.diag(np.diagonal(a))) > 1e-12 * max(matcore.op_norm(a), 1e-300):
+    if not matcore.is_diagonal(a, 1e-12):
         raise ValueError("A must be diagonal")
     b = matcore.as_matrix(b, square=True)
     n = lam.size

@@ -293,8 +293,7 @@ def block_decompose(u, tol: float = 1e-8) -> list:
     scale = max(matcore.op_norm(u), 1e-300)
     if matcore.op_norm(u @ u.conj().T - u.conj().T @ u) > 1e-10 * scale**2:
         raise ValueError("symmetry operator must be normal")
-    off = u - np.diag(np.diagonal(u))
-    if np.linalg.norm(off) > 1e-10 * scale:
+    if not matcore.is_diagonal(u, 1e-10):
         raise ValueError("index-block decomposition requires a diagonal operator")
     diag = np.diagonal(u)
     order = sorted(range(diag.size), key=lambda k: (diag[k].real, diag[k].imag))

@@ -32,6 +32,27 @@ class TestMatrixIO:
         with pytest.raises(MatrixFormatError):
             iotools.matrix_from_json({"rows": 2, "cols": 2, "data": [1, 2, 3]})
 
+    @pytest.mark.parametrize(
+        "rows, cols, data, index",
+        [
+            (2, 2, [1, 2, True, 4], 2),
+            (1, 2, [[1, 2], [3, False]], 1),
+            (2, 2, [[1, 2], [3, True]], 3),
+            (2, 2, [[[1, 0], [2, 0]], [[3, 0], [4, True]]], 3),
+            (2, 2, [1, 2, "3", 4], 2),
+            (2, 1, [[1], [None]], 1),
+        ],
+    )
+    def test_bad_entry_names_first_index(self, rows, cols, data, index, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
+        with pytest.raises(MatrixFormatError, match=rf"m\.json: bad matrix entry at index {index} "):
+            iotools.load_matrix(str(path))
+
+    def test_mixed_numbers_and_pairs(self):
+        m = iotools.matrix_from_json({"rows": 2, "cols": 2, "data": [1, [0, 1], [2, 0], 3.5]})
+        np.testing.assert_array_equal(m, [[1, 1j], [2, 3.5]])
+
     def test_roundtrip(self, tmp_path, rng):
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         path = tmp_path / "m.json"

@@ -69,6 +69,132 @@ class TestInverse:
         assert matcore.op_norm(back - m) <= 1e-10 * cond**2 * matcore.op_norm(m)
 
 
+def _svd_says_hermitian(a, rtol):
+    return np.linalg.norm(a - a.conj().T, 2) <= rtol * max(np.linalg.norm(a, 2), 1e-300)
+
+
+def _svd_says_diagonal(a, rtol):
+    off = np.linalg.norm(a - np.diag(np.diagonal(a)))
+    return off <= rtol * max(np.linalg.norm(a, 2), 1e-300)
+
+
+def _svd_says_invertible(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    return not s[-1] < matcore.SINGULARITY_RTOL * max(s[0], 1e-300)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _hermitian(rng, n, rank_one):
+    """Random Hermitian matrix, of rank one or with a flat spectrum."""
+    u = _unitary(rng, n)
+    s = np.zeros(n) if rank_one else np.ones(n)
+    s[0] = 1.0
+    return (u * s) @ u.conj().T
+
+
+#: Defect over threshold: far inside, within 0.1% of and far outside the
+#: acceptance boundary, so both the Frobenius certificates and the SVD
+#: fallback decide some cases.
+FACTORS = (1e-3, 0.3, 1 - 1e-3, 1 + 1e-3, 3.0, 1e3)
+SIZES = (1, 2, 3, 8, 33)
+#: Overall scales, including ones whose squared entries underflow (1e-200)
+#: or come near the top of the floating-point range (1e150).
+SCALES = (1e-200, 1e-5, 1.0, 1e150)
+
+
+class TestGuardPredicates:
+    """The Frobenius-certified predicates give exactly the SVD verdicts."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from(SIZES),
+        factor=st.sampled_from(FACTORS),
+        scale=st.sampled_from(SCALES),
+        rank_one=st.booleans(),
+    )
+    def test_is_hermitian_matches_svd(self, seed, n, factor, scale, rank_one):
+        rng = np.random.default_rng(seed)
+        h = _hermitian(rng, n, rank_one=False) + np.diag(rng.standard_normal(n))
+        k = 1j * _hermitian(rng, n, rank_one)
+        rtol = matcore.HERMITICITY_RTOL
+        target = factor * rtol
+        t = target * np.linalg.norm(h, 2) / np.linalg.norm(2 * k, 2)
+        a = h + t * k
+        t *= target / (np.linalg.norm(a - a.conj().T, 2) / np.linalg.norm(a, 2))
+        a = scale * (h + t * k)
+        expected = _svd_says_hermitian(a, rtol)
+        assert expected == (factor < 1)
+        assert matcore.is_hermitian(a) == expected
+
+    @pytest.mark.parametrize("rtol", [1e-14, 1e-12])
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from(SIZES),
+        factor=st.sampled_from(FACTORS),
+        scale=st.sampled_from(SCALES),
+    )
+    def test_is_diagonal_matches_svd(self, rtol, seed, n, factor, scale):
+        rng = np.random.default_rng(seed)
+        d = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        e -= np.diag(np.diagonal(e))
+        a = d + e
+        if n > 1:
+            t = factor * rtol * np.linalg.norm(d, 2) / np.linalg.norm(e)
+            t *= factor * rtol / (np.linalg.norm(t * e) / np.linalg.norm(d + t * e, 2))
+            a = d + t * e
+        a = scale * a
+        expected = _svd_says_diagonal(a, rtol)
+        # at 1e-200 the squared off-diagonal entries underflow to zero in
+        # the definition itself, which then reads every such matrix as diagonal
+        assert expected == (factor < 1 or n == 1 or scale == 1e-200)
+        assert matcore.is_diagonal(a, rtol) == expected
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from(SIZES),
+        factor=st.sampled_from(FACTORS),
+        scale=st.sampled_from(SCALES),
+    )
+    def test_inverse_matches_svd(self, seed, n, factor, scale):
+        rng = np.random.default_rng(seed)
+        s = np.logspace(0.0, np.log10(factor * matcore.SINGULARITY_RTOL), n)
+        a = scale * ((_unitary(rng, n) * s) @ _unitary(rng, n).conj().T)
+        expected = _svd_says_invertible(a)
+        if n > 1 and abs(np.log(factor)) > 1.0:
+            # within 0.1% of the threshold the construction's own rounding
+            # decides which side the computed matrix falls on
+            assert expected == (factor > 1)
+        try:
+            x = matcore.inverse(a)
+        except SingularMatrixError:
+            assert not expected
+        else:
+            assert expected
+            np.testing.assert_array_equal(x, np.linalg.solve(a, np.eye(n)))
+
+    def test_exactly_hermitian_eigendecomposition_runs_no_svd(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counting_svd)
+        for n in SIZES:
+            matcore.eig_hermitian(random_hermitian(n, 1.0, n))
+            matcore.is_diagonal(np.diag(np.arange(1.0, n + 1)))
+        assert calls == []
+        matcore.op_norm(np.eye(2))
+        assert calls == [1]
+
+
 class TestEigHermitian:
     def test_sorted_diagonal(self):
         dec = matcore.eig_hermitian(np.diag([3.0, 1.0, 2.0]))

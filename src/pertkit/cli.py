@@ -142,15 +142,16 @@ def _run_dyson(config: RunConfig) -> Report:
         -1j * t * (np.asarray(a, dtype=complex) + b)
     )
     quad_slack = 10.0 * (t / grid.steps) ** 4 + 1e-8
-    ok = True
+    ratios = []
     for k in range(orders + 1):
         exp_defect = matcore.op_norm(sum(exp_terms[: k + 1]) - exact_exp)
         dys_defect = matcore.op_norm(sum(dyson_terms[: k + 1]) - exact_dyson)
         exp_budget = evolution.remainder_bound(t, na, nb, k + 1) + quad_slack
         dys_budget = evolution.remainder_bound(t, na, nb, k + 1) + quad_slack
-        ok = ok and exp_defect <= exp_budget and dys_defect <= dys_budget
+        ratios += [exp_defect / exp_budget, dys_defect / dys_budget]
         rep.add_row(k, exp_defect, exp_budget, dys_defect, dys_budget)
-    rep.check("defects_within_budgets", 0.0 if ok else 1.0, 0.5)
+    # the worst defect/budget ratio shows the margin; np.max keeps a NaN failing
+    rep.check("defects_within_budgets", np.max(ratios), 1.0)
     return rep
 
 

@@ -2,7 +2,9 @@
 
 The simplex integrals of the exponential and Dyson expansions are realized
 as ODE cascades (exact variation-of-constants recursions) integrated with
-classical fixed-step RK4:
+one classical fixed-step RK4 on an array state; a cascade of ``m_max + 1``
+terms is one ``(m_max + 1, n, n)`` (or ``(m_max + 1, n)``) array, so each
+stage is one batched matmul:
 
 * exponential series: ``T_0(t) = e^{tA}``, ``T_m' = A T_m + B T_{m-1}``,
   and ``sum_m T_m(t)`` approximates ``e^{t(A+B)}``;
@@ -12,11 +14,15 @@ classical fixed-step RK4:
 
 Also here: time-dependent propagators, the Laplace-transform bridge from
 time evolution to the shifted inverse, holomorphic functional calculus, and
-adiabatic evolution with its eigenvalue/eigenvector estimators.
+adiabatic evolution with its eigenvalue/eigenvector estimators.  The
+adiabatic path is decomposed block by block (one batched ``eigh`` per block
+of steps); only the O(n^2) RK4 update and the eigenvector continuation run
+step by step, and each error is raised at the step it belongs to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,21 +80,31 @@ def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Sc
     return Schedule(evaluator=lambda t: a + f(t) * b)
 
 
-def _rk4_system(deriv, state, t0: float, t1: float, steps: int):
-    """Classical RK4 on a list of arrays; returns the final state list."""
+def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
+    """Classical RK4 on an array state; returns the final state."""
     h = (t1 - t0) / steps
-    y = [s.copy() for s in state]
     for k in range(steps):
         t = t0 + k * h
         k1 = deriv(t, y)
-        k2 = deriv(t + h / 2, [yi + (h / 2) * ki for yi, ki in zip(y, k1)])
-        k3 = deriv(t + h / 2, [yi + (h / 2) * ki for yi, ki in zip(y, k2)])
-        k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
-        y = [
-            yi + (h / 6) * (a_ + 2 * b_ + 2 * c_ + d_)
-            for yi, a_, b_, c_, d_ in zip(y, k1, k2, k3, k4)
-        ]
+        k2 = deriv(t + h / 2, y + (h / 2) * k1)
+        k3 = deriv(t + h / 2, y + (h / 2) * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
+
+
+def _cascade_inputs(a, b, t: float, m_max: int):
+    """Validated ``A`` and ``B``, and the cascade start ``[I, 0, ..., 0]`` as
+    one ``(m_max + 1, n, n)`` array."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    a = matcore.as_matrix(a, square=True)
+    b = matcore.as_matrix(b, square=True)
+    if a.shape != b.shape:
+        raise ShapeError("A and B must have the same shape")
+    state = np.zeros((m_max + 1,) + a.shape, dtype=complex)
+    state[0] = np.eye(a.shape[0])
+    return a, b, state
 
 
 def remainder_bound(t: float, norm_a: float, norm_b: float, k: int) -> float:
@@ -106,39 +122,16 @@ def exp_series_terms(a, b, t: float, m_max: int, g: TimeGrid) -> list:
     of ``sum_{m<=m_max} T_m(t)`` is bounded by ``remainder_bound(m_max+1)``
     plus the O(step^4) integrator error.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ShapeError("A and B must have the same shape")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
+    a, b, state = _cascade_inputs(a, b, t, m_max)
     if t == 0:
-        return [eye] + [np.zeros_like(eye) for _ in range(m_max)]
+        return list(state)
 
     def deriv(_t, ys):
-        out = [a @ ys[0]]
-        for m in range(1, len(ys)):
-            out.append(a @ ys[m] + b @ ys[m - 1])
+        out = a @ ys
+        out[1:] += b @ ys[:-1]
         return out
 
-    state = [eye] + [np.zeros_like(eye) for _ in range(m_max)]
-    return _rk4_system(deriv, state, 0.0, t, g.steps)
-
-
-def _interaction_picture(a: np.ndarray):
-    """Return ``s -> e^{isA} B e^{-isA}`` applier built from A's structure."""
-    if matcore.is_hermitian(a):
-        dec = matcore.eig_hermitian(a)
-        lam, v = dec.eigenvalues, dec.eigenvectors
-
-        def btilde(s: float, b_eig: np.ndarray) -> np.ndarray:
-            ph = np.exp(1j * s * lam)
-            return (v * ph) @ b_eig @ (v.conj() * ph.conj()).T
-
-        return lam, v, btilde
-    return None
+    return list(_rk4_system(deriv, state, 0.0, t, g.steps))
 
 
 def dyson_terms(a, b, t: float, m_max: int, g: TimeGrid) -> list:
@@ -146,46 +139,30 @@ def dyson_terms(a, b, t: float, m_max: int, g: TimeGrid) -> list:
 
     In the commuting case the order-m term reduces to ``(-itB)^m / m!``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ShapeError("A and B must have the same shape")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
+    a, b, state = _cascade_inputs(a, b, t, m_max)
     if t == 0:
-        return [eye] + [np.zeros_like(eye) for _ in range(m_max)]
+        return list(state)
 
-    herm = _interaction_picture(a)
-    if herm is not None:
-        lam, v, applier = herm
+    if matcore.is_hermitian(a):  # Btilde(s) from A's eigenbasis
+        dec = matcore.eig_hermitian(a)
+        lam, v = dec.eigenvalues, dec.eigenvectors
         b_eig = v.conj().T @ b @ v
 
         def btilde(s):
-            return applier(s, b_eig)
+            ph = np.exp(1j * s * lam)
+            return (v * ph) @ b_eig @ (v.conj() * ph.conj()).T
     else:
         def btilde(s):
-            u = matcore.expm(1j * s * a)
-            return u @ b @ matcore.expm(-1j * s * a)
+            return matcore.expm(1j * s * a) @ b @ matcore.expm(-1j * s * a)
 
-    cache: dict[float, np.ndarray] = {}
-
-    def btilde_cached(s):
-        if s not in cache:
-            cache.clear()
-            cache[s] = btilde(s)
-        return cache[s]
+    btilde = functools.lru_cache(maxsize=1)(btilde)  # both RK4 midpoint stages
 
     def deriv(s, ys):
-        out = [np.zeros_like(eye)]
-        w = btilde_cached(s)
-        for m in range(1, len(ys)):
-            out.append(-1j * (w @ ys[m - 1]))
+        out = np.zeros_like(ys)
+        out[1:] = -1j * (btilde(s) @ ys[:-1])
         return out
 
-    state = [eye] + [np.zeros_like(eye) for _ in range(m_max)]
-    return _rk4_system(deriv, state, 0.0, t, g.steps)
+    return list(_rk4_system(deriv, state, 0.0, t, g.steps))
 
 
 def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.ndarray:
@@ -197,16 +174,15 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
     if s > t:
         raise ValueError("require s <= t")
     a = matcore.require_hermitian(a, what="A")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(a.shape[0], dtype=complex)
     if s == t:
         return eye
 
-    def deriv(tt, ys):
+    def deriv(tt, y):
         h = a + np.asarray(b_of_t(tt), dtype=complex)
-        return [-1j * (h @ ys[0])]
+        return -1j * (h @ y)
 
-    (u,) = _rk4_system(deriv, [eye], s, t, g.steps)
+    u = _rk4_system(deriv, eye, s, t, g.steps)
     defect = matcore.op_norm(u.conj().T @ u - eye)
     if defect > 1e-7:
         raise StepSizeError(f"unitarity defect {defect:.2e}; refine the time grid")
@@ -277,6 +253,46 @@ class AdiabaticResult:
     final_eigenvector: np.ndarray
 
 
+#: Steps per batched eigendecomposition; a bounded block keeps memory flat.
+_BLOCK = 32
+
+
+def _nearest_gaps(w: np.ndarray) -> np.ndarray:
+    """Distance from each ascending eigenvalue to its nearest neighbour
+    (``inf`` for a single level); bit-equal to the minimum over all others."""
+    d = np.diff(w, axis=-1, prepend=-np.inf, append=np.inf)
+    return np.minimum(d[..., :-1], d[..., 1:])
+
+
+def _require_gap(gap: float, min_gap: float, t: float) -> None:
+    if gap < min_gap:
+        raise GapCollapseError(f"spectral gap {gap:.2e} below {min_gap:g} at t={t:g}")
+
+
+def _schedule_block(evaluator, ts: np.ndarray, h: float, n: int):
+    """Step widths, ``H`` at the midpoints and ends of the steps starting at
+    ``ts``, and for the ends one batched ``eigh`` (eigenvalues, adjoint
+    eigenvectors, eigenvectors, nearest gaps) with a mask of the finite
+    Hermitian ``(n, n)`` ones.  An evaluation that raises ends the block and
+    takes the place of its matrix, to be raised in time order."""
+    hks = (ts + h) - ts  # the width of a one-step RK4 on [t, t + h]
+    mats = []
+    for tt in np.column_stack([ts + hks / 2, ts + hks]).ravel():
+        try:
+            mats.append(np.asarray(evaluator(tt), dtype=complex))
+        except Exception as exc:
+            mats += [exc] * (2 - len(mats) % 2)
+            break
+    mids, ends = mats[0::2], mats[1::2]
+    regular = [isinstance(e, np.ndarray) and e.shape == (n, n) for e in ends]
+    stack = np.array([e if r else np.zeros((n, n)) for e, r in zip(ends, regular)], dtype=complex)
+    ok = np.array(regular) & np.isfinite(stack).all(axis=(1, 2))
+    stack[~ok] = 0.0
+    ok &= matcore.is_hermitian(stack)
+    w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
+    return hks.tolist(), mids, ends, ok.tolist(), w, v.conj().swapaxes(1, 2), v, _nearest_gaps(w)
+
+
 def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_gap: float = 1e-3):
     """Shared core: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
 
@@ -287,64 +303,52 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
     steps = g.steps
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
-
-    h_mats = {}
-
-    def h_at(t: float) -> np.ndarray:
-        key = round(t / (h / 2))
-        if key not in h_mats:
-            if len(h_mats) > 4:
-                h_mats.clear()
-            h_mats[key] = np.asarray(sched.evaluator(t), dtype=complex)
-        return h_mats[key]
-
-    dec0 = matcore.eig_hermitian(sched.matrix(0.0))
+    h_end = sched.matrix(0.0)
+    dec0 = matcore.eig_hermitian(h_end)
     n = dec0.eigenvalues.size
     if not (0 <= i < n):
         raise ValueError("eigenvalue index out of range")
-    e_path = np.empty((steps + 1, n), dtype=complex)
-    lam_path = np.empty(steps + 1)
-    e_prev = dec0.eigenvectors[:, i].copy()
-    e_path[0] = e_prev
-    lam_path[0] = dec0.eigenvalues[i]
-    gaps = np.abs(np.delete(dec0.eigenvalues, i) - dec0.eigenvalues[i])
-    if gaps.size and gaps.min() < min_gap:
-        raise GapCollapseError(f"spectral gap {gaps.min():.2e} below {min_gap:g} at t=0")
-
-    u = e_prev.copy()
+    _require_gap(_nearest_gaps(dec0.eigenvalues)[i], min_gap, 0.0)
     us = np.empty((steps + 1, n), dtype=complex)
-    us[0] = u
+    e_path = np.empty_like(us)
+    lam_path = np.empty(steps + 1)
+    us[0] = e_path[0] = u = e_prev = dec0.eigenvectors[:, i].copy()
+    lam_path[0] = dec0.eigenvalues[i]
+    c = -1j * eta
 
-    for k in range(steps):
-        t = nodes[k]
+    for k0 in range(0, steps, _BLOCK):
+        block = _schedule_block(sched.evaluator, nodes[k0:min(k0 + _BLOCK, steps)], h, n)
+        for k, (hk, h_mid, h_next, ok, lam, vec_h, vec, gaps) in enumerate(zip(*block), start=k0):
+            k1 = c * (h_end @ u)
+            if isinstance(h_mid, Exception):
+                raise h_mid
+            k2 = c * (h_mid @ (u + (hk / 2) * k1))
+            k3 = c * (h_mid @ (u + (hk / 2) * k2))
+            if isinstance(h_next, Exception):
+                raise h_next
+            k4 = c * (h_next @ (u + hk * k3))
+            u = u + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            norm = np.linalg.norm(u)
+            # per-step norm drift measures the local integrator error; the state
+            # itself is re-projected onto the unit sphere every step
+            if abs(norm - 1.0) > 1e-6:
+                raise StepSizeError(f"unitarity drift {abs(norm - 1.0):.2e} per step; refine grid")
+            u = u / norm
+            us[k + 1] = u
+            h_end = h_next
 
-        def deriv(tt, ys):
-            return [-1j * eta * (h_at(tt) @ ys[0])]
-
-        (u,) = _rk4_system(deriv, [u], t, t + h, 1)
-        norm = np.linalg.norm(u)
-        # per-step norm drift measures the local integrator error; the state
-        # itself is re-projected onto the unit sphere every step
-        if abs(norm - 1.0) > 1e-6:
-            raise StepSizeError(f"unitarity drift {abs(norm - 1.0):.2e} per step; refine grid")
-        u = u / norm
-        us[k + 1] = u
-
-        dec = matcore.eig_hermitian(h_at(nodes[k + 1]))
-        overlaps = np.abs(dec.eigenvectors.conj().T @ e_prev)
-        idx = int(np.argmax(overlaps))
-        gaps = np.abs(np.delete(dec.eigenvalues, idx) - dec.eigenvalues[idx])
-        if gaps.size and gaps.min() < min_gap:
-            raise GapCollapseError(
-                f"spectral gap {gaps.min():.2e} below {min_gap:g} at t={nodes[k + 1]:g}"
-            )
-        e_new = dec.eigenvectors[:, idx].copy()
-        ov = np.vdot(e_prev, e_new)
-        if abs(ov) > 0:
-            e_new *= ov.conjugate() / abs(ov)  # positive-overlap gauge
-        e_prev = e_new
-        e_path[k + 1] = e_new
-        lam_path[k + 1] = dec.eigenvalues[idx]
+            if not ok:  # the single-matrix path raises this node's guard error
+                dec = matcore.eig_hermitian(h_next)
+                lam, vec = dec.eigenvalues, dec.eigenvectors
+                vec_h, gaps = vec.conj().T, _nearest_gaps(lam)
+            idx = int(np.abs(vec_h @ e_prev).argmax())
+            _require_gap(gaps[idx], min_gap, nodes[k + 1])
+            e_new = vec[:, idx].copy()
+            ov = np.vdot(e_prev, e_new)
+            if abs(ov) > 0:
+                e_new *= ov.conjugate() / abs(ov)  # positive-overlap gauge
+            e_path[k + 1] = e_prev = e_new
+            lam_path[k + 1] = lam[idx]
 
     return nodes, us, e_path, lam_path
 
@@ -439,27 +443,22 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
         )
     dec = matcore.eig_hermitian(a)
     lam, v = dec.eigenvalues, dec.eigenvectors
-    others = np.delete(lam, i)
-    if others.size and norm_b > np.min(np.abs(others - lam[i])):
+    if norm_b > _nearest_gaps(lam)[i]:
         raise ValueError("||B|| exceeds the unperturbed spectral gap")
     b_eig = v.conj().T @ b @ v
     dlam = lam[:, None] - lam[None, :]
-    e_i = np.zeros(lam.size, dtype=complex)
-    e_i[i] = 1.0
 
     def deriv(t, ys):
         w = b_eig * np.exp(1j * eta * t * dlam)
-        out = [np.zeros_like(e_i)]
-        coeff = -1j * eta * f(t)
-        for m in range(1, len(ys)):
-            out.append(coeff * (w @ ys[m - 1]))
+        out = np.zeros_like(ys)
+        # matrix times a stack of column vectors: the same gemv per order
+        out[1:] = -1j * eta * f(t) * np.matmul(w, ys[:-1, :, None])[..., 0]
         return out
 
-    state = [e_i] + [np.zeros_like(e_i) for _ in range(m_max)]
+    state = np.zeros((m_max + 1, lam.size), dtype=complex)
+    state[0, i] = 1.0
     final = _rk4_system(deriv, state, 0.0, 1.0, g.steps)
-    w_total = sum(final)
-    vec_eig = np.exp(-1j * eta * lam) * w_total
-    vec = v @ vec_eig
+    vec = v @ (np.exp(-1j * eta * lam) * sum(final))
     nv = np.linalg.norm(vec)
     if nv == 0:
         raise ConvergenceError("series produced a null vector")

@@ -11,8 +11,11 @@ made here.  :func:`is_hermitian`, :func:`is_diagonal` and :func:`inverse`
 first try to decide from O(n^2) Frobenius norms, via
 ``||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F``, and accept or reject only
 with a factor-2 margin and finite norms.  Otherwise the exact SVD test
-runs, so every verdict is the SVD verdict.  :func:`solve` keeps its SVD
-test, and reported norms are always :func:`op_norm`.
+runs, so every verdict is the SVD verdict.  :func:`is_hermitian` also
+takes a ``(k, n, n)`` stack and decides every slice at once from plain sums
+of squares, with the same margins; a slice whose sum may have underflowed
+or overflowed falls back to the single-matrix test.  :func:`solve` keeps
+its SVD test, and reported norms are always :func:`op_norm`.
 
 All functions are pure; inputs are never mutated.
 """
@@ -93,8 +96,26 @@ def _decide(a: np.ndarray, rtol: float, defect_lo: float, defect_hi: float, exac
     return exact()
 
 
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
-    """Whether ``||A - A*||_2 <= rtol * max(||A||_2, 1e-300)``."""
+def is_hermitian(m, rtol: float = HERMITICITY_RTOL):
+    """Whether ``||A - A*||_2 <= rtol * max(||A||_2, 1e-300)``; for a
+    ``(k, n, n)`` stack, the verdict of every slice as a boolean array."""
+    if np.ndim(m) == 3:
+        a = np.asarray(m, dtype=complex)
+        if a.shape[1] != a.shape[2]:
+            raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
+        as_matrix(a.reshape(a.shape[0] * a.shape[1], a.shape[2]))  # non-empty, finite
+        defect = a - a.conj().swapaxes(1, 2)
+        with np.errstate(over="ignore"):
+            a_sq, d_sq = ((x.real**2 + x.imag**2).sum(axis=(1, 2)) for x in (a, defect))
+        root_n, a_fro, d = math.sqrt(a.shape[1]), np.sqrt(a_sq), np.sqrt(d_sq)
+        accept = 2.0 * d <= rtol * a_fro / root_n
+        reject = d / root_n > 2.0 * rtol * a_fro
+        # plain sums of squares are trusted when finite and, for A, above
+        # 1e-280: then underflowed squares are far below the margins
+        trusted = np.isfinite(a_sq + d_sq) & (a_sq >= 1e-280)
+        for j in np.flatnonzero(~(trusted & (accept | reject))):
+            accept[j] = is_hermitian(a[j], rtol)
+        return accept
     a = as_matrix(m, square=True)
     d = _fro(a - a.conj().T)
     return _decide(a, rtol, d / math.sqrt(a.shape[0]), d,

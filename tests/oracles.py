@@ -9,6 +9,7 @@ from contour quadrature or resolvent expansions.
 import numpy as np
 
 from pertkit import matcore, spectral
+from pertkit.errors import GapCollapseError, StepSizeError
 
 
 def cheb_nodes(eps_max: float, count: int) -> np.ndarray:
@@ -58,3 +59,154 @@ def exact_two_level_eigenvalue_series(order: int):
     vals = (1.0 - np.sqrt(1.0 + 4.0 * grid**2)) / 2.0
     coef = np.polynomial.polynomial.polyfit(grid / 0.05, vals, order + 6)
     return coef[: order + 1] / (0.05 ** np.arange(order + 1))
+
+
+# ---------------------------------------------------------------------------
+# Reference time steppers: the list-state RK4 and the per-node adiabatic core
+# that the array-state stepper and block-batched core in `evolution` replace.
+# The evolution tests require the same bits and the same errors from both.
+
+
+def rk4_list(deriv, state, t0, t1, steps):
+    """Classical RK4 on a list of arrays; returns the final state list."""
+    h = (t1 - t0) / steps
+    y = [s.copy() for s in state]
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = deriv(t, y)
+        k2 = deriv(t + h / 2, [yi + (h / 2) * ki for yi, ki in zip(y, k1)])
+        k3 = deriv(t + h / 2, [yi + (h / 2) * ki for yi, ki in zip(y, k2)])
+        k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+        y = [
+            yi + (h / 6) * (a_ + 2 * b_ + 2 * c_ + d_)
+            for yi, a_, b_, c_, d_ in zip(y, k1, k2, k3, k4)
+        ]
+    return y
+
+
+def _cascade_start(n, m_max):
+    eye = np.eye(n, dtype=complex)
+    return [eye] + [np.zeros_like(eye) for _ in range(m_max)]
+
+
+def exp_series_terms_ref(a, b, t, m_max, steps):
+    def deriv(_t, ys):
+        out = [a @ ys[0]]
+        for m in range(1, len(ys)):
+            out.append(a @ ys[m] + b @ ys[m - 1])
+        return out
+
+    return rk4_list(deriv, _cascade_start(a.shape[0], m_max), 0.0, t, steps)
+
+
+def dyson_terms_ref(a, b, t, m_max, steps):
+    if matcore.is_hermitian(a):
+        dec = matcore.eig_hermitian(a)
+        lam, v = dec.eigenvalues, dec.eigenvectors
+        b_eig = v.conj().T @ b @ v
+
+        def btilde(s):
+            ph = np.exp(1j * s * lam)
+            return (v * ph) @ b_eig @ (v.conj() * ph.conj()).T
+    else:
+        def btilde(s):
+            return matcore.expm(1j * s * a) @ b @ matcore.expm(-1j * s * a)
+
+    def deriv(s, ys):
+        w = btilde(s)
+        out = [np.zeros_like(ys[0])]
+        for m in range(1, len(ys)):
+            out.append(-1j * (w @ ys[m - 1]))
+        return out
+
+    return rk4_list(deriv, _cascade_start(a.shape[0], m_max), 0.0, t, steps)
+
+
+def propagator_ref(a, b_of_t, s, t, steps):
+    def deriv(tt, ys):
+        h = a + np.asarray(b_of_t(tt), dtype=complex)
+        return [-1j * (h @ ys[0])]
+
+    (u,) = rk4_list(deriv, [np.eye(a.shape[0], dtype=complex)], s, t, steps)
+    return u
+
+
+def adiabatic_eigvec_ref(a, b, f, i, eta, m_max, steps):
+    """Normalized eigenvector estimate of ``adiabatic_eigvec_series``."""
+    dec = matcore.eig_hermitian(a)
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    b_eig = v.conj().T @ b @ v
+    dlam = lam[:, None] - lam[None, :]
+    e_i = np.zeros(lam.size, dtype=complex)
+    e_i[i] = 1.0
+
+    def deriv(t, ys):
+        w = b_eig * np.exp(1j * eta * t * dlam)
+        out = [np.zeros_like(e_i)]
+        coeff = -1j * eta * f(t)
+        for m in range(1, len(ys)):
+            out.append(coeff * (w @ ys[m - 1]))
+        return out
+
+    final = rk4_list(deriv, [e_i] + [np.zeros_like(e_i) for _ in range(m_max)], 0.0, 1.0, steps)
+    vec = v @ (np.exp(-1j * eta * lam) * sum(final))
+    return vec / np.linalg.norm(vec)
+
+
+def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
+    """One RK4 step and one guarded ``eig_hermitian`` per node, with ``H``
+    cached by half-step index; returns nodes, states, eigenvector and
+    eigenvalue paths, like ``evolution._integrate_schedule``."""
+    h = 1.0 / steps
+    nodes = h * np.arange(steps + 1)
+    h_mats = {}
+
+    def h_at(t):
+        key = round(t / (h / 2))
+        if key not in h_mats:
+            if len(h_mats) > 4:
+                h_mats.clear()
+            h_mats[key] = np.asarray(sched.evaluator(t), dtype=complex)
+        return h_mats[key]
+
+    dec0 = matcore.eig_hermitian(sched.matrix(0.0))
+    n = dec0.eigenvalues.size
+    e_path = np.empty((steps + 1, n), dtype=complex)
+    lam_path = np.empty(steps + 1)
+    e_prev = dec0.eigenvectors[:, i].copy()
+    e_path[0] = e_prev
+    lam_path[0] = dec0.eigenvalues[i]
+    gaps = np.abs(np.delete(dec0.eigenvalues, i) - dec0.eigenvalues[i])
+    if gaps.size and gaps.min() < min_gap:
+        raise GapCollapseError(f"spectral gap {gaps.min():.2e} below {min_gap:g} at t=0")
+    u = e_prev.copy()
+    us = np.empty((steps + 1, n), dtype=complex)
+    us[0] = u
+    for k in range(steps):
+        t = nodes[k]
+
+        def deriv(tt, ys):
+            return [-1j * eta * (h_at(tt) @ ys[0])]
+
+        (u,) = rk4_list(deriv, [u], t, t + h, 1)
+        norm = np.linalg.norm(u)
+        if abs(norm - 1.0) > 1e-6:
+            raise StepSizeError(f"unitarity drift {abs(norm - 1.0):.2e} per step; refine grid")
+        u = u / norm
+        us[k + 1] = u
+        dec = matcore.eig_hermitian(h_at(nodes[k + 1]))
+        overlaps = np.abs(dec.eigenvectors.conj().T @ e_prev)
+        idx = int(np.argmax(overlaps))
+        gaps = np.abs(np.delete(dec.eigenvalues, idx) - dec.eigenvalues[idx])
+        if gaps.size and gaps.min() < min_gap:
+            raise GapCollapseError(
+                f"spectral gap {gaps.min():.2e} below {min_gap:g} at t={nodes[k + 1]:g}"
+            )
+        e_new = dec.eigenvectors[:, idx].copy()
+        ov = np.vdot(e_prev, e_new)
+        if abs(ov) > 0:
+            e_new *= ov.conjugate() / abs(ov)
+        e_prev = e_new
+        e_path[k + 1] = e_new
+        lam_path[k + 1] = dec.eigenvalues[idx]
+    return nodes, us, e_path, lam_path

@@ -149,6 +149,19 @@ class TestCliCommands:
         code = cli.main(["dyson", "--a", pa, "--b", pb, "--t", "0.8", "--orders", "6"])
         assert code == 0
 
+    def test_dyson_reports_worst_defect_to_budget_ratio(self, fixtures, tmp_path):
+        pa, pb, _ = fixtures
+        out = tmp_path / "dyson.csv"
+        code = cli.main(["--out", str(out), "dyson", "--a", pa, "--b", pb, "--t", "0.8", "--orders", "6"])
+        lines = out.read_text().splitlines()
+        header = lines.index("order,exp_defect,exp_budget,dyson_defect,dyson_budget")
+        rows = [[float(x) for x in line.split(",")] for line in lines[header + 1:lines.index("# residuals")]]
+        worst = max(max(r[1] / r[2], r[3] / r[4]) for r in rows)
+        (check,) = [line for line in lines if line.startswith("defects_within_budgets,")]
+        assert code == 0
+        assert check == f"defects_within_budgets,{worst!r},1.0,1"
+        assert 0.0 < worst <= 1.0
+
     def test_scatter(self, fixtures, capsys):
         pa, pb, _ = fixtures
         code = cli.main(

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from pertkit import evolution, matcore
 from pertkit.ensembles import random_hermitian
 from pertkit.errors import (
     ContourEnclosureError,
     ConvergenceError,
     GapCollapseError,
+    MatrixFormatError,
+    NotHermitianError,
     StepSizeError,
 )
 
@@ -299,3 +302,204 @@ class TestGridValidation:
         sched = evolution.Schedule(evaluator=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(Exception):
             sched.matrix(0.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the list-state reference steppers
+
+
+#: One step count below a block, and one of several full blocks plus a
+#: partial last block.
+REF_STEPS = (8, 100)
+
+
+def _ref_pair(n, seed, hermitian_a=True):
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(n, 1.0, seed) + np.diag(np.arange(n, dtype=float))
+    if not hermitian_a:
+        a = a + 0.3j * np.diag(rng.standard_normal(n))
+    b = random_hermitian(n, 0.4, seed + 1)
+    return a.astype(complex), b.astype(complex)
+
+
+def _assert_same_terms(got, ref):
+    assert len(got) == len(ref)
+    for x, y in zip(got, ref):
+        np.testing.assert_array_equal(x, y)
+
+
+class TestReferenceSteppers:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m_max", [0, 1, 6])
+    @pytest.mark.parametrize("steps", REF_STEPS)
+    def test_exp_series_terms(self, n, m_max, steps):
+        a, b = _ref_pair(n, 10 * n + m_max)
+        got = evolution.exp_series_terms(a, b, 0.7, m_max, evolution.TimeGrid(0.7, steps))
+        _assert_same_terms(got, oracles.exp_series_terms_ref(a, b, 0.7, m_max, steps))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m_max", [0, 1, 6])
+    @pytest.mark.parametrize("steps", REF_STEPS)
+    @pytest.mark.parametrize("hermitian_a", [True, False])
+    def test_dyson_terms(self, n, m_max, steps, hermitian_a):
+        a, b = _ref_pair(n, 20 * n + m_max, hermitian_a)
+        got = evolution.dyson_terms(a, b, 0.9, m_max, evolution.TimeGrid(0.9, steps))
+        _assert_same_terms(got, oracles.dyson_terms_ref(a, b, 0.9, m_max, steps))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("steps", REF_STEPS)
+    def test_propagator_time_dependent(self, n, steps):
+        a, b = _ref_pair(n, 30 * n)
+        a = a / (n + 1)
+        u = evolution.propagator_time_dependent(
+            a, lambda t: np.sin(t) * b, 0.2, 0.5, evolution.TimeGrid(0.3, steps)
+        )
+        np.testing.assert_array_equal(u, oracles.propagator_ref(a, lambda t: np.sin(t) * b, 0.2, 0.5, steps))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m_max", [1, 6])
+    @pytest.mark.parametrize("steps", REF_STEPS)
+    def test_adiabatic_eigvec_series(self, n, m_max, steps):
+        a = np.diag(np.arange(n, dtype=float)).astype(complex)
+        b = random_hermitian(n, 0.004, 40 * n + m_max).astype(complex)
+        i = n // 2
+        res = evolution.adiabatic_eigvec_series(a, b, "smoothstep", i, 30.0, m_max, evolution.TimeGrid(1.0, steps))
+        ref = oracles.adiabatic_eigvec_ref(a, b, evolution.RAMPS["smoothstep"], i, 30.0, m_max, steps)
+        np.testing.assert_array_equal(res.vector, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("steps", REF_STEPS + (96, 250))
+    @pytest.mark.parametrize("ramp", ["linear", "smoothstep"])
+    def test_adiabatic_evolve(self, n, steps, ramp):
+        a = np.diag(np.arange(n, dtype=float) / n).astype(complex)
+        b = random_hermitian(n, 0.05, 50 * n + steps).astype(complex)
+        sched = evolution.ramped_schedule(a, b, ramp)
+        i = (n - 1) // 2
+        res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(1.0, steps))
+        nodes, us, e_path, lam_path = oracles.integrate_schedule_ref(sched, 3.0, i, steps)
+        np.testing.assert_array_equal(res.final_state, us[-1])
+        np.testing.assert_array_equal(res.eigenvalue_path, lam_path)
+        np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
+        assert res.tracked_phase == evolution._integral_on_nodes(lam_path, nodes[1] - nodes[0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_at_a_midpoint_propagates_like_the_reference(self):
+        # midpoints are never guarded: a NaN there poisons the state, which
+        # the drift check cannot see, and both cores carry it to the end
+        steps = 80
+        a = np.diag([0.0, 1.0]).astype(complex)
+        b = 0.1 * np.array([[0, 1], [1, 0]], dtype=complex)
+
+        def evaluator(t):
+            return np.full((2, 2), np.nan) if round(t * 2 * steps) == 81 else a + t * b
+
+        sched = evolution.Schedule(evaluator=evaluator)
+        nodes, us, e_path, lam_path = evolution._integrate_schedule(sched, 2.0, 0, evolution.TimeGrid(1.0, steps))
+        ref = oracles.integrate_schedule_ref(sched, 2.0, 0, steps)
+        assert np.isnan(us[-1]).all()
+        for got, want in zip((nodes, us, e_path, lam_path), ref):
+            np.testing.assert_array_equal(got, want)
+
+
+    def test_evaluates_h_at_the_reference_times(self):
+        # t + ((t + h) - t) / 2 differs from t + h / 2 in the last bit at
+        # about a quarter of the steps of this grid
+        calls = {"new": [], "ref": []}
+
+        def schedule(log):
+            def evaluator(t):
+                log.append(t)
+                return np.diag([0.0, 1.0 + t])
+
+            return evolution.Schedule(evaluator=evaluator)
+
+        evolution.adiabatic_evolve(schedule(calls["new"]), 2.0, 0, evolution.TimeGrid(1.0, 1000))
+        oracles.integrate_schedule_ref(schedule(calls["ref"]), 2.0, 0, 1000)
+        # the reference evaluates H(0) twice: once guarded, once for the first step
+        assert calls["ref"][:2] == [0.0, 0.0]
+        assert calls["new"] == calls["ref"][1:]
+
+
+def _outcome(fn):
+    """``(type, message)`` of the error ``fn`` raises, or ``None``."""
+    try:
+        fn()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+class TestErrorOrder:
+    """Errors come at the step the per-node reference raises them, with the
+    same type and message, wherever they fall in a block."""
+
+    @staticmethod
+    def _both(evaluator, eta, i, steps):
+        sched = evolution.Schedule(evaluator=evaluator)
+        got = _outcome(lambda: evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(1.0, steps)))
+        want = _outcome(lambda: oracles.integrate_schedule_ref(sched, eta, i, steps))
+        assert want is not None
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize(
+        "late",
+        [np.array([[0.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 0.0]), np.full((2, 2), np.inf)],
+        ids=["non-hermitian", "collapsed-gap", "non-finite"],
+    )
+    def test_early_drift_wins_over_a_later_bad_node(self, late):
+        good = np.diag([0.0, 1.0])
+        kind, _ = self._both(lambda t: late if t > 0.05 else good, 2000.0, 1, 40)
+        assert kind is StepSizeError
+
+    @pytest.mark.parametrize("node", [33, 64], ids=["first-of-block", "last-of-block"])
+    @pytest.mark.parametrize("tracked", [0, 1], ids=["upper-neighbour", "lower-neighbour"])
+    def test_gap_collapse_at_block_edges(self, node, tracked):
+        steps = 96
+        threshold = (node - 0.25) / steps
+
+        def evaluator(t):
+            # the other level comes within 1e-4 of the tracked one from its
+            # own side; the tracked level stays put
+            levels = [0.0, 1.0]
+            if t > threshold:
+                levels[1 - tracked] = [1e-4, 1.0 - 1e-4][tracked]
+            return np.diag(levels)
+
+        kind, message = self._both(evaluator, 1.0, tracked, steps)
+        assert kind is GapCollapseError
+        assert message.endswith(f"at t={node / steps:g}")
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), MatrixFormatError),
+            (np.zeros((2, 3)), ValueError),
+        ],
+        ids=["non-hermitian", "non-finite", "wrong-shape"],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_evaluator_goes_bad_mid_block(self, bad, error):
+        good = np.diag([0.0, 1.0])
+        kind, _ = self._both(lambda t: bad if t > 0.45 else good + t * np.eye(2), 1.0, 0, 96)
+        assert issubclass(kind, error)
+
+    def test_evaluator_exception_is_raised_after_an_earlier_gap_collapse(self):
+        def evaluator(t):
+            if t > 0.5:
+                raise RuntimeError(f"no H at {t:g}")
+            return np.diag([0.0, 1e-4 if t > 0.4 else 1.0])
+
+        kind, _ = self._both(evaluator, 1.0, 0, 96)
+        assert kind is GapCollapseError
+
+    @pytest.mark.parametrize("start", [32.25, 48.0], ids=["first-of-block", "mid-block"])
+    def test_evaluator_exception_keeps_its_message(self, start):
+        def evaluator(t):
+            if t > start / 96:
+                raise RuntimeError(f"no H at {t:.17g}")
+            return np.diag([0.0, 1.0])
+
+        kind, message = self._both(evaluator, 1.0, 0, 96)
+        assert kind is RuntimeError and message.startswith("no H at ")

@@ -96,6 +96,18 @@ def _hermitian(rng, n, rank_one):
     return (u * s) @ u.conj().T
 
 
+def _near_hermitian(rng, n, factor, scale, rank_one):
+    """``scale * (H + t K)`` whose Hermiticity defect is ``factor`` times the
+    threshold, built like the single-matrix property test."""
+    h = _hermitian(rng, n, rank_one=False) + np.diag(rng.standard_normal(n))
+    k = 1j * _hermitian(rng, n, rank_one)
+    target = factor * matcore.HERMITICITY_RTOL
+    t = target * np.linalg.norm(h, 2) / np.linalg.norm(2 * k, 2)
+    a = h + t * k
+    t *= target / (np.linalg.norm(a - a.conj().T, 2) / np.linalg.norm(a, 2))
+    return scale * (h + t * k)
+
+
 #: Defect over threshold: far inside, within 0.1% of and far outside the
 #: acceptance boundary, so both the Frobenius certificates and the SVD
 #: fallback decide some cases.
@@ -177,6 +189,44 @@ class TestGuardPredicates:
             assert expected
             np.testing.assert_array_equal(x, np.linalg.solve(a, np.eye(n)))
 
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from(SIZES),
+        slices=st.lists(
+            st.tuples(st.sampled_from(FACTORS), st.sampled_from(SCALES), st.booleans()),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_stacked_is_hermitian_matches_svd_per_slice(self, seed, n, slices):
+        rng = np.random.default_rng(seed)
+        rtol = matcore.HERMITICITY_RTOL
+        stack = np.array([_near_hermitian(rng, n, f, scale, r1) for f, scale, r1 in slices])
+        verdicts = matcore.is_hermitian(stack)
+        assert verdicts.dtype == bool and verdicts.shape == (len(slices),)
+        for a, (factor, _, _), got in zip(stack, slices, verdicts):
+            assert got == _svd_says_hermitian(a, rtol) == (factor < 1)
+
+    def test_stacked_is_hermitian_mixes_scales_in_one_stack(self):
+        rng = np.random.default_rng(7)
+        rtol = matcore.HERMITICITY_RTOL
+        # 1e160 overflows the plain sums of squares, 1e-200 underflows them
+        cases = [(f, s) for s in (1e-200, 1.0, 1e150, 1e160) for f in (0.3, 1 - 1e-3, 1 + 1e-3, 3.0)]
+        stack = np.array([_near_hermitian(rng, 8, f, s, False) for f, s in cases])
+        np.testing.assert_array_equal(matcore.is_hermitian(stack), [f < 1 for f, _ in cases])
+        np.testing.assert_array_equal(
+            matcore.is_hermitian(stack), [_svd_says_hermitian(a, rtol) for a in stack]
+        )
+
+    def test_stacked_is_hermitian_validates_like_the_matrix_test(self):
+        for empty in (np.zeros((0, 2, 2)), np.zeros((2, 0, 0))):
+            with pytest.raises(MatrixFormatError):
+                matcore.is_hermitian(empty)
+        with pytest.raises(ShapeError):
+            matcore.is_hermitian(np.zeros((2, 2, 3)))
+        with pytest.raises(MatrixFormatError):
+            matcore.is_hermitian(np.full((2, 2, 2), np.nan))
+
     def test_exactly_hermitian_eigendecomposition_runs_no_svd(self, monkeypatch):
         calls = []
         real_svd = np.linalg.svd
@@ -193,6 +243,21 @@ class TestGuardPredicates:
         assert calls == []
         matcore.op_norm(np.eye(2))
         assert calls == [1]
+
+    def test_exactly_hermitian_stack_runs_no_svd(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counting_svd)
+        for n in SIZES:
+            stack = np.array([random_hermitian(n, 10.0**p, 10 * n + p + 5) for p in (-5, 0, 5)])
+            assert matcore.is_hermitian(stack).all()
+        assert calls == []
 
 
 class TestEigHermitian:

@@ -222,7 +222,9 @@ def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:
     """Cauchy functional calculus ``f(A+B)`` by contour quadrature.
 
     The counterclockwise circle must enclose the whole spectrum of ``A+B``;
-    nodes evaluate ``f(z) (z - (A+B))^{-1}``.
+    nodes evaluate ``f(z) (z - (A+B))^{-1}`` through the guarded
+    :func:`matcore.inverse`, so a node next to an eigenvalue raises
+    :class:`SingularMatrixError`.
     """
     a = matcore.as_matrix(a, square=True)
     b = matcore.as_matrix(b, square=True)
@@ -233,7 +235,7 @@ def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:
     eye = np.eye(m.shape[0], dtype=complex)
 
     def integrand(z):
-        return f(z) * np.linalg.solve(z * eye - m, eye)
+        return f(z) * matcore.inverse(z * eye - m)
 
     return matcore.contour_integrate(integrand, c)
 
@@ -270,11 +272,12 @@ def _require_gap(gap: float, min_gap: float, t: float) -> None:
 
 
 def _schedule_block(evaluator, ts: np.ndarray, h: float, n: int):
-    """Step widths, ``H`` at the midpoints and ends of the steps starting at
-    ``ts``, and for the ends one batched ``eigh`` (eigenvalues, adjoint
-    eigenvectors, eigenvectors, nearest gaps) with a mask of the finite
-    Hermitian ``(n, n)`` ones.  An evaluation that raises ends the block and
-    takes the place of its matrix, to be raised in time order."""
+    """Step widths, ``H`` at the midpoints of the steps starting at ``ts``
+    with a mask that is False where a midpoint is a non-finite ``(n, n)``
+    array, and ``H`` at their ends with one batched ``eigh`` (eigenvalues,
+    adjoint eigenvectors, eigenvectors, nearest gaps) and a mask of the
+    finite Hermitian ``(n, n)`` ones.  An evaluation that raises ends the
+    block and takes the place of its matrix, to be raised in time order."""
     hks = (ts + h) - ts  # the width of a one-step RK4 on [t, t + h]
     mats = []
     for tt in np.column_stack([ts + hks / 2, ts + hks]).ravel():
@@ -283,14 +286,16 @@ def _schedule_block(evaluator, ts: np.ndarray, h: float, n: int):
         except Exception as exc:
             mats += [exc] * (2 - len(mats) % 2)
             break
-    mids, ends = mats[0::2], mats[1::2]
-    regular = [isinstance(e, np.ndarray) and e.shape == (n, n) for e in ends]
-    stack = np.array([e if r else np.zeros((n, n)) for e, r in zip(ends, regular)], dtype=complex)
-    ok = np.array(regular) & np.isfinite(stack).all(axis=(1, 2))
+    regular = np.array([isinstance(e, np.ndarray) and e.shape == (n, n) for e in mats])
+    stack = np.array([e if r else np.zeros((n, n)) for e, r in zip(mats, regular)], dtype=complex)
+    ok = regular & np.isfinite(stack).all(axis=(1, 2))
+    mid_ok = ~regular[0::2] | ok[0::2]  # an irregular midpoint fails where it is used
+    mids, ends, stack, ok = mats[0::2], mats[1::2], stack[1::2], ok[1::2]
     stack[~ok] = 0.0
     ok &= matcore.is_hermitian(stack)
     w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
-    return hks.tolist(), mids, ends, ok.tolist(), w, v.conj().swapaxes(1, 2), v, _nearest_gaps(w)
+    return (hks.tolist(), mids, mid_ok.tolist(), ends, ok.tolist(), w, v.conj().swapaxes(1, 2), v,
+            _nearest_gaps(w))
 
 
 def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_gap: float = 1e-3):
@@ -298,7 +303,8 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
 
     Returns nodes, the state history at nodes, the continued eigenvector
     path (positive-overlap gauge) and eigenvalue path.  Raises on gap
-    collapse or on unitarity drift beyond 1e-6.
+    collapse, on a non-finite ``H`` at a node or step midpoint, or on
+    unitarity drift beyond 1e-6 (a NaN drift included).
     """
     steps = g.steps
     h = 1.0 / steps
@@ -318,10 +324,12 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
 
     for k0 in range(0, steps, _BLOCK):
         block = _schedule_block(sched.evaluator, nodes[k0:min(k0 + _BLOCK, steps)], h, n)
-        for k, (hk, h_mid, h_next, ok, lam, vec_h, vec, gaps) in enumerate(zip(*block), start=k0):
+        for k, (hk, h_mid, mid_ok, h_next, ok, lam, vec_h, vec, gaps) in enumerate(zip(*block), start=k0):
             k1 = c * (h_end @ u)
             if isinstance(h_mid, Exception):
                 raise h_mid
+            if not mid_ok:
+                matcore.as_matrix(h_mid)  # raises this midpoint's non-finite error
             k2 = c * (h_mid @ (u + (hk / 2) * k1))
             k3 = c * (h_mid @ (u + (hk / 2) * k2))
             if isinstance(h_next, Exception):
@@ -331,7 +339,7 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
             norm = np.linalg.norm(u)
             # per-step norm drift measures the local integrator error; the state
             # itself is re-projected onto the unit sphere every step
-            if abs(norm - 1.0) > 1e-6:
+            if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
                 raise StepSizeError(f"unitarity drift {abs(norm - 1.0):.2e} per step; refine grid")
             u = u / norm
             us[k + 1] = u

@@ -17,6 +17,12 @@ of squares, with the same margins; a slice whose sum may have underflowed
 or overflowed falls back to the single-matrix test.  :func:`solve` keeps
 its SVD test, and reported norms are always :func:`op_norm`.
 
+Factor once: a Hermitian matrix is decomposed once by :func:`eig_hermitian`
+and its :class:`SpectralDecomposition` is passed on, so that every shifted
+inverse ``(A - z)^{-1}`` is a diagonal scaling in that eigenbasis.  Such a
+scaling needs no singularity guard when ``z`` keeps a known distance from the
+real spectrum.
+
 All functions are pure; inputs are never mutated.
 """
 
@@ -172,7 +178,9 @@ def solve(m, rhs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending, real) and orthonormal eigenvector columns."""
+    """Real eigenvalues (ascending from :func:`eig_hermitian`) and orthonormal
+    eigenvector columns ``V``; every shifted inverse of the matrix is the
+    diagonal scaling ``V diag(1/(lambda - z)) V*``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

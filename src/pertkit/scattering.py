@@ -1,7 +1,7 @@
 """Scattering-matrix entries at finite regularization and their series.
 
 With ``lambda_tau = (lambda_i + lambda_j)/2 - i*tau`` the regularized entry
-is the direct solve
+of Hermitian ``A + B`` is
 
     ``S_ij(tau) = i*tau * <v_i, (A + B - lambda_tau)^{-1} v_j>``
 
@@ -18,6 +18,12 @@ entry up to an ``exp(-2*tau*t_max)`` truncation tail.
 For exactly diagonal ``A`` the reference eigenbasis is the standard basis
 (indices are matrix indices); otherwise eigenpairs come from the ascending
 Hermitian eigendecomposition.
+
+A single entry is one solve of the shifted system.  The unitarity defect
+decomposes ``A + B`` once and scales by ``1/(mu_k - lambda_tau)`` for every
+entry, ``O(n^3)`` in all; the shift is never singular, since
+``|mu_k - lambda_tau| >= tau``.  The series scales in the eigenbasis of ``A``.
+A non-Hermitian ``A + B`` raises :class:`NotHermitianError`.
 """
 
 from __future__ import annotations
@@ -69,20 +75,30 @@ def _eigenbasis(a: np.ndarray):
     return dec.eigenvalues, dec.eigenvectors
 
 
+def _coupled(a, b):
+    """Reference eigenpairs of ``A`` and the Hermitian ``A + B``."""
+    lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
+    b = matcore.as_matrix(b, square=True)
+    if b.shape[0] != lam.size:
+        raise ShapeError("A and B must have the same shape")
+    return lam, vecs, matcore.require_hermitian(np.asarray(a, dtype=complex) + b, what="A+B")
+
+
 def lambda_shift(lam_i: float, lam_j: float, tau: float) -> complex:
     """Complex energy shift ``(lambda_i + lambda_j)/2 - i*tau``."""
     return (lam_i + lam_j) / 2.0 - 1j * tau
 
 
 def s_entry_resolvent(a, b, q: ScatteringQuery) -> complex:
-    """Direct-solve scattering entry ``i*tau <v_i, (A+B-lambda_tau)^{-1} v_j>``."""
-    lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
-    b = matcore.as_matrix(b, square=True)
-    if b.shape[0] != lam.size:
-        raise ShapeError("A and B must have the same shape")
+    """Scattering entry ``i*tau <v_i, (A+B-lambda_tau)^{-1} v_j>``.
+
+    One solve of the never-singular shifted system: cheaper than an
+    eigendecomposition for one entry, and accurate to the entry's own size
+    rather than to ``eps ||A+B|| / tau``.
+    """
+    lam, vecs, m = _coupled(a, b)
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
-    m = np.asarray(a, dtype=complex) + b - lt * np.eye(lam.size, dtype=complex)
-    x = np.linalg.solve(m, vecs[:, q.j])
+    x = np.linalg.solve(m - lt * np.eye(lam.size, dtype=complex), vecs[:, q.j])
     return complex(1j * q.tau * np.vdot(vecs[:, q.i], x))
 
 
@@ -96,9 +112,7 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     ``2 exp(-tau t_max)`` plus quadrature error.  ``g`` is a step count or
     any object with a ``steps`` attribute (e.g. a TimeGrid).
     """
-    lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
-    b = matcore.as_matrix(b, square=True)
-    m = np.asarray(a, dtype=complex) + b
+    lam, vecs, m = _coupled(a, b)
     dec = matcore.eig_hermitian(m)
     mu, w = dec.eigenvalues, dec.eigenvectors
     amp = (w.conj().T @ vecs[:, q.i]).conj() * (w.conj().T @ vecs[:, q.j])
@@ -121,20 +135,23 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> ScatteringSeries:
     ``||(A - lambda_tau)^{-1} B|| < 1``; term 0 is ``1_{i=j}`` and term 1
     reduces, for diagonal ``A``, to
     ``i*tau / ((lambda_i-lambda_j)^2/4 + tau^2) * <v_i, B v_j>``.
+    ``(A - lambda_tau)^{-1}`` is a diagonal scaling in the eigenbasis of
+    ``A``.
     """
-    a = np.asarray(a, dtype=complex)
-    lam, vecs = _eigenbasis(a)
+    lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
     b = matcore.as_matrix(b, square=True)
-    lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
-    shifted = a - lt * np.eye(lam.size, dtype=complex)
-    ratio = matcore.op_norm(np.linalg.solve(shifted, b))
+    b_eig = vecs.conj().T @ b @ vecs
+    d = 1.0 / (lam - lambda_shift(lam[q.i], lam[q.j], q.tau))
+    ratio = matcore.op_norm(d[:, None] * b_eig)
 
     terms = np.zeros(order + 1, dtype=complex)
-    # right-to-left: x_k = [B (lambda_tau - A)^{-1}]^k v_j, then one more solve
-    x = vecs[:, q.j].copy()
+    # right-to-left in A's eigenbasis: x_k = [B (lambda_tau - A)^{-1}]^k e_j
+    x = np.zeros(lam.size, dtype=complex)
+    x[q.j] = 1.0
     for k in range(order + 1):
-        terms[k] = 1j * q.tau * np.vdot(vecs[:, q.i], np.linalg.solve(shifted, x))
-        x = b @ np.linalg.solve(-shifted, x)
+        y = d * x
+        terms[k] = 1j * q.tau * y[q.i]
+        x = -(b_eig @ y)
     return ScatteringSeries(terms=terms, query=q, convergent=bool(ratio < 1.0), ratio=float(ratio))
 
 
@@ -191,13 +208,13 @@ def s_matrix_unitarity_defect(a, b, tau: float) -> float:
     tolerance; it should shrink for small ``||B||`` and well-separated
     spectra as tau decreases.
     """
-    a = np.asarray(a, dtype=complex)
-    lam, _ = _eigenbasis(a)
+    lam, vecs, m = _coupled(a, b)
+    dec = matcore.eig_hermitian(m)
+    mu, e = dec.eigenvalues, vecs.conj().T @ dec.eigenvectors  # e: eigenvectors of A + B in A's basis
     n = lam.size
-    m = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = s_entry_resolvent(a, b, ScatteringQuery(i=i, j=j, tau=tau))
+    # row i: i tau sum_k e_ik conj(e_jk) / (mu_k - lambda_tau(i, j)), O(n^2) each
+    m = np.array([1j * tau * np.sum(e[i] * e.conj() / (mu - lambda_shift(lam[i], lam[:, None], tau)), axis=1)
+                  for i in range(n)])
     return matcore.op_norm(m.conj().T @ m - np.eye(n))
 
 

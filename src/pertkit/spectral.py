@@ -91,12 +91,21 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
     eigenvalue and higher orders come from contour quadrature of the trace
     formula.  For diagonal ``A`` the first orders reduce to ``B_ii`` and
     ``sum_{j != i} |B_ij|^2 / (lambda_i - lambda_j)``.
+
+    ``a`` is Hermitian ``A`` or, so that a caller who already holds it need
+    not decompose ``A`` again, its :class:`SpectralDecomposition`.  ``B`` must
+    be Hermitian, so the coefficients are real; :class:`NotHermitianError` is
+    raised otherwise.  In the eigenbasis of ``A`` the resolvent is a diagonal
+    scaling, and the order-``k`` trace takes ``ceil(k/2) - 1`` matrix products
+    per node.
     """
-    a = matcore.require_hermitian(a, what="A")
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
+    if isinstance(a, SpectralDecomposition):
+        dec = a
+    else:
+        dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
+    b = matcore.require_hermitian(b, what="B")
+    if b.shape != dec.eigenvectors.shape:
         raise ShapeError("A and B must have the same shape")
-    dec = matcore.eig_hermitian(a)
     lam = dec.eigenvalues
     c = contour if contour is not None else default_contour(lam, i)
     _winding_check(lam, c)
@@ -115,11 +124,13 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
                 return np.sum(b_diag / (z - lam))
         else:
             def integrand(z, _k=k):
+                # Tr M^k = sum(M^h * (M^(k-h))^T) for M = (z-A)^{-1} B, h = k // 2
                 m = b_eig / (z - lam)[:, None]
                 p = m
-                for _ in range(_k - 1):
+                for _ in range(_k // 2 - 1):
                     p = p @ m
-                return np.trace(p)
+                q = p @ m if _k % 2 else p
+                return np.sum(p * q.T)
 
         val = matcore.contour_integrate(integrand, c) / k
         coeffs[k] = val.real
@@ -131,7 +142,8 @@ def projection_coefficients(a, b, contour: ContourSpec, order: int) -> Projectio
 
     ``coefficients[k] = (1/2*pi*i) * closed integral of
     [(z-A)^{-1} B]^k (z-A)^{-1} dz``; order zero is the unperturbed Riesz
-    projector.
+    projector.  One quadrature integrates every order: in the eigenbasis of
+    ``A`` each node takes one matrix product per order.
     """
     a = matcore.require_hermitian(a, what="A")
     b = matcore.as_matrix(b, square=True)
@@ -141,19 +153,17 @@ def projection_coefficients(a, b, contour: ContourSpec, order: int) -> Projectio
     v = dec.eigenvectors
     b_eig = v.conj().T @ b @ v
 
-    coefficients = []
-    for k in range(order + 1):
-        def integrand(z, _k=k):
-            d = 1.0 / (z - lam)
-            t = np.diag(d).astype(complex)
-            m = b_eig * d[:, None]
-            for _ in range(_k):
-                t = m @ t
-            return t
+    def integrand(z):
+        d = 1.0 / (z - lam)
+        m = b_eig * d[:, None]
+        t = np.empty((order + 1,) + m.shape, dtype=complex)
+        t[0] = np.diag(d)
+        for k in range(order):
+            t[k + 1] = m @ t[k]
+        return t
 
-        pk = matcore.contour_integrate(integrand, contour)
-        coefficients.append(v @ pk @ v.conj().T)
-    return ProjectionSeries(coefficients=coefficients)
+    pk = matcore.contour_integrate(integrand, contour)
+    return ProjectionSeries(coefficients=[v @ p @ v.conj().T for p in pk])
 
 
 def lambda4_closed_form(a_diag, b, i: int) -> float:
@@ -624,10 +634,11 @@ def harmonic_oscillator_demo(grid_size: int, epsilon: float, eta: float = 0.0, c
     3/4 (exact for the continuum ground state).
     """
     a, x2, x4, _ = harmonic_oscillator_operators(grid_size, eta=eta)
-    contour = default_contour(matcore.eig_hermitian(a).eigenvalues, 0, num_points=contour_points)
-    series_x4 = eigenvalue_coefficients(a, x4, 0, 1, contour=contour)
+    dec = matcore.eig_hermitian(a)
+    contour = default_contour(dec.eigenvalues, 0, num_points=contour_points)
+    series_x4 = eigenvalue_coefficients(dec, x4, 0, 1, contour=contour)
     b_split = epsilon * x4 - eta * x2
-    series_split = eigenvalue_coefficients(a, b_split, 0, 1, contour=contour)
+    series_split = eigenvalue_coefficients(dec, b_split, 0, 1, contour=contour)
     moment = series_x4.coefficients[1]
     return {
         "grid_size": grid_size,

@@ -12,7 +12,9 @@ and the even-kernel variant composes ``(M + ie)/((M + ie)^2 - w^2)``
 factors with prefactor ``i/pi``.  Both are evaluated by composite trapezoid
 on ``[-cutoff, cutoff]``; the integrand of the first decays like
 ``1/w1^2``, so the truncated rule carries a universal ``-i/(pi*cutoff)``
-leading tail that is returned alongside the raw value.
+leading tail that is returned alongside the raw value.  In the factor
+eigenbases every shifted inverse is diagonal, so the line integral is one
+``(n1, n2)`` matrix of scalar sums: one gemm per ``LINE_CHUNK`` nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from . import matcore
 from .errors import ShapeError, SingularMatrixError
 
 MAX_MATERIALIZED_DIM = 4096
+
+#: Frequency-line nodes per gemm; bounds the temporaries whatever the node count.
+LINE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -111,12 +116,17 @@ def _two_factor_eigs(k: KroneckerSum):
     return d1.eigenvalues, d2.eigenvalues, v
 
 
-def _trapezoid(cutoff: float, nodes: int):
-    w1 = np.linspace(-cutoff, cutoff, nodes)
-    weights = np.full(nodes, w1[1] - w1[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return w1, weights
+def _line_sum(q: LineQuadrature, g1, g2) -> np.ndarray:
+    """Trapezoid sum of ``g1(w)[:, None] * g2(w)[None, :]`` over the line,
+    for ``g1``, ``g2`` mapping a chunk of nodes to ``(chunk, n1)``, ``(chunk, n2)``."""
+    w1 = np.linspace(-q.cutoff, q.cutoff, q.nodes)
+    weights = np.full(q.nodes, w1[1] - w1[0])
+    weights[[0, -1]] *= 0.5
+    total = 0.0
+    for s in range(0, q.nodes, LINE_CHUNK):
+        w = w1[s : s + LINE_CHUNK]
+        total = total + (weights[s : s + LINE_CHUNK, None] * g1(w)).T @ g2(w)
+    return total
 
 
 def convolution_resolvent(k: KroneckerSum, omega: float, eps: float, q: LineQuadrature) -> ConvolutionValue:
@@ -129,10 +139,8 @@ def convolution_resolvent(k: KroneckerSum, omega: float, eps: float, q: LineQuad
     if eps <= 0:
         raise ValueError("eps must be positive")
     lam1, lam2, v = _two_factor_eigs(k)
-    w1, weights = _trapezoid(q.cutoff, q.nodes)
-    d1 = 1.0 / (lam1[None, :] - w1[:, None] + 1j * eps)          # (K, n1)
-    d2 = 1.0 / (lam2[None, :] - (omega - w1)[:, None] + 1j * eps)  # (K, n2)
-    diag = np.einsum("k,ki,kj->ij", weights, d1, d2).ravel()
+    diag = _line_sum(q, lambda w: 1.0 / (lam1 - w[:, None] + 1j * eps),
+                     lambda w: 1.0 / (lam2 - (omega - w)[:, None] + 1j * eps)).ravel()
     diag = -diag / (2j * np.pi)
     raw = (v * diag) @ v.conj().T
     n = v.shape[0]
@@ -149,12 +157,10 @@ def convolution_resolvent_symmetric(k: KroneckerSum, omega: float, eps: float, q
     if eps <= 0:
         raise ValueError("eps must be positive")
     lam1, lam2, v = _two_factor_eigs(k)
-    w1, weights = _trapezoid(q.cutoff, q.nodes)
     z1 = lam1 + 1j * eps
     z2 = lam2 + 1j * eps
-    g1 = z1[None, :] / (z1[None, :] ** 2 - w1[:, None] ** 2)
-    g2 = z2[None, :] / (z2[None, :] ** 2 - (omega - w1)[:, None] ** 2)
-    diag = np.einsum("k,ki,kj->ij", weights, g1, g2)
+    diag = _line_sum(q, lambda w: z1 / (z1**2 - w[:, None] ** 2),
+                     lambda w: z2 / (z2**2 - (omega - w)[:, None] ** 2))
     diag = (1j / np.pi) * diag
     tail_diag = (1j / np.pi) * np.multiply.outer(z1, z2) * (2.0 / (3.0 * q.cutoff**3))
     raw = (v * diag.ravel()) @ v.conj().T

@@ -1,9 +1,11 @@
-"""Independent oracles used across the suite.
+"""Independent oracles and reference implementations used across the suite.
 
-These deliberately avoid the code paths they check: eigenvalue/eigenvector
+The oracles deliberately avoid the code paths they check: eigenvalue/eigenvector
 perturbation coefficients come from polynomial fits of exact
-eigendecompositions on a Chebyshev grid in the perturbation strength, never
-from contour quadrature or resolvent expansions.
+eigendecompositions on a Chebyshev grid in the perturbation strength, or from
+Rayleigh-Schrodinger residue sums, never from contour quadrature or resolvent
+expansions.  The reference implementations are the earlier, slower forms of
+library paths, kept so the tests can compare the two.
 """
 
 import numpy as np
@@ -210,3 +212,126 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
         e_path[k + 1] = e_new
         lam_path[k + 1] = dec.eigenvalues[idx]
     return nodes, us, e_path, lam_path
+
+
+# ---------------------------------------------------------------------------
+# Reference resolvent paths: one contour quadrature per order, one solve per
+# scattering entry and series order, the einsum line convolution and one
+# inverse per exact remainder, as the factor-once paths replaced them.  The
+# tests require agreement to 1e-12 relative.
+
+
+def eigenvalue_coefficients_ref(a, b, i, order, c):
+    dec = matcore.eig_hermitian(a)
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    b_eig = v.conj().T @ b @ v
+    b_diag = np.diagonal(b_eig)
+    coeffs = np.zeros(order + 1)
+    coeffs[0] = lam[i]
+    for k in range(1, order + 1):
+        if k == 1:
+            def integrand(z):
+                return np.sum(b_diag / (z - lam))
+        else:
+            def integrand(z, _k=k):
+                m = b_eig / (z - lam)[:, None]
+                p = m
+                for _ in range(_k - 1):
+                    p = p @ m
+                return np.trace(p)
+
+        coeffs[k] = (matcore.contour_integrate(integrand, c) / k).real
+    return coeffs
+
+
+def projection_coefficients_ref(a, b, c, order):
+    dec = matcore.eig_hermitian(a)
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    b_eig = v.conj().T @ b @ v
+    out = []
+    for k in range(order + 1):
+        def integrand(z, _k=k):
+            d = 1.0 / (z - lam)
+            t = np.diag(d).astype(complex)
+            m = b_eig * d[:, None]
+            for _ in range(_k):
+                t = m @ t
+            return t
+
+        out.append(v @ matcore.contour_integrate(integrand, c) @ v.conj().T)
+    return out
+
+
+def _reference_basis(a):
+    if matcore.is_diagonal(a):
+        return np.real(np.diagonal(a)).copy(), np.eye(a.shape[0], dtype=complex)
+    dec = matcore.eig_hermitian(a)
+    return dec.eigenvalues, dec.eigenvectors
+
+
+def s_entry_solve_ref(a, b, i, j, tau):
+    lam, vecs = _reference_basis(a)
+    lt = (lam[i] + lam[j]) / 2.0 - 1j * tau
+    x = np.linalg.solve(a + b - lt * np.eye(lam.size), vecs[:, j])
+    return complex(1j * tau * np.vdot(vecs[:, i], x))
+
+
+def unitarity_defect_ref(a, b, tau):
+    """``||M* M - I||`` from ``n^2`` independent solves."""
+    n = a.shape[0]
+    m = np.array([[s_entry_solve_ref(a, b, i, j, tau) for j in range(n)] for i in range(n)])
+    return matcore.op_norm(m.conj().T @ m - np.eye(n))
+
+
+def s_series_ref(a, b, i, j, tau, order):
+    """Series terms and ratio with two LU solves per order."""
+    lam, vecs = _reference_basis(a)
+    lt = (lam[i] + lam[j]) / 2.0 - 1j * tau
+    shifted = a - lt * np.eye(lam.size)
+    ratio = matcore.op_norm(np.linalg.solve(shifted, b))
+    terms = np.zeros(order + 1, dtype=complex)
+    x = vecs[:, j].copy()
+    for k in range(order + 1):
+        terms[k] = 1j * tau * np.vdot(vecs[:, i], np.linalg.solve(shifted, x))
+        x = b @ np.linalg.solve(-shifted, x)
+    return terms, ratio
+
+
+def convolution_diag_ref(lam1, lam2, omega, eps, cutoff, nodes, symmetric=False):
+    """The ``(n1, n2)`` line sum by one three-operand ``einsum`` over all nodes,
+    scaled like the raw value in the factor eigenbasis."""
+    w1 = np.linspace(-cutoff, cutoff, nodes)
+    weights = np.full(nodes, w1[1] - w1[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    if symmetric:
+        z1, z2 = lam1 + 1j * eps, lam2 + 1j * eps
+        g1 = z1[None, :] / (z1[None, :] ** 2 - w1[:, None] ** 2)
+        g2 = z2[None, :] / (z2[None, :] ** 2 - (omega - w1)[:, None] ** 2)
+        return (1j / np.pi) * np.einsum("k,ki,kj->ij", weights, g1, g2)
+    d1 = 1.0 / (lam1[None, :] - w1[:, None] + 1j * eps)
+    d2 = 1.0 / (lam2[None, :] - (omega - w1)[:, None] + 1j * eps)
+    return -np.einsum("k,ki,kj->ij", weights, d1, d2) / (2j * np.pi)
+
+
+def exact_remainder_ref(a, b, k):
+    """One inverse of ``A + B`` and one guarded solve per order."""
+    full_inv = matcore.inverse(a + b)
+    if k == 0:
+        return full_inv
+    return (-1) ** k * np.linalg.matrix_power(matcore.solve(a, b), k) @ full_inv
+
+
+def rayleigh_schrodinger(a, b, i):
+    """Eigenvalue coefficients of orders 1-3 for a simple eigenvalue of
+    Hermitian ``A`` from the Rayleigh-Schrodinger residue sums in the
+    eigenbasis of ``A`` (no contour, no resolvent expansion)."""
+    lam, v = np.linalg.eigh(a)
+    bb = v.conj().T @ b @ v
+    others = np.arange(lam.size) != i
+    d = lam[i] - lam[others]
+    row, col = bb[i, others], bb[others, i]
+    e1 = bb[i, i].real
+    e2 = np.sum(row * col / d).real
+    e3 = (row / d) @ bb[np.ix_(others, others)] @ (col / d) - bb[i, i] * np.sum(row * col / d**2)
+    return np.array([e1, e2, e3.real])

@@ -2,7 +2,7 @@
 
 Each criterion prints one PASS line (visible under ``pytest -s``) and
 asserts its runtime budget.  Expected values marked as derived come from
-the independent oracles in ``oracles.py`` or from direct enumeration
+the independent oracles in ``reference.py`` or from direct enumeration
 computed inside the test, never from the code path under test.
 """
 
@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-import oracles
+import reference
 from pertkit import evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
 from pertkit.ensembles import random_diagonal, random_hermitian
 from pertkit.symdiag import MultisetState
@@ -72,7 +72,7 @@ def test_criterion_02_eigenvalue_coefficients():
         assert abs(series.coefficients[1] - first) <= 1e-9
         assert abs(series.coefficients[2] - second) <= 1e-9
         assert abs(series.coefficients[4] - spectral.lambda4_closed_form(a, b, i)) <= 1e-7
-        fit = oracles.eigenvalue_fit(a, b, i, 4)
+        fit = reference.eigenvalue_fit(a, b, i, 4)
         assert np.max(np.abs(series.coefficients - fit)) <= 1e-6
 
     a2 = np.diag([0.0, 1.0]).astype(complex)
@@ -80,7 +80,7 @@ def test_criterion_02_eigenvalue_coefficients():
     ser2 = spectral.eigenvalue_coefficients(a2, b2, 0, 4)
     # derived from the exact two-level eigenvalue (1 - sqrt(1+4 eps^2))/2
     np.testing.assert_allclose(
-        oracles.exact_two_level_eigenvalue_series(4), [0, 0, -1, 0, 1], atol=1e-7
+        reference.exact_two_level_eigenvalue_series(4), [0, 0, -1, 0, 1], atol=1e-7
     )
     assert abs(ser2.coefficients[2] + 1.0) <= 1e-9
     assert abs(ser2.coefficients[4] - 1.0) <= 1e-9
@@ -123,7 +123,7 @@ def test_criterion_03_eigenvector_machinery():
     sigmas = spectral.cancellation_check(s3, ser3, 3)
     assert max(abs(x) for x in sigmas) <= 1e-8
     # independent route: fit the exact unit eigenvector on an eps grid
-    fit = oracles.eigenvector_fit(a3, b3, 3, 3)
+    fit = reference.eigenvector_fit(a3, b3, 3, 3)
     for k in range(1, 4):
         sig = sum(np.vdot(fit[m], fit[k - m]) for m in range(k + 1))
         assert abs(sig) <= 1e-8

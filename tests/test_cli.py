@@ -5,7 +5,7 @@ import pytest
 
 from pertkit import cli, iotools, matcore
 from pertkit.ensembles import random_diagonal, random_ensemble, random_hermitian
-from pertkit.errors import MatrixFormatError
+from pertkit.errors import MatrixFormatError, NotHermitianError
 from pertkit.symdiag import SparseInteraction
 
 
@@ -143,6 +143,16 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "fourth_order_closed_form" in out
+
+    def test_eig_perturb_refuses_non_hermitian_b(self, tmp_path, capsys):
+        # real parts of the exact coefficients 0.5j and -1j are zero, which
+        # the closed-form checks would have passed
+        iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0, 3.0]))
+        iotools.save_matrix(tmp_path / "b.json", np.array([[0.5j, 1j, 0], [1, 0, 1], [2, 0, 0.5j]]))
+        code = cli.main(["eig-perturb", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                         "--index", "0", "--order", "2"])
+        assert code == NotHermitianError.exit_code != 0
+        assert "B is not Hermitian" in capsys.readouterr().err
 
     def test_dyson(self, fixtures, capsys):
         pa, pb, _ = fixtures

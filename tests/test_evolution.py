@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import oracles
+import reference
 from pertkit import evolution, matcore
 from pertkit.ensembles import random_hermitian
 from pertkit.errors import (
@@ -12,6 +12,7 @@ from pertkit.errors import (
     GapCollapseError,
     MatrixFormatError,
     NotHermitianError,
+    SingularMatrixError,
     StepSizeError,
 )
 
@@ -198,6 +199,15 @@ class TestHolomorphicCalculus:
         with pytest.raises(ContourEnclosureError):
             evolution.holomorphic_calculus(self.a, self.b, np.exp, small)
 
+    def test_node_next_to_an_eigenvalue_raises(self):
+        # an eigenvalue at radius (1 - 1e-15) is enclosed, but the node z =
+        # radius sits 1e-15 radius from it: an unguarded solve returns
+        # entries of about 1e15 instead of refusing
+        c = matcore.ContourSpec(center=0.0, radius=2.0, num_points=64)
+        a = np.diag([2.0 * (1.0 - 1e-15), 0.3]).astype(complex)
+        with pytest.raises(SingularMatrixError):
+            evolution.holomorphic_calculus(a, np.zeros((2, 2)), np.exp, c)
+
 
 def two_level_schedule(coupling, ramp):
     a = np.diag([0.0, 1.0]).astype(complex)
@@ -335,7 +345,7 @@ class TestReferenceSteppers:
     def test_exp_series_terms(self, n, m_max, steps):
         a, b = _ref_pair(n, 10 * n + m_max)
         got = evolution.exp_series_terms(a, b, 0.7, m_max, evolution.TimeGrid(0.7, steps))
-        _assert_same_terms(got, oracles.exp_series_terms_ref(a, b, 0.7, m_max, steps))
+        _assert_same_terms(got, reference.exp_series_terms_ref(a, b, 0.7, m_max, steps))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("m_max", [0, 1, 6])
@@ -344,7 +354,7 @@ class TestReferenceSteppers:
     def test_dyson_terms(self, n, m_max, steps, hermitian_a):
         a, b = _ref_pair(n, 20 * n + m_max, hermitian_a)
         got = evolution.dyson_terms(a, b, 0.9, m_max, evolution.TimeGrid(0.9, steps))
-        _assert_same_terms(got, oracles.dyson_terms_ref(a, b, 0.9, m_max, steps))
+        _assert_same_terms(got, reference.dyson_terms_ref(a, b, 0.9, m_max, steps))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("steps", REF_STEPS)
@@ -354,7 +364,7 @@ class TestReferenceSteppers:
         u = evolution.propagator_time_dependent(
             a, lambda t: np.sin(t) * b, 0.2, 0.5, evolution.TimeGrid(0.3, steps)
         )
-        np.testing.assert_array_equal(u, oracles.propagator_ref(a, lambda t: np.sin(t) * b, 0.2, 0.5, steps))
+        np.testing.assert_array_equal(u, reference.propagator_ref(a, lambda t: np.sin(t) * b, 0.2, 0.5, steps))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("m_max", [1, 6])
@@ -364,7 +374,7 @@ class TestReferenceSteppers:
         b = random_hermitian(n, 0.004, 40 * n + m_max).astype(complex)
         i = n // 2
         res = evolution.adiabatic_eigvec_series(a, b, "smoothstep", i, 30.0, m_max, evolution.TimeGrid(1.0, steps))
-        ref = oracles.adiabatic_eigvec_ref(a, b, evolution.RAMPS["smoothstep"], i, 30.0, m_max, steps)
+        ref = reference.adiabatic_eigvec_ref(a, b, evolution.RAMPS["smoothstep"], i, 30.0, m_max, steps)
         np.testing.assert_array_equal(res.vector, ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -376,16 +386,17 @@ class TestReferenceSteppers:
         sched = evolution.ramped_schedule(a, b, ramp)
         i = (n - 1) // 2
         res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(1.0, steps))
-        nodes, us, e_path, lam_path = oracles.integrate_schedule_ref(sched, 3.0, i, steps)
+        nodes, us, e_path, lam_path = reference.integrate_schedule_ref(sched, 3.0, i, steps)
         np.testing.assert_array_equal(res.final_state, us[-1])
         np.testing.assert_array_equal(res.eigenvalue_path, lam_path)
         np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
         assert res.tracked_phase == evolution._integral_on_nodes(lam_path, nodes[1] - nodes[0])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_nan_at_a_midpoint_propagates_like_the_reference(self):
-        # midpoints are never guarded: a NaN there poisons the state, which
-        # the drift check cannot see, and both cores carry it to the end
+    def test_nan_at_a_midpoint_raises(self):
+        # the reference never guards midpoints: a NaN there poisons the state,
+        # its drift check cannot see it, and it carries the NaN to the end;
+        # the block core checks every midpoint and raises instead
         steps = 80
         a = np.diag([0.0, 1.0]).astype(complex)
         b = 0.1 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -394,12 +405,43 @@ class TestReferenceSteppers:
             return np.full((2, 2), np.nan) if round(t * 2 * steps) == 81 else a + t * b
 
         sched = evolution.Schedule(evaluator=evaluator)
-        nodes, us, e_path, lam_path = evolution._integrate_schedule(sched, 2.0, 0, evolution.TimeGrid(1.0, steps))
-        ref = oracles.integrate_schedule_ref(sched, 2.0, 0, steps)
+        _, us, _, _ = reference.integrate_schedule_ref(sched, 2.0, 0, steps)
         assert np.isnan(us[-1]).all()
-        for got, want in zip((nodes, us, e_path, lam_path), ref):
-            np.testing.assert_array_equal(got, want)
+        with pytest.raises(MatrixFormatError, match="non-finite"):
+            evolution._integrate_schedule(sched, 2.0, 0, evolution.TimeGrid(1.0, steps))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_fails_the_drift_check(self):
+        # eta H u overflows to inf, and inf * 0 makes the state NaN: the drift
+        # check must read a NaN norm as a failure, not as no drift
+        sched = evolution.Schedule(evaluator=lambda t: np.diag([0.0, 1e300]))
+        with pytest.raises(StepSizeError, match="drift nan"):
+            evolution.adiabatic_evolve(sched, 1e10, 1, evolution.TimeGrid(1.0, 8))
+
+    @staticmethod
+    def _nan_midpoint_run(other, steps=80):
+        """Adiabatic run whose ``H`` is NaN at the midpoint of step 40 (t =
+        81/160) and ``other(half_step_index)`` elsewhere."""
+        def evaluator(t):
+            half_steps = round(t * 2 * steps)
+            return np.full((2, 2), np.nan) if half_steps == 81 else other(half_steps)
+
+        return lambda: evolution.adiabatic_evolve(evolution.Schedule(evaluator), 1.0, 0, evolution.TimeGrid(1.0, steps))
+
+    @pytest.mark.parametrize(
+        "late",
+        [np.array([[0.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 1e-4])],
+        ids=["non-hermitian", "collapsed-gap"],
+    )
+    def test_midpoint_error_wins_over_a_later_bad_node(self, late):
+        good = np.diag([0.0, 1.0])
+        with pytest.raises(MatrixFormatError, match="non-finite"):
+            self._nan_midpoint_run(lambda k: late if k >= 86 else good)()
+
+    def test_earlier_gap_collapse_wins_over_a_midpoint_error(self):
+        good = np.diag([0.0, 1.0])
+        with pytest.raises(GapCollapseError, match="at t=0.475"):
+            self._nan_midpoint_run(lambda k: np.diag([0.0, 1e-4]) if k == 76 else good)()
 
     def test_evaluates_h_at_the_reference_times(self):
         # t + ((t + h) - t) / 2 differs from t + h / 2 in the last bit at
@@ -414,7 +456,7 @@ class TestReferenceSteppers:
             return evolution.Schedule(evaluator=evaluator)
 
         evolution.adiabatic_evolve(schedule(calls["new"]), 2.0, 0, evolution.TimeGrid(1.0, 1000))
-        oracles.integrate_schedule_ref(schedule(calls["ref"]), 2.0, 0, 1000)
+        reference.integrate_schedule_ref(schedule(calls["ref"]), 2.0, 0, 1000)
         # the reference evaluates H(0) twice: once guarded, once for the first step
         assert calls["ref"][:2] == [0.0, 0.0]
         assert calls["new"] == calls["ref"][1:]
@@ -437,7 +479,7 @@ class TestErrorOrder:
     def _both(evaluator, eta, i, steps):
         sched = evolution.Schedule(evaluator=evaluator)
         got = _outcome(lambda: evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(1.0, steps)))
-        want = _outcome(lambda: oracles.integrate_schedule_ref(sched, eta, i, steps))
+        want = _outcome(lambda: reference.integrate_schedule_ref(sched, eta, i, steps))
         assert want is not None
         assert got == want
         return got

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-import oracles
+import reference
 from pertkit import matcore, spectral
 from pertkit.ensembles import random_diagonal, random_hermitian
-from pertkit.errors import ContourEnclosureError
+from pertkit.errors import ContourEnclosureError, NotHermitianError
 
 
 def two_level():
@@ -38,7 +40,7 @@ class TestEigenvalueCoefficients:
     def test_two_level_fixture(self):
         # oracle: the lower eigenvalue of diag(0,1)+eps*offdiag is
         # (1 - sqrt(1+4 eps^2))/2; frozen expansion (0, 0, -1, 0, +1)
-        ref = oracles.exact_two_level_eigenvalue_series(4)
+        ref = reference.exact_two_level_eigenvalue_series(4)
         np.testing.assert_allclose(ref, [0.0, 0.0, -1.0, 0.0, 1.0], atol=1e-7)
         a, b = two_level()
         ser = spectral.eigenvalue_coefficients(a, b, 0, 4)
@@ -47,7 +49,7 @@ class TestEigenvalueCoefficients:
     def test_epsgrid_oracle_agreement(self):
         a, b = separated_instance(8, 0.3, 7)
         ser = spectral.eigenvalue_coefficients(a, b, 4, 4)
-        fit = oracles.eigenvalue_fit(a, b, 4, 4)
+        fit = reference.eigenvalue_fit(a, b, 4, 4)
         np.testing.assert_allclose(ser.coefficients, fit, atol=1e-6)
 
     def test_truncation_error_halving(self):
@@ -74,6 +76,38 @@ class TestEigenvalueCoefficients:
         empty = matcore.ContourSpec(center=complex(lam[4] + 50.0), radius=0.1)
         with pytest.raises(ContourEnclosureError):
             spectral.eigenvalue_coefficients(a, b, 2, 2, contour=empty)
+
+
+class TestNonHermitianPerturbation:
+    # the exact first and second coefficients of this pair are 0.5j and -1j;
+    # the real parts alone read as zero, so B must be refused
+    A = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    B = np.array([[0.5j, 1j, 0], [1, 0, 1], [2, 0, 0.5j]])
+
+    def test_counterexample_raises(self):
+        with pytest.raises(NotHermitianError, match="B is not Hermitian"):
+            spectral.eigenvalue_coefficients(self.A, self.B, 0, 2)
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 8]),
+        seed=st.integers(0, 2**16),
+        defect=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0]),
+    )
+    def test_any_anti_hermitian_part_above_tolerance_raises(self, n, seed, defect):
+        a = np.diag(np.arange(n, dtype=float)).astype(complex)
+        h = random_hermitian(n, 1.0, seed)
+        k = random_hermitian(n, 1.0, seed + 1)
+        # i K is anti-Hermitian, ||B - B*|| = 2 defect ||H|| > 1e-10 ||B||
+        b = h + 1j * defect * k * (matcore.op_norm(h) / matcore.op_norm(k))
+        with pytest.raises(NotHermitianError):
+            spectral.eigenvalue_coefficients(a, b, n // 2, 2)
+
+    @given(n=st.sampled_from([1, 2, 3, 8]), seed=st.integers(0, 2**16))
+    def test_hermitian_b_is_accepted(self, n, seed):
+        a = np.diag(np.arange(n, dtype=float)).astype(complex)
+        b = random_hermitian(n, 0.1, seed)
+        ser = spectral.eigenvalue_coefficients(a, b, n // 2, 2)
+        assert ser.coefficients[1] == pytest.approx(b[n // 2, n // 2].real, abs=1e-12)
 
 
 class TestLambda4:
@@ -359,7 +393,7 @@ class TestCancellation:
         s = spectral.schur_split(a, b, i)
         ser = spectral.eigenvalue_coefficients(a, b, i, 3)
         vhat_terms = spectral.unit_eigenvector_expansion(s, ser, 3)
-        fit_terms = oracles.eigenvector_fit(a, b, i, 3)
+        fit_terms = reference.eigenvector_fit(a, b, i, 3)
         for k in range(4):
             assert np.linalg.norm(vhat_terms[k] - fit_terms[k]) <= 1e-6
         sigmas = spectral.cancellation_check(s, ser, 3)

@@ -148,10 +148,9 @@ def _run_dyson(config: RunConfig) -> Report:
     for k in range(orders + 1):
         exp_defect = matcore.op_norm(sum(exp_terms[: k + 1]) - exact_exp)
         dys_defect = matcore.op_norm(sum(dyson_terms[: k + 1]) - exact_dyson)
-        exp_budget = evolution.remainder_bound(t, na, nb, k + 1) + quad_slack
-        dys_budget = evolution.remainder_bound(t, na, nb, k + 1) + quad_slack
-        ratios += [exp_defect / exp_budget, dys_defect / dys_budget]
-        rep.add_row(k, exp_defect, exp_budget, dys_defect, dys_budget)
+        budget = evolution.remainder_bound(t, na, nb, k + 1) + quad_slack
+        ratios += [exp_defect / budget, dys_defect / budget]
+        rep.add_row(k, exp_defect, budget, dys_defect, budget)
     # the worst defect/budget ratio shows the margin; np.max keeps a NaN failing
     rep.check("defects_within_budgets", np.max(ratios), 1.0)
     return rep
@@ -267,25 +266,20 @@ def _run_tensor(config: RunConfig) -> Report:
         rep.check("tail_corrected_defect", val_defect, 1e-3)
         rep.check("raw_defect_within_tail_budget", raw_defect, max(1e-3, 2.0 * tail))
         return rep
-    if sub == "dirac":
-        px, py, pz = p["p"]
-        z = p["z"]
-        inv = tensor.dirac_block_inverse((px, py, pz), p["m"], z)
-        fwd = tensor.dirac_block_matrix((px, py, pz), p["m"], z)
+    if sub in ("dirac", "kg"):
+        if sub == "dirac":
+            px, py, pz = p["p"]
+            args, tol = ((px, py, pz), p["m"], p["z"]), 1e-13
+            inv, fwd = tensor.dirac_block_inverse(*args), tensor.dirac_block_matrix(*args)
+        else:
+            args, tol = (p["a"], p["z"]), 1e-14
+            inv, fwd = tensor.klein_gordon_block_inverse(*args), tensor.klein_gordon_block_matrix(*args)
         rep = _report(config, ["entry_row", "entry_col", "re", "im"])
-        for r in range(4):
-            for c in range(4):
+        n = inv.shape[0]
+        for r in range(n):
+            for c in range(n):
                 rep.add_row(r, c, inv[r, c].real, inv[r, c].imag)
-        rep.check("product_residual", matcore.op_norm(fwd @ inv - np.eye(4)), 1e-13)
-        return rep
-    if sub == "kg":
-        inv = tensor.klein_gordon_block_inverse(p["a"], p["z"])
-        fwd = tensor.klein_gordon_block_matrix(p["a"], p["z"])
-        rep = _report(config, ["entry_row", "entry_col", "re", "im"])
-        for r in range(2):
-            for c in range(2):
-                rep.add_row(r, c, inv[r, c].real, inv[r, c].imag)
-        rep.check("product_residual", matcore.op_norm(fwd @ inv - np.eye(2)), 1e-14)
+        rep.check("product_residual", matcore.op_norm(fwd @ inv - np.eye(n)), tol)
         return rep
     raise PertkitError(f"unknown tensor subcommand {sub!r}")
 

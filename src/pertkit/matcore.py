@@ -36,7 +36,6 @@ import scipy.linalg
 from scipy.linalg.blas import dznrm2
 
 from .errors import (
-    ContourEnclosureError,
     MatrixFormatError,
     NotHermitianError,
     ShapeError,
@@ -131,7 +130,7 @@ def is_hermitian(m, rtol: float = HERMITICITY_RTOL):
 def is_diagonal(m, rtol: float = 1e-14) -> bool:
     """Whether ``||offdiag(A)||_F <= rtol * max(||A||_2, 1e-300)``."""
     a = as_matrix(m, square=True)
-    off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
+    off = _fro(a - np.diag(np.diagonal(a)))
     return _decide(a, rtol, off, off, lambda: off <= rtol * max(op_norm(a), 1e-300))
 
 
@@ -185,9 +184,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.eigenvectors[:, i]
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
@@ -233,13 +229,6 @@ class ContourSpec:
         if self.num_points < 16:
             raise ValueError("contour needs at least 16 quadrature points")
 
-    def nodes(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.num_points) / self.num_points
-        return self.center + self.radius * np.exp(1j * theta)
-
-    def with_points(self, n: int) -> "ContourSpec":
-        return ContourSpec(self.center, self.radius, n)
-
 
 def contour_integrate(f, c: ContourSpec):
     """Evaluate ``(1/2*pi*i) * closed integral of f(z) dz`` over the circle.
@@ -265,35 +254,3 @@ def contour_integrate(f, c: ContourSpec):
         return complex(total)
     return total
 
-
-def contour_integrate_refined(f, c: ContourSpec):
-    """Contour integral plus an a-posteriori error estimate.
-
-    The estimate is the norm of the difference against a 2x-refined rule.
-    Returns ``(value_at_2n, error_estimate)``.
-    """
-    coarse = contour_integrate(f, c)
-    fine = contour_integrate(f, c.with_points(2 * c.num_points))
-    err = np.linalg.norm(np.atleast_1d(np.asarray(fine - coarse)))
-    return fine, float(err)
-
-
-def enclosed_eigenvalue_count(eigenvalues, c: ContourSpec) -> int:
-    """Number of (real) eigenvalues strictly inside the contour circle."""
-    w = np.asarray(eigenvalues, dtype=float)
-    return int(np.sum(np.abs(w - c.center) < c.radius))
-
-
-def require_single_enclosure(eigenvalues, c: ContourSpec, target: float) -> None:
-    """Check the contour encloses exactly one eigenvalue: the target.
-
-    Raises :class:`ContourEnclosureError` otherwise, mirroring the winding
-    number test ``(1/2*pi*i) * integral of Tr (z-A)^{-1} dz``.
-    """
-    count = enclosed_eigenvalue_count(eigenvalues, c)
-    if count != 1:
-        raise ContourEnclosureError(
-            f"contour encloses {count} eigenvalues, expected exactly 1"
-        )
-    if not (abs(target - c.center) < c.radius):
-        raise ContourEnclosureError("contour does not enclose the target eigenvalue")

@@ -239,9 +239,6 @@ class SchurData:
         m[1:, 1:] = self.perp_matrix()
         return m
 
-    def to_original(self, perp_vector: np.ndarray) -> np.ndarray:
-        return self.basis @ perp_vector
-
 
 def _orthocomplement_basis(v: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the orthocomplement of unit ``v``."""
@@ -257,7 +254,7 @@ def schur_split(a, b, i: int) -> SchurData:
     if a.shape != b.shape:
         raise ShapeError("A and B must have the same shape")
     dec = matcore.eig_hermitian(a)
-    v = dec.vector(i).copy()
+    v = dec.eigenvectors[:, i].copy()
     q = _orthocomplement_basis(v)
     bv = b @ v
     return SchurData(
@@ -315,48 +312,28 @@ def fixed_point_eigenvalue(s: SchurData, max_iter: int = 100) -> float:
     scale = max(1.0, abs(c), float(np.max(np.abs(mu))) if mu.size else 0.0)
 
     # bracket [blo, bhi] with F(blo) > 0 > F(bhi)
-    def find_bracket():
-        if math.isfinite(lo_pole):
-            step = max(hi_pole - lo_pole if math.isfinite(hi_pole) else 1.0, 1e-12) * 1e-3
-            blo = lo_pole + step
+    def bracket_end(side: int) -> float:
+        # side -1 (below x0) or +1: a point with side * F < 0, stepped in from
+        # that side's pole or, with no pole there, out from x0
+        pole, other = (lo_pole, hi_pole) if side < 0 else (hi_pole, lo_pole)
+        if math.isfinite(pole):
+            step = max(hi_pole - lo_pole if math.isfinite(other) else 1.0, 1e-12) * 1e-3
+            x = pole - side * step
             for _ in range(60):
-                if f_and_fp(blo)[0] > 0:
-                    break
+                if side * f_and_fp(x)[0] < 0:
+                    return x
                 step *= 0.25
-                blo = lo_pole + step
-            else:
-                raise ConvergenceError("no sign change near the lower pole")
-        else:
-            blo, step = x0, 1.0
-            for _ in range(60):
-                if f_and_fp(blo)[0] > 0:
-                    break
-                blo -= step
-                step *= 2.0
-            else:
-                raise ConvergenceError("no sign change toward -infinity")
-        if math.isfinite(hi_pole):
-            step = max(hi_pole - lo_pole if math.isfinite(lo_pole) else 1.0, 1e-12) * 1e-3
-            bhi = hi_pole - step
-            for _ in range(60):
-                if f_and_fp(bhi)[0] < 0:
-                    break
-                step *= 0.25
-                bhi = hi_pole - step
-            else:
-                raise ConvergenceError("no sign change near the upper pole")
-        else:
-            bhi, step = x0, 1.0
-            for _ in range(60):
-                if f_and_fp(bhi)[0] < 0:
-                    break
-                bhi += step
-                step *= 2.0
-            else:
-                raise ConvergenceError("no sign change toward +infinity")
-        return blo, bhi
+                x = pole - side * step
+            raise ConvergenceError(f"no sign change near the {'lower' if side < 0 else 'upper'} pole")
+        x, step = x0, 1.0
+        for _ in range(60):
+            if side * f_and_fp(x)[0] < 0:
+                return x
+            x += side * step
+            step *= 2.0
+        raise ConvergenceError(f"no sign change toward {'-' if side < 0 else '+'}infinity")
 
-    blo, bhi = find_bracket()
+    blo, bhi = bracket_end(-1), bracket_end(1)
     x = min(max(x0, blo), bhi)
     for _ in range(max_iter):
         val, slope = f_and_fp(x)
@@ -447,10 +424,6 @@ class SpectralMeasure:
 
     locations: np.ndarray
     weights: np.ndarray
-
-    @property
-    def atoms(self):
-        return list(zip(self.locations.tolist(), self.weights.tolist()))
 
     def stieltjes(self, z: complex) -> complex:
         return complex(np.sum(self.weights / (self.locations - z)))

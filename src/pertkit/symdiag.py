@@ -156,7 +156,14 @@ class TrilinearVertex:
         return 1.0 / math.sqrt(self.dispersion(self.species[2], qc))
 
     def moves(self, state: MultisetState):
-        """Yield ``(neighbor_state, amplitude)``; duplicates accumulate."""
+        """Yield ``(neighbor_state, amplitude)``; duplicates accumulate.
+
+        Neighbors come in channel order, which fixes the basis order of
+        :func:`build_interaction`: ``a+b -> c``, ``c -> a+b``, ``a -> b+c``,
+        ``b+c -> a``, ``b -> a+c``, ``a+c -> b``, then ``0 <-> a+b+c``.  A fuse
+        channel merges a present ``first`` and ``second`` into ``lone``; a split
+        channel turns a present ``lone`` into ``first`` and ``lone - first``.
+        """
         sa, sb, sc = self.species
         grid = set(self.grid)
         by_species = defaultdict(set)
@@ -173,45 +180,24 @@ class TrilinearVertex:
             return tuple(x - y for x, y in zip(p, q))
 
         out = defaultdict(complex)
-        # fuse a+b -> c and split c -> a+b
-        for qa in by_species[sa]:
-            for qb in by_species[sb]:
-                qc = add(qa, qb)
-                if qc in grid:
-                    t = state.remove((sa, qa), (sb, qb)).add((sc, qc))
-                    out[t] += self._amp(qc)
-        for qc in by_species[sc]:
-            for qa in self.grid:
-                qb = sub(qc, qa)
-                if qb in grid:
-                    t = state.remove((sc, qc)).add((sa, qa), (sb, qb))
-                    out[t] += self._amp(qc)
-        # a <-> b+c
-        for qa in by_species[sa]:
-            for qb in self.grid:
-                qc = sub(qa, qb)
-                if qc in grid:
-                    t = state.remove((sa, qa)).add((sb, qb), (sc, qc))
-                    out[t] += self._amp(qc)
-        for qb in by_species[sb]:
-            for qc in by_species[sc]:
-                qa = add(qb, qc)
-                if qa in grid:
-                    t = state.remove((sb, qb), (sc, qc)).add((sa, qa))
-                    out[t] += self._amp(qc)
-        # b <-> a+c
-        for qb in by_species[sb]:
-            for qa in self.grid:
-                qc = sub(qb, qa)
-                if qc in grid:
-                    t = state.remove((sb, qb)).add((sa, qa), (sc, qc))
-                    out[t] += self._amp(qc)
-        for qa in by_species[sa]:
-            for qc in by_species[sc]:
-                qb = add(qa, qc)
-                if qb in grid:
-                    t = state.remove((sa, qa), (sc, qc)).add((sb, qb))
-                    out[t] += self._amp(qc)
+        # (fuse?, lone, first, second); species c is always lone or second
+        channels = ((True, sc, sa, sb), (False, sc, sa, sb), (False, sa, sb, sc),
+                    (True, sa, sb, sc), (False, sb, sa, sc), (True, sb, sa, sc))
+        for fuse, lone, first, second in channels:
+            if fuse:
+                for q1 in by_species[first]:
+                    for q2 in by_species[second]:
+                        q = add(q1, q2)
+                        if q in grid:
+                            t = state.remove((first, q1), (second, q2)).add((lone, q))
+                            out[t] += self._amp(q if lone == sc else q2)
+            else:
+                for q in by_species[lone]:
+                    for q1 in self.grid:
+                        q2 = sub(q, q1)
+                        if q2 in grid:
+                            t = state.remove((lone, q)).add((first, q1), (second, q2))
+                            out[t] += self._amp(q if lone == sc else q2)
         # vacuum <-> a+b+c
         if state.size + 3 <= self.max_particles:
             for qa in self.grid:
@@ -237,27 +223,30 @@ def box_grid(dim: int, radius: int) -> tuple:
 
 def build_interaction(rule, seeds, depth: int, cap: int = BASIS_CAP) -> SparseInteraction:
     """Materialize the interaction on the closure of ``seeds`` under ``depth``
-    applications of the vertex rule, capped at ``cap`` states."""
+    applications of the vertex rule, capped at ``cap`` states.
+
+    Every basis state's moves are taken once, breadth first and so in basis
+    order: below the last level they extend the basis, on it they only link
+    states already in it.  A pair's entry is the move from its earlier state.
+    """
     frontier = list(dict.fromkeys(seeds))
     seen = dict.fromkeys(frontier)
-    for _ in range(depth):
+    entries = {}
+    for level in range(max(depth, 0) + 1):
         nxt = []
         for s in frontier:
-            for t, _amp in rule.moves(s):
+            for t, amp in rule.moves(s):
                 if t not in seen:
+                    if level >= depth:
+                        continue
                     seen[t] = None
                     nxt.append(t)
                     if len(seen) > cap:
                         raise EnumerationLimitError(f"basis closure exceeds cap {cap}")
+                if (t, s) not in entries:
+                    entries[(s, t)] = amp
         frontier = nxt
-    basis = list(seen)
-    basis_set = set(basis)
-    entries = {}
-    for s in basis:
-        for t, amp in rule.moves(s):
-            if t in basis_set and (t, s) not in entries:
-                entries[(s, t)] = amp
-    return SparseInteraction(basis=basis, entries=entries, dispersion=rule.dispersion)
+    return SparseInteraction(basis=list(seen), entries=entries, dispersion=rule.dispersion)
 
 
 # ---------------------------------------------------------------------------

@@ -201,20 +201,16 @@ def dirac_block_matrix(p, m: float, z: complex) -> np.ndarray:
 def dirac_block_inverse(p, m: float, z: complex) -> np.ndarray:
     """Closed-form inverse of the Dirac block.
 
-    ``(1/(m^2 - z^2 + p^2)) [[ (m+z) I, s.p], [s.p, (-m+z) I]]``; the
-    product with the forward block is the identity to rounding.
+    ``(1/(m^2 - z^2 + p^2)) [[ (m+z) I, s.p], [s.p, (-m+z) I]]``, which is
+    the block at ``-z`` scaled; the product with the forward block is the
+    identity to rounding.
     """
+    numerator = dirac_block_matrix(p, m, -z)
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise ShapeError("momentum must be a 3-vector")
     denom = m**2 - complex(z) ** 2 + float(np.dot(p, p))
     if abs(denom) < 1e-14 * max(1.0, m**2 + abs(z) ** 2 + float(np.dot(p, p))):
         raise SingularMatrixError("Dirac block evaluated at its pole")
-    sp = sum(pk * sk for pk, sk in zip(p, PAULI))
-    eye2 = np.eye(2, dtype=complex)
-    top = np.hstack([(m + z) * eye2, sp])
-    bot = np.hstack([sp, (-m + z) * eye2])
-    return np.vstack([top, bot]) / denom
+    return numerator / denom
 
 
 def klein_gordon_block_matrix(a: float, z: complex) -> np.ndarray:

@@ -8,10 +8,13 @@ expansions.  The reference implementations are the earlier, slower forms of
 library paths, kept so the tests can compare the two.
 """
 
+import math
+from collections import defaultdict
+
 import numpy as np
 
-from pertkit import matcore, spectral
-from pertkit.errors import GapCollapseError, StepSizeError
+from pertkit import matcore, spectral, symdiag
+from pertkit.errors import ConvergenceError, EnumerationLimitError, GapCollapseError, StepSizeError
 
 
 def cheb_nodes(eps_max: float, count: int) -> np.ndarray:
@@ -335,3 +338,181 @@ def rayleigh_schrodinger(a, b, i):
     e2 = np.sum(row * col / d).real
     e3 = (row / d) @ bb[np.ix_(others, others)] @ (col / d) - bb[i, i] * np.sum(row * col / d**2)
     return np.array([e1, e2, e3.real])
+
+
+# ---------------------------------------------------------------------------
+# Reference table-free paths: the six spelled-out vertex channels, the
+# two-pass basis closure and the four-loop bracket search that the channel
+# table, the one-pass closure and the one-sided bracket helper replace.  The
+# tests require the same states, amplitudes, order, entries and bits.
+
+
+def trilinear_moves_ref(rule, state):
+    """``TrilinearVertex.moves`` with each fuse/split channel as its own loop."""
+    sa, sb, sc = rule.species
+    grid = set(rule.grid)
+    by_species = defaultdict(set)
+    for sp, p in state.particles:
+        by_species[sp].add(p)
+
+    def neg(p):
+        return tuple(-c for c in p)
+
+    def add(p, q):
+        return tuple(x + y for x, y in zip(p, q))
+
+    def sub(p, q):
+        return tuple(x - y for x, y in zip(p, q))
+
+    out = defaultdict(complex)
+    # fuse a+b -> c and split c -> a+b
+    for qa in by_species[sa]:
+        for qb in by_species[sb]:
+            qc = add(qa, qb)
+            if qc in grid:
+                t = state.remove((sa, qa), (sb, qb)).add((sc, qc))
+                out[t] += rule._amp(qc)
+    for qc in by_species[sc]:
+        for qa in rule.grid:
+            qb = sub(qc, qa)
+            if qb in grid:
+                t = state.remove((sc, qc)).add((sa, qa), (sb, qb))
+                out[t] += rule._amp(qc)
+    # a <-> b+c
+    for qa in by_species[sa]:
+        for qb in rule.grid:
+            qc = sub(qa, qb)
+            if qc in grid:
+                t = state.remove((sa, qa)).add((sb, qb), (sc, qc))
+                out[t] += rule._amp(qc)
+    for qb in by_species[sb]:
+        for qc in by_species[sc]:
+            qa = add(qb, qc)
+            if qa in grid:
+                t = state.remove((sb, qb), (sc, qc)).add((sa, qa))
+                out[t] += rule._amp(qc)
+    # b <-> a+c
+    for qb in by_species[sb]:
+        for qa in rule.grid:
+            qc = sub(qb, qa)
+            if qc in grid:
+                t = state.remove((sb, qb)).add((sa, qa), (sc, qc))
+                out[t] += rule._amp(qc)
+    for qa in by_species[sa]:
+        for qc in by_species[sc]:
+            qb = add(qa, qc)
+            if qb in grid:
+                t = state.remove((sa, qa), (sc, qc)).add((sb, qb))
+                out[t] += rule._amp(qc)
+    # vacuum <-> a+b+c
+    if state.size + 3 <= rule.max_particles:
+        for qa in rule.grid:
+            for qb in rule.grid:
+                qc = neg(add(qa, qb))
+                if qc in grid:
+                    t = state.add((sa, qa), (sb, qb), (sc, qc))
+                    out[t] += rule._amp(qc)
+    for qa in by_species[sa]:
+        for qb in by_species[sb]:
+            qc = neg(add(qa, qb))
+            if qc in by_species[sc]:
+                t = state.remove((sa, qa), (sb, qb), (sc, qc))
+                out[t] += rule._amp(qc)
+    return out.items()
+
+
+def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP):
+    """Close the basis first, then take every basis state's moves again."""
+    frontier = list(dict.fromkeys(seeds))
+    seen = dict.fromkeys(frontier)
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            for t, _amp in rule.moves(s):
+                if t not in seen:
+                    seen[t] = None
+                    nxt.append(t)
+                    if len(seen) > cap:
+                        raise EnumerationLimitError(f"basis closure exceeds cap {cap}")
+        frontier = nxt
+    basis = list(seen)
+    basis_set = set(basis)
+    entries = {}
+    for s in basis:
+        for t, amp in rule.moves(s):
+            if t in basis_set and (t, s) not in entries:
+                entries[(s, t)] = amp
+    return symdiag.SparseInteraction(basis=basis, entries=entries, dispersion=rule.dispersion)
+
+
+def fixed_point_eigenvalue_ref(s, max_iter=100):
+    """``spectral.fixed_point_eigenvalue`` with the four mirrored bracket loops."""
+    c = s.lambda0 + s.diag_coupling.real
+    mu, w2 = spectral._self_energy_eigform(s)
+
+    def f_and_fp(x):
+        d = mu - x
+        return c - x - np.sum(w2 / d), -1.0 - np.sum(w2 / d**2)
+
+    if np.sum(w2) == 0.0:
+        return float(c)
+    x0 = c
+    lo = mu[mu < x0 - 1e-14]
+    hi = mu[mu > x0 + 1e-14]
+    lo_pole = lo[-1] if lo.size else -math.inf
+    hi_pole = hi[0] if hi.size else math.inf
+    scale = max(1.0, abs(c), float(np.max(np.abs(mu))) if mu.size else 0.0)
+
+    if math.isfinite(lo_pole):
+        step = max(hi_pole - lo_pole if math.isfinite(hi_pole) else 1.0, 1e-12) * 1e-3
+        blo = lo_pole + step
+        for _ in range(60):
+            if f_and_fp(blo)[0] > 0:
+                break
+            step *= 0.25
+            blo = lo_pole + step
+        else:
+            raise ConvergenceError("no sign change near the lower pole")
+    else:
+        blo, step = x0, 1.0
+        for _ in range(60):
+            if f_and_fp(blo)[0] > 0:
+                break
+            blo -= step
+            step *= 2.0
+        else:
+            raise ConvergenceError("no sign change toward -infinity")
+    if math.isfinite(hi_pole):
+        step = max(hi_pole - lo_pole if math.isfinite(lo_pole) else 1.0, 1e-12) * 1e-3
+        bhi = hi_pole - step
+        for _ in range(60):
+            if f_and_fp(bhi)[0] < 0:
+                break
+            step *= 0.25
+            bhi = hi_pole - step
+        else:
+            raise ConvergenceError("no sign change near the upper pole")
+    else:
+        bhi, step = x0, 1.0
+        for _ in range(60):
+            if f_and_fp(bhi)[0] < 0:
+                break
+            bhi += step
+            step *= 2.0
+        else:
+            raise ConvergenceError("no sign change toward +infinity")
+
+    x = min(max(x0, blo), bhi)
+    for _ in range(max_iter):
+        val, slope = f_and_fp(x)
+        if abs(val) <= 1e-13 * scale:
+            return float(x)
+        if val > 0:
+            blo = max(blo, x)
+        else:
+            bhi = min(bhi, x)
+        x_new = x - val / slope
+        if not (blo < x_new < bhi):
+            x_new = 0.5 * (blo + bhi)
+        x = x_new
+    raise ConvergenceError(f"fixed-point iteration did not converge in {max_iter} steps")

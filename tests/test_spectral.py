@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import reference
 from pertkit import matcore, spectral
 from pertkit.ensembles import random_diagonal, random_hermitian
-from pertkit.errors import ContourEnclosureError, NotHermitianError
+from pertkit.errors import ContourEnclosureError, ConvergenceError, NotHermitianError
 
 
 def two_level():
@@ -232,6 +234,78 @@ class TestSelfEnergyAndFixedPoint:
         assert abs(lhat - lam_exact) <= 1e-10
         resid = s.lambda0 + s.diag_coupling.real - lhat - spectral.self_energy(s, lhat).real
         assert abs(resid) <= 1e-12 * max(1.0, abs(lhat))
+
+
+def _fixed_point_outcome(fn, s):
+    try:
+        return fn(s)
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+def _split(lambda0, mu, b, diag_coupling=0.0):
+    """Schur split with perp block ``diag(mu)`` and coupling column ``b``."""
+    n = len(mu)
+    return spectral.SchurData(
+        lambda0=lambda0, diag_coupling=complex(diag_coupling), b=np.asarray(b, dtype=complex),
+        a_perp=np.diag(mu).astype(complex), b_perp=np.zeros((n, n), dtype=complex),
+        v=np.eye(n + 1)[:, 0].astype(complex), basis=np.eye(n + 1)[:, 1:].astype(complex),
+    )
+
+
+class TestFixedPointBracket:
+    """The one-sided bracket helper against the four mirrored loops of
+    ``tests/reference.py``: the same bits or the same error."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 7),
+        b_scale=st.sampled_from((1e-6, 0.1, 1.0, 10.0)),
+        where=st.sampled_from(("lowest", "highest", "random")),
+    )
+    def test_bit_identical_on_random_splits(self, seed, n, b_scale, where):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(n, 1.0, seed)
+        b = random_hermitian(n, b_scale, seed + 1)
+        i = {"lowest": 0, "highest": n - 1, "random": int(rng.integers(n))}[where]
+        s = spectral.schur_split(a, b, i)
+        got = _fixed_point_outcome(spectral.fixed_point_eigenvalue, s)
+        assert repr(got) == repr(_fixed_point_outcome(reference.fixed_point_eigenvalue_ref, s))
+
+    def test_random_splits_reach_both_open_sides(self):
+        # the split of the lowest (highest) eigenvalue of A under a small B
+        # has no pole below (above) the start point
+        sides = set()
+        for seed in range(40):
+            a = random_hermitian(5, 1.0, seed)
+            b = random_hermitian(5, 0.05, seed + 1)
+            for i in range(5):
+                s = spectral.schur_split(a, b, i)
+                mu = np.linalg.eigvalsh(s.perp_matrix())
+                c = s.lambda0 + s.diag_coupling.real
+                sides.add((bool(np.any(mu < c)), bool(np.any(mu > c))))
+                assert spectral.fixed_point_eigenvalue(s) == reference.fixed_point_eigenvalue_ref(s)
+        assert sides == {(False, True), (True, True), (True, False)}
+
+    @pytest.mark.parametrize("s", [
+        _split(1.0, [0.0, 10.0], [1e-4, 4.0]),
+        _split(-1.0, [-10.0, 0.0], [4.0, 1e-4]),
+    ])
+    def test_weak_pole_takes_many_steps(self, s):
+        # F keeps the wrong sign until about 1e-8 from the weakly coupled pole
+        assert repr(spectral.fixed_point_eigenvalue(s)) == repr(reference.fixed_point_eigenvalue_ref(s))
+
+    @pytest.mark.parametrize("s,message", [
+        (_split(1.0, [0.0, 10.0], [0.0, 4.0]), "no sign change near the lower pole"),
+        (_split(-1.0, [-10.0, 0.0], [4.0, 0.0]), "no sign change near the upper pole"),
+        (_split(0.0, [1.0], [1.0], diag_coupling=np.nan), "no sign change toward -infinity"),
+        (_split(np.inf, [1.0], [1.0]), "no sign change toward +infinity"),
+    ])
+    def test_bracket_errors_match_reference(self, s, message):
+        for fn in (spectral.fixed_point_eigenvalue, reference.fixed_point_eigenvalue_ref):
+            with pytest.raises(ConvergenceError, match=re.escape(message)):
+                with np.errstate(invalid="ignore"):
+                    fn(s)
 
 
 class TestEigenvectorMachinery:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from pertkit import matcore, scattering, symdiag
 from pertkit.ensembles import random_hermitian, random_momentum_model
-from pertkit.errors import NotATreeError
+from pertkit.errors import EnumerationLimitError, NotATreeError
 from pertkit.symdiag import EXT_IN, Diagram, MultisetState
 
 
@@ -65,6 +66,91 @@ class TestSparseInteraction:
         bop = std_model()
         expected = np.sqrt(1.0 + 1.0) + np.sqrt(4.0 + 1.0)
         assert bop.free_energy(STD_I) == pytest.approx(expected)
+
+
+def random_vertex(seed, dim, radius, max_particles=7):
+    rng = np.random.default_rng(seed)
+    masses = {sp: float(rng.uniform(0.5, 2.0)) for sp in "abc"}
+    return symdiag.TrilinearVertex(masses=masses, grid=symdiag.box_grid(dim, radius),
+                                   max_particles=max_particles)
+
+
+def random_state(rng, rule, size):
+    grid = rule.grid
+    return state(*((str(rng.choice(list("abc"))), grid[rng.integers(len(grid))]) for _ in range(size)))
+
+
+class CountingRule:
+    """A vertex rule that records every state whose moves are taken.
+
+    With ``skew`` each amplitude is scaled by the size of its source state, so
+    a move and its reverse disagree and the entry shows which one was kept.
+    """
+
+    def __init__(self, rule, skew=False):
+        self.rule = rule
+        self.skew = skew
+        self.dispersion = rule.dispersion
+        self.calls = []
+
+    def moves(self, s):
+        self.calls.append(s)
+        return [(t, amp * (1 + s.size) if self.skew else amp) for t, amp in self.rule.moves(s)]
+
+
+class TestVertexChannelTable:
+    """The channel table and the one-pass closure against the spelled-out
+    channels and the two-pass closure of ``tests/reference.py``."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        dim=st.sampled_from((1, 2)),
+        radius=st.sampled_from((1, 2)),
+        max_particles=st.sampled_from((3, 4, 7)),
+    )
+    def test_moves_match_reference(self, seed, dim, radius, max_particles):
+        rule = random_vertex(seed, dim, radius, max_particles)
+        rng = np.random.default_rng(seed)
+        # every size up to the cap, the cap itself, and one beyond it
+        for size in list(range(max_particles + 2)) + [max_particles] * 3:
+            s = random_state(rng, rule, size)
+            assert list(rule.moves(s)) == list(reference.trilinear_moves_ref(rule, s))
+
+    @pytest.mark.parametrize("dim,radius,depths", [(1, 1, range(4)), (1, 2, range(3)), (2, 1, range(2))])
+    def test_build_interaction_matches_reference(self, dim, radius, depths):
+        rule = random_vertex(dim + 10 * radius, dim, radius)
+        rng = np.random.default_rng(radius)
+        seed_sets = [[random_state(rng, rule, 2), random_state(rng, rule, 2), random_state(rng, rule, 1)]]
+        if dim == 1:
+            seed_sets.append([STD_I, STD_J])
+
+        def outcome(build, r, seeds, depth):
+            try:
+                bop = build(r, seeds, depth)
+            except ValueError as exc:
+                # a move to the empty state reads as non-conserving, because
+                # its momentum is (); both sides must reject the same entry
+                return type(exc), str(exc)
+            return bop.basis, list(bop.entries.items())
+
+        for seeds, depth, skew in itertools.product(seed_sets, depths, (False, True)):
+            counting = CountingRule(rule, skew)
+            got = outcome(symdiag.build_interaction, counting, seeds, depth)
+            assert got == outcome(reference.build_interaction_ref, CountingRule(rule, skew), seeds, depth)
+            if got[0] is not ValueError:
+                assert counting.calls == got[0]  # once per basis state, in basis order
+
+    @pytest.mark.parametrize("cap", [3, 40, 200])
+    def test_cap_raises_at_the_same_point(self, cap):
+        rule = random_vertex(5, 1, 2)
+        seeds = [STD_I, STD_J]
+        new, ref = CountingRule(rule), CountingRule(rule)
+        with pytest.raises(EnumerationLimitError) as new_err:
+            symdiag.build_interaction(new, seeds, 3, cap=cap)
+        with pytest.raises(EnumerationLimitError) as ref_err:
+            reference.build_interaction_ref(ref, seeds, 3, cap=cap)
+        assert str(new_err.value) == str(ref_err.value)
+        assert new.calls == ref.calls
 
 
 class TestCommuteCheck:

@@ -10,5 +10,5 @@ each validated against exact linear-algebra oracles.
 
 __version__ = "0.1.0"
 
-from . import ensembles, evolution, iotools, matcore, resolvent, scattering, spectral, symdiag, tensor
+from . import evolution, iotools, matcore, resolvent, scattering, spectral, symdiag, tensor
 from .errors import PertkitError

@@ -292,6 +292,8 @@ def fixed_point_eigenvalue(s: SchurData, max_iter: int = 100) -> float:
     the root in the interval containing the start point is unique.
     """
     c = s.lambda0 + s.diag_coupling.real
+    if s.b.size == 0:  # a 1x1 split has no orthocomplement: ``c`` is exact
+        return float(c)
     mu, w2 = _self_energy_eigform(s)
 
     def f_and_fp(x: float):
@@ -356,6 +358,8 @@ def eigenvector_tilde(s: SchurData, z: complex) -> np.ndarray:
     Returned in the original coordinates; at the fixed-point eigenvalue its
     normalization is the exact unit eigenvector of ``A + B`` up to phase.
     """
+    if s.b.size == 0:
+        return s.v.copy()
     m = complex(z) * np.eye(s.b.size, dtype=complex) - s.perp_matrix()
     return s.v + s.basis @ matcore.solve(m, s.b)
 

@@ -65,6 +65,11 @@ class MultisetState:
                 total[k] += c
         return tuple(total)
 
+    def same_momentum(self, other: "MultisetState") -> bool:
+        """Equal total momenta, reading the empty state's ``()`` as zero."""
+        p, q = self.total_momentum(), other.total_momentum()
+        return p == q or not (any(p) or any(q))
+
     def counter(self) -> Counter:
         return Counter(self.particles)
 
@@ -105,7 +110,7 @@ class SparseInteraction:
         for (s, t), v in entries.items():
             if s not in self.index or t not in self.index:
                 raise ValueError("entry references a state outside the basis")
-            if s.total_momentum() != t.total_momentum():
+            if not s.same_momentum(t):
                 raise ValueError(f"entry {s} -> {t} violates momentum conservation")
             v = complex(v)
             if v == 0:
@@ -422,7 +427,7 @@ def diagram_of(seq) -> Diagram:
 
 def _paths_between(bop: SparseInteraction, i: MultisetState, j: MultisetState, ell: int):
     """All interaction paths i -> ... -> j with ``ell`` transitions."""
-    if i.total_momentum() != j.total_momentum():
+    if not i.same_momentum(j):
         return []
     paths = []
     counter = [0]
@@ -478,11 +483,6 @@ def diagram_values(bop: SparseInteraction, i: MultisetState, j: MultisetState, t
     for diagram, paths in group_terms_by_diagram(bop, i, j, ell).items():
         out[diagram] = pref * sum(_path_weight(bop, p, shift) for p in paths)
     return out
-
-
-def diagram_value(bop: SparseInteraction, i: MultisetState, j: MultisetState, tau: float, ell: int, d: Diagram) -> complex:
-    """Value of one diagram's group; zero when ``d`` is not realized."""
-    return complex(diagram_values(bop, i, j, tau, ell).get(d, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +670,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     p2 = one_of(i_state, "b")
     p3 = one_of(j_state, "a")
     p4 = one_of(j_state, "b")
-    if i_state.total_momentum() != j_state.total_momentum():
+    if not i_state.same_momentum(j_state):
         raise ValueError("states must carry the same total momentum")
     lam_i = rule.dispersion("a", p1) + rule.dispersion("b", p2)
     lam_j = rule.dispersion("a", p3) + rule.dispersion("b", p4)

@@ -168,14 +168,6 @@ def convolution_resolvent_symmetric(k: KroneckerSum, omega: float, eps: float, q
     return ConvolutionValue(raw=raw, tail_correction=tail)
 
 
-def symmetric_kernel_reference(k: KroneckerSum, omega: float, eps: float) -> np.ndarray:
-    """Exact even-kernel target ``(A + 2ie)/((A + 2ie)^2 - omega^2)``."""
-    lam1, lam2, v = _two_factor_eigs(k)
-    s = np.add.outer(lam1, lam2).ravel() + 2j * eps
-    diag = s / (s**2 - omega**2)
-    return (v * diag) @ v.conj().T
-
-
 # ---------------------------------------------------------------------------
 # relativistic block inverses
 

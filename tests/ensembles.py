@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symdiag import MultisetState, SparseInteraction, TrilinearVertex, box_grid, build_interaction
+from pertkit.symdiag import MultisetState, SparseInteraction, TrilinearVertex, box_grid, build_interaction
 
 
 def random_hermitian(n: int, scale: float, seed: int) -> np.ndarray:

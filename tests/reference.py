@@ -12,8 +12,9 @@ import math
 from collections import defaultdict
 
 import numpy as np
+import scipy.linalg
 
-from pertkit import matcore, spectral, symdiag
+from pertkit import matcore, spectral, symdiag, tensor
 from pertkit.errors import ConvergenceError, EnumerationLimitError, GapCollapseError, StepSizeError
 
 
@@ -67,9 +68,40 @@ def exact_two_level_eigenvalue_series(order: int):
 
 
 # ---------------------------------------------------------------------------
+# Cascade oracle: the exponential and Dyson terms from one scipy exponential
+# of the materialized block matrix.
+
+
+def van_loan_terms(a, b, t, m_max):
+    """Blocks ``Y_0..Y_{m_max}`` of the first block column of ``e^{tL}``, ``L``
+    block lower-bidiagonal with ``A`` on the diagonal and ``B`` below it, from
+    one ``scipy.linalg.expm`` of the ``(m_max+1) n`` square ``L``.
+
+    ``Y_m`` is homogeneous of degree ``m`` in ``B``, so ``B`` is scaled by the
+    power of two ``c`` that brings ``t ||cB||_F`` nearest ``m_max`` and block m
+    is divided by ``c^m``.  That keeps the blocks of one size, so the normwise
+    accuracy of ``expm`` holds for every block, the small ones included.
+    """
+    n = a.shape[0]
+    tb = t * np.linalg.norm(b)
+    c = 2.0 ** round(math.log2(max(m_max, 1) / tb)) if tb > 0 else 1.0
+    big = np.kron(np.eye(m_max + 1), a) + np.kron(np.eye(m_max + 1, k=-1), c * b)
+    col = scipy.linalg.expm(t * big)[:, :n]
+    return [col[m * n:(m + 1) * n] / c**m for m in range(m_max + 1)]
+
+
+def van_loan_dyson_terms(a, b, t, m_max):
+    """``I`` and ``e^{itA} Y_m(-iA, -iB)`` for ``m >= 1``, from :func:`van_loan_terms`."""
+    free = scipy.linalg.expm(1j * t * a)
+    ys = van_loan_terms(-1j * a, -1j * b, t, m_max)
+    return [np.eye(a.shape[0], dtype=complex)] + [free @ y for y in ys[1:]]
+
+
+# ---------------------------------------------------------------------------
 # Reference time steppers: the list-state RK4 and the per-node adiabatic core
 # that the array-state stepper and block-batched core in `evolution` replace.
-# The evolution tests require the same bits and the same errors from both.
+# The evolution tests require the same bits and the same errors from both;
+# the cascade tests use the list-state RK4 as a second, independent oracle.
 
 
 def rk4_list(deriv, state, t0, t1, steps):
@@ -315,6 +347,14 @@ def convolution_diag_ref(lam1, lam2, omega, eps, cutoff, nodes, symmetric=False)
     d1 = 1.0 / (lam1[None, :] - w1[:, None] + 1j * eps)
     d2 = 1.0 / (lam2[None, :] - (omega - w1)[:, None] + 1j * eps)
     return -np.einsum("k,ki,kj->ij", weights, d1, d2) / (2j * np.pi)
+
+
+def symmetric_kernel_reference(k, omega, eps):
+    """Exact even-kernel target ``(A + 2ie)/((A + 2ie)^2 - omega^2)``."""
+    lam1, lam2, v = tensor._two_factor_eigs(k)
+    s = np.add.outer(lam1, lam2).ravel() + 2j * eps
+    diag = s / (s**2 - omega**2)
+    return (v * diag) @ v.conj().T
 
 
 def exact_remainder_ref(a, b, k):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import reference
+from ensembles import random_diagonal, random_hermitian
 from pertkit import evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
-from pertkit.ensembles import random_diagonal, random_hermitian
 from pertkit.symdiag import MultisetState
 
 
@@ -142,10 +142,9 @@ def test_criterion_04_time_series():
         b *= 0.4 / matcore.op_norm(b)
         na, nb = matcore.op_norm(a), matcore.op_norm(b)
         for t in (1.0, 2.0):
-            grid = evolution.TimeGrid(t, 200 * int(t) + 200)
-            terms = evolution.exp_series_terms(a, b, t, 10, grid)
+            terms = evolution.exp_series_terms(a, b, t, 10)
             exact = matcore.expm(t * (a + b))
-            dterms = evolution.dyson_terms(a, b, t, 10, grid)
+            dterms = evolution.dyson_terms(a, b, t, 10)
             dexact = matcore.expm(1j * t * a) @ matcore.expm(-1j * t * (a + b))
             for k in range(11):
                 budget = evolution.remainder_bound(t, na, nb, k + 1) + 1e-7
@@ -155,7 +154,7 @@ def test_criterion_04_time_series():
     a = np.diag(rng.uniform(-1.0, 1.0, 6)).astype(complex)
     b = np.diag(rng.uniform(-0.4, 0.4, 6)).astype(complex)
     t = 0.9
-    dterms = evolution.dyson_terms(a, b, t, 8, evolution.TimeGrid(t, 300))
+    dterms = evolution.dyson_terms(a, b, t, 8)
     closed = sum(np.linalg.matrix_power(-1j * t * b, m) / math.factorial(m) for m in range(9))
     assert matcore.op_norm(sum(dterms) - closed) <= 1e-9
     _report(4, "time series", started, 30)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, iotools, matcore
-from pertkit.ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit.errors import MatrixFormatError, NotHermitianError
 from pertkit.symdiag import SparseInteraction
 

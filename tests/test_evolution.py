@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import reference
+from ensembles import random_hermitian
 from pertkit import evolution, matcore
-from pertkit.ensembles import random_hermitian
 from pertkit.errors import (
     ContourEnclosureError,
     ConvergenceError,
@@ -45,8 +46,7 @@ class TestRemainderBound:
 class TestExpSeries:
     def test_zero_perturbation(self, rng):
         a, _ = scaled_pair(4, 0.8, 0.0, 2)
-        grid = evolution.TimeGrid(1.0, 200)
-        terms = evolution.exp_series_terms(a, np.zeros((4, 4)), 1.0, 3, grid)
+        terms = evolution.exp_series_terms(a, np.zeros((4, 4)), 1.0, 3)
         assert matcore.op_norm(terms[0] - matcore.expm(a)) <= 1e-10
         for t in terms[1:]:
             assert matcore.op_norm(t) <= 1e-12
@@ -55,8 +55,7 @@ class TestExpSeries:
         a = np.diag([0.2, -0.4]).astype(complex)
         beta = 0.3
         b = beta * np.eye(2, dtype=complex)
-        grid = evolution.TimeGrid(1.5, 300)
-        terms = evolution.exp_series_terms(a, b, 1.5, 1, grid)
+        terms = evolution.exp_series_terms(a, b, 1.5, 1)
         # oracle: T1(t) = t*beta*e^{tA} when B is a multiple of the identity
         expected = 1.5 * beta * matcore.expm(1.5 * a)
         assert matcore.op_norm(terms[1] - expected) <= 1e-9
@@ -64,8 +63,7 @@ class TestExpSeries:
     def test_defect_within_budget(self):
         a, b = scaled_pair(6, 0.8, 0.4, 5)
         t = 1.0
-        grid = evolution.TimeGrid(t, 400)
-        terms = evolution.exp_series_terms(a, b, t, 8, grid)
+        terms = evolution.exp_series_terms(a, b, t, 8)
         exact = matcore.expm(t * (a + b))
         na, nb = matcore.op_norm(a), matcore.op_norm(b)
         defect = matcore.op_norm(sum(terms) - exact)
@@ -73,13 +71,13 @@ class TestExpSeries:
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            evolution.exp_series_terms(np.eye(2), np.eye(2), -1.0, 2, evolution.TimeGrid(1.0, 8))
+            evolution.exp_series_terms(np.eye(2), np.eye(2), -1.0, 2)
 
 
 class TestDysonSeries:
     def test_zero_perturbation(self):
         a, _ = scaled_pair(4, 0.8, 0.0, 7)
-        terms = evolution.dyson_terms(a, np.zeros((4, 4)), 0.7, 3, evolution.TimeGrid(0.7, 100))
+        terms = evolution.dyson_terms(a, np.zeros((4, 4)), 0.7, 3)
         np.testing.assert_allclose(terms[0], np.eye(4))
         for t in terms[1:]:
             assert matcore.op_norm(t) <= 1e-12
@@ -88,7 +86,7 @@ class TestDysonSeries:
         a = np.diag(rng.uniform(-1, 1, 5)).astype(complex)
         b = np.diag(rng.uniform(-0.4, 0.4, 5)).astype(complex)
         t = 0.9
-        terms = evolution.dyson_terms(a, b, t, 6, evolution.TimeGrid(t, 200))
+        terms = evolution.dyson_terms(a, b, t, 6)
         for m, term in enumerate(terms):
             closed = np.linalg.matrix_power(-1j * t * b, m) / math.factorial(m)
             assert matcore.op_norm(term - closed) <= 1e-9
@@ -96,7 +94,7 @@ class TestDysonSeries:
     def test_defect_within_budget(self):
         a, b = scaled_pair(6, 0.9, 0.35, 9)
         t = 0.8
-        terms = evolution.dyson_terms(a, b, t, 10, evolution.TimeGrid(t, 320))
+        terms = evolution.dyson_terms(a, b, t, 10)
         exact = matcore.expm(1j * t * a) @ matcore.expm(-1j * t * (a + b))
         na, nb = matcore.op_norm(a), matcore.op_norm(b)
         defect = matcore.op_norm(sum(terms) - exact)
@@ -315,12 +313,7 @@ class TestGridValidation:
 
 
 # ---------------------------------------------------------------------------
-# bit-for-bit agreement with the list-state reference steppers
-
-
-#: One step count below a block, and one of several full blocks plus a
-#: partial last block.
-REF_STEPS = (8, 100)
+# the exact cascades against the block-exponential oracle and list-state RK4
 
 
 def _ref_pair(n, seed, hermitian_a=True):
@@ -332,30 +325,59 @@ def _ref_pair(n, seed, hermitian_a=True):
     return a.astype(complex), b.astype(complex)
 
 
-def _assert_same_terms(got, ref):
+#: List-state RK4 steps of the coarser reference run; the finer one takes twice
+#: as many.
+RK4_STEPS = 60
+
+
+def _relative_gaps(got, ref):
+    """Per-term ``||got_m - ref_m||_F / ||ref_m||_F``; a zero reference term
+    must be matched exactly."""
     assert len(got) == len(ref)
-    for x, y in zip(got, ref):
-        np.testing.assert_array_equal(x, y)
+    return [np.linalg.norm(x - y) / np.linalg.norm(y) if np.any(y) else float(np.any(x)) for x, y in zip(got, ref)]
+
+
+class TestCascadeOracles:
+    CASES = list(itertools.product((1, 2, 3, 8), (0, 1, 6), (True, False)))  # n, m_max, hermitian_a
+
+    @pytest.mark.parametrize("n,m_max,hermitian_a", CASES)
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.0])
+    def test_exp_series_terms_match_van_loan(self, n, m_max, hermitian_a, t):
+        a, b = _ref_pair(n, 10 * n + m_max, hermitian_a)
+        got = evolution.exp_series_terms(a, b, t, m_max)
+        assert max(_relative_gaps(got, reference.van_loan_terms(a, b, t, m_max))) <= 1e-12
+
+    @pytest.mark.parametrize("n,m_max,hermitian_a", CASES)
+    @pytest.mark.parametrize("t", [0.0, 0.7, 3.0])
+    def test_dyson_terms_match_van_loan(self, n, m_max, hermitian_a, t):
+        a, b = _ref_pair(n, 20 * n + m_max, hermitian_a)
+        got = evolution.dyson_terms(a, b, t, m_max)
+        np.testing.assert_array_equal(got[0], np.eye(n))
+        assert max(_relative_gaps(got, reference.van_loan_dyson_terms(a, b, t, m_max))) <= 1e-12
+
+    @pytest.mark.parametrize("n,m_max,hermitian_a", CASES)
+    @pytest.mark.parametrize("t", [0.7, 3.0])
+    @pytest.mark.parametrize("exact,rk4", [(evolution.exp_series_terms, reference.exp_series_terms_ref),
+                                           (evolution.dyson_terms, reference.dyson_terms_ref)])
+    def test_within_rk4_step_halving(self, n, m_max, hermitian_a, t, exact, rk4):
+        """The exact terms lie within the list-state RK4's own step-halving
+        difference of its finer run, plus a 1e-13 relative floor."""
+        a, b = _ref_pair(n, 30 * n + m_max, hermitian_a)
+        coarse, fine = rk4(a, b, t, m_max, RK4_STEPS), rk4(a, b, t, m_max, 2 * RK4_STEPS)
+        for x, c, f in zip(exact(a, b, t, m_max), coarse, fine):
+            assert np.linalg.norm(x - f) <= np.linalg.norm(c - f) + 1e-13 * np.linalg.norm(f)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the list-state reference steppers
+
+
+#: One step count below a block, and one of several full blocks plus a
+#: partial last block.
+REF_STEPS = (8, 100)
 
 
 class TestReferenceSteppers:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    @pytest.mark.parametrize("m_max", [0, 1, 6])
-    @pytest.mark.parametrize("steps", REF_STEPS)
-    def test_exp_series_terms(self, n, m_max, steps):
-        a, b = _ref_pair(n, 10 * n + m_max)
-        got = evolution.exp_series_terms(a, b, 0.7, m_max, evolution.TimeGrid(0.7, steps))
-        _assert_same_terms(got, reference.exp_series_terms_ref(a, b, 0.7, m_max, steps))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    @pytest.mark.parametrize("m_max", [0, 1, 6])
-    @pytest.mark.parametrize("steps", REF_STEPS)
-    @pytest.mark.parametrize("hermitian_a", [True, False])
-    def test_dyson_terms(self, n, m_max, steps, hermitian_a):
-        a, b = _ref_pair(n, 20 * n + m_max, hermitian_a)
-        got = evolution.dyson_terms(a, b, 0.9, m_max, evolution.TimeGrid(0.9, steps))
-        _assert_same_terms(got, reference.dyson_terms_ref(a, b, 0.9, m_max, steps))
-
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("steps", REF_STEPS)
     def test_propagator_time_dependent(self, n, steps):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import reference
+from ensembles import random_hermitian
 from pertkit import cli, iotools, matcore, resolvent, scattering, spectral, tensor
-from pertkit.ensembles import random_hermitian
 
 SIZES = [1, 2, 3, 8, 33]
 ORDERS = range(7)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ensembles import random_hermitian
 from pertkit import matcore
 from pertkit.errors import (
     MatrixFormatError,
@@ -10,7 +11,6 @@ from pertkit.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from pertkit.ensembles import random_hermitian
 
 
 class TestOpNorm:

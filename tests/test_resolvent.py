@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ensembles import random_hermitian
 from pertkit import matcore, resolvent
-from pertkit.ensembles import random_hermitian
 from pertkit.errors import DefinitenessError, EnumerationLimitError, NotHermitianError
 
 

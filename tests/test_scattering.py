@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ensembles import random_diagonal, random_hermitian
 from pertkit import matcore, scattering
-from pertkit.ensembles import random_diagonal, random_hermitian
 from pertkit.errors import EnumerationLimitError
 
 

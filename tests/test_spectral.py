@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from ensembles import random_diagonal, random_hermitian
 from pertkit import matcore, spectral
-from pertkit.ensembles import random_diagonal, random_hermitian
 from pertkit.errors import ContourEnclosureError, ConvergenceError, NotHermitianError
 
 
@@ -221,6 +221,11 @@ class TestSelfEnergyAndFixedPoint:
             lhs = np.vdot(s.v, matcore.solve(a + b - z * np.eye(8), s.v))
             rhs = 1.0 / (s.lambda0 + s.diag_coupling.real - z - spectral.self_energy(s, z))
             assert abs(lhs - rhs) <= 1e-11
+
+    def test_one_by_one_split(self):
+        s = spectral.schur_split([[2.0]], [[0.3]], 0)
+        assert spectral.fixed_point_eigenvalue(s) == 2.3
+        np.testing.assert_array_equal(spectral.eigenvector_tilde(s, 2.3), [1.0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fixed_point_matches_eigensolver(self, seed):
@@ -444,6 +449,10 @@ class TestSandwich:
     def test_identity_distinct_vectors(self):
         val = spectral.sandwich(self.sv, self.sw, np.eye(10))
         assert abs(val) <= 1e-9
+
+    def test_one_by_one_split(self):
+        s = spectral.schur_split([[-1.0]], [[0.25]], 0)
+        assert spectral.sandwich(s, s, [[3.0]]) == 3.0
 
     def test_random_observable(self):
         c = random_hermitian(10, 1.0, 92)

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from ensembles import random_hermitian, random_momentum_model
 from pertkit import matcore, scattering, symdiag
-from pertkit.ensembles import random_hermitian, random_momentum_model
 from pertkit.errors import EnumerationLimitError, NotATreeError
 from pertkit.symdiag import EXT_IN, Diagram, MultisetState
 
@@ -125,20 +125,29 @@ class TestVertexChannelTable:
             seed_sets.append([STD_I, STD_J])
 
         def outcome(build, r, seeds, depth):
-            try:
-                bop = build(r, seeds, depth)
-            except ValueError as exc:
-                # a move to the empty state reads as non-conserving, because
-                # its momentum is (); both sides must reject the same entry
-                return type(exc), str(exc)
+            bop = build(r, seeds, depth)
             return bop.basis, list(bop.entries.items())
 
         for seeds, depth, skew in itertools.product(seed_sets, depths, (False, True)):
             counting = CountingRule(rule, skew)
             got = outcome(symdiag.build_interaction, counting, seeds, depth)
             assert got == outcome(reference.build_interaction_ref, CountingRule(rule, skew), seeds, depth)
-            if got[0] is not ValueError:
-                assert counting.calls == got[0]  # once per basis state, in basis order
+            assert counting.calls == got[0]  # once per basis state, in basis order
+
+    def test_zero_momentum_vacuum_move(self):
+        rule = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 2))
+        seeds = [state(("a", (-1,)), ("c", (-1,))), state(("b", (-2,)), ("b", (2,))), state(("b", (1,)))]
+        bop = symdiag.build_interaction(rule, seeds, 2)
+        vacuum = state()
+        abc = state(("a", (0,)), ("b", (-2,)), ("c", (2,)))
+        assert abc in bop.neighbors(vacuum)
+        assert bop.entry(vacuum, abc) == 1.0 / np.sqrt(rule.dispersion("c", (2,)))
+        for t in bop.neighbors(vacuum):
+            (qc,) = [p for sp, p in t.particles if sp == "c"]
+            assert bop.entry(t, vacuum) == 1.0 / np.sqrt(rule.dispersion("c", qc))
+        _, b = bop.to_dense()
+        np.testing.assert_array_equal(b, b.conj().T)
+        assert symdiag.group_terms_by_diagram(bop, vacuum, abc, 1) != {}
 
     @pytest.mark.parametrize("cap", [3, 40, 200])
     def test_cap_raises_at_the_same_point(self, cap):
@@ -322,7 +331,7 @@ class TestGroupingAndValues:
     def test_unrealized_diagram_value_zero(self):
         bop = std_model()
         bogus = Diagram.of(1, [("z", EXT_IN, 1), ("z", 1, 2)])
-        assert symdiag.diagram_value(bop, STD_I, STD_J, 0.05, 2, bogus) == 0
+        assert symdiag.diagram_values(bop, STD_I, STD_J, 0.05, 2).get(bogus, 0) == 0
 
     def test_zero_interaction(self):
         rule = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 1))
@@ -393,27 +402,25 @@ def planted_tree_instance(rng, dim, num_dots):
 
 
 def brute_force_tree(d, externals, total, search_range=2):
+    """Every assignment of the internal lines, each component in
+    ``[-search_range, search_range]``, that balances momentum at every dot:
+    all candidates at once, in ``itertools.product`` order."""
     dim = len(total)
     internal = d.internal_indices()
-    grid = list(itertools.product(range(-search_range, search_range + 1), repeat=dim))
-    hits = []
-    for combo in itertools.product(grid, repeat=len(internal)):
-        assign = dict(zip(internal, combo))
-        ok = True
-        for dot in range(1, d.num_dots + 1):
-            bal = np.zeros(dim, dtype=int)
-            for k, (_, s, e) in enumerate(d.lines):
-                p = externals.get(k, assign.get(k))
-                if e == dot:
-                    bal += np.array(p)
-                if s == dot:
-                    bal -= np.array(p)
-            if np.any(bal != 0):
-                ok = False
-                break
-        if ok:
-            hits.append(assign)
-    return hits
+    incidence = np.zeros((d.num_dots, len(d.lines)), dtype=int)  # +1 ends here, -1 starts here
+    for k, (_, s, e) in enumerate(d.lines):
+        if 1 <= e <= d.num_dots:
+            incidence[e - 1, k] += 1
+        if 1 <= s <= d.num_dots:
+            incidence[s - 1, k] -= 1
+    ext = sorted(externals)
+    fixed = incidence[:, ext] @ np.array([externals[k] for k in ext], dtype=int).reshape(len(ext), dim)
+    axis = np.arange(-search_range, search_range + 1)
+    grids = np.meshgrid(*[axis] * (len(internal) * dim), indexing="ij")
+    cand = np.stack([g.ravel() for g in grids], axis=1).reshape(-1, len(internal), dim)
+    balance = fixed + np.einsum("dl,clx->cdx", incidence[:, internal], cand)
+    hits = cand[(balance == 0).all(axis=(1, 2))]
+    return [{k: tuple(int(c) for c in p) for k, p in zip(internal, hit)} for hit in hits]
 
 
 class TestTreeSolve:

@@ -163,7 +163,7 @@ def _run_adiabatic(config: RunConfig) -> Report:
     errors = []
     for eta in etas:
         steps = max(64, int(steps_per_eta * eta))
-        res = evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(1.0, steps))
+        res = evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(steps))
         errors.append(res.error_vs_eigenpath)
         rep.add_row(eta, res.error_vs_eigenpath, res.tracked_phase, steps)
     if len(etas) >= 3:

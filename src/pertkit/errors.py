@@ -11,6 +11,12 @@ class PertkitError(Exception):
     exit_code = 1
 
 
+class ArgumentError(PertkitError, ValueError):
+    """An argument outside its domain: a nonpositive rate, an index out of range."""
+
+    exit_code = 7
+
+
 class MatrixFormatError(PertkitError, ValueError):
     """Malformed matrix/model file or in-memory matrix of the wrong shape."""
 
@@ -60,7 +66,7 @@ class GapCollapseError(PertkitError, RuntimeError):
 
 
 class StepSizeError(PertkitError, RuntimeError):
-    """Integrator drift exceeded the unitarity budget; refine the grid."""
+    """A step's local error estimate exceeded its limit; refine the grid."""
 
     exit_code = 5
 

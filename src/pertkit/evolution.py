@@ -14,10 +14,12 @@ the diagonal and ``B`` below it (Van Loan, 1978), computed exactly as one
 
 Also here: time-dependent propagators, the Laplace-transform bridge from
 time evolution to the shifted inverse, holomorphic functional calculus, and
-adiabatic evolution with its eigenvalue/eigenvector estimators.  The
-adiabatic path is decomposed block by block (one batched ``eigh`` per block
-of steps); only the O(n^2) RK4 update and the eigenvector continuation run
-step by step, and each error is raised at the step it belongs to.
+adiabatic evolution with its eigenvalue/eigenvector estimators.  Both
+Hermitian time-dependent paths take exactly unitary fourth-order Magnus
+steps (Blanes, Casas, Oteo & Ros, 2009), a stack of them from one batched
+``eigh``.  The adiabatic path runs block by block; only the O(n^2) state
+update and the eigenvector continuation run step by step, and each error is
+raised at the step it belongs to.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    ArgumentError,
     ContourEnclosureError,
     ConvergenceError,
     GapCollapseError,
@@ -42,16 +45,13 @@ from .matcore import ContourSpec
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform integration grid: ``steps`` intervals up to ``t_end``."""
+    """Uniform integration grid: ``steps`` intervals over the caller's interval."""
 
-    t_end: float
     steps: int
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
         if self.steps < 8:
-            raise ValueError("need at least 8 steps")
+            raise ArgumentError("need at least 8 steps")
 
 
 RAMPS: dict[str, Callable[[float], float]] = {
@@ -79,6 +79,29 @@ def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Sc
     return Schedule(evaluator=lambda t: a + f(t) * b)
 
 
+#: Largest accepted step estimate of :func:`_magnus`.
+_MAX_STEP_ESTIMATE = 1e-4
+
+
+def _magnus(h0, hm, h1, c):
+    """Magnus steps ``U_k = exp(-i G_k)`` of ``i u' = eta H(t) u`` from
+    ``(k, n, n)`` stacks of ``H`` at each step's start, midpoint and end, ``c =
+    eta h_k``: ``G = c S + i (c^2/12) [S, H1 - H0]``, ``S = (H0 + 4 Hm +
+    H1)/6``.  Also returns the estimates ``||G - c Hm||_F``, each step's
+    distance from the exponential-midpoint step (NaN for a non-finite ``G``)."""
+    c = np.reshape(c, (-1, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (h0 + 4.0 * hm + h1) / 6.0
+        d = h1 - h0
+        g = c * s + (1j / 12.0) * c**2 * (s @ d - d @ s)
+        est = np.linalg.norm(g - c * hm, axis=(1, 2))
+    bad = ~np.isfinite(g).all(axis=(1, 2))
+    g[bad] = 0.0
+    est[bad] = np.nan
+    w, v = np.linalg.eigh(g)
+    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2), est
+
+
 def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
     """Classical RK4 on an array state; returns the final state."""
     h = (t1 - t0) / steps
@@ -95,7 +118,7 @@ def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.nd
 def remainder_bound(t: float, norm_a: float, norm_b: float, k: int) -> float:
     """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade."""
     if t < 0 or norm_a < 0 or norm_b < 0 or k < 0:
-        raise ValueError("all arguments must be nonnegative")
+        raise ArgumentError("all arguments must be nonnegative")
     return t**k / math.factorial(k) * norm_b**k * math.exp(t * (norm_a + norm_b))
 
 
@@ -104,7 +127,7 @@ def _cascade(a, b, t: float, m_max: int) -> np.ndarray:
     ``L`` are block lower-triangular Toeplitz, so a column determines its
     matrix and a squaring is the block convolution ``sum_k E_{m-k} E_k``."""
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ArgumentError("t must be nonnegative")
     a = matcore.as_matrix(a, square=True)
     b = matcore.as_matrix(b, square=True)
     if a.shape != b.shape:
@@ -151,24 +174,27 @@ def dyson_terms(a, b, t: float, m_max: int) -> list:
 def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.ndarray:
     """Unitary propagator ``U(s,t)`` of ``i dU/dt = (A + B(t)) U``, ``U(s,s)=I``.
 
-    Fixed-step RK4; raises :class:`StepSizeError` when the unitarity defect
-    of the result exceeds 1e-7.
+    Magnus steps from ``A + B`` at the grid's nodes and midpoints; raises
+    :class:`NotHermitianError` at the first non-Hermitian one, and
+    :class:`StepSizeError` when a step estimate exceeds its limit.
     """
     if s > t:
-        raise ValueError("require s <= t")
+        raise ArgumentError("require s <= t")
     a = matcore.require_hermitian(a, what="A")
     eye = np.eye(a.shape[0], dtype=complex)
     if s == t:
         return eye
-
-    def deriv(tt, y):
-        h = a + np.asarray(b_of_t(tt), dtype=complex)
-        return -1j * (h @ y)
-
-    u = _rk4_system(deriv, eye, s, t, g.steps)
-    defect = matcore.op_norm(u.conj().T @ u - eye)
-    if defect > 1e-7:
-        raise StepSizeError(f"unitarity defect {defect:.2e}; refine the time grid")
+    h = (t - s) / g.steps
+    ts = s + (h / 2) * np.arange(2 * g.steps + 1)
+    hs = np.array([a + np.asarray(b_of_t(tt), dtype=complex) for tt in ts])
+    for j in np.flatnonzero(~matcore.is_hermitian(hs))[:1]:
+        matcore.require_hermitian(hs[j], what=f"A + B({ts[j]:g})")
+    steps, est = _magnus(hs[:-1:2], hs[1::2], hs[2::2], h)
+    for j in np.flatnonzero(~(est <= _MAX_STEP_ESTIMATE))[:1]:  # a NaN estimate fails too
+        raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * j + 2]:g}; refine the grid")
+    u = eye
+    for step in steps:
+        u = step @ u
     return u
 
 
@@ -179,7 +205,7 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     ``e^{-tau t_max}/tau`` plus quadrature error; Simpson rule on the grid.
     """
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise ArgumentError("tau must be positive")
     a = matcore.as_matrix(a, square=True)
     b = matcore.as_matrix(b, square=True)
     m = a + b
@@ -255,39 +281,40 @@ def _require_gap(gap: float, min_gap: float, t: float) -> None:
 
 
 def _schedule_block(evaluator, ts: np.ndarray, h: float, n: int):
-    """Step widths, ``H`` at the midpoints of the steps starting at ``ts``
-    with a mask that is False where a midpoint is a non-finite ``(n, n)``
-    array, and ``H`` at their ends with one batched ``eigh`` (eigenvalues,
-    adjoint eigenvectors, eigenvectors, nearest gaps) and a mask of the
-    finite Hermitian ``(n, n)`` ones.  An evaluation that raises ends the
-    block and takes the place of its matrix, to be raised in time order."""
-    hks = (ts + h) - ts  # the width of a one-step RK4 on [t, t + h]
+    """Step widths, ``H`` at the midpoint and end of each step starting at
+    ``ts`` (alternating), a mask of the finite Hermitian ones and their stack
+    (others zeroed), and one batched ``eigh`` of the ends (eigenvalues,
+    adjoint eigenvectors, eigenvectors, nearest gaps).  An evaluation that
+    raises or has the wrong shape ends the block and takes the place of its
+    matrix as an exception, to be raised in time order."""
+    hks = (ts + h) - ts  # the width of one step on [t, t + h]
     mats = []
     for tt in np.column_stack([ts + hks / 2, ts + hks]).ravel():
         try:
-            mats.append(np.asarray(evaluator(tt), dtype=complex))
+            m = np.asarray(evaluator(tt), dtype=complex)
+            if m.shape != (n, n):
+                raise ShapeError(f"expected H of shape {(n, n)}, got {m.shape}")
         except Exception as exc:
             mats += [exc] * (2 - len(mats) % 2)
             break
-    regular = np.array([isinstance(e, np.ndarray) and e.shape == (n, n) for e in mats])
+        mats.append(m)
+    regular = np.array([isinstance(e, np.ndarray) for e in mats])
     stack = np.array([e if r else np.zeros((n, n)) for e, r in zip(mats, regular)], dtype=complex)
     ok = regular & np.isfinite(stack).all(axis=(1, 2))
-    mid_ok = ~regular[0::2] | ok[0::2]  # an irregular midpoint fails where it is used
-    mids, ends, stack, ok = mats[0::2], mats[1::2], stack[1::2], ok[1::2]
     stack[~ok] = 0.0
     ok &= matcore.is_hermitian(stack)
-    w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
-    return (hks.tolist(), mids, mid_ok.tolist(), ends, ok.tolist(), w, v.conj().swapaxes(1, 2), v,
-            _nearest_gaps(w))
+    ends = stack[1::2]
+    w, v = np.linalg.eigh((ends + ends.conj().swapaxes(1, 2)) / 2.0)
+    return hks[:len(ends)], mats, ok, stack, w, v.conj().swapaxes(1, 2), v, _nearest_gaps(w)
 
 
 def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_gap: float = 1e-3):
     """Shared core: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
 
-    Returns nodes, the state history at nodes, the continued eigenvector
-    path (positive-overlap gauge) and eigenvalue path.  Raises on gap
-    collapse, on a non-finite ``H`` at a node or step midpoint, or on
-    unitarity drift beyond 1e-6 (a NaN drift included).
+    Each step checks, before its state moves: ``H`` at the midpoint, then
+    at the end, then the gap at the end node, then the step estimate.
+    Returns nodes, the state history at nodes, ``H u`` at nodes, the
+    continued eigenvector path (positive-overlap gauge) and eigenvalue path.
     """
     steps = g.steps
     h = 1.0 / steps
@@ -296,52 +323,42 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
     dec0 = matcore.eig_hermitian(h_end)
     n = dec0.eigenvalues.size
     if not (0 <= i < n):
-        raise ValueError("eigenvalue index out of range")
+        raise ArgumentError("eigenvalue index out of range")
     _require_gap(_nearest_gaps(dec0.eigenvalues)[i], min_gap, 0.0)
     us = np.empty((steps + 1, n), dtype=complex)
+    hus = np.empty_like(us)
     e_path = np.empty_like(us)
     lam_path = np.empty(steps + 1)
     us[0] = e_path[0] = u = e_prev = dec0.eigenvectors[:, i].copy()
+    hus[0] = h_end @ u
     lam_path[0] = dec0.eigenvalues[i]
-    c = -1j * eta
 
     for k0 in range(0, steps, _BLOCK):
-        block = _schedule_block(sched.evaluator, nodes[k0:min(k0 + _BLOCK, steps)], h, n)
-        for k, (hk, h_mid, mid_ok, h_next, ok, lam, vec_h, vec, gaps) in enumerate(zip(*block), start=k0):
-            k1 = c * (h_end @ u)
-            if isinstance(h_mid, Exception):
-                raise h_mid
-            if not mid_ok:
-                matcore.as_matrix(h_mid)  # raises this midpoint's non-finite error
-            k2 = c * (h_mid @ (u + (hk / 2) * k1))
-            k3 = c * (h_mid @ (u + (hk / 2) * k2))
-            if isinstance(h_next, Exception):
-                raise h_next
-            k4 = c * (h_next @ (u + hk * k3))
-            u = u + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            norm = np.linalg.norm(u)
-            # per-step norm drift measures the local integrator error; the state
-            # itself is re-projected onto the unit sphere every step
-            if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
-                raise StepSizeError(f"unitarity drift {abs(norm - 1.0):.2e} per step; refine grid")
-            u = u / norm
-            us[k + 1] = u
-            h_end = h_next
-
-            if not ok:  # the single-matrix path raises this node's guard error
-                dec = matcore.eig_hermitian(h_next)
-                lam, vec = dec.eigenvalues, dec.eigenvectors
-                vec_h, gaps = vec.conj().T, _nearest_gaps(lam)
-            idx = int(np.abs(vec_h @ e_prev).argmax())
-            _require_gap(gaps[idx], min_gap, nodes[k + 1])
-            e_new = vec[:, idx].copy()
+        hks, mats, ok, stack, lams, vecs_h, vecs, gaps = _schedule_block(
+            sched.evaluator, nodes[k0:min(k0 + _BLOCK, steps)], h, n)
+        ends = stack[1::2]
+        step_us, est = _magnus(np.concatenate([h_end[None], ends[:-1]]), stack[0::2], ends, eta * hks)
+        for j, k in enumerate(range(k0, k0 + hks.size)):
+            for mat, good in zip(mats[2 * j:2 * j + 2], ok[2 * j:2 * j + 2]):
+                if isinstance(mat, Exception):
+                    raise mat
+                if not good:
+                    matcore.require_hermitian(mat)  # raises: non-finite or non-Hermitian
+            idx = int(np.abs(vecs_h[j] @ e_prev).argmax())
+            _require_gap(gaps[j, idx], min_gap, nodes[k + 1])
+            if not est[j] <= _MAX_STEP_ESTIMATE:  # a NaN estimate fails too
+                raise StepSizeError(f"step estimate {est[j]:.2e} at t={nodes[k + 1]:g}; refine the grid")
+            us[k + 1] = u = step_us[j] @ u
+            e_new = vecs[j, :, idx].copy()
             ov = np.vdot(e_prev, e_new)
             if abs(ov) > 0:
                 e_new *= ov.conjugate() / abs(ov)  # positive-overlap gauge
             e_path[k + 1] = e_prev = e_new
-            lam_path[k + 1] = lam[idx]
+            lam_path[k + 1] = lams[j, idx]
+        hus[k0 + 1:k0 + 1 + hks.size] = np.matmul(ends, us[k0 + 1:k0 + 1 + hks.size, :, None])[..., 0]
+        h_end = ends[-1]
 
-    return nodes, us, e_path, lam_path
+    return nodes, us, hus, e_path, lam_path
 
 
 def _integral_on_nodes(values: np.ndarray, h: float) -> float:
@@ -364,8 +381,8 @@ def adiabatic_evolve(sched: Schedule, eta: float, i: int, g: TimeGrid) -> Adiaba
     C^1 schedule with a uniform spectral gap.
     """
     if eta <= 0:
-        raise ValueError("eta must be positive")
-    nodes, us, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
+        raise ArgumentError("eta must be positive")
+    nodes, us, _, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
     phi = _integral_on_nodes(lam_path, nodes[1] - nodes[0])
     u_final = us[-1]
     reference = e_path[-1] * np.exp(-1j * eta * phi)
@@ -384,24 +401,18 @@ def adiabatic_eigenvalue_track(sched: Schedule, eta: float, i: int, g: TimeGrid)
 
     Evaluates the logarithmic-derivative estimator
     ``(1/eta) i d/dt log <e^{-i eta t lambda_i(0)} e_i(0), u(t)>``, which
-    simplifies to ``<e_i(0), H(t) u(t)> / <e_i(0), u(t)> - lambda_i(0)``;
-    returns its real part on the grid nodes.  Raises
+    simplifies to ``<e_i(0), H(t) u(t)> / <e_i(0), u(t)> - lambda_i(0)``, with
+    ``H(t)`` as the integration evaluated it; returns its real part on the grid nodes.  Raises
     :class:`TrackingLossError` when the overlap magnitude drops below 1e-6.
     """
     if eta <= 0:
-        raise ValueError("eta must be positive")
-    nodes, us, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
+        raise ArgumentError("eta must be positive")
+    nodes, us, hus, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
     e0 = e_path[0]
-    lam0 = lam_path[0]
-    out = np.empty(nodes.size)
-    for k, t in enumerate(nodes):
-        u = us[k]
-        ov = np.vdot(e0, u)
-        if abs(ov) < 1e-6:
-            raise TrackingLossError(f"reference overlap {abs(ov):.2e} lost at t={t:g}")
-        h_mat = np.asarray(sched.evaluator(t), dtype=complex)
-        out[k] = (np.vdot(e0, h_mat @ u) / ov).real - lam0
-    return out
+    ovs = us @ e0.conj()
+    for k in np.flatnonzero(np.abs(ovs) < 1e-6)[:1]:
+        raise TrackingLossError(f"reference overlap {abs(ovs[k]):.2e} lost at t={nodes[k]:g}")
+    return (hus @ e0.conj() / ovs).real - lam_path[0]
 
 
 @dataclass
@@ -435,7 +446,7 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
     dec = matcore.eig_hermitian(a)
     lam, v = dec.eigenvalues, dec.eigenvectors
     if norm_b > _nearest_gaps(lam)[i]:
-        raise ValueError("||B|| exceeds the unperturbed spectral gap")
+        raise ArgumentError("||B|| exceeds the unperturbed spectral gap")
     b_eig = v.conj().T @ b @ v
     dlam = lam[:, None] - lam[None, :]
 

@@ -28,7 +28,6 @@ A non-Hermitian ``A + B`` raises :class:`NotHermitianError`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import matcore
 from .errors import EnumerationLimitError, ShapeError
-from .resolvent import PATH_ENUMERATION_CAP
+from .resolvent import PATH_ENUMERATION_CAP, _paths
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     sum over k_1..k_{ell-1} of B_{i k_1} ... B_{k_{ell-1} j} /
     prod_a (lambda_{k_a} - lambda_tau)``.
 
-    Enumerates the paths exhaustively; the matrix-product route in
+    Enumerates the nonzero-weight paths exhaustively; the matrix-product route in
     :func:`s_series` is the independent cross-check.
     """
     if ell < 2:
@@ -179,25 +178,8 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     dsq = (lam[q.i] - lam[q.j]) ** 2 / 4.0 + q.tau**2
 
     total = 0.0 + 0.0j
-    for ks in itertools.product(range(n), repeat=ell - 1):
-        w = b[q.i, ks[0]]
-        if w == 0:
-            continue
-        ok = True
-        denom = 1.0 + 0.0j
-        for idx in range(ell - 2):
-            w = w * b[ks[idx], ks[idx + 1]]
-            if w == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        w = w * b[ks[-1], q.j]
-        if w == 0:
-            continue
-        for k in ks:
-            denom = denom * (lam[k] - lt)
-        total += w / denom
+    for path, w in _paths(b, q.i, q.j, ell):
+        total += w / math.prod(lam[k] - lt for k in path[1:-1])
     return complex((-1) ** (ell + 1) * 1j * q.tau / dsq * total)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from pertkit import matcore, spectral, symdiag, tensor
-from pertkit.errors import ConvergenceError, EnumerationLimitError, GapCollapseError, StepSizeError
+from pertkit.errors import ConvergenceError, EnumerationLimitError, GapCollapseError, ShapeError, StepSizeError
 
 
 def cheb_nodes(eps_max: float, count: int) -> np.ndarray:
@@ -98,10 +98,10 @@ def van_loan_dyson_terms(a, b, t, m_max):
 
 
 # ---------------------------------------------------------------------------
-# Reference time steppers: the list-state RK4 and the per-node adiabatic core
-# that the array-state stepper and block-batched core in `evolution` replace.
-# The evolution tests require the same bits and the same errors from both;
-# the cascade tests use the list-state RK4 as a second, independent oracle.
+# Reference time steppers: the list-state RK4, the second oracle of the exact
+# cascades and of `adiabatic_eigvec_series` and the independent oracle of the
+# Magnus steppers at refined grids, and the per-node Magnus adiabatic core
+# that the block-batched core in `evolution` must match error for error.
 
 
 def rk4_list(deriv, state, t0, t1, steps):
@@ -118,6 +118,12 @@ def rk4_list(deriv, state, t0, t1, steps):
             yi + (h / 6) * (a_ + 2 * b_ + 2 * c_ + d_)
             for yi, a_, b_, c_, d_ in zip(y, k1, k2, k3, k4)
         ]
+    return y
+
+
+def schrodinger_rk4(h_of_t, y0, t0, t1, steps):
+    """RK4 solution at ``t1`` of ``i y' = H(t) y`` from ``y(t0) = y0``."""
+    (y,) = rk4_list(lambda t, ys: [-1j * (np.asarray(h_of_t(t), dtype=complex) @ ys[0])], [y0], t0, t1, steps)
     return y
 
 
@@ -159,15 +165,6 @@ def dyson_terms_ref(a, b, t, m_max, steps):
     return rk4_list(deriv, _cascade_start(a.shape[0], m_max), 0.0, t, steps)
 
 
-def propagator_ref(a, b_of_t, s, t, steps):
-    def deriv(tt, ys):
-        h = a + np.asarray(b_of_t(tt), dtype=complex)
-        return [-1j * (h @ ys[0])]
-
-    (u,) = rk4_list(deriv, [np.eye(a.shape[0], dtype=complex)], s, t, steps)
-    return u
-
-
 def adiabatic_eigvec_ref(a, b, f, i, eta, m_max, steps):
     """Normalized eigenvector estimate of ``adiabatic_eigvec_series``."""
     dec = matcore.eig_hermitian(a)
@@ -190,22 +187,21 @@ def adiabatic_eigvec_ref(a, b, f, i, eta, m_max, steps):
     return vec / np.linalg.norm(vec)
 
 
+def _node_matrix(x, n):
+    """``H`` at a node or midpoint, guarded as the block core guards it."""
+    a = np.asarray(x, dtype=complex)
+    if a.shape != (n, n):
+        raise ShapeError(f"expected H of shape {(n, n)}, got {a.shape}")
+    return matcore.require_hermitian(a)
+
+
 def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
-    """One RK4 step and one guarded ``eig_hermitian`` per node, with ``H``
-    cached by half-step index; returns nodes, states, eigenvector and
-    eigenvalue paths, like ``evolution._integrate_schedule``."""
+    """One fourth-order Magnus step by ``scipy.linalg.expm`` and one guarded
+    ``eig_hermitian`` per node, checked in the order midpoint, end node, gap,
+    step estimate; returns nodes, states, eigenvector and eigenvalue paths,
+    like ``evolution._integrate_schedule`` without its ``H u`` history."""
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
-    h_mats = {}
-
-    def h_at(t):
-        key = round(t / (h / 2))
-        if key not in h_mats:
-            if len(h_mats) > 4:
-                h_mats.clear()
-            h_mats[key] = np.asarray(sched.evaluator(t), dtype=complex)
-        return h_mats[key]
-
     dec0 = matcore.eig_hermitian(sched.matrix(0.0))
     n = dec0.eigenvalues.size
     e_path = np.empty((steps + 1, n), dtype=complex)
@@ -219,19 +215,13 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     u = e_prev.copy()
     us = np.empty((steps + 1, n), dtype=complex)
     us[0] = u
+    h_start = np.asarray(sched.evaluator(0.0), dtype=complex)  # evaluated again for the first step
     for k in range(steps):
         t = nodes[k]
-
-        def deriv(tt, ys):
-            return [-1j * eta * (h_at(tt) @ ys[0])]
-
-        (u,) = rk4_list(deriv, [u], t, t + h, 1)
-        norm = np.linalg.norm(u)
-        if abs(norm - 1.0) > 1e-6:
-            raise StepSizeError(f"unitarity drift {abs(norm - 1.0):.2e} per step; refine grid")
-        u = u / norm
-        us[k + 1] = u
-        dec = matcore.eig_hermitian(h_at(nodes[k + 1]))
+        hk = (t + h) - t
+        h_mid = _node_matrix(sched.evaluator(t + hk / 2), n)
+        h_end = _node_matrix(sched.evaluator(t + hk), n)
+        dec = matcore.eig_hermitian(h_end)
         overlaps = np.abs(dec.eigenvectors.conj().T @ e_prev)
         idx = int(np.argmax(overlaps))
         gaps = np.abs(np.delete(dec.eigenvalues, idx) - dec.eigenvalues[idx])
@@ -239,6 +229,16 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
             raise GapCollapseError(
                 f"spectral gap {gaps.min():.2e} below {min_gap:g} at t={nodes[k + 1]:g}"
             )
+        c = eta * hk
+        s = (h_start + 4.0 * h_mid + h_end) / 6.0
+        d = h_end - h_start
+        gen = c * s + 1j * c**2 / 12.0 * (s @ d - d @ s)
+        est = np.linalg.norm(gen - c * h_mid)
+        if not est <= 1e-4:
+            raise StepSizeError(f"step estimate {est:.2e} at t={nodes[k + 1]:g}; refine the grid")
+        u = scipy.linalg.expm(-1j * gen) @ u
+        us[k + 1] = u
+        h_start = h_end
         e_new = dec.eigenvectors[:, idx].copy()
         ov = np.vdot(e_prev, e_new)
         if abs(ov) > 0:

@@ -171,7 +171,7 @@ def test_criterion_05_laplace_bridge():
     tmaxs = np.array([10, 14, 18, 22, 26, 30])
     defects = [
         matcore.op_norm(
-            evolution.laplace_resolvent_bridge(a, b, tau, float(T), evolution.TimeGrid(float(T), int(60 * T)))
+            evolution.laplace_resolvent_bridge(a, b, tau, float(T), evolution.TimeGrid(int(60 * T)))
             - exact
         )
         for T in tmaxs
@@ -335,13 +335,13 @@ def test_criterion_09_adiabatic_law():
     etas = (50.0, 100.0, 200.0, 400.0)
     errs = []
     for eta in etas:
-        res = evolution.adiabatic_evolve(sched, eta, 0, evolution.TimeGrid(1.0, int(48 * eta)))
+        res = evolution.adiabatic_evolve(sched, eta, 0, evolution.TimeGrid(int(48 * eta)))
         errs.append(res.error_vs_eigenpath)
     slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
     assert -1.3 <= slope <= -0.7
 
-    r1 = evolution.adiabatic_evolve(sched, 100.0, 0, evolution.TimeGrid(1.0, 4800))
-    r2 = evolution.adiabatic_evolve(sched, 100.0, 0, evolution.TimeGrid(1.0, 9600))
+    r1 = evolution.adiabatic_evolve(sched, 100.0, 0, evolution.TimeGrid(4800))
+    r2 = evolution.adiabatic_evolve(sched, 100.0, 0, evolution.TimeGrid(9600))
     assert abs(r1.error_vs_eigenpath - r2.error_vs_eigenpath) <= 0.05 * r2.error_vs_eigenpath
     _report(9, "adiabatic law", started, 60)
 

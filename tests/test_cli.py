@@ -5,7 +5,7 @@ import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, iotools, matcore
-from pertkit.errors import MatrixFormatError, NotHermitianError
+from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError
 from pertkit.symdiag import SparseInteraction
 
 
@@ -194,6 +194,19 @@ class TestCliCommands:
              "--eta-list", "50,100,200", "--index", "0", "--steps-per-eta", "40"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["--eta-list=-1,2,3", "--index", "0"], "eta must be positive"),
+        (["--eta-list", "1,2,3", "--index", "5"], "eigenvalue index out of range"),
+    ], ids=["negative-eta", "index-out-of-range"])
+    def test_adiabatic_bad_argument_exit_code(self, tmp_path, capsys, args, message):
+        iotools.save_matrix(tmp_path / "ha.json", np.diag([0.0, 1.0]))
+        iotools.save_matrix(tmp_path / "hb.json", 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
+        code = cli.main(["adiabatic", "--schedule", str(tmp_path / "sched.json")] + args)
+        err = capsys.readouterr().err
+        assert code == ArgumentError.exit_code not in (0, 1)
+        assert err == f"error[{code}]: {message}\n"
 
     def test_diagrams(self, tmp_path, capsys):
         model = {

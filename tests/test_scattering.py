@@ -135,7 +135,7 @@ class TestTimeAverage:
 
         a, b = diagonal_instance(4, 0.1, 13)
         q = scattering.ScatteringQuery(i=0, j=0, tau=0.3)
-        via_grid = scattering.s_entry_time_average(a, b, q, 60.0, g=TimeGrid(60.0, 4000))
+        via_grid = scattering.s_entry_time_average(a, b, q, 60.0, g=TimeGrid(4000))
         via_int = scattering.s_entry_time_average(a, b, q, 60.0, g=4000)
         assert via_grid == via_int
 

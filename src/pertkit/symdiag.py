@@ -1,9 +1,9 @@
 """Symmetry-based block reduction and time-ordered diagram machinery.
 
-States are multisets of labeled particles ``(species, integer momentum)``;
-the free operator is diagonal with energy ``sum of dispersions`` and the
-interaction conserves total momentum, so a diagonal symmetry operator
-splits every computation into momentum blocks.
+States are canonical sorted tuples of particles ``(species, momentum)``, and
+a vertex move edits its parent's tuple once.  The free operator is diagonal
+with energy ``sum of dispersions`` and the interaction conserves total
+momentum, so a diagonal symmetry operator splits the work into momentum blocks.
 
 A path ``k_1, ..., k_L`` of basis states maps to a drawing with ``L-1``
 dots (one per transition) and one line per particle occurrence-interval: a
@@ -17,6 +17,7 @@ assignment solvable from the leaves.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import matcore
-from .errors import EnumerationLimitError, NotATreeError, ShapeError
+from .errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotATreeError, ShapeError
 
 EXT_IN = 0  # start code of a line entering from outside
 BASIS_CAP = 10**5
@@ -37,7 +38,6 @@ PATH_CAP = 10**6
 # states and interactions
 
 Momentum = tuple
-Particle = tuple  # (species, momentum)
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,15 @@ class MultisetState:
     """Canonically sorted multiset of ``(species, momentum)`` particles."""
 
     particles: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.particles,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # the stored hash is per process: rebuild it on unpickling
+        return MultisetState, (self.particles,)
 
     @staticmethod
     def of(*particles) -> "MultisetState":
@@ -70,20 +79,22 @@ class MultisetState:
         p, q = self.total_momentum(), other.total_momentum()
         return p == q or not (any(p) or any(q))
 
-    def counter(self) -> Counter:
-        return Counter(self.particles)
+    def _edit(self, gone, new) -> "MultisetState":
+        """Drop the canonical particles ``gone`` and insert ``new`` in sorted place: one tuple edit."""
+        out = list(self.particles)
+        for p in gone:
+            if p not in out:
+                raise ArgumentError(f"particle {p} not present")
+            out.remove(p)
+        for p in new:
+            bisect.insort(out, p)
+        return MultisetState(particles=tuple(out))
 
     def add(self, *particles) -> "MultisetState":
-        return MultisetState.of(*(self.particles + tuple(particles)))
+        return self._edit((), MultisetState.of(*particles).particles)
 
     def remove(self, *particles) -> "MultisetState":
-        c = self.counter()
-        for p in particles:
-            key = (str(p[0]), tuple(int(x) for x in p[1]))
-            if c[key] <= 0:
-                raise ValueError(f"particle {key} not present")
-            c[key] -= 1
-        return MultisetState(particles=tuple(sorted(c.elements())))
+        return self._edit(MultisetState.of(*particles).particles, ())
 
     def __str__(self):
         inner = ",".join(f"{s}:{';'.join(str(c) for c in p)}" for s, p in self.particles)
@@ -103,21 +114,22 @@ class SparseInteraction:
         self.basis = list(basis)
         self.index = {s: k for k, s in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
-            raise ValueError("duplicate states in basis")
+            raise MatrixFormatError("duplicate states in basis")
         self.dispersion = dispersion
         self.entries = {}
         adjacency = defaultdict(set)
+        momentum = {s: s.total_momentum() for s in self.basis}  # equal ones conserve; same_momentum judges zeros
         for (s, t), v in entries.items():
             if s not in self.index or t not in self.index:
-                raise ValueError("entry references a state outside the basis")
-            if not s.same_momentum(t):
-                raise ValueError(f"entry {s} -> {t} violates momentum conservation")
+                raise MatrixFormatError("entry references a state outside the basis")
+            if momentum[s] != momentum[t] and not s.same_momentum(t):
+                raise MatrixFormatError(f"entry {s} -> {t} violates momentum conservation")
             v = complex(v)
             if v == 0:
                 continue
             prev = self.entries.get((s, t))
             if prev is not None and prev != v:
-                raise ValueError("conflicting duplicate entries")
+                raise MatrixFormatError("conflicting duplicate entries")
             self.entries[(s, t)] = v
             self.entries[(t, s)] = v.conjugate()
             adjacency[s].add(t)
@@ -161,7 +173,7 @@ class TrilinearVertex:
         return 1.0 / math.sqrt(self.dispersion(self.species[2], qc))
 
     def moves(self, state: MultisetState):
-        """Yield ``(neighbor_state, amplitude)``; duplicates accumulate.
+        """Yield ``(neighbor, amplitude)``, one edit of ``state``'s sorted tuple each; duplicates accumulate.
 
         Neighbors come in channel order, which fixes the basis order of
         :func:`build_interaction`: ``a+b -> c``, ``c -> a+b``, ``a -> b+c``,
@@ -174,6 +186,7 @@ class TrilinearVertex:
         by_species = defaultdict(set)
         for sp, p in state.particles:
             by_species[sp].add(p)
+        amp = {q: self._amp(q) for q in grid | by_species[sc]}  # every momentum an amplitude takes
 
         def neg(p):
             return tuple(-c for c in p)
@@ -194,29 +207,29 @@ class TrilinearVertex:
                     for q2 in by_species[second]:
                         q = add(q1, q2)
                         if q in grid:
-                            t = state.remove((first, q1), (second, q2)).add((lone, q))
-                            out[t] += self._amp(q if lone == sc else q2)
+                            t = state._edit(((first, q1), (second, q2)), ((lone, q),))
+                            out[t] += amp[q if lone == sc else q2]
             else:
                 for q in by_species[lone]:
                     for q1 in self.grid:
                         q2 = sub(q, q1)
                         if q2 in grid:
-                            t = state.remove((lone, q)).add((first, q1), (second, q2))
-                            out[t] += self._amp(q if lone == sc else q2)
+                            t = state._edit(((lone, q),), ((first, q1), (second, q2)))
+                            out[t] += amp[q if lone == sc else q2]
         # vacuum <-> a+b+c
         if state.size + 3 <= self.max_particles:
             for qa in self.grid:
                 for qb in self.grid:
                     qc = neg(add(qa, qb))
                     if qc in grid:
-                        t = state.add((sa, qa), (sb, qb), (sc, qc))
-                        out[t] += self._amp(qc)
+                        t = state._edit((), ((sa, qa), (sb, qb), (sc, qc)))
+                        out[t] += amp[qc]
         for qa in by_species[sa]:
             for qb in by_species[sb]:
                 qc = neg(add(qa, qb))
                 if qc in by_species[sc]:
-                    t = state.remove((sa, qa), (sb, qb), (sc, qc))
-                    out[t] += self._amp(qc)
+                    t = state._edit(((sa, qa), (sb, qb), (sc, qc)), ())
+                    out[t] += amp[qc]
         return out.items()
 
 
@@ -286,9 +299,9 @@ def block_decompose(u, tol: float = 1e-8) -> list:
     u = matcore.as_matrix(u, square=True)
     scale = max(matcore.op_norm(u), 1e-300)
     if matcore.op_norm(u @ u.conj().T - u.conj().T @ u) > 1e-10 * scale**2:
-        raise ValueError("symmetry operator must be normal")
+        raise ArgumentError("symmetry operator must be normal")
     if not matcore.is_diagonal(u, 1e-10):
-        raise ValueError("index-block decomposition requires a diagonal operator")
+        raise ArgumentError("index-block decomposition requires a diagonal operator")
     diag = np.diagonal(u)
     order = sorted(range(diag.size), key=lambda k: (diag[k].real, diag[k].imag))
     blocks = []
@@ -316,7 +329,7 @@ def restricted_inverse(a, b, u, i: int, j: int) -> complex:
     a = matcore.as_matrix(a, square=True)
     b = matcore.as_matrix(b, square=True)
     if not commute_check(u, a) or not commute_check(u, b):
-        raise ValueError("symmetry operator must commute with both operands")
+        raise ArgumentError("symmetry operator must commute with both operands")
     blocks = block_decompose(u)
     bi = bj = None
     for blk in blocks:
@@ -325,7 +338,7 @@ def restricted_inverse(a, b, u, i: int, j: int) -> complex:
         if j in blk.basis_indices:
             bj = blk
     if bi is None or bj is None:
-        raise ValueError("index out of range")
+        raise ArgumentError("index out of range")
     if bi is not bj:
         return 0.0 + 0.0j
     idx = np.array(bi.basis_indices)
@@ -398,12 +411,12 @@ def diagram_of(seq) -> Diagram:
     """
     seq = list(seq)
     if not seq:
-        raise ValueError("empty state sequence")
+        raise ArgumentError("empty state sequence")
     length = len(seq)
     values = sorted({p for s in seq for p in s.particles})
     lines = []
     for value in values:
-        profile = [s.counter()[value] for s in seq]
+        profile = [s.particles.count(value) for s in seq]
         top = max(profile)
         for level in range(1, top + 1):
             present = [k for k, m in enumerate(profile) if m >= level]
@@ -450,6 +463,8 @@ def _paths_between(bop: SparseInteraction, i: MultisetState, j: MultisetState, e
 
 def group_terms_by_diagram(bop: SparseInteraction, i: MultisetState, j: MultisetState, ell: int) -> dict:
     """Group the order-``ell`` paths from ``i`` to ``j`` by canonical diagram."""
+    if ell < 1:
+        raise ArgumentError("ell must be at least 1")
     groups = defaultdict(list)
     for path in _paths_between(bop, i, j, ell):
         groups[diagram_of(path)].append(path)
@@ -474,7 +489,7 @@ def diagram_values(bop: SparseInteraction, i: MultisetState, j: MultisetState, t
     values sum to the full order-``ell`` series term.
     """
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise ArgumentError("tau must be positive")
     lam_i = bop.free_energy(i)
     lam_j = bop.free_energy(j)
     shift = (lam_i + lam_j) / 2.0 - 1j * tau
@@ -531,12 +546,12 @@ def tree_solve(d: Diagram, external_momenta: dict, total: Momentum):
 
     ext_idx = set(d.external_indices())
     if set(external_momenta) != ext_idx:
-        raise ValueError("external momenta must cover exactly the external lines")
+        raise ArgumentError("external momenta must cover exactly the external lines")
     dim = len(total)
     known = {k: np.asarray(v, dtype=int) for k, v in external_momenta.items()}
     for v in known.values():
         if v.shape != (dim,):
-            raise ValueError("momentum dimension mismatch")
+            raise ShapeError("momentum dimension mismatch")
 
     in_total = np.zeros(dim, dtype=int)
     out_total = np.zeros(dim, dtype=int)
@@ -656,14 +671,14 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     the paired closed form obtained from ``1/(x-y) + 1/(x+y) = 2x/(x^2-y^2)``.
     """
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise ArgumentError("tau must be positive")
     dim, radius = grid_spec
     rule = TrilinearVertex(masses={"a": m_a, "b": m_b, "c": m_c}, grid=box_grid(dim, radius))
 
     def one_of(state, species):
         ps = [p for sp, p in state.particles if sp == species]
         if len(ps) != 1:
-            raise ValueError(f"state {state} must contain exactly one {species!r} particle")
+            raise ArgumentError(f"state {state} must contain exactly one {species!r} particle")
         return ps[0]
 
     p1 = one_of(i_state, "a")
@@ -671,11 +686,11 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     p3 = one_of(j_state, "a")
     p4 = one_of(j_state, "b")
     if not i_state.same_momentum(j_state):
-        raise ValueError("states must carry the same total momentum")
+        raise ArgumentError("states must carry the same total momentum")
     lam_i = rule.dispersion("a", p1) + rule.dispersion("b", p2)
     lam_j = rule.dispersion("a", p3) + rule.dispersion("b", p4)
     if abs(lam_i - lam_j) > 1e-12 * max(1.0, lam_i):
-        raise ValueError("states must be on the same energy shell")
+        raise ArgumentError("states must be on the same energy shell")
 
     # depth-1 closure of the two endpoints already contains every length-2
     # path intermediate
@@ -685,7 +700,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
 
     paths = _paths_between(bop, i_state, j_state, 2)
     if len(paths) != 4:
-        raise ValueError(
+        raise ArgumentError(
             f"expected the 4 canonical intermediate states, found {len(paths)}; "
             "choose generic on-shell momenta inside the grid"
         )
@@ -715,7 +730,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
         )
     rows.sort(key=lambda r: r.label)
     if [r.label for r in rows] != ["a", "b", "c", "d"]:
-        raise ValueError("intermediate states do not match the canonical four-row table")
+        raise ArgumentError("intermediate states do not match the canonical four-row table")
 
     pref = (-1) ** 3 * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
     assembled = pref * sum(r.product / r.denominator for r in rows)

@@ -9,7 +9,7 @@ library paths, kept so the tests can compare the two.
 """
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import scipy.linalg
@@ -384,11 +384,40 @@ def rayleigh_schrodinger(a, b, i):
 # Reference table-free paths: the six spelled-out vertex channels, the
 # two-pass basis closure and the four-loop bracket search that the channel
 # table, the one-pass closure and the one-sided bracket helper replace.  The
-# tests require the same states, amplitudes, order, entries and bits.
+# tests require the same states, amplitudes, order, entries and bits.  The
+# vertex channels build each neighbour by counting, normalizing and sorting
+# the whole multiset again, so they share no state arithmetic with the
+# one-edit neighbours of ``symdiag``.
+
+
+def multiset_of_ref(*particles) -> tuple:
+    """The particle tuple of the former ``MultisetState.of``."""
+    return tuple(sorted((str(s), tuple(int(c) for c in p)) for s, p in particles))
+
+
+def multiset_add_ref(particles: tuple, *added) -> tuple:
+    """The former ``MultisetState.add`` on a particle tuple."""
+    return multiset_of_ref(*(particles + tuple(added)))
+
+
+def multiset_remove_ref(particles: tuple, *removed) -> tuple:
+    """The former ``MultisetState.remove`` on a particle tuple."""
+    c = Counter(particles)
+    for p in removed:
+        key = (str(p[0]), tuple(int(x) for x in p[1]))
+        if c[key] <= 0:
+            raise ValueError(f"particle {key} not present")
+        c[key] -= 1
+    return tuple(sorted(c.elements()))
 
 
 def trilinear_moves_ref(rule, state):
     """``TrilinearVertex.moves`` with each fuse/split channel as its own loop."""
+
+    def moved(removed, added):
+        particles = multiset_add_ref(multiset_remove_ref(state.particles, *removed), *added)
+        return symdiag.MultisetState(particles=particles)
+
     sa, sb, sc = rule.species
     grid = set(rule.grid)
     by_species = defaultdict(set)
@@ -410,39 +439,39 @@ def trilinear_moves_ref(rule, state):
         for qb in by_species[sb]:
             qc = add(qa, qb)
             if qc in grid:
-                t = state.remove((sa, qa), (sb, qb)).add((sc, qc))
+                t = moved(((sa, qa), (sb, qb)), ((sc, qc),))
                 out[t] += rule._amp(qc)
     for qc in by_species[sc]:
         for qa in rule.grid:
             qb = sub(qc, qa)
             if qb in grid:
-                t = state.remove((sc, qc)).add((sa, qa), (sb, qb))
+                t = moved(((sc, qc),), ((sa, qa), (sb, qb)))
                 out[t] += rule._amp(qc)
     # a <-> b+c
     for qa in by_species[sa]:
         for qb in rule.grid:
             qc = sub(qa, qb)
             if qc in grid:
-                t = state.remove((sa, qa)).add((sb, qb), (sc, qc))
+                t = moved(((sa, qa),), ((sb, qb), (sc, qc)))
                 out[t] += rule._amp(qc)
     for qb in by_species[sb]:
         for qc in by_species[sc]:
             qa = add(qb, qc)
             if qa in grid:
-                t = state.remove((sb, qb), (sc, qc)).add((sa, qa))
+                t = moved(((sb, qb), (sc, qc)), ((sa, qa),))
                 out[t] += rule._amp(qc)
     # b <-> a+c
     for qb in by_species[sb]:
         for qa in rule.grid:
             qc = sub(qb, qa)
             if qc in grid:
-                t = state.remove((sb, qb)).add((sa, qa), (sc, qc))
+                t = moved(((sb, qb),), ((sa, qa), (sc, qc)))
                 out[t] += rule._amp(qc)
     for qa in by_species[sa]:
         for qc in by_species[sc]:
             qb = add(qa, qc)
             if qb in grid:
-                t = state.remove((sa, qa), (sc, qc)).add((sb, qb))
+                t = moved(((sa, qa), (sc, qc)), ((sb, qb),))
                 out[t] += rule._amp(qc)
     # vacuum <-> a+b+c
     if state.size + 3 <= rule.max_particles:
@@ -450,25 +479,25 @@ def trilinear_moves_ref(rule, state):
             for qb in rule.grid:
                 qc = neg(add(qa, qb))
                 if qc in grid:
-                    t = state.add((sa, qa), (sb, qb), (sc, qc))
+                    t = moved((), ((sa, qa), (sb, qb), (sc, qc)))
                     out[t] += rule._amp(qc)
     for qa in by_species[sa]:
         for qb in by_species[sb]:
             qc = neg(add(qa, qb))
             if qc in by_species[sc]:
-                t = state.remove((sa, qa), (sb, qb), (sc, qc))
+                t = moved(((sa, qa), (sb, qb), (sc, qc)), ())
                 out[t] += rule._amp(qc)
     return out.items()
 
 
-def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP):
-    """Close the basis first, then take every basis state's moves again."""
+def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP, moves=trilinear_moves_ref):
+    """Close the basis first, then take every basis state's ``moves(rule, state)`` again."""
     frontier = list(dict.fromkeys(seeds))
     seen = dict.fromkeys(frontier)
     for _ in range(depth):
         nxt = []
         for s in frontier:
-            for t, _amp in rule.moves(s):
+            for t, _amp in moves(rule, s):
                 if t not in seen:
                     seen[t] = None
                     nxt.append(t)
@@ -479,7 +508,7 @@ def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP):
     basis_set = set(basis)
     entries = {}
     for s in basis:
-        for t, amp in rule.moves(s):
+        for t, amp in moves(rule, s):
             if t in basis_set and (t, s) not in entries:
                 entries[(s, t)] = amp
     return symdiag.SparseInteraction(basis=basis, entries=entries, dispersion=rule.dispersion)

@@ -208,16 +208,17 @@ class TestCliCommands:
         assert code == ArgumentError.exit_code not in (0, 1)
         assert err == f"error[{code}]: {message}\n"
 
+    DIAGRAM_MODEL = {
+        "species": [
+            {"name": "a", "mass": 1.0},
+            {"name": "b", "mass": 2.0},
+            {"name": "c", "mass": 0.5},
+        ],
+        "grid": {"dim": 1, "radius": 2},
+    }
+
     def test_diagrams(self, tmp_path, capsys):
-        model = {
-            "species": [
-                {"name": "a", "mass": 1.0},
-                {"name": "b", "mass": 2.0},
-                {"name": "c", "mass": 0.5},
-            ],
-            "grid": {"dim": 1, "radius": 2},
-        }
-        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "model.json").write_text(json.dumps(self.DIAGRAM_MODEL))
         code = cli.main(
             ["diagrams", "--model", str(tmp_path / "model.json"),
              "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.05"]
@@ -225,6 +226,18 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "diagram_partition_identity" in out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--ell", "0", "--tau", "0.1"], "ell must be at least 1"),
+        (["--ell", "2", "--tau", "-0.1"], "tau must be positive"),
+    ], ids=["zero-order", "negative-tau"])
+    def test_diagrams_bad_argument_exit_code(self, tmp_path, capsys, args, message):
+        (tmp_path / "model.json").write_text(json.dumps(self.DIAGRAM_MODEL))
+        code = cli.main(["diagrams", "--model", str(tmp_path / "model.json"),
+                         "--i", "a:1,b:-1", "--j", "a:-1,b:1"] + args)
+        captured = capsys.readouterr()
+        assert code == ArgumentError.exit_code not in (0, 1)
+        assert captured.err == f"error[{code}]: {message}\n" and captured.out == ""
 
     def test_tensor_conv(self, tmp_path, capsys):
         iotools.save_matrix(tmp_path / "a1.json", random_hermitian(2, 1.0, 5))

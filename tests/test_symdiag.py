@@ -1,4 +1,10 @@
+import functools
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +14,7 @@ from hypothesis import strategies as st
 import reference
 from ensembles import random_hermitian, random_momentum_model
 from pertkit import matcore, scattering, symdiag
-from pertkit.errors import EnumerationLimitError, NotATreeError
+from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotATreeError
 from pertkit.symdiag import EXT_IN, Diagram, MultisetState
 
 
@@ -47,6 +53,51 @@ class TestMultisetState:
         with pytest.raises(ValueError):
             state(("a", (1,))).remove(("b", (0,)))
 
+    def test_a_state_pickled_in_another_process_hashes_like_a_local_one(self):
+        # a fixed string-hash seed gives the writing process other hash values than this one's
+        code = ("import pickle, sys; from pertkit.symdiag import MultisetState as S; "
+                "sys.stdout.buffer.write(pickle.dumps(S.of(('a', (1,)), ('b', (-1,)))))")
+        src = os.path.dirname(os.path.dirname(symdiag.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+        blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+        assert pickle.loads(blob) in {STD_I}
+
+    @pytest.mark.parametrize("held, removed", [
+        ([("a", (1,))], [("b", [np.int64(0)])]),
+        ([("a", (1,)), ("c", (0,))], [("b", (0,))]),
+        ([("a", (1,))], [("a", (1,)), ("a", (1,))]),
+        ([], [("c", (0, 0))]),
+    ], ids=["absent", "absent-between-present-ones", "one-copy-too-many", "empty-state"])
+    def test_remove_missing_is_a_typed_error_with_the_old_message(self, held, removed):
+        with pytest.raises(ArgumentError) as err:
+            state(*held).remove(*removed)
+        with pytest.raises(ValueError) as old:
+            reference.multiset_remove_ref(reference.multiset_of_ref(*held), *removed)
+        assert str(err.value) == str(old.value)
+
+    @given(data=st.data(), dim=st.sampled_from((1, 2)))
+    def test_edits_equal_the_normalized_multiset(self, data, dim):
+        # momenta in {-1, 0, 1} make repeated identical particles common
+        particle = st.tuples(st.sampled_from("abc"), st.tuples(*[st.integers(-1, 1)] * dim))
+        held = data.draw(st.lists(particle, max_size=6))
+        added = data.draw(st.lists(particle, max_size=3))
+        gone = data.draw(st.sets(st.integers(0, len(held) - 1))) if held else set()
+        s = state(*held)
+
+        def assert_is_of(got, particles):
+            want = MultisetState.of(*particles)
+            assert got.particles == want.particles and repr(got) == repr(want)
+            assert got == want and hash(got) == hash(want)
+
+        # arguments in non-canonical form: numpy integers in a list
+        assert_is_of(s.add(*((sp, [np.int64(c) for c in p]) for sp, p in added)), held + added)
+        removed = [(sp, [np.int64(c) for c in p]) for k, (sp, p) in enumerate(held) if k in gone]
+        assert_is_of(s.remove(*removed), [p for k, p in enumerate(held) if k not in gone])
+        rule = random_vertex(len(held), dim, 1)
+        for t, _ in rule.moves(s):
+            assert_is_of(t, t.particles)
+            assert reference.multiset_of_ref(*t.particles) == t.particles
+
 
 class TestSparseInteraction:
     def test_hermiticity_is_automatic(self):
@@ -61,6 +112,35 @@ class TestSparseInteraction:
             symdiag.SparseInteraction(
                 basis=[s1, s2], entries={(s1, s2): 1.0}, dispersion=lambda sp, p: 1.0
             )
+
+    @pytest.mark.parametrize("other, conserves", [
+        (state(("a", (0,)), ("b", (-2,)), ("c", (2,))), True),
+        (state(("a", (0, 0))), True),
+        (state(("a", (1,)), ("b", (-2,)), ("c", (2,))), False),
+        (state(("a", (0, 1))), False),
+    ])
+    def test_vacuum_entries_conserve_zero_momentum(self, other, conserves):
+        vacuum = state()
+        assert vacuum.same_momentum(other) == other.same_momentum(vacuum) == conserves
+
+        def build():
+            return symdiag.SparseInteraction(basis=[vacuum, other], entries={(vacuum, other): 0.5},
+                                             dispersion=lambda sp, p: 1.0)
+
+        if conserves:
+            assert build().entry(other, vacuum) == 0.5
+        else:
+            with pytest.raises(MatrixFormatError, match="violates momentum conservation"):
+                build()
+
+    @pytest.mark.parametrize("basis, entries, message", [
+        ([STD_I, STD_I], {}, "duplicate states in basis"),
+        ([STD_I], {(STD_I, STD_J): 1.0}, "entry references a state outside the basis"),
+        ([STD_I, STD_J], {(STD_I, STD_J): 1.0, (STD_J, STD_I): 2.0}, "conflicting duplicate entries"),
+    ])
+    def test_constructor_errors_are_typed(self, basis, entries, message):
+        with pytest.raises(MatrixFormatError, match=message):
+            symdiag.SparseInteraction(basis=basis, entries=entries, dispersion=lambda sp, p: 1.0)
 
     def test_free_energy(self):
         bop = std_model()
@@ -83,19 +163,28 @@ def random_state(rng, rule, size):
 class CountingRule:
     """A vertex rule that records every state whose moves are taken.
 
-    With ``skew`` each amplitude is scaled by the size of its source state, so
-    a move and its reverse disagree and the entry shows which one was kept.
+    The moves are ``moves(rule, s)``: the rule's own, or the reference
+    channels of ``tests/reference.py``.  With ``skew`` each amplitude is
+    scaled by the size of its source state, so a move and its reverse
+    disagree and the entry shows which one was kept.
     """
 
-    def __init__(self, rule, skew=False):
+    def __init__(self, rule, skew=False, moves=symdiag.TrilinearVertex.moves):
         self.rule = rule
         self.skew = skew
         self.dispersion = rule.dispersion
         self.calls = []
+        self._moves = moves
 
     def moves(self, s):
         self.calls.append(s)
-        return [(t, amp * (1 + s.size) if self.skew else amp) for t, amp in self.rule.moves(s)]
+        return [(t, amp * (1 + s.size) if self.skew else amp) for t, amp in self._moves(self.rule, s)]
+
+
+def counting_ref(rule, skew=False):
+    """A counting rule over the reference channels, and the reference closure that takes its moves."""
+    return (CountingRule(rule, skew, reference.trilinear_moves_ref),
+            functools.partial(reference.build_interaction_ref, moves=CountingRule.moves))
 
 
 class TestVertexChannelTable:
@@ -115,6 +204,11 @@ class TestVertexChannelTable:
         for size in list(range(max_particles + 2)) + [max_particles] * 3:
             s = random_state(rng, rule, size)
             assert list(rule.moves(s)) == list(reference.trilinear_moves_ref(rule, s))
+        # seeds may carry momenta off the rule's grid
+        wide = random_vertex(seed, dim, radius + 2)
+        for size in range(1, 5):
+            s = random_state(rng, wide, size)
+            assert list(rule.moves(s)) == list(reference.trilinear_moves_ref(rule, s))
 
     @pytest.mark.parametrize("dim,radius,depths", [(1, 1, range(4)), (1, 2, range(3)), (2, 1, range(2))])
     def test_build_interaction_matches_reference(self, dim, radius, depths):
@@ -126,13 +220,35 @@ class TestVertexChannelTable:
 
         def outcome(build, r, seeds, depth):
             bop = build(r, seeds, depth)
-            return bop.basis, list(bop.entries.items())
+            return bop.basis, repr(list(bop.entries.items())), [bop.neighbors(s) for s in bop.basis]
 
         for seeds, depth, skew in itertools.product(seed_sets, depths, (False, True)):
             counting = CountingRule(rule, skew)
             got = outcome(symdiag.build_interaction, counting, seeds, depth)
-            assert got == outcome(reference.build_interaction_ref, CountingRule(rule, skew), seeds, depth)
+            ref_rule, ref_build = counting_ref(rule, skew)
+            assert got == outcome(ref_build, ref_rule, seeds, depth)
             assert counting.calls == got[0]  # once per basis state, in basis order
+
+    def test_build_interaction_normalizes_no_state_again(self, monkeypatch):
+        calls = []
+        real_of = MultisetState.of
+
+        def counting_of(*particles):
+            calls.append("of")
+            return real_of(*particles)
+
+        def counting_counter(*args):
+            calls.append("Counter")
+            return Counter(*args)
+
+        monkeypatch.setattr(MultisetState, "of", staticmethod(counting_of))
+        monkeypatch.setattr(symdiag, "Counter", counting_counter)
+        bop = std_model(radius=2, depth=2)
+        assert calls == [] and len(bop.basis) > 100
+        # the patches are the ones symdiag sees: ``add`` normalizes, the demo classifies by Counter
+        STD_I.add(("c", (0,)))
+        symdiag.three_particle_demo((1, 2), 1.0, 2.0, 0.5, STD_I, STD_J, 0.1)
+        assert calls[0] == "of" and set(calls[1:]) == {"Counter"}
 
     def test_zero_momentum_vacuum_move(self):
         rule = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 2))
@@ -153,11 +269,12 @@ class TestVertexChannelTable:
     def test_cap_raises_at_the_same_point(self, cap):
         rule = random_vertex(5, 1, 2)
         seeds = [STD_I, STD_J]
-        new, ref = CountingRule(rule), CountingRule(rule)
+        new = CountingRule(rule)
+        ref, ref_build = counting_ref(rule)
         with pytest.raises(EnumerationLimitError) as new_err:
             symdiag.build_interaction(new, seeds, 3, cap=cap)
         with pytest.raises(EnumerationLimitError) as ref_err:
-            reference.build_interaction_ref(ref, seeds, 3, cap=cap)
+            ref_build(ref, seeds, 3, cap=cap)
         assert str(new_err.value) == str(ref_err.value)
         assert new.calls == ref.calls
 
@@ -295,6 +412,14 @@ class TestDiagramOf:
 
 
 class TestGroupingAndValues:
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_order_below_one_is_an_argument_error(self, ell):
+        bop = std_model()
+        with pytest.raises(ArgumentError, match="ell must be at least 1"):
+            symdiag.group_terms_by_diagram(bop, STD_I, STD_J, ell)
+        with pytest.raises(ArgumentError, match="ell must be at least 1"):
+            symdiag.diagram_values(bop, STD_I, STD_J, 0.1, ell)
+
     def test_order_one_single_group(self):
         bop = std_model()
         k = state(("c", (0,)))

@@ -490,14 +490,18 @@ def trilinear_moves_ref(rule, state):
     return out.items()
 
 
-def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP, moves=trilinear_moves_ref):
-    """Close the basis first, then take every basis state's ``moves(rule, state)`` again."""
+def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP):
+    """Close the basis first, then take every basis state's ``rule.moves`` again.
+
+    A rule whose ``moves`` are :func:`trilinear_moves_ref` gives the reference
+    channels, so the whole closure shares no state arithmetic with ``symdiag``.
+    """
     frontier = list(dict.fromkeys(seeds))
     seen = dict.fromkeys(frontier)
     for _ in range(depth):
         nxt = []
         for s in frontier:
-            for t, _amp in moves(rule, s):
+            for t, _amp in rule.moves(s):
                 if t not in seen:
                     seen[t] = None
                     nxt.append(t)
@@ -508,7 +512,7 @@ def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP, moves=trili
     basis_set = set(basis)
     entries = {}
     for s in basis:
-        for t, amp in moves(rule, s):
+        for t, amp in rule.moves(s):
             if t in basis_set and (t, s) not in entries:
                 entries[(s, t)] = amp
     return symdiag.SparseInteraction(basis=basis, entries=entries, dispersion=rule.dispersion)

@@ -17,13 +17,15 @@ time evolution to the shifted inverse, holomorphic functional calculus, and
 adiabatic evolution with its eigenvalue/eigenvector estimators.  Both
 Hermitian time-dependent paths take exactly unitary fourth-order Magnus
 steps (Blanes, Casas, Oteo & Ros, 2009), a stack of them from one batched
-``eigh``.  The adiabatic path runs block by block; only the O(n^2) state
-update and the eigenvector continuation run step by step, and each error is
-raised at the step it belongs to.
+``eigh``.  The adiabatic path runs block by block, a ramped schedule's ``H``
+as one broadcast ``A + f(t) B``; only the O(n^2) state update and the gauge
+of the tracked eigenvector run step by step, and each error is raised at the
+step it belongs to.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -70,13 +72,45 @@ class Schedule:
     def matrix(self, t: float) -> np.ndarray:
         return matcore.require_hermitian(self.evaluator(t), what=f"H({t:g})")
 
+    def _stack(self, ts: np.ndarray, n: int):
+        """``H`` at each of ``ts`` up to the first evaluation that raises or
+        has the wrong shape, and that exception (``None`` if there is none)."""
+        mats, err = [], None
+        for t in ts:
+            try:
+                m = np.asarray(self.evaluator(t), dtype=complex)
+                if m.shape != (n, n):
+                    raise ShapeError(f"expected H of shape {(n, n)}, got {m.shape}")
+            except Exception as exc:
+                err = exc
+                break
+            mats.append(m)
+        return np.array(mats, dtype=complex).reshape(-1, n, n), err
+
+
+class _RampedSchedule(Schedule):
+    """``H(t) = A + f(t) B``; a stack is one broadcast of ``f`` at Python floats."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, f: Callable[[float], float]):
+        super().__init__(evaluator=lambda t: a + f(t) * b)
+        self.a, self.b, self.f = a, b, f
+
+    def _stack(self, ts: np.ndarray, n: int):
+        fs, err = [], None
+        for t in ts.tolist():
+            try:
+                fs.append(complex(self.f(t)))
+            except Exception as exc:
+                err = exc
+                break
+        return self.a + np.array(fs, dtype=complex)[:, None, None] * self.b, err
+
 
 def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Schedule:
     """Schedule ``H(t) = A + f(t) B`` for a named or callable ramp."""
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
-    f = RAMPS[ramp] if isinstance(ramp, str) else ramp
-    return Schedule(evaluator=lambda t: a + f(t) * b)
+    return _RampedSchedule(a, b, RAMPS[ramp] if isinstance(ramp, str) else ramp)
 
 
 #: Largest accepted step estimate of :func:`_magnus`.
@@ -265,7 +299,7 @@ class AdiabaticResult:
 
 
 #: Steps per batched eigendecomposition; a bounded block keeps memory flat.
-_BLOCK = 32
+_BLOCK = 64
 
 
 def _nearest_gaps(w: np.ndarray) -> np.ndarray:
@@ -280,34 +314,6 @@ def _require_gap(gap: float, min_gap: float, t: float) -> None:
         raise GapCollapseError(f"spectral gap {gap:.2e} below {min_gap:g} at t={t:g}")
 
 
-def _schedule_block(evaluator, ts: np.ndarray, h: float, n: int):
-    """Step widths, ``H`` at the midpoint and end of each step starting at
-    ``ts`` (alternating), a mask of the finite Hermitian ones and their stack
-    (others zeroed), and one batched ``eigh`` of the ends (eigenvalues,
-    adjoint eigenvectors, eigenvectors, nearest gaps).  An evaluation that
-    raises or has the wrong shape ends the block and takes the place of its
-    matrix as an exception, to be raised in time order."""
-    hks = (ts + h) - ts  # the width of one step on [t, t + h]
-    mats = []
-    for tt in np.column_stack([ts + hks / 2, ts + hks]).ravel():
-        try:
-            m = np.asarray(evaluator(tt), dtype=complex)
-            if m.shape != (n, n):
-                raise ShapeError(f"expected H of shape {(n, n)}, got {m.shape}")
-        except Exception as exc:
-            mats += [exc] * (2 - len(mats) % 2)
-            break
-        mats.append(m)
-    regular = np.array([isinstance(e, np.ndarray) for e in mats])
-    stack = np.array([e if r else np.zeros((n, n)) for e, r in zip(mats, regular)], dtype=complex)
-    ok = regular & np.isfinite(stack).all(axis=(1, 2))
-    stack[~ok] = 0.0
-    ok &= matcore.is_hermitian(stack)
-    ends = stack[1::2]
-    w, v = np.linalg.eigh((ends + ends.conj().swapaxes(1, 2)) / 2.0)
-    return hks[:len(ends)], mats, ok, stack, w, v.conj().swapaxes(1, 2), v, _nearest_gaps(w)
-
-
 def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_gap: float = 1e-3):
     """Shared core: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
 
@@ -315,6 +321,8 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
     at the end, then the gap at the end node, then the step estimate.
     Returns nodes, the state history at nodes, ``H u`` at nodes, the
     continued eigenvector path (positive-overlap gauge) and eigenvalue path.
+    A block of steps is array work, its checks as masks replayed only at the
+    first failing step; per step, only ``u = U_k u`` and the gauge run.
     """
     steps = g.steps
     h = 1.0 / steps
@@ -332,30 +340,48 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
     us[0] = e_path[0] = u = e_prev = dec0.eigenvectors[:, i].copy()
     hus[0] = h_end @ u
     lam_path[0] = dec0.eigenvalues[i]
+    idxs, vecs = [i], dec0.eigenvectors[None]
 
     for k0 in range(0, steps, _BLOCK):
-        hks, mats, ok, stack, lams, vecs_h, vecs, gaps = _schedule_block(
-            sched.evaluator, nodes[k0:min(k0 + _BLOCK, steps)], h, n)
-        ends = stack[1::2]
+        ts = nodes[k0:min(k0 + _BLOCK, steps)]
+        hks = (ts + h) - ts  # the width of one step on [t, t + h]
+        # H at each step's midpoint and end, through a step whose evaluation
+        # raises; non-finite and non-Hermitian ones fail the mask and are zeroed
+        raw, err = sched._stack(np.column_stack([ts + hks / 2, ts + hks]).ravel(), n)
+        hks = hks[:len(raw) // 2 + (err is not None)]
+        stack = np.zeros((2 * hks.size, n, n), dtype=complex)
+        stack[:len(raw)] = raw
+        ok = np.isfinite(stack).all(axis=(1, 2)) & (np.arange(2 * hks.size) < len(raw))
+        stack[~ok] = 0.0
+        ok &= matcore.is_hermitian(stack)
+        ends, v_prev = stack[1::2], vecs[-1:]
+        lams, vecs = np.linalg.eigh((ends + ends.conj().swapaxes(1, 2)) / 2.0)
         step_us, est = _magnus(np.concatenate([h_end[None], ends[:-1]]), stack[0::2], ends, eta * hks)
-        for j, k in enumerate(range(k0, k0 + hks.size)):
-            for mat, good in zip(mats[2 * j:2 * j + 2], ok[2 * j:2 * j + 2]):
-                if isinstance(mat, Exception):
-                    raise mat
-                if not good:
-                    matcore.require_hermitian(mat)  # raises: non-finite or non-Hermitian
-            idx = int(np.abs(vecs_h[j] @ e_prev).argmax())
-            _require_gap(gaps[j, idx], min_gap, nodes[k + 1])
+        # the tracked index, chained through the argmax over r of |<v_r(t_k), v_c(t_{k-1})>|
+        table = np.abs(vecs.conj().swapaxes(1, 2) @ np.concatenate([v_prev, vecs[:-1]])).argmax(axis=1)
+        idxs = list(itertools.accumulate(table.tolist(), lambda c, row: row[c], initial=idxs[-1]))[1:]
+        rows = np.arange(hks.size)
+        gaps = _nearest_gaps(lams)[rows, idxs]
+        bad = ~(ok[0::2] & ok[1::2]) | (gaps < min_gap) | ~(est <= _MAX_STEP_ESTIMATE)
+        for j in np.flatnonzero(bad)[:1]:  # the per-step checks, in order: one raises
+            for q in (2 * j, 2 * j + 1):
+                if q >= len(raw):
+                    raise err
+                if not ok[q]:
+                    matcore.require_hermitian(raw[q])  # raises: non-finite or non-Hermitian
+            _require_gap(gaps[j], min_gap, nodes[k0 + j + 1])
             if not est[j] <= _MAX_STEP_ESTIMATE:  # a NaN estimate fails too
-                raise StepSizeError(f"step estimate {est[j]:.2e} at t={nodes[k + 1]:g}; refine the grid")
-            us[k + 1] = u = step_us[j] @ u
-            e_new = vecs[j, :, idx].copy()
+                raise StepSizeError(f"step estimate {est[j]:.2e} at t={nodes[k0 + j + 1]:g}; refine the grid")
+        cols = vecs[rows, :, idxs]  # contiguous rows: np.vdot of a strided column rounds differently
+        for k, step, e_new in zip(range(k0 + 1, steps + 1), step_us, cols):
+            u = np.matmul(step, u, out=us[k])
             ov = np.vdot(e_prev, e_new)
             if abs(ov) > 0:
                 e_new *= ov.conjugate() / abs(ov)  # positive-overlap gauge
-            e_path[k + 1] = e_prev = e_new
-            lam_path[k + 1] = lams[j, idx]
-        hus[k0 + 1:k0 + 1 + hks.size] = np.matmul(ends, us[k0 + 1:k0 + 1 + hks.size, :, None])[..., 0]
+            e_prev = e_new
+        block = slice(k0 + 1, k0 + 1 + hks.size)
+        e_path[block], lam_path[block] = cols, lams[rows, idxs]
+        hus[block] = np.matmul(ends, us[block, :, None])[..., 0]
         h_end = ends[-1]
 
     return nodes, us, hus, e_path, lam_path

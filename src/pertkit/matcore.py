@@ -36,6 +36,7 @@ import scipy.linalg
 from scipy.linalg.blas import dznrm2
 
 from .errors import (
+    ArgumentError,
     MatrixFormatError,
     NotHermitianError,
     ShapeError,
@@ -203,7 +204,7 @@ def eig_hermitian(m) -> SpectralDecomposition:
 def simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     """Composite Simpson weights on ``n_intervals + 1`` equispaced nodes."""
     if n_intervals % 2:
-        raise ValueError("Simpson rule needs an even number of intervals")
+        raise ArgumentError("Simpson rule needs an even number of intervals")
     w = np.ones(n_intervals + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -225,9 +226,9 @@ class ContourSpec:
 
     def __post_init__(self):
         if not (self.radius > 0):
-            raise ValueError("contour radius must be positive")
+            raise ArgumentError("contour radius must be positive")
         if self.num_points < 16:
-            raise ValueError("contour needs at least 16 quadrature points")
+            raise ArgumentError("contour needs at least 16 quadrature points")
 
 
 def contour_integrate(f, c: ContourSpec):

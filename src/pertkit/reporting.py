@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .errors import ArgumentError
 
 
 def fmt(x) -> str:
@@ -54,7 +55,7 @@ class Report:
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
-            raise ValueError("row width does not match columns")
+            raise ArgumentError("row width does not match columns")
         self.rows.append(tuple(values))
 
     def check(self, name: str, value: float, tolerance: float) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import DefinitenessError, EnumerationLimitError, ShapeError
+from .errors import ArgumentError, DefinitenessError, EnumerationLimitError, MatrixFormatError, ShapeError
 
 #: Exhaustive index-path enumeration guard for the simplex representation
 #: and the scattering index sums.
@@ -112,11 +112,11 @@ class SimplexQuadrature:
 
     def __post_init__(self):
         if self.method not in ("monte-carlo", "recursive-grid"):
-            raise ValueError(f"unknown simplex method {self.method!r}")
+            raise ArgumentError(f"unknown simplex method {self.method!r}")
         if self.method == "monte-carlo" and self.samples_or_depth < 1000:
-            raise ValueError("monte-carlo needs at least 1000 samples")
+            raise ArgumentError("monte-carlo needs at least 1000 samples")
         if self.method == "recursive-grid" and self.samples_or_depth < 2:
-            raise ValueError("recursive-grid needs depth >= 2")
+            raise ArgumentError("recursive-grid needs depth >= 2")
 
 
 @dataclass(frozen=True)
@@ -202,15 +202,15 @@ def feynman_parameter_entry(
     enumerated exhaustively; Monte-Carlo sampling reports a standard error.
     """
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise ArgumentError("tau must be positive")
     a = matcore.as_matrix(a_diag, square=True)
     if not matcore.is_diagonal(a):
-        raise ValueError("A must be diagonal for the Feynman-parameter representation")
+        raise MatrixFormatError("A must be diagonal for the Feynman-parameter representation")
     lam = np.real(np.diagonal(a)).copy()
     b = matcore.as_matrix(b, square=True)
     n = b.shape[0]
     if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("entry indices out of range")
+        raise ArgumentError("entry indices out of range")
     if n**m_max > PATH_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"index enumeration {n}^{m_max} exceeds cap {PATH_ENUMERATION_CAP}"

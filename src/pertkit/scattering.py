@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import EnumerationLimitError, ShapeError
+from .errors import ArgumentError, EnumerationLimitError, MatrixFormatError, ShapeError, SingularMatrixError
 from .resolvent import PATH_ENUMERATION_CAP, _paths
 
 
@@ -48,7 +48,12 @@ class ScatteringQuery:
 
     def __post_init__(self):
         if not (self.tau > 0):
-            raise ValueError("tau must be positive")
+            raise ArgumentError("tau must be positive")
+
+    def check_indices(self, n: int) -> None:
+        """Raise :class:`ArgumentError` unless ``i`` and ``j`` index ``n`` levels."""
+        if not (0 <= self.i < n and 0 <= self.j < n):
+            raise ArgumentError(f"entry ({self.i}, {self.j}) out of range for n = {n}")
 
 
 @dataclass
@@ -91,11 +96,15 @@ def lambda_shift(lam_i: float, lam_j: float, tau: float) -> complex:
 def s_entry_resolvent(a, b, q: ScatteringQuery) -> complex:
     """Scattering entry ``i*tau <v_i, (A+B-lambda_tau)^{-1} v_j>``.
 
-    One solve of the never-singular shifted system: cheaper than an
-    eigendecomposition for one entry, and accurate to the entry's own size
-    rather than to ``eps ||A+B|| / tau``.
+    One solve of the shifted system, singular values at least ``tau``: cheaper
+    than an eigendecomposition for one entry, and accurate to the entry's own
+    size rather than to ``eps ||A+B|| / tau``.  Raises
+    :class:`SingularMatrixError` when ``tau <= 1e-13 ||A+B||_F``.
     """
     lam, vecs, m = _coupled(a, b)
+    q.check_indices(lam.size)
+    if q.tau <= matcore.SINGULARITY_RTOL * np.linalg.norm(m):
+        raise SingularMatrixError(f"tau = {q.tau:.3e} is not above {matcore.SINGULARITY_RTOL:g} ||A+B||_F")
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
     x = np.linalg.solve(m - lt * np.eye(lam.size, dtype=complex), vecs[:, q.j])
     return complex(1j * q.tau * np.vdot(vecs[:, q.i], x))
@@ -112,6 +121,7 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     any object with a ``steps`` attribute (e.g. a TimeGrid).
     """
     lam, vecs, m = _coupled(a, b)
+    q.check_indices(lam.size)
     dec = matcore.eig_hermitian(m)
     mu, w = dec.eigenvalues, dec.eigenvectors
     amp = (w.conj().T @ vecs[:, q.i]).conj() * (w.conj().T @ vecs[:, q.j])
@@ -138,6 +148,7 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> ScatteringSeries:
     ``A``.
     """
     lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
+    q.check_indices(lam.size)
     b = matcore.as_matrix(b, square=True)
     b_eig = vecs.conj().T @ b @ vecs
     d = 1.0 / (lam - lambda_shift(lam[q.i], lam[q.j], q.tau))
@@ -165,13 +176,14 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     :func:`s_series` is the independent cross-check.
     """
     if ell < 2:
-        raise ValueError("the multi-index sum is defined for ell >= 2")
+        raise ArgumentError("the multi-index sum is defined for ell >= 2")
     a = matcore.as_matrix(a_diag, square=True)
     if not matcore.is_diagonal(a):
-        raise ValueError("A must be diagonal for the index sum")
+        raise MatrixFormatError("A must be diagonal for the index sum")
     lam = np.real(np.diagonal(a))
     b = matcore.as_matrix(b, square=True)
     n = lam.size
+    q.check_indices(n)
     if n ** (ell - 1) > PATH_ENUMERATION_CAP:
         raise EnumerationLimitError(f"{n}^{ell - 1} paths exceed cap {PATH_ENUMERATION_CAP}")
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
@@ -218,13 +230,13 @@ def born_demo(num_sites: int, dispersion, potential, p: int, q: int, tau: float)
     num_sites - num_sites//2)``.
     """
     if num_sites < 4:
-        raise ValueError("need at least 4 sites")
+        raise ArgumentError("need at least 4 sites")
     ks = np.arange(num_sites) - num_sites // 2
     momenta = 2.0 * np.pi * ks / num_sites
     xs = np.arange(num_sites)
 
     if p not in ks or q not in ks:
-        raise ValueError("mode numbers out of range")
+        raise ArgumentError("mode numbers out of range")
     i = int(np.flatnonzero(ks == p)[0])
     j = int(np.flatnonzero(ks == q)[0])
 
@@ -254,7 +266,7 @@ def rutherford_demo(grid_radius: int, charge: float, p0, q0, eps_shell: float, t
     shell ``F(q0) = F(p0)`` once the lattice resolves the Lorentzian width.
     """
     if grid_radius < 1 or 2 * grid_radius + 1 > 17:
-        raise ValueError("grid radius must keep the grid within 17^3 modes")
+        raise ArgumentError("grid radius must keep the grid within 17^3 modes")
     if dispersion is None:
         dispersion = lambda vec: float(np.linalg.norm(vec))
     p0 = np.asarray(p0, dtype=float)
@@ -273,10 +285,10 @@ def rutherford_demo(grid_radius: int, charge: float, p0, q0, eps_shell: float, t
                 found += 1
                 dp2 = float(np.sum((p0 - qvec) ** 2))
                 if dp2 == 0.0:
-                    raise ValueError("Coulomb kernel pole: p0 lies on the shell")
+                    raise ArgumentError("Coulomb kernel pole: p0 lies on the shell")
                 denom = (f_p0 - dispersion(qvec)) ** 2 / 4.0 + tau**2
                 amp = tau / denom * charge / dp2
                 total += amp * amp
     if found == 0:
-        raise ValueError("no grid modes on the requested shell")
+        raise ArgumentError("no grid modes on the requested shell")
     return total

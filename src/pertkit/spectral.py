@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import ContourEnclosureError, ConvergenceError, ShapeError
+from .errors import ArgumentError, ContourEnclosureError, ConvergenceError, MatrixFormatError, ShapeError
 from .matcore import ContourSpec, SpectralDecomposition
 
 
@@ -179,7 +179,7 @@ def lambda4_closed_form(a_diag, b, i: int) -> float:
     a = matcore.as_matrix(a_diag, square=True)
     lam = np.real(np.diagonal(a))
     if not matcore.is_diagonal(a, 1e-12):
-        raise ValueError("A must be diagonal")
+        raise MatrixFormatError("A must be diagonal")
     b = matcore.as_matrix(b, square=True)
     n = lam.size
     mask = np.arange(n) != i
@@ -487,7 +487,7 @@ def unit_eigenvector_expansion(s: SchurData, lambda_series: EigenPerturbationSer
     """
     lam = np.asarray(lambda_series.coefficients, dtype=float)
     if lam.size < order + 1:
-        raise ValueError("eigenvalue series too short for the requested order")
+        raise ArgumentError("eigenvalue series too short for the requested order")
     n_perp = s.b.size
     eye = np.eye(n_perp, dtype=complex)
     m0 = lam[0] * eye - s.a_perp
@@ -592,7 +592,7 @@ def harmonic_oscillator_operators(grid_size: int, box: float = 10.0, eta: float 
     """
     n = int(grid_size)
     if n < 8:
-        raise ValueError("grid too small")
+        raise ArgumentError("grid too small")
     h = 2.0 * box / (n + 1)
     x = -box + h * np.arange(1, n + 1)
     lap = (

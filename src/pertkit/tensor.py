@@ -25,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from . import matcore
-from .errors import ShapeError, SingularMatrixError
+from .errors import ArgumentError, ShapeError, SingularMatrixError
 
 MAX_MATERIALIZED_DIM = 4096
 
@@ -41,7 +41,7 @@ class KroneckerSum:
 
     def __post_init__(self):
         if not self.factors:
-            raise ValueError("need at least one factor")
+            raise ArgumentError("need at least one factor")
         for f in self.factors:
             matcore.as_matrix(f, square=True)
 
@@ -62,9 +62,9 @@ class LineQuadrature:
 
     def __post_init__(self):
         if self.cutoff < 10:
-            raise ValueError("cutoff must be at least 10")
+            raise ArgumentError("cutoff must be at least 10")
         if self.nodes < 200:
-            raise ValueError("need at least 200 nodes")
+            raise ArgumentError("need at least 200 nodes")
 
 
 def kron_sum_materialize(k: KroneckerSum) -> np.ndarray:
@@ -137,7 +137,7 @@ def convolution_resolvent(k: KroneckerSum, omega: float, eps: float, q: LineQuad
     of the leading ``-1/w1^2`` asymptote over the discarded tails).
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ArgumentError("eps must be positive")
     lam1, lam2, v = _two_factor_eigs(k)
     diag = _line_sum(q, lambda w: 1.0 / (lam1 - w[:, None] + 1j * eps),
                      lambda w: 1.0 / (lam2 - (omega - w)[:, None] + 1j * eps)).ravel()
@@ -155,7 +155,7 @@ def convolution_resolvent_symmetric(k: KroneckerSum, omega: float, eps: float, q
     exact integral of the leading asymptote.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ArgumentError("eps must be positive")
     lam1, lam2, v = _two_factor_eigs(k)
     z1 = lam1 + 1j * eps
     z2 = lam2 + 1j * eps

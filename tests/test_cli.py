@@ -182,6 +182,19 @@ class TestCliCommands:
         assert code == 0
         assert "abel_vs_direct" in out
 
+    @pytest.mark.parametrize("args, message", [
+        (["--i", "0", "--j", "5"], "entry (0, 5) out of range for n = 2"),
+        (["--i=-1", "--j", "1"], "entry (-1, 1) out of range for n = 2"),
+    ], ids=["j-too-large", "negative-i"])
+    def test_scatter_index_out_of_range_exit_code(self, tmp_path, capsys, args, message):
+        iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0]))
+        iotools.save_matrix(tmp_path / "b.json", 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        code = cli.main(["scatter", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                         "--tau", "0.2", "--order", "4"] + args)
+        captured = capsys.readouterr()
+        assert code == ArgumentError.exit_code not in (0, 1)
+        assert captured.err == f"error[{code}]: {message}\n" and captured.out == ""
+
     def test_adiabatic(self, fixtures, capsys, tmp_path):
         a = np.diag([0.0, 1.0])
         b = 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]])

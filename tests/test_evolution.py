@@ -375,7 +375,7 @@ class TestCascadeOracles:
 
 #: One step count below a block, and full blocks with and without a partial
 #: last block.
-MAGNUS_STEPS = (24, 96, 100, 250)
+MAGNUS_STEPS = (24, 96, 100, 2 * evolution._BLOCK, 250)
 
 
 def _ramp_instance(n, steps, ramp):
@@ -616,10 +616,10 @@ class TestErrorOrder:
         assert kind is StepSizeError
         assert "at t=0.025;" in message
 
-    @pytest.mark.parametrize("node", [33, 64], ids=["first-of-block", "last-of-block"])
+    @pytest.mark.parametrize("node", [evolution._BLOCK + 1, evolution._BLOCK], ids=["first-of-block", "last-of-block"])
     @pytest.mark.parametrize("tracked", [0, 1], ids=["upper-neighbour", "lower-neighbour"])
     def test_gap_collapse_at_block_edges(self, node, tracked):
-        steps = 96
+        steps = 3 * evolution._BLOCK // 2
         threshold = (node - 0.25) / steps
 
         def evaluator(t):
@@ -658,12 +658,110 @@ class TestErrorOrder:
         kind, _ = self._both(evaluator, 1.0, 0, 96)
         assert kind is GapCollapseError
 
-    @pytest.mark.parametrize("start", [32.25, 48.0], ids=["first-of-block", "mid-block"])
+    @pytest.mark.parametrize("start", [evolution._BLOCK + 0.25, evolution._BLOCK / 2], ids=["first-of-block", "mid-block"])
     def test_evaluator_exception_keeps_its_message(self, start):
+        steps = 3 * evolution._BLOCK // 2
+
         def evaluator(t):
-            if t > start / 96:
+            if t > start / steps:
                 raise RuntimeError(f"no H at {t:.17g}")
             return np.diag([0.0, 1.0])
 
-        kind, message = self._both(evaluator, 1.0, 0, 96)
+        kind, message = self._both(evaluator, 1.0, 0, steps)
         assert kind is RuntimeError and message.startswith("no H at ")
+
+
+def _quarter_sine(t):
+    return math.sin(0.5 * math.pi * t) ** 2
+
+
+class TestBlockCore:
+    """The block-wide index chain, check masks and ramp broadcast against the
+    per-node evaluator and the per-node reference, across block boundaries."""
+
+    @pytest.mark.parametrize("ramp", ["linear", "smoothstep", "smootherstep", _quarter_sine])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("steps", [evolution._BLOCK + 1, 3 * evolution._BLOCK - 5])
+    def test_ramp_broadcast_matches_the_evaluator(self, ramp, n, steps):
+        sched, i = _ramp_instance(n, steps, ramp)
+        f = evolution.RAMPS[ramp] if isinstance(ramp, str) else ramp
+        general = evolution.Schedule(evaluator=lambda t: sched.a + f(t) * sched.b)
+        grid = evolution.TimeGrid(steps)
+        got, want = (evolution.adiabatic_evolve(s, 3.0, i, grid) for s in (sched, general))
+        for field in ("final_state", "eigenvalue_path", "final_eigenvector"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.tracked_phase == want.tracked_phase
+
+    #: ``H`` at one end node that fails a check of the step ending there.
+    BAD_NODES = {
+        "non-hermitian": (np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError),
+        "non-finite": (np.full((2, 2), np.nan), MatrixFormatError),
+        "collapsed-gap": (np.diag([0.0, 1e-4]), GapCollapseError),
+        "step-estimate": (np.diag([0.0, 1.0]) + 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), StepSizeError),
+        "raises": (None, RuntimeError),
+    }
+
+    @staticmethod
+    def _bad_at(nodes, steps):
+        """Evaluator of ``diag(0, 1)`` except at the end nodes ``{index: kind}``."""
+        def evaluator(t):
+            half_steps = round(t * 2 * steps)
+            kind = nodes.get(half_steps // 2) if half_steps % 2 == 0 else None
+            if kind == "raises":
+                raise RuntimeError(f"no H at t={t:g}")
+            return np.diag([0.0, 1.0]) if kind is None else TestBlockCore.BAD_NODES[kind][0]
+
+        return evaluator
+
+    @pytest.mark.parametrize("kind", ["collapsed-gap", "step-estimate", "non-hermitian"])
+    @pytest.mark.parametrize("offset", [1, evolution._BLOCK // 2, evolution._BLOCK])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_bad_node_in_a_later_block(self, kind, offset):
+        steps = 3 * evolution._BLOCK
+        node = evolution._BLOCK + offset
+        got, message = TestErrorOrder._both(self._bad_at({node: kind}, steps), 1.0, 0, steps)
+        assert got is self.BAD_NODES[kind][1]
+        if kind != "non-hermitian":
+            assert f"at t={node / steps:g}" in message
+
+    @pytest.mark.parametrize("early, late", list(itertools.permutations(BAD_NODES, 2)))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_later_bad_node_in_the_block_never_wins(self, early, late):
+        steps = 3 * evolution._BLOCK
+        first = evolution._BLOCK + 5
+        evaluator = self._bad_at({first: early, first + 3: late}, steps)
+        got, message = TestErrorOrder._both(evaluator, 1.0, 0, steps)
+        assert got is self.BAD_NODES[early][1]
+        if early in ("collapsed-gap", "step-estimate", "raises"):
+            assert f"at t={first / steps:g}" in message
+
+    @pytest.mark.parametrize("raise_at, collapse_at", [(20, 40), (40, 20)], ids=["ramp-first", "gap-first"])
+    def test_a_raising_ramp_raises_at_its_step(self, raise_at, collapse_at):
+        # both in the second block, at these offsets from its start
+        steps = 3 * evolution._BLOCK
+        raise_at, collapse_at = evolution._BLOCK + raise_at, evolution._BLOCK + collapse_at
+
+        def ramp(t):
+            if abs(t * steps - (raise_at - 0.5)) < 0.1:  # only the midpoint before node raise_at
+                raise RuntimeError(f"no ramp at t={t:g}")
+            return 0.99995 if t * steps > collapse_at - 0.25 else 0.0
+
+        sched = evolution.ramped_schedule(np.diag([0.0, 1.0]), np.diag([0.0, -1.0]), ramp)
+        got = _outcome(lambda: evolution.adiabatic_evolve(sched, 1.0, 0, evolution.TimeGrid(steps)))
+        assert got == _outcome(lambda: reference.integrate_schedule_ref(sched, 1.0, 0, steps))
+        if raise_at < collapse_at:
+            assert got == (RuntimeError, f"no ramp at t={(raise_at - 0.5) / steps:g}")
+        else:
+            assert got == (GapCollapseError, f"spectral gap 5.00e-05 below 0.001 at t={collapse_at / steps:g}")
+
+    @pytest.mark.parametrize("crossing", [evolution._BLOCK + 0.5, evolution._BLOCK + 20.5], ids=["block-edge", "mid-block"])
+    def test_the_tracked_level_crosses_another(self, crossing):
+        # the levels of diag(0, 2 (t_c - t)) swap order between two nodes;
+        # the index chain must follow the level, not its rank
+        steps = 3 * evolution._BLOCK - 5
+        sched = evolution.Schedule(evaluator=lambda t: np.diag([0.0, 2.0 * (crossing / steps - t)]))
+        res = evolution.adiabatic_evolve(sched, 1.0, 0, evolution.TimeGrid(steps))
+        nodes, us, e_path, lam_path = reference.integrate_schedule_ref(sched, 1.0, 0, steps)
+        np.testing.assert_array_equal(res.eigenvalue_path, lam_path)
+        np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
+        assert np.all(lam_path == 0.0)

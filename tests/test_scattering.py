@@ -5,7 +5,7 @@ import pytest
 
 from ensembles import random_diagonal, random_hermitian
 from pertkit import matcore, scattering
-from pertkit.errors import EnumerationLimitError
+from pertkit.errors import ArgumentError, EnumerationLimitError, SingularMatrixError
 
 
 def diagonal_instance(n, b_scale, seed):
@@ -51,6 +51,26 @@ class TestDirectEntry:
     def test_query_validation(self):
         with pytest.raises(ValueError):
             scattering.ScatteringQuery(i=0, j=0, tau=0.0)
+
+    def test_tau_at_the_singularity_threshold_is_refused(self):
+        a, b = diagonal_instance(4, 0.2, 5)
+        limit = matcore.SINGULARITY_RTOL * np.linalg.norm(a + b)
+        with pytest.raises(SingularMatrixError, match="not above 1e-13"):
+            scattering.s_entry_resolvent(a, b, scattering.ScatteringQuery(i=0, j=1, tau=limit))
+        entry = scattering.s_entry_resolvent(a, b, scattering.ScatteringQuery(i=0, j=1, tau=2.0 * limit))
+        assert np.isfinite(entry)
+
+    @pytest.mark.parametrize("i, j", [(0, 4), (4, 0), (-1, 0), (0, -5)])
+    @pytest.mark.parametrize("entry", [
+        scattering.s_entry_resolvent,
+        lambda a, b, q: scattering.s_entry_time_average(a, b, q, 10.0, 100),
+        lambda a, b, q: scattering.s_series(a, b, q, 3),
+        lambda a, b, q: scattering.s_term_index_sum(a, b, q, 2),
+    ], ids=["resolvent", "time-average", "series", "index-sum"])
+    def test_entry_out_of_range_is_an_argument_error(self, entry, i, j):
+        a, b = diagonal_instance(4, 0.2, 6)
+        with pytest.raises(ArgumentError, match=rf"entry \({i}, {j}\) out of range for n = 4"):
+            entry(a, b, scattering.ScatteringQuery(i=i, j=j, tau=0.3))
 
 
 class TestClosedForms:

@@ -213,8 +213,8 @@ def _run_diagrams(config: RunConfig) -> Report:
     j = parse_state(p["j"])
     ell, tau = p["ell"], p["tau"]
     bop = symdiag.build_interaction(rule, [i, j], depth=max(2, ell))
-    values = symdiag.diagram_values(bop, i, j, tau, ell)
     groups = symdiag.group_terms_by_diagram(bop, i, j, ell)
+    values = symdiag.diagram_values(bop, groups, tau)
     rep = _report(config, ["diagram", "multiplicity", "value_re", "value_im"])
     total = 0.0 + 0.0j
     for d in sorted(values, key=lambda d: (len(d.lines), d.lines)):

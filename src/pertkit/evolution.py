@@ -106,11 +106,18 @@ class _RampedSchedule(Schedule):
         return self.a + np.array(fs, dtype=complex)[:, None, None] * self.b, err
 
 
+def _ramp(f: str | Callable[[float], float]) -> Callable[[float], float]:
+    """A callable ramp as given, or the one :data:`RAMPS` names."""
+    if isinstance(f, str) and f not in RAMPS:
+        raise ArgumentError(f"unknown ramp {f!r}; known ramps: {', '.join(RAMPS)}")
+    return RAMPS[f] if isinstance(f, str) else f
+
+
 def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Schedule:
     """Schedule ``H(t) = A + f(t) B`` for a named or callable ramp."""
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
-    return _RampedSchedule(a, b, RAMPS[ramp] if isinstance(ramp, str) else ramp)
+    return _RampedSchedule(a, b, _ramp(ramp))
 
 
 #: Largest accepted step estimate of :func:`_magnus`.
@@ -309,17 +316,17 @@ def _nearest_gaps(w: np.ndarray) -> np.ndarray:
     return np.minimum(d[..., :-1], d[..., 1:])
 
 
-def _require_gap(gap: float, min_gap: float, t: float) -> None:
-    if gap < min_gap:
-        raise GapCollapseError(f"spectral gap {gap:.2e} below {min_gap:g} at t={t:g}")
+def _require_gap(gap: float, t: float) -> None:
+    if gap < 1e-3:
+        raise GapCollapseError(f"spectral gap {gap:.2e} below 0.001 at t={t:g}")
 
 
-def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_gap: float = 1e-3):
+def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
     """Shared core: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
 
     Each step checks, before its state moves: ``H`` at the midpoint, then
-    at the end, then the gap at the end node, then the step estimate.
-    Returns nodes, the state history at nodes, ``H u`` at nodes, the
+    at the end, then the gap at the end node (at least 1e-3), then the step
+    estimate.  Returns nodes, the state history at nodes, ``H u`` at nodes, the
     continued eigenvector path (positive-overlap gauge) and eigenvalue path.
     A block of steps is array work, its checks as masks replayed only at the
     first failing step; per step, only ``u = U_k u`` and the gauge run.
@@ -330,9 +337,8 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
     h_end = sched.matrix(0.0)
     dec0 = matcore.eig_hermitian(h_end)
     n = dec0.eigenvalues.size
-    if not (0 <= i < n):
-        raise ArgumentError("eigenvalue index out of range")
-    _require_gap(_nearest_gaps(dec0.eigenvalues)[i], min_gap, 0.0)
+    matcore.check_index(i, n)
+    _require_gap(_nearest_gaps(dec0.eigenvalues)[i], 0.0)
     us = np.empty((steps + 1, n), dtype=complex)
     hus = np.empty_like(us)
     e_path = np.empty_like(us)
@@ -362,14 +368,14 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid, min_ga
         idxs = list(itertools.accumulate(table.tolist(), lambda c, row: row[c], initial=idxs[-1]))[1:]
         rows = np.arange(hks.size)
         gaps = _nearest_gaps(lams)[rows, idxs]
-        bad = ~(ok[0::2] & ok[1::2]) | (gaps < min_gap) | ~(est <= _MAX_STEP_ESTIMATE)
+        bad = ~(ok[0::2] & ok[1::2]) | (gaps < 1e-3) | ~(est <= _MAX_STEP_ESTIMATE)
         for j in np.flatnonzero(bad)[:1]:  # the per-step checks, in order: one raises
             for q in (2 * j, 2 * j + 1):
                 if q >= len(raw):
                     raise err
                 if not ok[q]:
                     matcore.require_hermitian(raw[q])  # raises: non-finite or non-Hermitian
-            _require_gap(gaps[j], min_gap, nodes[k0 + j + 1])
+            _require_gap(gaps[j], nodes[k0 + j + 1])
             if not est[j] <= _MAX_STEP_ESTIMATE:  # a NaN estimate fails too
                 raise StepSizeError(f"step estimate {est[j]:.2e} at t={nodes[k0 + j + 1]:g}; refine the grid")
         cols = vecs[rows, :, idxs]  # contiguous rows: np.vdot of a strided column rounds differently
@@ -460,8 +466,7 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
     """
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
-    if isinstance(f, str):
-        f = RAMPS[f]
+    f = _ramp(f)
     norm_b = matcore.op_norm(b)
     budget = 1.0 / eta + (norm_b * eta) ** m_max / math.factorial(m_max)
     if budget >= 1.0:
@@ -471,6 +476,7 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
         )
     dec = matcore.eig_hermitian(a)
     lam, v = dec.eigenvalues, dec.eigenvectors
+    matcore.check_index(i, lam.size)
     if norm_b > _nearest_gaps(lam)[i]:
         raise ArgumentError("||B|| exceeds the unperturbed spectral gap")
     b_eig = v.conj().T @ b @ v

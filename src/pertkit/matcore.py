@@ -3,11 +3,11 @@
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 This module provides the validated core every other module builds on:
 spectral norm, guarded inverse, Hermitian eigendecomposition, matrix
-exponential, circular contour quadrature of analytic maps, and the one
-set of Simpson weights.
+exponential, circular contour quadrature of analytic maps, the one set of
+Simpson weights and the one truncated-series type, :class:`Series`.
 
-Guard policy: every Hermiticity, diagonality and singularity decision is
-made here.  :func:`is_hermitian`, :func:`is_diagonal` and :func:`inverse`
+Guard policy: every Hermiticity, diagonality, level-index and singularity
+decision is made here.  :func:`is_hermitian`, :func:`is_diagonal` and :func:`inverse`
 first try to decide from O(n^2) Frobenius norms, via
 ``||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F``, and accept or reject only
 with a factor-2 margin and finite norms.  Otherwise the exact SVD test
@@ -102,9 +102,10 @@ def _decide(a: np.ndarray, rtol: float, defect_lo: float, defect_hi: float, exac
     return exact()
 
 
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL):
-    """Whether ``||A - A*||_2 <= rtol * max(||A||_2, 1e-300)``; for a
-    ``(k, n, n)`` stack, the verdict of every slice as a boolean array."""
+def is_hermitian(m):
+    """Whether ``||A - A*||_2 <= HERMITICITY_RTOL * max(||A||_2, 1e-300)``; for
+    a ``(k, n, n)`` stack, the verdict of every slice as a boolean array."""
+    rtol = HERMITICITY_RTOL
     if np.ndim(m) == 3:
         a = np.asarray(m, dtype=complex)
         if a.shape[1] != a.shape[2]:
@@ -120,7 +121,7 @@ def is_hermitian(m, rtol: float = HERMITICITY_RTOL):
         # 1e-280: then underflowed squares are far below the margins
         trusted = np.isfinite(a_sq + d_sq) & (a_sq >= 1e-280)
         for j in np.flatnonzero(~(trusted & (accept | reject))):
-            accept[j] = is_hermitian(a[j], rtol)
+            accept[j] = is_hermitian(a[j])
         return accept
     a = as_matrix(m, square=True)
     d = _fro(a - a.conj().T)
@@ -135,11 +136,27 @@ def is_diagonal(m, rtol: float = 1e-14) -> bool:
     return _decide(a, rtol, off, off, lambda: off <= rtol * max(op_norm(a), 1e-300))
 
 
-def require_hermitian(m, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m, square=True)
-    if not is_hermitian(a, rtol):
-        raise NotHermitianError(f"{what} is not Hermitian to relative {rtol:g}")
+    if not is_hermitian(a):
+        raise NotHermitianError(f"{what} is not Hermitian to relative {HERMITICITY_RTOL:g}")
     return a
+
+
+def diagonal_of(m) -> np.ndarray:
+    """The real diagonal of a diagonal matrix; :class:`MatrixFormatError`
+    unless :func:`is_diagonal` at its relative 1e-14."""
+    a = as_matrix(m, square=True)
+    if not is_diagonal(a):
+        raise MatrixFormatError("A must be diagonal")
+    return np.real(np.diagonal(a)).copy()
+
+
+def check_index(i: int, n: int) -> None:
+    """Raise :class:`ArgumentError` unless ``0 <= i < n``: a level index
+    never wraps around."""
+    if not 0 <= i < n:
+        raise ArgumentError("eigenvalue index out of range")
 
 
 def inverse(m) -> np.ndarray:
@@ -174,6 +191,23 @@ def solve(m, rhs) -> np.ndarray:
     if s[-1] < SINGULARITY_RTOL * max(s[0], 1e-300):
         raise SingularMatrixError("linear system singular to tolerance")
     return np.linalg.solve(a, np.asarray(rhs, dtype=complex))
+
+
+@dataclass
+class Series:
+    """The first terms of a series, stacked along axis 0, and its convergence
+    ratio; ``convergent`` only when the ratio is known and below one."""
+
+    terms: np.ndarray
+    ratio: float
+
+    @property
+    def convergent(self) -> bool:
+        return bool(np.isfinite(self.ratio) and self.ratio < 1.0)
+
+    def partial_sum(self, k: int | None = None) -> np.ndarray:
+        """Sum of the first ``k`` terms, of all of them by default."""
+        return np.sum(self.terms[:k], axis=0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, DefinitenessError, EnumerationLimitError, MatrixFormatError, ShapeError
+from .errors import ArgumentError, DefinitenessError, EnumerationLimitError, ShapeError
 
 #: Exhaustive index-path enumeration guard for the simplex representation
 #: and the scattering index sums.
@@ -41,33 +41,12 @@ def symmetrized_ratio(a, b) -> float:
     return matcore.op_norm(inv_sqrt @ b @ inv_sqrt)
 
 
-@dataclass
-class ResolventSeries:
-    """Terms ``T_m = (-1)^m A^{-1} (B A^{-1})^m`` and the convergence ratio.
-
-    ``ratio`` is NaN when ``A`` is not Hermitian positive definite (the
-    symmetrized ratio is then undefined); ``convergent`` is only reported
-    True when the ratio is known and < 1.
-    """
-
-    terms: list
-    order: int
-    ratio: float
-
-    @property
-    def convergent(self) -> bool:
-        return bool(np.isfinite(self.ratio) and self.ratio < 1.0)
-
-    def partial_sum(self, k: int | None = None) -> np.ndarray:
-        k = self.order if k is None else k
-        return sum(self.terms[:k])
-
-
-def series_terms(a, b, k: int) -> ResolventSeries:
+def series_terms(a, b, k: int) -> matcore.Series:
     """First ``k`` terms of the resolvent series, by repeated multiplication.
 
     ``terms[m] = (-1)^m A^{-1} (B A^{-1})^m`` for ``m = 0..k-1``; a single
-    inversion of ``A`` is performed.
+    inversion of ``A`` is performed.  ``ratio`` is the symmetrized ratio, NaN
+    when ``A`` is not Hermitian positive definite (it is then undefined).
     """
     a = matcore.as_matrix(a, square=True)
     b = matcore.as_matrix(b, square=True)
@@ -75,16 +54,16 @@ def series_terms(a, b, k: int) -> ResolventSeries:
         raise ShapeError("A and B must have the same shape")
     a_inv = matcore.inverse(a)
     step = b @ a_inv
-    terms = []
+    terms = np.empty((k,) + a.shape, dtype=complex)
     t = a_inv
-    for _ in range(k):
-        terms.append(t)
+    for m in range(k):
+        terms[m] = t
         t = -(t @ step)
     try:
         ratio = symmetrized_ratio(a, b)
     except (DefinitenessError, matcore.NotHermitianError):
         ratio = math.nan
-    return ResolventSeries(terms=terms, order=k, ratio=ratio)
+    return matcore.Series(terms, ratio)
 
 
 def exact_remainder(a, b, k: int) -> np.ndarray:
@@ -203,10 +182,7 @@ def feynman_parameter_entry(
     """
     if tau <= 0:
         raise ArgumentError("tau must be positive")
-    a = matcore.as_matrix(a_diag, square=True)
-    if not matcore.is_diagonal(a):
-        raise MatrixFormatError("A must be diagonal for the Feynman-parameter representation")
-    lam = np.real(np.diagonal(a)).copy()
+    lam = matcore.diagonal_of(a_diag)
     b = matcore.as_matrix(b, square=True)
     n = b.shape[0]
     if not (0 <= i < n and 0 <= j < n):

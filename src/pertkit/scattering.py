@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, EnumerationLimitError, MatrixFormatError, ShapeError, SingularMatrixError
+from .errors import ArgumentError, EnumerationLimitError, ShapeError, SingularMatrixError
 from .resolvent import PATH_ENUMERATION_CAP, _paths
 
 
@@ -54,20 +54,6 @@ class ScatteringQuery:
         """Raise :class:`ArgumentError` unless ``i`` and ``j`` index ``n`` levels."""
         if not (0 <= self.i < n and 0 <= self.j < n):
             raise ArgumentError(f"entry ({self.i}, {self.j}) out of range for n = {n}")
-
-
-@dataclass
-class ScatteringSeries:
-    """Series terms with the spectral convergence flag."""
-
-    terms: np.ndarray
-    query: ScatteringQuery
-    convergent: bool
-    ratio: float
-
-    def partial_sum(self, k: int | None = None) -> complex:
-        k = self.terms.size if k is None else k + 1
-        return complex(np.sum(self.terms[:k]))
 
 
 def _eigenbasis(a: np.ndarray):
@@ -137,12 +123,11 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     return 2.0 * q.tau * integral
 
 
-def s_series(a, b, q: ScatteringQuery, order: int) -> ScatteringSeries:
+def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     """Perturbation series of the scattering entry through ``order``.
 
-    The convergence flag reflects the spectral check
-    ``||(A - lambda_tau)^{-1} B|| < 1``; term 0 is ``1_{i=j}`` and term 1
-    reduces, for diagonal ``A``, to
+    ``ratio`` is the spectral ratio ``||(A - lambda_tau)^{-1} B||``; term 0
+    is ``1_{i=j}`` and term 1 reduces, for diagonal ``A``, to
     ``i*tau / ((lambda_i-lambda_j)^2/4 + tau^2) * <v_i, B v_j>``.
     ``(A - lambda_tau)^{-1}`` is a diagonal scaling in the eigenbasis of
     ``A``.
@@ -162,7 +147,7 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> ScatteringSeries:
         y = d * x
         terms[k] = 1j * q.tau * y[q.i]
         x = -(b_eig @ y)
-    return ScatteringSeries(terms=terms, query=q, convergent=bool(ratio < 1.0), ratio=float(ratio))
+    return matcore.Series(terms, float(ratio))
 
 
 def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
@@ -177,10 +162,7 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     """
     if ell < 2:
         raise ArgumentError("the multi-index sum is defined for ell >= 2")
-    a = matcore.as_matrix(a_diag, square=True)
-    if not matcore.is_diagonal(a):
-        raise MatrixFormatError("A must be diagonal for the index sum")
-    lam = np.real(np.diagonal(a))
+    lam = matcore.diagonal_of(a_diag)
     b = matcore.as_matrix(b, square=True)
     n = lam.size
     q.check_indices(n)
@@ -256,22 +238,21 @@ def born_demo(num_sites: int, dispersion, potential, p: int, q: int, tau: float)
     return s1, closed
 
 
-def rutherford_demo(grid_radius: int, charge: float, p0, q0, eps_shell: float, tau: float, dispersion=None) -> float:
+def rutherford_demo(grid_radius: int, charge: float, p0, q0, eps_shell: float, tau: float) -> float:
     """Shell-summed first-order intensity for the Coulomb kernel.
 
     On the integer momentum grid ``{-Q..Q}^3`` sums ``|S^(1)_{p0,q}|^2``
-    over ``|q - q0| <= eps_shell`` with ``Vhat(p) = Z/p^2`` (overall volume
-    factors dropped; only the proportionality laws are meaningful).  The
-    output scales exactly like ``Z^2``, and like ``1/tau`` on a resonant
-    shell ``F(q0) = F(p0)`` once the lattice resolves the Lorentzian width.
+    over ``|q - q0| <= eps_shell`` with ``Vhat(p) = Z/p^2`` and the
+    dispersion ``F(p) = |p|`` (overall volume factors dropped; only the
+    proportionality laws are meaningful).  The output scales exactly like
+    ``Z^2``, and like ``1/tau`` on a resonant shell ``F(q0) = F(p0)`` once
+    the lattice resolves the Lorentzian width.
     """
     if grid_radius < 1 or 2 * grid_radius + 1 > 17:
         raise ArgumentError("grid radius must keep the grid within 17^3 modes")
-    if dispersion is None:
-        dispersion = lambda vec: float(np.linalg.norm(vec))
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
-    f_p0 = dispersion(p0)
+    f_p0 = float(np.linalg.norm(p0))
 
     rng = range(-grid_radius, grid_radius + 1)
     total = 0.0
@@ -286,7 +267,7 @@ def rutherford_demo(grid_radius: int, charge: float, p0, q0, eps_shell: float, t
                 dp2 = float(np.sum((p0 - qvec) ** 2))
                 if dp2 == 0.0:
                     raise ArgumentError("Coulomb kernel pole: p0 lies on the shell")
-                denom = (f_p0 - dispersion(qvec)) ** 2 / 4.0 + tau**2
+                denom = (f_p0 - float(np.linalg.norm(qvec))) ** 2 / 4.0 + tau**2
                 amp = tau / denom * charge / dp2
                 total += amp * amp
     if found == 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, ContourEnclosureError, ConvergenceError, MatrixFormatError, ShapeError
+from .errors import ArgumentError, ContourEnclosureError, ConvergenceError, ShapeError, SingularMatrixError
 from .matcore import ContourSpec, SpectralDecomposition
 
 
@@ -60,6 +60,7 @@ class ProjectionSeries:
 def default_contour(eigenvalues, i: int, num_points: int = 256) -> ContourSpec:
     """Circle around eigenvalue ``i`` with radius half the spectral gap."""
     w = np.asarray(eigenvalues, dtype=float)
+    matcore.check_index(i, w.size)
     others = np.delete(w, i)
     if others.size == 0:
         return ContourSpec(center=complex(w[i]), radius=1.0, num_points=num_points)
@@ -107,6 +108,7 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
     if b.shape != dec.eigenvectors.shape:
         raise ShapeError("A and B must have the same shape")
     lam = dec.eigenvalues
+    matcore.check_index(i, lam.size)
     c = contour if contour is not None else default_contour(lam, i)
     _winding_check(lam, c)
     if not (abs(lam[i] - c.center) < c.radius):
@@ -176,16 +178,14 @@ def lambda4_closed_form(a_diag, b, i: int) -> float:
       - sum_{jk} (2 B_ij B_jk B_ki B_ii + |B_ij|^2 |B_ik|^2)/(d_j^2 d_k)
       + sum_j |B_ij|^2 B_ii^2 / d_j^3``.
     """
-    a = matcore.as_matrix(a_diag, square=True)
-    lam = np.real(np.diagonal(a))
-    if not matcore.is_diagonal(a, 1e-12):
-        raise MatrixFormatError("A must be diagonal")
+    lam = matcore.diagonal_of(a_diag)
     b = matcore.as_matrix(b, square=True)
     n = lam.size
+    matcore.check_index(i, n)
     mask = np.arange(n) != i
     d = lam[i] - lam[mask]
     if np.any(np.abs(d) == 0.0):
-        raise ZeroDivisionError("repeated diagonal entries: vanishing denominator")
+        raise SingularMatrixError("repeated diagonal entries: vanishing denominator")
     inv_d = 1.0 / d
 
     row = b[i, mask]          # B_ij, j != i
@@ -253,6 +253,7 @@ def schur_split(a, b, i: int) -> SchurData:
     b = matcore.as_matrix(b, square=True)
     if a.shape != b.shape:
         raise ShapeError("A and B must have the same shape")
+    matcore.check_index(i, a.shape[0])
     dec = matcore.eig_hermitian(a)
     v = dec.eigenvectors[:, i].copy()
     q = _orthocomplement_basis(v)
@@ -268,13 +269,18 @@ def schur_split(a, b, i: int) -> SchurData:
     )
 
 
+def _perp_solve(m: np.ndarray, rhs) -> np.ndarray:
+    """Guarded solve in the orthocomplement block, which a 1x1 split leaves empty."""
+    return matcore.solve(m, rhs) if m.size else np.asarray(rhs, dtype=complex)
+
+
 def self_energy(s: SchurData, z: complex) -> complex:
     """Schur-complement self-energy ``<b, (A_perp + B_perp - z)^{-1} b>``.
 
     Satisfies ``<v, (A+B-z)^{-1} v> = 1/(lambda0 + <v,Bv> - z - self_energy(z))``.
     """
     m = s.perp_matrix() - complex(z) * np.eye(s.b.size, dtype=complex)
-    return complex(np.vdot(s.b, matcore.solve(m, s.b)))
+    return complex(np.vdot(s.b, _perp_solve(m, s.b)))
 
 
 def _self_energy_eigform(s: SchurData):
@@ -283,13 +289,14 @@ def _self_energy_eigform(s: SchurData):
     return dec.eigenvalues, np.abs(beta) ** 2
 
 
-def fixed_point_eigenvalue(s: SchurData, max_iter: int = 100) -> float:
+def fixed_point_eigenvalue(s: SchurData) -> float:
     """Perturbed eigenvalue from the scalar fixed point of the Schur split.
 
     Solves ``F(x) = lambda0 + <v,Bv> - x - self_energy(x) = 0`` by
     safeguarded Newton started at ``lambda0 + <v,Bv>``; ``F`` is strictly
     decreasing between consecutive eigenvalues of ``A_perp + B_perp``, so
-    the root in the interval containing the start point is unique.
+    the root in the interval containing the start point is unique.  Raises
+    :class:`ConvergenceError` after 100 Newton steps.
     """
     c = s.lambda0 + s.diag_coupling.real
     if s.b.size == 0:  # a 1x1 split has no orthocomplement: ``c`` is exact
@@ -337,7 +344,7 @@ def fixed_point_eigenvalue(s: SchurData, max_iter: int = 100) -> float:
 
     blo, bhi = bracket_end(-1), bracket_end(1)
     x = min(max(x0, blo), bhi)
-    for _ in range(max_iter):
+    for _ in range(100):
         val, slope = f_and_fp(x)
         if abs(val) <= 1e-13 * scale:
             return float(x)
@@ -349,7 +356,7 @@ def fixed_point_eigenvalue(s: SchurData, max_iter: int = 100) -> float:
         if not (blo < x_new < bhi):
             x_new = 0.5 * (blo + bhi)
         x = x_new
-    raise ConvergenceError(f"fixed-point iteration did not converge in {max_iter} steps")
+    raise ConvergenceError("fixed-point iteration did not converge in 100 steps")
 
 
 def eigenvector_tilde(s: SchurData, z: complex) -> np.ndarray:
@@ -358,29 +365,11 @@ def eigenvector_tilde(s: SchurData, z: complex) -> np.ndarray:
     Returned in the original coordinates; at the fixed-point eigenvalue its
     normalization is the exact unit eigenvector of ``A + B`` up to phase.
     """
-    if s.b.size == 0:
-        return s.v.copy()
     m = complex(z) * np.eye(s.b.size, dtype=complex) - s.perp_matrix()
-    return s.v + s.basis @ matcore.solve(m, s.b)
+    return s.v + s.basis @ _perp_solve(m, s.b)
 
 
-@dataclass
-class EigenvectorSeriesResult:
-    """Terms of the orthocomplement eigenvector series and its ratio."""
-
-    terms: list
-    ratio: float
-
-    @property
-    def convergent(self) -> bool:
-        return self.ratio < 1.0
-
-    def partial_sum(self, count: int | None = None) -> np.ndarray:
-        k = len(self.terms) if count is None else count
-        return sum(self.terms[:k])
-
-
-def eigenvector_series(s: SchurData, lambda_hat: float, count: int) -> EigenvectorSeriesResult:
+def eigenvector_series(s: SchurData, lambda_hat: float, count: int) -> matcore.Series:
     """Resolvent-series terms for the orthocomplement solve at ``lambda_hat``.
 
     Term ``l`` (1-based) is
@@ -388,18 +377,17 @@ def eigenvector_series(s: SchurData, lambda_hat: float, count: int) -> Eigenvect
     the partial sums converge to ``(A_perp + B_perp - lhat)^{-1} b`` when the
     spectral ratio ``||(A_perp - lhat)^{-1} B_perp||`` is below one.  The
     perturbed eigenvector's orthocomplement part is ``-<v,vhat>`` times that
-    limit. Vectors are in the orthocomplement coordinates of the split.
+    limit. Vectors are in the orthocomplement coordinates of the split: a 1x1
+    split gives zero-length terms and ratio 0.
     """
     m0 = s.a_perp - lambda_hat * np.eye(s.b.size, dtype=complex)
-    base = matcore.solve(m0, s.b)
-    step = matcore.solve(m0, s.b_perp)
-    ratio = matcore.op_norm(step) if s.b.size else 0.0
-    terms = []
-    t = base
-    for _ in range(count):
-        terms.append(t)
+    step = _perp_solve(m0, s.b_perp)
+    terms = np.empty((count, s.b.size), dtype=complex)
+    t = _perp_solve(m0, s.b)
+    for m in range(count):
+        terms[m] = t
         t = -(step @ t)
-    return EigenvectorSeriesResult(terms=terms, ratio=float(ratio))
+    return matcore.Series(terms, float(matcore.op_norm(step) if s.b.size else 0.0))
 
 
 def overlap_squared(s: SchurData, lambda_hat: float) -> float:
@@ -410,9 +398,9 @@ def overlap_squared(s: SchurData, lambda_hat: float) -> float:
     checks they agree.
     """
     m = s.perp_matrix() - lambda_hat * np.eye(s.b.size, dtype=complex)
-    w = matcore.solve(m, s.b)
+    w = _perp_solve(m, s.b)
     val_norm = 1.0 / (1.0 + float(np.vdot(w, w).real))
-    w2 = matcore.solve(m, w)
+    w2 = _perp_solve(m, w)
     val_deriv = 1.0 / (1.0 + float(np.vdot(s.b, w2).real))
     if abs(val_norm - val_deriv) > 1e-9 * max(1.0, abs(val_norm)):
         raise ConvergenceError(
@@ -469,83 +457,40 @@ def sandwich(sv: SchurData, sw: SchurData, c) -> complex:
 # order-by-order unit eigenvector and the normalization cancellations
 
 
-def _poly_scalar_mul(p, q, order):
-    out = np.zeros(order + 1, dtype=complex)
-    for i_, pi in enumerate(p[: order + 1]):
-        for j_, qj in enumerate(q[: order + 1 - i_]):
-            out[i_ + j_] += pi * qj
-    return out
+def _norm_coefficients(x) -> list:
+    """Coefficients ``sum_a <x_a, x_(k-a)>`` of ``<x(eps), x(eps)>``."""
+    return [sum(np.vdot(x[a_], x[k - a_]) for a_ in range(k + 1)) for k in range(len(x))]
 
 
 def unit_eigenvector_expansion(s: SchurData, lambda_series: EigenPerturbationSeries, order: int) -> list:
     """Coefficients ``vhat^{(l)}`` of the unit perturbed eigenvector in eps.
 
-    Expands ``vtilde(lhat(eps))`` of the perturbation ``eps B`` around the
-    split's eigenvector, then normalizes the power series so that
+    Expands ``vtilde(lhat(eps)) = v + eps Q w(eps)`` of the perturbation
+    ``eps B`` around the split's eigenvector, where
+    ``(lhat(eps) - A_perp - eps B_perp) w(eps) = b`` gives, with
+    ``M0 = lambda_0 - A_perp``, the vector recursion ``M0 w_0 = b`` and
+    ``M0 w_k = B_perp w_{k-1} - sum_{j=1..k} lambda_j w_{k-j}``.  It then
+    normalizes by the series ``q = p^{-1/2}`` of ``p = ||vtilde||^2``, from
+    ``k q_k = sum_{j=1..k} (-j/2 - (k-j)) p_j q_{k-j}``, so that
     ``||vhat(eps)||^2 = 1`` order by order.  The gauge ``<v, vhat> > 0`` is
     automatic because the tilde representative has unit overlap with ``v``.
+    A 1x1 split gives ``[v, 0, ..., 0]``.
     """
     lam = np.asarray(lambda_series.coefficients, dtype=float)
     if lam.size < order + 1:
         raise ArgumentError("eigenvalue series too short for the requested order")
-    n_perp = s.b.size
-    eye = np.eye(n_perp, dtype=complex)
-    m0 = lam[0] * eye - s.a_perp
-    m0_inv = matcore.inverse(m0)
-
-    # X(eps) = M0^{-1} (Delta(eps) I - eps B_perp), zero constant term
-    x_coeffs = [np.zeros((n_perp, n_perp), dtype=complex)]
+    m0 = lam[0] * np.eye(s.b.size, dtype=complex) - s.a_perp
+    m0_inv = matcore.inverse(m0) if s.b.size else m0  # a 1x1 split leaves M0 empty
+    w = []
+    for k in range(order):
+        rhs = s.b_perp @ w[k - 1] - sum(lam[j] * w[k - j] for j in range(1, k + 1)) if k else s.b
+        w.append(m0_inv @ rhs)
+    tilde = np.array([s.v] + [s.basis @ wk for wk in w], dtype=complex)
+    p = _norm_coefficients(tilde)
+    q = [1.0]
     for k in range(1, order + 1):
-        term = lam[k] * eye
-        if k == 1:
-            term = term - s.b_perp
-        x_coeffs.append(m0_inv @ term)
-
-    # R(eps) = (I + X)^{-1} M0^{-1} = sum_m (-X)^m M0^{-1}
-    r_coeffs = [np.zeros((n_perp, n_perp), dtype=complex) for _ in range(order + 1)]
-    r_coeffs[0] = eye.copy()
-    power = [c.copy() for c in x_coeffs]  # X^1
-    sign = -1.0
-    for m in range(1, order + 1):
-        for k in range(order + 1):
-            r_coeffs[k] = r_coeffs[k] + sign * power[k]
-        # next power X^{m+1}, truncated
-        if m < order:
-            nxt = [np.zeros((n_perp, n_perp), dtype=complex) for _ in range(order + 1)]
-            for i_ in range(order + 1):
-                for j_ in range(order + 1 - i_):
-                    if i_ + j_ <= order:
-                        nxt[i_ + j_] += power[i_] @ x_coeffs[j_]
-            power = nxt
-        sign = -sign
-    r_coeffs = [rc @ m0_inv for rc in r_coeffs]
-
-    # vtilde(eps) = v + Q R(eps) (eps b)
-    tilde = [np.zeros(s.v.size, dtype=complex) for _ in range(order + 1)]
-    tilde[0] = s.v.astype(complex).copy()
-    for k in range(1, order + 1):
-        tilde[k] = s.basis @ (r_coeffs[k - 1] @ s.b)
-
-    # normalize: p(eps) = ||vtilde||^2, vhat = vtilde / sqrt(p)
-    p = np.zeros(order + 1, dtype=complex)
-    for k in range(order + 1):
-        p[k] = sum(np.vdot(tilde[a_], tilde[k - a_]) for a_ in range(k + 1))
-    r = p.copy()
-    r[0] = 0.0  # p = 1 + r
-    inv_sqrt = np.zeros(order + 1, dtype=complex)
-    r_pow = np.zeros(order + 1, dtype=complex)
-    r_pow[0] = 1.0
-    coef = 1.0
-    for m in range(order + 1):
-        inv_sqrt += coef * r_pow
-        coef *= -(0.5 + m) / (m + 1)  # binomial(-1/2, m+1) recursion
-        r_pow = _poly_scalar_mul(r_pow, r, order)
-
-    vhat = [np.zeros(s.v.size, dtype=complex) for _ in range(order + 1)]
-    for k in range(order + 1):
-        for a_ in range(k + 1):
-            vhat[k] += tilde[a_] * inv_sqrt[k - a_]
-    return vhat
+        q.append(sum((-j / 2 - (k - j)) * p[j] * q[k - j] for j in range(1, k + 1)) / k)
+    return [np.array(q[k::-1]) @ tilde[: k + 1] for k in range(order + 1)]
 
 
 def cancellation_check(s: SchurData, lambda_series: EigenPerturbationSeries, order: int) -> list:
@@ -556,11 +501,7 @@ def cancellation_check(s: SchurData, lambda_series: EigenPerturbationSeries, ord
     ``[sigma_1, ..., sigma_order]`` as reals.
     """
     vhat = unit_eigenvector_expansion(s, lambda_series, order)
-    sigmas = []
-    for k in range(1, order + 1):
-        sig = sum(np.vdot(vhat[a_], vhat[k - a_]) for a_ in range(k + 1))
-        sigmas.append(float(sig.real))
-    return sigmas
+    return [float(sig.real) for sig in _norm_coefficients(vhat)[1:]]
 
 
 def match_eigenpair(dec: SpectralDecomposition, v_ref) -> tuple:
@@ -583,8 +524,8 @@ def match_eigenpair(dec: SpectralDecomposition, v_ref) -> tuple:
 # quartic-oscillator discretization demo
 
 
-def harmonic_oscillator_operators(grid_size: int, box: float = 10.0, eta: float = 0.0):
-    """Finite-difference quartic-oscillator split on ``[-box, box]``.
+def harmonic_oscillator_operators(grid_size: int, eta: float = 0.0):
+    """Finite-difference quartic-oscillator split on ``[-10, 10]``.
 
     Dirichlet 3-point Laplacian on ``grid_size`` interior nodes; returns
     ``(a, x2, x4, x)`` with ``a = -Lap + (1+eta) X^2`` and the diagonal
@@ -593,8 +534,8 @@ def harmonic_oscillator_operators(grid_size: int, box: float = 10.0, eta: float 
     n = int(grid_size)
     if n < 8:
         raise ArgumentError("grid too small")
-    h = 2.0 * box / (n + 1)
-    x = -box + h * np.arange(1, n + 1)
+    h = 20.0 / (n + 1)
+    x = -10.0 + h * np.arange(1, n + 1)
     lap = (
         np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
     ) / h**2
@@ -602,7 +543,7 @@ def harmonic_oscillator_operators(grid_size: int, box: float = 10.0, eta: float 
     return a, np.diag(x**2).astype(complex), np.diag(x**4).astype(complex), x
 
 
-def harmonic_oscillator_demo(grid_size: int, epsilon: float, eta: float = 0.0, contour_points: int = 256) -> dict:
+def harmonic_oscillator_demo(grid_size: int, epsilon: float, eta: float = 0.0) -> dict:
     """First-order response of the discretized oscillator to a quartic term.
 
     Runs the contour series for the ground state under the split
@@ -612,7 +553,7 @@ def harmonic_oscillator_demo(grid_size: int, epsilon: float, eta: float = 0.0, c
     """
     a, x2, x4, _ = harmonic_oscillator_operators(grid_size, eta=eta)
     dec = matcore.eig_hermitian(a)
-    contour = default_contour(dec.eigenvalues, 0, num_points=contour_points)
+    contour = default_contour(dec.eigenvalues, 0)
     series_x4 = eigenvalue_coefficients(dec, x4, 0, 1, contour=contour)
     b_split = epsilon * x4 - eta * x2
     series_split = eigenvalue_coefficients(dec, b_split, 0, 1, contour=contour)

@@ -289,12 +289,13 @@ class EigenspaceBlock:
     basis_indices: tuple
 
 
-def block_decompose(u, tol: float = 1e-8) -> list:
+def block_decompose(u) -> list:
     """Eigenspace blocks of a diagonal normal symmetry operator.
 
     The block partition is expressed through basis indices, which requires
     the symmetry operator to be diagonal (e.g. a conserved total momentum);
-    a non-normal or non-diagonal input is rejected.
+    a non-normal or non-diagonal input is rejected.  Diagonal entries within
+    1e-8 of their sorted predecessor share a block.
     """
     u = matcore.as_matrix(u, square=True)
     scale = max(matcore.op_norm(u), 1e-300)
@@ -307,7 +308,7 @@ def block_decompose(u, tol: float = 1e-8) -> list:
     blocks = []
     current = [order[0]]
     for k in order[1:]:
-        if abs(diag[k] - diag[current[-1]]) <= tol:
+        if abs(diag[k] - diag[current[-1]]) <= 1e-8:
             current.append(k)
         else:
             blocks.append(current)
@@ -349,16 +350,16 @@ def restricted_inverse(a, b, u, i: int, j: int) -> complex:
     return complex(x[int(np.flatnonzero(idx == i)[0])])
 
 
-def momentum_operator(basis, weights=None) -> np.ndarray:
+def momentum_operator(basis) -> np.ndarray:
     """Diagonal operator encoding each state's total momentum as a scalar.
 
-    Components are folded with generic irrational weights so distinct
-    momenta map to distinct diagonal values.
+    Components are folded with the generic irrational weights
+    ``sqrt(2), sqrt(3), ...`` so distinct momenta map to distinct diagonal
+    values.
     """
     dims = {len(s.total_momentum()) for s in basis if s.particles}
     dim = dims.pop() if dims else 1
-    if weights is None:
-        weights = np.sqrt(np.arange(2, 2 + dim))
+    weights = np.sqrt(np.arange(2, 2 + dim))
     vals = [float(np.dot(weights, s.total_momentum())) if s.particles else 0.0 for s in basis]
     return np.diag(vals).astype(complex)
 
@@ -480,8 +481,9 @@ def _path_weight(bop: SparseInteraction, path, lambda_shift: complex) -> complex
     return w
 
 
-def diagram_values(bop: SparseInteraction, i: MultisetState, j: MultisetState, tau: float, ell: int) -> dict:
-    """Value of every realized diagram at order ``ell``.
+def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
+    """Value of every diagram of ``groups``, the order-``ell`` paths from ``i``
+    to ``j`` as :func:`group_terms_by_diagram` grouped them.
 
     Per path the weight is the interaction product over the energy
     denominators ``lambda_k - lambda_tau``, with the overall prefactor
@@ -490,12 +492,12 @@ def diagram_values(bop: SparseInteraction, i: MultisetState, j: MultisetState, t
     """
     if tau <= 0:
         raise ArgumentError("tau must be positive")
-    lam_i = bop.free_energy(i)
-    lam_j = bop.free_energy(j)
-    shift = (lam_i + lam_j) / 2.0 - 1j * tau
-    pref = (-1) ** (ell + 1) * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
     out = {}
-    for diagram, paths in group_terms_by_diagram(bop, i, j, ell).items():
+    for diagram, paths in groups.items():
+        i, j, ell = paths[0][0], paths[0][-1], len(paths[0]) - 1
+        lam_i, lam_j = bop.free_energy(i), bop.free_energy(j)
+        shift = (lam_i + lam_j) / 2.0 - 1j * tau
+        pref = (-1) ** (ell + 1) * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
         out[diagram] = pref * sum(_path_weight(bop, p, shift) for p in paths)
     return out
 

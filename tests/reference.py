@@ -589,3 +589,81 @@ def fixed_point_eigenvalue_ref(s, max_iter=100):
             x_new = 0.5 * (blo + bhi)
         x = x_new
     raise ConvergenceError(f"fixed-point iteration did not converge in {max_iter} steps")
+
+
+# ---------------------------------------------------------------------------
+# Reference unit-eigenvector expansion: the resolvent ``R(eps)`` as a sum of
+# truncated matrix-polynomial powers and ``p^{-1/2}`` as a binomial series of
+# polynomial powers, as the vector recursion replaced them.  The tests require
+# every coefficient within 1e-12 of the largest coefficient norm.
+
+
+def _poly_scalar_mul(p, q, order):
+    out = np.zeros(order + 1, dtype=complex)
+    for i_, pi in enumerate(p[: order + 1]):
+        for j_, qj in enumerate(q[: order + 1 - i_]):
+            out[i_ + j_] += pi * qj
+    return out
+
+
+def unit_eigenvector_expansion_ref(s, lambda_series, order):
+    """``spectral.unit_eigenvector_expansion`` by products of truncated matrix polynomials."""
+    lam = np.asarray(lambda_series.coefficients, dtype=float)
+    n_perp = s.b.size
+    eye = np.eye(n_perp, dtype=complex)
+    m0 = lam[0] * eye - s.a_perp
+    m0_inv = matcore.inverse(m0)
+
+    # X(eps) = M0^{-1} (Delta(eps) I - eps B_perp), zero constant term
+    x_coeffs = [np.zeros((n_perp, n_perp), dtype=complex)]
+    for k in range(1, order + 1):
+        term = lam[k] * eye
+        if k == 1:
+            term = term - s.b_perp
+        x_coeffs.append(m0_inv @ term)
+
+    # R(eps) = (I + X)^{-1} M0^{-1} = sum_m (-X)^m M0^{-1}
+    r_coeffs = [np.zeros((n_perp, n_perp), dtype=complex) for _ in range(order + 1)]
+    r_coeffs[0] = eye.copy()
+    power = [c.copy() for c in x_coeffs]  # X^1
+    sign = -1.0
+    for m in range(1, order + 1):
+        for k in range(order + 1):
+            r_coeffs[k] = r_coeffs[k] + sign * power[k]
+        # next power X^{m+1}, truncated
+        if m < order:
+            nxt = [np.zeros((n_perp, n_perp), dtype=complex) for _ in range(order + 1)]
+            for i_ in range(order + 1):
+                for j_ in range(order + 1 - i_):
+                    if i_ + j_ <= order:
+                        nxt[i_ + j_] += power[i_] @ x_coeffs[j_]
+            power = nxt
+        sign = -sign
+    r_coeffs = [rc @ m0_inv for rc in r_coeffs]
+
+    # vtilde(eps) = v + Q R(eps) (eps b)
+    tilde = [np.zeros(s.v.size, dtype=complex) for _ in range(order + 1)]
+    tilde[0] = s.v.astype(complex).copy()
+    for k in range(1, order + 1):
+        tilde[k] = s.basis @ (r_coeffs[k - 1] @ s.b)
+
+    # normalize: p(eps) = ||vtilde||^2, vhat = vtilde / sqrt(p)
+    p = np.zeros(order + 1, dtype=complex)
+    for k in range(order + 1):
+        p[k] = sum(np.vdot(tilde[a_], tilde[k - a_]) for a_ in range(k + 1))
+    r = p.copy()
+    r[0] = 0.0  # p = 1 + r
+    inv_sqrt = np.zeros(order + 1, dtype=complex)
+    r_pow = np.zeros(order + 1, dtype=complex)
+    r_pow[0] = 1.0
+    coef = 1.0
+    for m in range(order + 1):
+        inv_sqrt += coef * r_pow
+        coef *= -(0.5 + m) / (m + 1)  # binomial(-1/2, m+1) recursion
+        r_pow = _poly_scalar_mul(r_pow, r, order)
+
+    vhat = [np.zeros(s.v.size, dtype=complex) for _ in range(order + 1)]
+    for k in range(order + 1):
+        for a_ in range(k + 1):
+            vhat[k] += tilde[a_] * inv_sqrt[k - a_]
+    return vhat

@@ -250,7 +250,7 @@ def test_criterion_07_symmetry_and_diagrams():
     bop = symdiag.build_interaction(rule, [i, j_even], depth=2)
     a_dense, b_dense = bop.to_dense()
     for ell, j_state in ((2, j_even), (3, j_odd)):
-        values = symdiag.diagram_values(bop, i, j_state, 0.05, ell)
+        values = symdiag.diagram_values(bop, symdiag.group_terms_by_diagram(bop, i, j_state, ell), 0.05)
         total = sum(values.values())
         qq = scattering.ScatteringQuery(i=bop.index[i], j=bop.index[j_state], tau=0.05)
         reference = scattering.s_term_index_sum(a_dense, b_dense, qq, ell)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
-from pertkit import cli, iotools, matcore
+from pertkit import cli, iotools, matcore, symdiag
 from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError
 from pertkit.symdiag import SparseInteraction
 
@@ -154,6 +154,18 @@ class TestCliCommands:
         assert code == NotHermitianError.exit_code != 0
         assert "B is not Hermitian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", ["5", "-1"], ids=["too-large", "negative"])
+    @pytest.mark.parametrize("contour", [[], ["--contour-points", "64"]], ids=["default-contour", "contour-points"])
+    def test_eig_perturb_index_out_of_range_exit_code(self, tmp_path, capsys, index, contour):
+        # -1 used to wrap to the top level and report second_order_diagonal,nan
+        iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0]))
+        iotools.save_matrix(tmp_path / "b.json", 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        code = cli.main(["eig-perturb", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                         f"--index={index}", "--order", "2"] + contour)
+        captured = capsys.readouterr()
+        assert code == ArgumentError.exit_code not in (0, 1)
+        assert captured.err == f"error[{code}]: eigenvalue index out of range\n" and captured.out == ""
+
     def test_dyson(self, fixtures, capsys):
         pa, pb, _ = fixtures
         code = cli.main(["dyson", "--a", pa, "--b", pb, "--t", "0.8", "--orders", "6"])
@@ -221,6 +233,16 @@ class TestCliCommands:
         assert code == ArgumentError.exit_code not in (0, 1)
         assert err == f"error[{code}]: {message}\n"
 
+    def test_adiabatic_unknown_ramp_exit_code(self, tmp_path, capsys):
+        iotools.save_matrix(tmp_path / "ha.json", np.diag([0.0, 1.0]))
+        iotools.save_matrix(tmp_path / "hb.json", 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "bogus"}))
+        code = cli.main(["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", "1,2,3", "--index", "0"])
+        captured = capsys.readouterr()
+        assert code == ArgumentError.exit_code not in (0, 1)
+        assert captured.err == f"error[{code}]: unknown ramp 'bogus'; known ramps: linear, smoothstep, smootherstep\n"
+        assert captured.out == ""
+
     DIAGRAM_MODEL = {
         "species": [
             {"name": "a", "mass": 1.0},
@@ -251,6 +273,16 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert code == ArgumentError.exit_code not in (0, 1)
         assert captured.err == f"error[{code}]: {message}\n" and captured.out == ""
+
+    def test_diagrams_enumerates_the_paths_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        paths_between = symdiag._paths_between
+        monkeypatch.setattr(symdiag, "_paths_between", lambda *args: calls.append(args) or paths_between(*args))
+        (tmp_path / "model.json").write_text(json.dumps(self.DIAGRAM_MODEL))
+        code = cli.main(["diagrams", "--model", str(tmp_path / "model.json"),
+                         "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.05"])
+        assert code == 0 and "diagram_partition_identity" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_tensor_conv(self, tmp_path, capsys):
         iotools.save_matrix(tmp_path / "a1.json", random_hermitian(2, 1.0, 5))

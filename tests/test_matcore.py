@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ensembles import random_hermitian
 from pertkit import matcore
 from pertkit.errors import (
+    ArgumentError,
     MatrixFormatError,
     NotHermitianError,
     ShapeError,
@@ -344,3 +345,39 @@ class TestContour:
             matcore.ContourSpec(center=0.0, radius=-1.0)
         with pytest.raises(ValueError):
             matcore.ContourSpec(center=0.0, radius=1.0, num_points=8)
+
+
+class TestSeries:
+    @pytest.mark.parametrize("ratio, convergent", [
+        (0.5, True), (1.0, False), (2.0, False), (float("nan"), False), (float("inf"), False),
+    ])
+    def test_convergent_only_for_a_known_ratio_below_one(self, ratio, convergent):
+        assert matcore.Series(np.zeros((2, 3)), ratio).convergent is convergent
+
+    def test_partial_sum_of_stacked_terms(self):
+        terms = np.arange(24.0).reshape(4, 3, 2)
+        ser = matcore.Series(terms, 0.5)
+        np.testing.assert_array_equal(ser.partial_sum(0), np.zeros((3, 2)))
+        np.testing.assert_array_equal(ser.partial_sum(2), terms[0] + terms[1])
+        np.testing.assert_array_equal(ser.partial_sum(), terms.sum(axis=0))
+
+
+class TestLevelIndexAndDiagonal:
+    @pytest.mark.parametrize("i", [-1, 3, 10])
+    def test_index_outside_the_levels_is_refused(self, i):
+        with pytest.raises(ArgumentError, match="^eigenvalue index out of range$"):
+            matcore.check_index(i, 3)
+
+    def test_index_inside_the_levels_passes(self):
+        for i in range(3):
+            matcore.check_index(i, 3)
+
+    def test_diagonal_of_returns_the_real_diagonal(self):
+        d = matcore.diagonal_of(np.diag([1.0 + 1e-20j, -2.0]))
+        assert d.dtype == float
+        np.testing.assert_array_equal(d, [1.0, -2.0])
+
+    @pytest.mark.parametrize("off", [1e-13, 1e-3])
+    def test_diagonal_of_refuses_off_diagonal_entries_above_1e_14(self, off):
+        with pytest.raises(MatrixFormatError, match="A must be diagonal"):
+            matcore.diagonal_of(np.array([[1.0, off], [off, 2.0]]))

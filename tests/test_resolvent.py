@@ -70,6 +70,19 @@ class TestSeriesTerms:
         assert math.isnan(ser.ratio)
         assert not ser.convergent
 
+    def test_partial_sum_sums_the_first_k_terms(self):
+        ser = resolvent.series_terms(random_hermitian(4, 1.0, 3) + 4.0 * np.eye(4), random_hermitian(4, 0.5, 4), 6)
+        assert isinstance(ser, matcore.Series) and ser.terms.shape == (6, 4, 4)
+        for k in range(7):
+            # bit for bit the left-to-right sum
+            np.testing.assert_array_equal(ser.partial_sum(k), sum(ser.terms[:k], np.zeros((4, 4))))
+        np.testing.assert_array_equal(ser.partial_sum(), ser.partial_sum(6))
+
+    def test_no_terms(self):
+        ser = resolvent.series_terms(np.diag([1.0, 2.0]), np.zeros((2, 2)), 0)
+        assert ser.terms.shape == (0, 2, 2)
+        np.testing.assert_array_equal(ser.partial_sum(), np.zeros((2, 2)))
+
 
 class TestExactRemainder:
     def test_order_zero_is_full_inverse(self, rng):

@@ -48,6 +48,16 @@ class TestDirectEntry:
         bound = r ** (order + 1) / (1.0 - r) * q.tau * norm
         assert abs(series.partial_sum() - direct) <= bound
 
+    def test_partial_sum_sums_the_first_k_terms(self):
+        a, b = diagonal_instance(6, 0.05, 3)
+        series = scattering.s_series(a, b, scattering.ScatteringQuery(i=1, j=3, tau=0.1), 12)
+        assert isinstance(series, matcore.Series) and series.terms.shape == (13,)
+        assert series.partial_sum(0) == 0.0 and series.partial_sum(1) == series.terms[0]
+        for k in range(14):
+            assert series.partial_sum(k) == np.sum(series.terms[:k])
+            assert series.partial_sum(k) == pytest.approx(sum(series.terms[:k]), rel=1e-14, abs=1e-300)
+        assert series.partial_sum() == series.partial_sum(13)
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             scattering.ScatteringQuery(i=0, j=0, tau=0.0)

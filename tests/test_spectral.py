@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference
 from ensembles import random_diagonal, random_hermitian
 from pertkit import matcore, spectral
-from pertkit.errors import ContourEnclosureError, ConvergenceError, NotHermitianError
+from pertkit.errors import ContourEnclosureError, ConvergenceError, NotHermitianError, SingularMatrixError
 
 
 def two_level():
@@ -130,7 +130,7 @@ class TestLambda4:
             assert ser.coefficients[4] == pytest.approx(closed, abs=1e-7)
 
     def test_repeated_diagonal_raises(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(SingularMatrixError, match="vanishing denominator"):
             spectral.lambda4_closed_form(np.diag([1.0, 1.0, 2.0]), np.ones((3, 3)), 0)
 
 
@@ -226,6 +226,26 @@ class TestSelfEnergyAndFixedPoint:
         s = spectral.schur_split([[2.0]], [[0.3]], 0)
         assert spectral.fixed_point_eigenvalue(s) == 2.3
         np.testing.assert_array_equal(spectral.eigenvector_tilde(s, 2.3), [1.0])
+
+    def test_one_by_one_split_in_the_perpendicular_solves(self):
+        # the orthocomplement of a 1x1 split is empty: no self-energy, no
+        # series terms, unit overlap
+        s = spectral.schur_split([[2.0]], [[0.3]], 0)
+        assert spectral.self_energy(s, 0.5 + 1j) == 0.0
+        res = spectral.eigenvector_series(s, 2.3, 3)
+        assert res.terms.shape == (3, 0) and res.ratio == 0.0 and res.convergent
+        assert res.partial_sum().shape == (0,)
+        assert spectral.overlap_squared(s, 2.3) == 1.0
+
+    def test_one_by_one_split_expansion(self):
+        s = spectral.schur_split([[2.0]], [[0.3]], 0)
+        ser = spectral.eigenvalue_coefficients([[2.0]], [[0.3]], 0, 4)
+        vhat = spectral.unit_eigenvector_expansion(s, ser, 4)
+        assert len(vhat) == 5
+        np.testing.assert_array_equal(vhat[0], s.v)
+        for term in vhat[1:]:
+            np.testing.assert_array_equal(term, [0.0])
+        assert spectral.cancellation_check(s, ser, 4) == [0.0] * 4
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fixed_point_matches_eigensolver(self, seed):
@@ -357,6 +377,14 @@ class TestEigenvectorMachinery:
         budget = res.ratio**8 / (1.0 - res.ratio) * np.linalg.norm(res.terms[0])
         assert np.linalg.norm(res.partial_sum() - direct) <= budget
 
+    def test_series_partial_sum_sums_the_first_k_terms(self):
+        res = spectral.eigenvector_series(self.s, self.lhat, 6)
+        assert isinstance(res, matcore.Series) and res.terms.shape == (6, 9)
+        for k in range(7):
+            # bit for bit the left-to-right sum
+            np.testing.assert_array_equal(res.partial_sum(k), sum(res.terms[:k], np.zeros(9)))
+        np.testing.assert_array_equal(res.partial_sum(), res.partial_sum(6))
+
     def test_series_non_convergent_flag(self):
         # evaluation point close to the unperturbed block spectrum blows up
         # the spectral ratio; terms are still returned, flagged divergent
@@ -485,6 +513,24 @@ class TestCancellation:
         for k in range(1, 4):
             sig = sum(np.vdot(fit_terms[m], fit_terms[k - m]) for m in range(k + 1))
             assert abs(sig) <= 1e-8
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal-A", "dense-A"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_expansion_matches_reference(self, n, diagonal):
+        # the vector recursion against the truncated matrix-polynomial powers
+        a = random_diagonal(n, float(n), 300 + n) if diagonal else random_hermitian(n, 1.0, 300 + n)
+        b = random_hermitian(n, 0.2, 400 + n)
+        b *= 0.2 * np.min(np.diff(np.linalg.eigvalsh(a))) / matcore.op_norm(b)
+        i = n // 2
+        s = spectral.schur_split(a, b, i)
+        ser = spectral.eigenvalue_coefficients(a, b, i, 6)
+        for order in range(7):
+            got = spectral.unit_eigenvector_expansion(s, ser, order)
+            want = reference.unit_eigenvector_expansion_ref(s, ser, order)
+            assert len(got) == len(want) == order + 1
+            scale = max(np.linalg.norm(w) for w in want)
+            for g, w in zip(got, want):
+                assert np.linalg.norm(g - w) <= 1e-12 * scale
 
     def test_first_order_orthogonality(self):
         a = random_diagonal(6, 6.0, 97)

@@ -417,8 +417,6 @@ class TestGroupingAndValues:
         bop = std_model()
         with pytest.raises(ArgumentError, match="ell must be at least 1"):
             symdiag.group_terms_by_diagram(bop, STD_I, STD_J, ell)
-        with pytest.raises(ArgumentError, match="ell must be at least 1"):
-            symdiag.diagram_values(bop, STD_I, STD_J, 0.1, ell)
 
     def test_order_one_single_group(self):
         bop = std_model()
@@ -446,7 +444,7 @@ class TestGroupingAndValues:
         # endpoints of opposite parity
         bop = std_model(depth=2)
         tau = 0.05
-        values = symdiag.diagram_values(bop, STD_I, j_state, tau, ell)
+        values = symdiag.diagram_values(bop, symdiag.group_terms_by_diagram(bop, STD_I, j_state, ell), tau)
         total = sum(values.values())
         a, b = bop.to_dense()
         q = scattering.ScatteringQuery(i=bop.index[STD_I], j=bop.index[j_state], tau=tau)
@@ -456,17 +454,17 @@ class TestGroupingAndValues:
     def test_unrealized_diagram_value_zero(self):
         bop = std_model()
         bogus = Diagram.of(1, [("z", EXT_IN, 1), ("z", 1, 2)])
-        assert symdiag.diagram_values(bop, STD_I, STD_J, 0.05, 2).get(bogus, 0) == 0
+        assert symdiag.diagram_values(bop, symdiag.group_terms_by_diagram(bop, STD_I, STD_J, 2), 0.05).get(bogus, 0) == 0
 
     def test_zero_interaction(self):
         rule = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 1))
         bop = symdiag.SparseInteraction(basis=[STD_I, STD_J], entries={}, dispersion=rule.dispersion)
-        assert symdiag.diagram_values(bop, STD_I, STD_J, 0.05, 2) == {}
+        assert symdiag.diagram_values(bop, symdiag.group_terms_by_diagram(bop, STD_I, STD_J, 2), 0.05) == {}
 
     def test_random_momentum_model_partition(self):
         bop = random_momentum_model(1.0, seed=4)
         i, j = bop.basis[0], bop.basis[1]
-        values = symdiag.diagram_values(bop, i, j, 0.07, 2)
+        values = symdiag.diagram_values(bop, symdiag.group_terms_by_diagram(bop, i, j, 2), 0.07)
         total = sum(values.values())
         a, b = bop.to_dense()
         q = scattering.ScatteringQuery(i=bop.index[i], j=bop.index[j], tau=0.07)

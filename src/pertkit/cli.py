@@ -103,28 +103,23 @@ def _run_eig_perturb(config: RunConfig) -> Report:
     series = spectral.eigenvalue_coefficients(dec, b, i, order, contour=contour)
     rep = _report(config, ["k", "coefficient", "oracle", "residual", "tolerance"])
 
-    is_diag = matcore.is_diagonal(a)
-    lam = np.real(np.diagonal(a))
+    oracles = {}  # closed forms for diagonal A, at the diagonal position d of level i
+    if matcore.is_diagonal(a):
+        lam = np.real(np.diagonal(a))
+        d = int(np.argmin(np.abs(lam - dec.eigenvalues[i])))
+        mask = np.arange(lam.size) != d
+        oracles = {
+            1: ("first_order_diagonal", lambda: float(np.real(b[d, d])), 1e-9),
+            2: ("second_order_diagonal", lambda: float(np.sum(np.abs(b[d, mask]) ** 2 / (lam[d] - lam[mask]))), 1e-9),
+            4: ("fourth_order_closed_form", lambda: spectral.lambda4_closed_form(a, b, d), 1e-7),
+        }
     for k, coeff in enumerate(series.coefficients):
-        oracle = ""
-        residual = ""
-        tol = ""
-        if is_diag and k == 1:
-            oracle = float(np.real(b[i, i]))
+        oracle = residual = tol = ""
+        if k in oracles:
+            name, value, tol = oracles[k]
+            oracle = value()
             residual = abs(coeff - oracle)
-            tol = 1e-9
-            rep.check("first_order_diagonal", residual, tol)
-        elif is_diag and k == 2:
-            mask = np.arange(lam.size) != i
-            oracle = float(np.sum(np.abs(b[i, mask]) ** 2 / (lam[i] - lam[mask])))
-            residual = abs(coeff - oracle)
-            tol = 1e-9
-            rep.check("second_order_diagonal", residual, tol)
-        elif is_diag and k == 4:
-            oracle = spectral.lambda4_closed_form(a, b, i)
-            residual = abs(coeff - oracle)
-            tol = 1e-7
-            rep.check("fourth_order_closed_form", residual, tol)
+            rep.check(name, residual, tol)
         rep.add_row(k, float(coeff), oracle, residual, tol)
     return rep
 
@@ -162,6 +157,7 @@ def _run_adiabatic(config: RunConfig) -> Report:
     rep = _report(config, ["eta", "error_vs_eigenpath", "tracked_phase", "steps"])
     errors = []
     for eta in etas:
+        matcore.check_positive(eta, "eta")  # before it sizes the grid
         steps = max(64, int(steps_per_eta * eta))
         res = evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(steps))
         errors.append(res.error_vs_eigenpath)

@@ -115,6 +115,7 @@ def _ramp(f: str | Callable[[float], float]) -> Callable[[float], float]:
 
 def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Schedule:
     """Schedule ``H(t) = A + f(t) B`` for a named or callable ramp."""
+    a, b = matcore.as_pair(a, b)
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
     return _RampedSchedule(a, b, _ramp(ramp))
@@ -169,10 +170,7 @@ def _cascade(a, b, t: float, m_max: int) -> np.ndarray:
     matrix and a squaring is the block convolution ``sum_k E_{m-k} E_k``."""
     if t < 0:
         raise ArgumentError("t must be nonnegative")
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ShapeError("A and B must have the same shape")
+    a, b = matcore.as_pair(a, b)
     # ||hL||_2 <= ||hA||_2 + ||hB||_2 <= h (||A||_F + ||B||_F) <= 1/2
     s = max(0, math.frexp(2.0 * t * (np.linalg.norm(a) + np.linalg.norm(b)))[1])
     h = t / 2.0**s
@@ -207,8 +205,8 @@ def dyson_terms(a, b, t: float, m_max: int) -> list:
     ``G_m = e^{itA} Y_m(-iA, -iB)`` for ``m >= 1`` and ``G_0 = I`` exactly.  In
     the commuting case the order-m term reduces to ``(-itB)^m / m!``.
     """
-    a = np.asarray(a, dtype=complex)
-    y = _cascade(-1j * a, -1j * np.asarray(b, dtype=complex), t, m_max)
+    a, b = matcore.as_pair(a, b)
+    y = _cascade(-1j * a, -1j * b, t, m_max)
     return [np.eye(a.shape[0], dtype=complex)] + list(matcore.expm(1j * t * a) @ y[1:])
 
 
@@ -227,7 +225,7 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
         return eye
     h = (t - s) / g.steps
     ts = s + (h / 2) * np.arange(2 * g.steps + 1)
-    hs = np.array([a + np.asarray(b_of_t(tt), dtype=complex) for tt in ts])
+    hs = np.array([a + matcore.as_pair(a, b_of_t(tt))[1] for tt in ts])
     for j in np.flatnonzero(~matcore.is_hermitian(hs))[:1]:
         matcore.require_hermitian(hs[j], what=f"A + B({ts[j]:g})")
     steps, est = _magnus(hs[:-1:2], hs[1::2], hs[2::2], h)
@@ -245,10 +243,8 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     Converges to ``(A + B + i tau)^{-1}`` with truncation error bounded by
     ``e^{-tau t_max}/tau`` plus quadrature error; Simpson rule on the grid.
     """
-    if tau <= 0:
-        raise ArgumentError("tau must be positive")
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
+    matcore.check_positive(tau, "tau")
+    a, b = matcore.as_pair(a, b)
     m = a + b
     steps = g.steps + (g.steps % 2)
     h = t_max / steps
@@ -276,8 +272,7 @@ def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:
     :func:`matcore.inverse`, so a node next to an eigenvalue raises
     :class:`SingularMatrixError`.
     """
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
+    a, b = matcore.as_pair(a, b)
     m = a + b
     eigs = np.linalg.eigvals(m)
     if np.any(np.abs(eigs - c.center) >= c.radius):
@@ -412,8 +407,7 @@ def adiabatic_evolve(sched: Schedule, eta: float, i: int, g: TimeGrid) -> Adiaba
     ``||u(1) - e_i(1) e^{-i eta phi_i(1)}||``, which decays like 1/eta for a
     C^1 schedule with a uniform spectral gap.
     """
-    if eta <= 0:
-        raise ArgumentError("eta must be positive")
+    matcore.check_positive(eta, "eta")
     nodes, us, _, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
     phi = _integral_on_nodes(lam_path, nodes[1] - nodes[0])
     u_final = us[-1]
@@ -437,8 +431,7 @@ def adiabatic_eigenvalue_track(sched: Schedule, eta: float, i: int, g: TimeGrid)
     ``H(t)`` as the integration evaluated it; returns its real part on the grid nodes.  Raises
     :class:`TrackingLossError` when the overlap magnitude drops below 1e-6.
     """
-    if eta <= 0:
-        raise ArgumentError("eta must be positive")
+    matcore.check_positive(eta, "eta")
     nodes, us, hus, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
     e0 = e_path[0]
     ovs = us @ e0.conj()
@@ -464,6 +457,8 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
     claimed error budget ``1/eta + (||B|| eta)^{m_max} / m_max!`` is
     reported; the call refuses (with a diagnostic) when it reaches one.
     """
+    matcore.check_positive(eta, "eta")
+    a, b = matcore.as_pair(a, b)
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
     f = _ramp(f)

@@ -6,11 +6,12 @@ spectral norm, guarded inverse, Hermitian eigendecomposition, matrix
 exponential, circular contour quadrature of analytic maps, the one set of
 Simpson weights and the one truncated-series type, :class:`Series`.
 
-Guard policy: every Hermiticity, diagonality, level-index and singularity
-decision is made here.  :func:`is_hermitian`, :func:`is_diagonal` and :func:`inverse`
-first try to decide from O(n^2) Frobenius norms, via
-``||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F``, and accept or reject only
-with a factor-2 margin and finite norms.  Otherwise the exact SVD test
+Guard policy: every Hermiticity, diagonality, level-index, operand-shape,
+rate and singularity decision is made here: an ``(A, B)`` pair passes
+:func:`as_pair` and a rate :func:`check_positive`.  :func:`is_hermitian`,
+:func:`is_diagonal` and :func:`inverse` first try to decide from O(n^2)
+Frobenius norms, via ``||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F``, and
+accept or reject only with a factor-2 margin and finite norms.  Otherwise the exact SVD test
 runs, so every verdict is the SVD verdict.  :func:`is_hermitian` also
 takes a ``(k, n, n)`` stack and decides every slice at once from plain sums
 of squares, with the same margins; a slice whose sum may have underflowed
@@ -63,6 +64,22 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     if square and a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands as by ``as_matrix(square=True)``; :class:`ShapeError`
+    unless they have one shape."""
+    a, b = as_matrix(a, square=True), as_matrix(b, square=True)
+    if a.shape != b.shape:
+        raise ShapeError(f"A and B must have the same shape, got {a.shape} and {b.shape}")
+    return a, b
+
+
+def check_positive(x: float, name: str) -> None:
+    """Raise :class:`ArgumentError` unless ``0 < x < inf``: a rate is never
+    zero, negative, infinite or NaN."""
+    if not 0 < x < math.inf:
+        raise ArgumentError(f"{name} must be positive")
 
 
 def as_vector(v) -> np.ndarray:
@@ -144,9 +161,10 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
 
 
 def diagonal_of(m) -> np.ndarray:
-    """The real diagonal of a diagonal matrix; :class:`MatrixFormatError`
-    unless :func:`is_diagonal` at its relative 1e-14."""
-    a = as_matrix(m, square=True)
+    """The real diagonal of a diagonal Hermitian matrix: :class:`NotHermitianError`
+    unless :func:`is_hermitian`, :class:`MatrixFormatError` unless
+    :func:`is_diagonal` at its relative 1e-14."""
+    a = require_hermitian(m, what="A")
     if not is_diagonal(a):
         raise MatrixFormatError("A must be diagonal")
     return np.real(np.diagonal(a)).copy()
@@ -259,8 +277,7 @@ class ContourSpec:
     num_points: int = 256
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ArgumentError("contour radius must be positive")
+        check_positive(self.radius, "contour radius")
         if self.num_points < 16:
             raise ArgumentError("contour needs at least 16 quadrature points")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, DefinitenessError, EnumerationLimitError, ShapeError
+from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
 #: Exhaustive index-path enumeration guard for the simplex representation
 #: and the scattering index sums.
@@ -27,11 +27,8 @@ PATH_ENUMERATION_CAP = 10**7
 
 def symmetrized_ratio(a, b) -> float:
     """Convergence ratio ``||A^{-1/2} B A^{-1/2}||`` for Hermitian PD ``A``."""
-    a = matcore.require_hermitian(a, what="A")
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ShapeError("A and B must have the same shape")
-    dec = matcore.eig_hermitian(a)
+    a, b = matcore.as_pair(a, b)
+    dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
     if dec.eigenvalues[0] <= 0:
         raise DefinitenessError(
             f"A must be positive definite (min eigenvalue {dec.eigenvalues[0]:.3e})"
@@ -48,10 +45,7 @@ def series_terms(a, b, k: int) -> matcore.Series:
     inversion of ``A`` is performed.  ``ratio`` is the symmetrized ratio, NaN
     when ``A`` is not Hermitian positive definite (it is then undefined).
     """
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ShapeError("A and B must have the same shape")
+    a, b = matcore.as_pair(a, b)
     a_inv = matcore.inverse(a)
     step = b @ a_inv
     terms = np.empty((k,) + a.shape, dtype=complex)
@@ -72,8 +66,7 @@ def exact_remainder(a, b, k: int) -> np.ndarray:
     ``partial_sum(k) + exact_remainder(k)`` equals ``(A+B)^{-1}`` as an
     identity, independent of convergence.
     """
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
+    a, b = matcore.as_pair(a, b)
     full_inv = matcore.inverse(a + b)
     if k == 0:
         return full_inv
@@ -180,10 +173,9 @@ def feynman_parameter_entry(
     the Feynman parameters being the simplex coordinates.  Index paths are
     enumerated exhaustively; Monte-Carlo sampling reports a standard error.
     """
-    if tau <= 0:
-        raise ArgumentError("tau must be positive")
-    lam = matcore.diagonal_of(a_diag)
-    b = matcore.as_matrix(b, square=True)
+    matcore.check_positive(tau, "tau")
+    a, b = matcore.as_pair(a_diag, b)
+    lam = matcore.diagonal_of(a)
     n = b.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise ArgumentError("entry indices out of range")

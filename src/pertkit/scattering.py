@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, EnumerationLimitError, ShapeError, SingularMatrixError
+from .errors import ArgumentError, EnumerationLimitError, SingularMatrixError
 from .resolvent import PATH_ENUMERATION_CAP, _paths
 
 
@@ -47,8 +47,7 @@ class ScatteringQuery:
     tau: float
 
     def __post_init__(self):
-        if not (self.tau > 0):
-            raise ArgumentError("tau must be positive")
+        matcore.check_positive(self.tau, "tau")
 
     def check_indices(self, n: int) -> None:
         """Raise :class:`ArgumentError` unless ``i`` and ``j`` index ``n`` levels."""
@@ -67,16 +66,21 @@ def _eigenbasis(a: np.ndarray):
 
 def _coupled(a, b):
     """Reference eigenpairs of ``A`` and the Hermitian ``A + B``."""
-    lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
-    b = matcore.as_matrix(b, square=True)
-    if b.shape[0] != lam.size:
-        raise ShapeError("A and B must have the same shape")
-    return lam, vecs, matcore.require_hermitian(np.asarray(a, dtype=complex) + b, what="A+B")
+    a, b = matcore.as_pair(a, b)
+    lam, vecs = _eigenbasis(a)
+    return lam, vecs, matcore.require_hermitian(a + b, what="A+B")
 
 
 def lambda_shift(lam_i: float, lam_j: float, tau: float) -> complex:
     """Complex energy shift ``(lambda_i + lambda_j)/2 - i*tau``."""
+    matcore.check_positive(tau, "tau")
     return (lam_i + lam_j) / 2.0 - 1j * tau
+
+
+def _prefactor(lam_i: float, lam_j: float, tau: float, ell: int) -> complex:
+    """Overall factor ``(-1)^(ell+1) i tau / ((lambda_i - lambda_j)^2/4 + tau^2)``
+    of the order-``ell`` entry, for the energies of its two end states."""
+    return (-1) ** (ell + 1) * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
 
 
 def s_entry_resolvent(a, b, q: ScatteringQuery) -> complex:
@@ -132,9 +136,9 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     ``(A - lambda_tau)^{-1}`` is a diagonal scaling in the eigenbasis of
     ``A``.
     """
-    lam, vecs = _eigenbasis(np.asarray(a, dtype=complex))
+    a, b = matcore.as_pair(a, b)
+    lam, vecs = _eigenbasis(a)
     q.check_indices(lam.size)
-    b = matcore.as_matrix(b, square=True)
     b_eig = vecs.conj().T @ b @ vecs
     d = 1.0 / (lam - lambda_shift(lam[q.i], lam[q.j], q.tau))
     ratio = matcore.op_norm(d[:, None] * b_eig)
@@ -162,19 +166,18 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     """
     if ell < 2:
         raise ArgumentError("the multi-index sum is defined for ell >= 2")
-    lam = matcore.diagonal_of(a_diag)
-    b = matcore.as_matrix(b, square=True)
+    a, b = matcore.as_pair(a_diag, b)
+    lam = matcore.diagonal_of(a)
     n = lam.size
     q.check_indices(n)
     if n ** (ell - 1) > PATH_ENUMERATION_CAP:
         raise EnumerationLimitError(f"{n}^{ell - 1} paths exceed cap {PATH_ENUMERATION_CAP}")
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
-    dsq = (lam[q.i] - lam[q.j]) ** 2 / 4.0 + q.tau**2
 
     total = 0.0 + 0.0j
     for path, w in _paths(b, q.i, q.j, ell):
         total += w / math.prod(lam[k] - lt for k in path[1:-1])
-    return complex((-1) ** (ell + 1) * 1j * q.tau / dsq * total)
+    return complex(_prefactor(lam[q.i], lam[q.j], q.tau, ell) * total)
 
 
 def s_matrix_unitarity_defect(a, b, tau: float) -> float:
@@ -184,6 +187,7 @@ def s_matrix_unitarity_defect(a, b, tau: float) -> float:
     tolerance; it should shrink for small ``||B||`` and well-separated
     spectra as tau decreases.
     """
+    matcore.check_positive(tau, "tau")
     lam, vecs, m = _coupled(a, b)
     dec = matcore.eig_hermitian(m)
     mu, e = dec.eigenvalues, vecs.conj().T @ dec.eigenvectors  # e: eigenvectors of A + B in A's basis
@@ -248,6 +252,7 @@ def rutherford_demo(grid_radius: int, charge: float, p0, q0, eps_shell: float, t
     ``Z^2``, and like ``1/tau`` on a resonant shell ``F(q0) = F(p0)`` once
     the lattice resolves the Lorentzian width.
     """
+    matcore.check_positive(tau, "tau")
     if grid_radius < 1 or 2 * grid_radius + 1 > 17:
         raise ArgumentError("grid radius must keep the grid within 17^3 modes")
     p0 = np.asarray(p0, dtype=float)

@@ -100,13 +100,11 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
     scaling, and the order-``k`` trace takes ``ceil(k/2) - 1`` matrix products
     per node.
     """
-    if isinstance(a, SpectralDecomposition):
-        dec = a
-    else:
+    dec = a if isinstance(a, SpectralDecomposition) else None
+    a, b = matcore.as_pair(a if dec is None else dec.eigenvectors, b)  # V has the shape of A
+    if dec is None:
         dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
     b = matcore.require_hermitian(b, what="B")
-    if b.shape != dec.eigenvectors.shape:
-        raise ShapeError("A and B must have the same shape")
     lam = dec.eigenvalues
     matcore.check_index(i, lam.size)
     c = contour if contour is not None else default_contour(lam, i)
@@ -147,9 +145,8 @@ def projection_coefficients(a, b, contour: ContourSpec, order: int) -> Projectio
     projector.  One quadrature integrates every order: in the eigenbasis of
     ``A`` each node takes one matrix product per order.
     """
-    a = matcore.require_hermitian(a, what="A")
-    b = matcore.as_matrix(b, square=True)
-    dec = matcore.eig_hermitian(a)
+    a, b = matcore.as_pair(a, b)
+    dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
     lam = dec.eigenvalues
     _winding_check(lam, contour)
     v = dec.eigenvectors
@@ -178,8 +175,8 @@ def lambda4_closed_form(a_diag, b, i: int) -> float:
       - sum_{jk} (2 B_ij B_jk B_ki B_ii + |B_ij|^2 |B_ik|^2)/(d_j^2 d_k)
       + sum_j |B_ij|^2 B_ii^2 / d_j^3``.
     """
-    lam = matcore.diagonal_of(a_diag)
-    b = matcore.as_matrix(b, square=True)
+    a, b = matcore.as_pair(a_diag, b)
+    lam = matcore.diagonal_of(a)
     n = lam.size
     matcore.check_index(i, n)
     mask = np.arange(n) != i
@@ -249,10 +246,8 @@ def _orthocomplement_basis(v: np.ndarray) -> np.ndarray:
 
 def schur_split(a, b, i: int) -> SchurData:
     """Split ``A + B`` around the i-th eigenvector of Hermitian ``A``."""
+    a, b = matcore.as_pair(a, b)
     a = matcore.require_hermitian(a, what="A")
-    b = matcore.as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ShapeError("A and B must have the same shape")
     matcore.check_index(i, a.shape[0])
     dec = matcore.eig_hermitian(a)
     v = dec.eigenvectors[:, i].copy()
@@ -430,9 +425,10 @@ def spectral_measure(a, b, v) -> SpectralMeasure:
     The Stieltjes transform of the measure reproduces
     ``<v, (A+B-z)^{-1} v>`` at any ``z`` off the real axis.
     """
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
+    a, b = matcore.as_pair(a, b)
     v = matcore.as_vector(v)
+    if v.size != a.shape[0]:
+        raise ShapeError(f"probe vector of length {v.size} for n = {a.shape[0]}")
     dec = matcore.eig_hermitian(a + b)
     weights = np.abs(dec.eigenvectors.conj().T @ v) ** 2
     return SpectralMeasure(locations=dec.eigenvalues.copy(), weights=weights)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import matcore
+from . import matcore, scattering
 from .errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotATreeError, ShapeError
 
 EXT_IN = 0  # start code of a line entering from outside
@@ -273,10 +273,7 @@ def build_interaction(rule, seeds, depth: int, cap: int = BASIS_CAP) -> SparseIn
 
 def commute_check(u, m) -> bool:
     """True iff ``||UM - MU|| <= 1e-10 ||U|| ||M||``."""
-    u = matcore.as_matrix(u, square=True)
-    m = matcore.as_matrix(m, square=True)
-    if u.shape != m.shape:
-        raise ShapeError("operands must have the same shape")
+    u, m = matcore.as_pair(u, m)
     bound = 1e-10 * max(matcore.op_norm(u) * matcore.op_norm(m), 1e-300)
     return matcore.op_norm(u @ m - m @ u) <= bound
 
@@ -327,8 +324,7 @@ def restricted_inverse(a, b, u, i: int, j: int) -> complex:
     symmetry operator the entry is exactly zero and no solve is performed;
     otherwise the solve is restricted to the common block.
     """
-    a = matcore.as_matrix(a, square=True)
-    b = matcore.as_matrix(b, square=True)
+    a, b = matcore.as_pair(a, b)
     if not commute_check(u, a) or not commute_check(u, b):
         raise ArgumentError("symmetry operator must commute with both operands")
     blocks = block_decompose(u)
@@ -490,14 +486,13 @@ def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
     ``(-1)^{ell+1} i tau / ((lambda_i - lambda_j)^2/4 + tau^2)``; diagram
     values sum to the full order-``ell`` series term.
     """
-    if tau <= 0:
-        raise ArgumentError("tau must be positive")
+    matcore.check_positive(tau, "tau")
     out = {}
     for diagram, paths in groups.items():
         i, j, ell = paths[0][0], paths[0][-1], len(paths[0]) - 1
         lam_i, lam_j = bop.free_energy(i), bop.free_energy(j)
-        shift = (lam_i + lam_j) / 2.0 - 1j * tau
-        pref = (-1) ** (ell + 1) * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
+        shift = scattering.lambda_shift(lam_i, lam_j, tau)
+        pref = scattering._prefactor(lam_i, lam_j, tau, ell)
         out[diagram] = pref * sum(_path_weight(bop, p, shift) for p in paths)
     return out
 
@@ -672,8 +667,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     denominators, assembled into the order-2 entry, and compared against
     the paired closed form obtained from ``1/(x-y) + 1/(x+y) = 2x/(x^2-y^2)``.
     """
-    if tau <= 0:
-        raise ArgumentError("tau must be positive")
+    matcore.check_positive(tau, "tau")
     dim, radius = grid_spec
     rule = TrilinearVertex(masses={"a": m_a, "b": m_b, "c": m_c}, grid=box_grid(dim, radius))
 
@@ -698,7 +692,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     # path intermediate
     bop = build_interaction(rule, [i_state, j_state], depth=1)
     shell = (lam_i + lam_j) / 2.0
-    shift = shell - 1j * tau
+    shift = scattering.lambda_shift(lam_i, lam_j, tau)
 
     paths = _paths_between(bop, i_state, j_state, 2)
     if len(paths) != 4:
@@ -734,7 +728,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     if [r.label for r in rows] != ["a", "b", "c", "d"]:
         raise ArgumentError("intermediate states do not match the canonical four-row table")
 
-    pref = (-1) ** 3 * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
+    pref = scattering._prefactor(lam_i, lam_j, tau, 2)
     assembled = pref * sum(r.product / r.denominator for r in rows)
 
     total_p = i_state.total_momentum()

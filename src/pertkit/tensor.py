@@ -136,8 +136,7 @@ def convolution_resolvent(k: KroneckerSum, omega: float, eps: float, q: LineQuad
     correction is ``-i/(pi*cutoff)`` times the identity (the exact integral
     of the leading ``-1/w1^2`` asymptote over the discarded tails).
     """
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
+    matcore.check_positive(eps, "eps")
     lam1, lam2, v = _two_factor_eigs(k)
     diag = _line_sum(q, lambda w: 1.0 / (lam1 - w[:, None] + 1j * eps),
                      lambda w: 1.0 / (lam2 - (omega - w)[:, None] + 1j * eps)).ravel()
@@ -154,8 +153,7 @@ def convolution_resolvent_symmetric(k: KroneckerSum, omega: float, eps: float, q
     The integrand decays like ``1/w1^4``; the tail correction uses the
     exact integral of the leading asymptote.
     """
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
+    matcore.check_positive(eps, "eps")
     lam1, lam2, v = _two_factor_eigs(k)
     z1 = lam1 + 1j * eps
     z2 = lam2 + 1j * eps

@@ -5,7 +5,7 @@ import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, iotools, matcore, symdiag
-from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError
+from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError, ShapeError
 from pertkit.symdiag import SparseInteraction
 
 
@@ -340,3 +340,78 @@ class TestCliCommands:
              "--contour-points", "128"]
         )
         assert code == 0
+
+
+def _save(tmp_path, **mats):
+    for name, m in mats.items():
+        iotools.save_matrix(tmp_path / f"{name}.json", m)
+    return {name: str(tmp_path / f"{name}.json") for name in mats}
+
+
+class TestOperandContract:
+    """Every mismatched pair and every rate that is not positive and finite
+    ends a command with one typed ``error[N]`` line."""
+
+    X2 = 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def _fails(self, capsys, argv, error, message):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == error.exit_code not in (0, 1)
+        assert captured.err == f"error[{code}]: {message}\n" and captured.out == ""
+
+    def test_scatter_with_a_mismatched_pair(self, tmp_path, capsys):
+        p = _save(tmp_path, a=np.diag([0.0, 1.0, 2.0]), b=self.X2)
+        self._fails(capsys, ["scatter", "--a", p["a"], "--b", p["b"], "--i", "0", "--j", "1", "--tau", "0.2"],
+                    ShapeError, "A and B must have the same shape, got (3, 3) and (2, 2)")
+
+    def test_adiabatic_with_a_mismatched_schedule(self, tmp_path, capsys):
+        _save(tmp_path, ha=np.diag([0.0, 1.0, 2.0]), hb=np.array([[0.1]]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
+        self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", "10,20,40",
+                             "--index", "0"], ShapeError, "A and B must have the same shape, got (3, 3) and (1, 1)")
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_adiabatic_with_a_non_finite_eta(self, tmp_path, capsys, eta):
+        _save(tmp_path, ha=np.diag([0.0, 1.0]), hb=self.X2)
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
+        self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", f"{eta},20,40",
+                             "--index", "0"], ArgumentError, "eta must be positive")
+
+    def test_three_particle_demo_with_a_nan_tau(self, capsys):
+        self._fails(capsys, ["demo", "three-particle", "--tau", "nan"], ArgumentError, "tau must be positive")
+
+    def test_resolvent_entry_with_a_nan_tau(self, tmp_path, capsys):
+        p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
+        self._fails(capsys, ["resolvent", "--a", p["a"], "--b", p["b"], "--order", "2", "--tau", "nan",
+                             "--entry", "0,1"], ArgumentError, "tau must be positive")
+
+    def test_tensor_conv_with_a_nan_eps(self, tmp_path, capsys):
+        p = _save(tmp_path, a1=np.diag([0.0, 1.0]), a2=np.diag([0.5, 2.0]))
+        self._fails(capsys, ["tensor", "conv", "--a1", p["a1"], "--a2", p["a2"], "--omega", "0.3", "--eps", "nan",
+                             "--cutoff", "200"], ArgumentError, "eps must be positive")
+
+
+def _eig_coefficients(tmp_path, a, b, index):
+    p = _save(tmp_path, a=a, b=b)
+    out = tmp_path / "eig.csv"
+    code = cli.main(["--out", str(out), "eig-perturb", "--a", p["a"], "--b", p["b"], "--index", str(index),
+                     "--order", "4"])
+    lines = out.read_text().splitlines()
+    rows = lines[lines.index("k,coefficient,oracle,residual,tolerance") + 1:lines.index("# residuals")]
+    return code, np.array([float(r.split(",")[1]) for r in rows]), lines
+
+
+def test_eig_perturb_checks_the_level_it_follows_on_a_permuted_diagonal(tmp_path):
+    # the series follows the ascending level 0 (lambda = 0, matrix index 1);
+    # the closed forms used to take matrix index 0 (lambda = 3) and all failed
+    lam = np.array([3.0, 0.0, 1.5, 5.0])
+    b = random_hermitian(4, 1.0, 3)
+    b *= 0.2 / matcore.op_norm(b)
+    code, coeffs, lines = _eig_coefficients(tmp_path, np.diag(lam), b, 0)
+    order = np.argsort(lam)
+    sorted_code, sorted_coeffs, _ = _eig_coefficients(tmp_path, np.diag(lam[order]), b[np.ix_(order, order)], 0)
+    assert code == sorted_code == 0
+    checks = [line.split(",")[0] for line in lines[lines.index("# residuals") + 1:]]
+    assert {"first_order_diagonal", "second_order_diagonal", "fourth_order_closed_form"} <= set(checks)
+    np.testing.assert_allclose(coeffs, sorted_coeffs, rtol=0, atol=1e-12)

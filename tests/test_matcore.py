@@ -381,3 +381,40 @@ class TestLevelIndexAndDiagonal:
     def test_diagonal_of_refuses_off_diagonal_entries_above_1e_14(self, off):
         with pytest.raises(MatrixFormatError, match="A must be diagonal"):
             matcore.diagonal_of(np.array([[1.0, off], [off, 2.0]]))
+
+    @pytest.mark.parametrize("imag", [1e-3, 0.5])
+    def test_diagonal_of_refuses_an_imaginary_diagonal(self, imag):
+        # its real part alone is not the operator: dropping it changed every entry computed from it
+        with pytest.raises(NotHermitianError, match="A is not Hermitian"):
+            matcore.diagonal_of(np.diag([1.0 + imag * 1j, 2.0, 3.0]))
+
+
+class TestOperandContract:
+    @pytest.mark.parametrize("b", [np.ones((1, 1)), np.ones((3, 3))], ids=["1x1", "3x3"])
+    def test_a_pair_of_two_shapes_names_both(self, b):
+        with pytest.raises(ShapeError, match=r"^A and B must have the same shape, got \(2, 2\) and \(%d, %d\)$"
+                           % b.shape):
+            matcore.as_pair(np.eye(2), b)
+
+    def test_a_pair_is_validated_like_square_matrices(self):
+        a, b = matcore.as_pair([[1, 2], [3, 4]], np.eye(2))
+        assert a.dtype == b.dtype == complex
+        np.testing.assert_array_equal(a, [[1, 2], [3, 4]])
+        with pytest.raises(ShapeError, match="square"):
+            matcore.as_pair(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(MatrixFormatError):
+            matcore.as_pair(np.eye(2), np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_a_rate_that_is_not_positive_and_finite_is_refused(self, x):
+        with pytest.raises(ArgumentError, match="^tau must be positive$"):
+            matcore.check_positive(x, "tau")
+
+    @pytest.mark.parametrize("x", [5e-324, 1.0, 1e300, np.float64(0.5), 3])
+    def test_a_positive_finite_rate_passes(self, x):
+        matcore.check_positive(x, "eta")
+
+    def test_a_contour_radius_is_a_rate(self):
+        for r in (0.0, np.nan, np.inf):
+            with pytest.raises(ArgumentError, match="^contour radius must be positive$"):
+                matcore.ContourSpec(center=0.0, radius=r)

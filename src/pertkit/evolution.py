@@ -159,8 +159,9 @@ def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.nd
 
 def remainder_bound(t: float, norm_a: float, norm_b: float, k: int) -> float:
     """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade."""
-    if t < 0 or norm_a < 0 or norm_b < 0 or k < 0:
-        raise ArgumentError("all arguments must be nonnegative")
+    if not all(0 <= x < math.inf for x in (t, norm_a, norm_b)):
+        raise ArgumentError("t and the norms must be finite and nonnegative")
+    matcore.check_order(k, "k")
     return t**k / math.factorial(k) * norm_b**k * math.exp(t * (norm_a + norm_b))
 
 
@@ -168,8 +169,9 @@ def _cascade(a, b, t: float, m_max: int) -> np.ndarray:
     """First block column ``[Y_0, ..., Y_{m_max}]`` of ``e^{tL}``.  Powers of
     ``L`` are block lower-triangular Toeplitz, so a column determines its
     matrix and a squaring is the block convolution ``sum_k E_{m-k} E_k``."""
-    if t < 0:
-        raise ArgumentError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ArgumentError("t must be finite and nonnegative")
+    matcore.check_order(m_max, "m_max")
     a, b = matcore.as_pair(a, b)
     # ||hL||_2 <= ||hA||_2 + ||hB||_2 <= h (||A||_F + ||B||_F) <= 1/2
     s = max(0, math.frexp(2.0 * t * (np.linalg.norm(a) + np.linalg.norm(b)))[1])
@@ -244,6 +246,7 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     ``e^{-tau t_max}/tau`` plus quadrature error; Simpson rule on the grid.
     """
     matcore.check_positive(tau, "tau")
+    matcore.check_positive(t_max, "t_max")
     a, b = matcore.as_pair(a, b)
     m = a + b
     steps = g.steps + (g.steps % 2)
@@ -458,6 +461,7 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
     reported; the call refuses (with a diagnostic) when it reaches one.
     """
     matcore.check_positive(eta, "eta")
+    matcore.check_order(m_max, "m_max")
     a, b = matcore.as_pair(a, b)
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")

@@ -19,10 +19,9 @@ or overflowed falls back to the single-matrix test.  :func:`solve` keeps
 its SVD test, and reported norms are always :func:`op_norm`.
 
 Factor once: a Hermitian matrix is decomposed once by :func:`eig_hermitian`
-and its :class:`SpectralDecomposition` is passed on, so that every shifted
-inverse ``(A - z)^{-1}`` is a diagonal scaling in that eigenbasis.  Such a
-scaling needs no singularity guard when ``z`` keeps a known distance from the
-real spectrum.
+and its :class:`SpectralDecomposition`, which carries the matrix and stands in
+for it, is passed on.  Every shifted inverse ``(A - z)^{-1}`` is then a diagonal
+scaling that needs no singularity guard while ``z`` keeps off the spectrum.
 
 All functions are pure; inputs are never mutated.
 """
@@ -80,6 +79,13 @@ def check_positive(x: float, name: str) -> None:
     zero, negative, infinite or NaN."""
     if not 0 < x < math.inf:
         raise ArgumentError(f"{name} must be positive")
+
+
+def check_order(k: int, name: str) -> None:
+    """Raise :class:`ArgumentError` unless ``k >= 0``: a series has no
+    negative order or term count."""
+    if not k >= 0:
+        raise ArgumentError(f"{name} must be nonnegative")
 
 
 def as_vector(v) -> np.ndarray:
@@ -231,15 +237,12 @@ class Series:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Real eigenvalues (ascending from :func:`eig_hermitian`) and orthonormal
-    eigenvector columns ``V``; every shifted inverse of the matrix is the
-    diagonal scaling ``V diag(1/(lambda - z)) V*``."""
+    eigenvector columns ``V`` of the validated Hermitian ``matrix``; its shifted
+    inverses are the diagonal scalings ``V diag(1/(lambda - z)) V*``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+    matrix: np.ndarray
 
 
 def eig_hermitian(m) -> SpectralDecomposition:
@@ -250,7 +253,7 @@ def eig_hermitian(m) -> SpectralDecomposition:
     """
     a = require_hermitian(m)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v, matrix=a)
 
 
 def simpson_weights(n_intervals: int, h: float) -> np.ndarray:

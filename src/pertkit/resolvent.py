@@ -45,6 +45,7 @@ def series_terms(a, b, k: int) -> matcore.Series:
     inversion of ``A`` is performed.  ``ratio`` is the symmetrized ratio, NaN
     when ``A`` is not Hermitian positive definite (it is then undefined).
     """
+    matcore.check_order(k, "k")
     a, b = matcore.as_pair(a, b)
     a_inv = matcore.inverse(a)
     step = b @ a_inv
@@ -66,6 +67,7 @@ def exact_remainder(a, b, k: int) -> np.ndarray:
     ``partial_sum(k) + exact_remainder(k)`` equals ``(A+B)^{-1}`` as an
     identity, independent of convergence.
     """
+    matcore.check_order(k, "k")
     a, b = matcore.as_pair(a, b)
     full_inv = matcore.inverse(a + b)
     if k == 0:
@@ -174,6 +176,7 @@ def feynman_parameter_entry(
     enumerated exhaustively; Monte-Carlo sampling reports a standard error.
     """
     matcore.check_positive(tau, "tau")
+    matcore.check_order(m_max, "m_max")
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a)
     n = b.shape[0]

@@ -17,7 +17,8 @@ entry up to an ``exp(-2*tau*t_max)`` truncation tail.
 
 For exactly diagonal ``A`` the reference eigenbasis is the standard basis
 (indices are matrix indices); otherwise eigenpairs come from the ascending
-Hermitian eigendecomposition.
+Hermitian eigendecomposition: :func:`reference_basis`, which stands in for
+``A`` in every function here, so that a caller decomposes ``A`` once.
 
 A single entry is one solve of the shifted system.  The unitarity defect
 decomposes ``A + B`` once and scales by ``1/(mu_k - lambda_tau)`` for every
@@ -55,20 +56,21 @@ class ScatteringQuery:
             raise ArgumentError(f"entry ({self.i}, {self.j}) out of range for n = {n}")
 
 
-def _eigenbasis(a: np.ndarray):
-    """(eigenvalues, eigenvectors) with matrix-index semantics for diagonal A."""
+def reference_basis(a) -> matcore.SpectralDecomposition:
+    """The eigenbasis that indexes the entries; for exactly diagonal ``A`` the
+    standard basis and the unsorted diagonal, so indices are matrix indices."""
     a = matcore.require_hermitian(a, what="A")
     if matcore.is_diagonal(a):
-        return np.real(np.diagonal(a)).copy(), np.eye(a.shape[0], dtype=complex)
-    dec = matcore.eig_hermitian(a)
-    return dec.eigenvalues, dec.eigenvectors
+        return matcore.SpectralDecomposition(np.real(np.diagonal(a)).copy(), np.eye(a.shape[0], dtype=complex), a)
+    return matcore.eig_hermitian(a)
 
 
-def _coupled(a, b):
-    """Reference eigenpairs of ``A`` and the Hermitian ``A + B``."""
-    a, b = matcore.as_pair(a, b)
-    lam, vecs = _eigenbasis(a)
-    return lam, vecs, matcore.require_hermitian(a + b, what="A+B")
+def _operands(a, b):
+    """``A``'s reference eigenvalues and eigenvectors, ``A`` and ``B``; ``a`` is ``A`` or its basis."""
+    dec = a if isinstance(a, matcore.SpectralDecomposition) else None
+    a, b = matcore.as_pair(a if dec is None else dec.matrix, b)
+    dec = reference_basis(a) if dec is None else dec
+    return dec.eigenvalues, dec.eigenvectors, a, b
 
 
 def lambda_shift(lam_i: float, lam_j: float, tau: float) -> complex:
@@ -91,7 +93,8 @@ def s_entry_resolvent(a, b, q: ScatteringQuery) -> complex:
     size rather than to ``eps ||A+B|| / tau``.  Raises
     :class:`SingularMatrixError` when ``tau <= 1e-13 ||A+B||_F``.
     """
-    lam, vecs, m = _coupled(a, b)
+    lam, vecs, a, b = _operands(a, b)
+    m = matcore.require_hermitian(a + b, what="A+B")
     q.check_indices(lam.size)
     if q.tau <= matcore.SINGULARITY_RTOL * np.linalg.norm(m):
         raise SingularMatrixError(f"tau = {q.tau:.3e} is not above {matcore.SINGULARITY_RTOL:g} ||A+B||_F")
@@ -110,7 +113,9 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     ``2 exp(-tau t_max)`` plus quadrature error.  ``g`` is a step count or
     any object with a ``steps`` attribute (e.g. a TimeGrid).
     """
-    lam, vecs, m = _coupled(a, b)
+    matcore.check_positive(t_max, "t_max")
+    lam, vecs, a, b = _operands(a, b)
+    m = matcore.require_hermitian(a + b, what="A+B")
     q.check_indices(lam.size)
     dec = matcore.eig_hermitian(m)
     mu, w = dec.eigenvalues, dec.eigenvectors
@@ -136,8 +141,8 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     ``(A - lambda_tau)^{-1}`` is a diagonal scaling in the eigenbasis of
     ``A``.
     """
-    a, b = matcore.as_pair(a, b)
-    lam, vecs = _eigenbasis(a)
+    matcore.check_order(order, "order")
+    lam, vecs, _, b = _operands(a, b)
     q.check_indices(lam.size)
     b_eig = vecs.conj().T @ b @ vecs
     d = 1.0 / (lam - lambda_shift(lam[q.i], lam[q.j], q.tau))
@@ -188,8 +193,8 @@ def s_matrix_unitarity_defect(a, b, tau: float) -> float:
     spectra as tau decreases.
     """
     matcore.check_positive(tau, "tau")
-    lam, vecs, m = _coupled(a, b)
-    dec = matcore.eig_hermitian(m)
+    lam, vecs, a, b = _operands(a, b)
+    dec = matcore.eig_hermitian(matcore.require_hermitian(a + b, what="A+B"))
     mu, e = dec.eigenvalues, vecs.conj().T @ dec.eigenvectors  # e: eigenvectors of A + B in A's basis
     n = lam.size
     # row i: i tau sum_k e_ik conj(e_jk) / (mu_k - lambda_tau(i, j)), O(n^2) each

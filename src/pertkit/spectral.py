@@ -100,8 +100,9 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
     scaling, and the order-``k`` trace takes ``ceil(k/2) - 1`` matrix products
     per node.
     """
+    matcore.check_order(order, "order")
     dec = a if isinstance(a, SpectralDecomposition) else None
-    a, b = matcore.as_pair(a if dec is None else dec.eigenvectors, b)  # V has the shape of A
+    a, b = matcore.as_pair(a if dec is None else dec.matrix, b)
     if dec is None:
         dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
     b = matcore.require_hermitian(b, what="B")
@@ -145,6 +146,7 @@ def projection_coefficients(a, b, contour: ContourSpec, order: int) -> Projectio
     projector.  One quadrature integrates every order: in the eigenbasis of
     ``A`` each node takes one matrix product per order.
     """
+    matcore.check_order(order, "order")
     a, b = matcore.as_pair(a, b)
     dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
     lam = dec.eigenvalues
@@ -472,6 +474,7 @@ def unit_eigenvector_expansion(s: SchurData, lambda_series: EigenPerturbationSer
     automatic because the tilde representative has unit overlap with ``v``.
     A 1x1 split gives ``[v, 0, ..., 0]``.
     """
+    matcore.check_order(order, "order")
     lam = np.asarray(lambda_series.coefficients, dtype=float)
     if lam.size < order + 1:
         raise ArgumentError("eigenvalue series too short for the requested order")

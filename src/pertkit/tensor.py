@@ -61,8 +61,8 @@ class LineQuadrature:
     nodes: int
 
     def __post_init__(self):
-        if self.cutoff < 10:
-            raise ArgumentError("cutoff must be at least 10")
+        if not 10 <= self.cutoff < np.inf:
+            raise ArgumentError("cutoff must be finite and at least 10")
         if self.nodes < 200:
             raise ArgumentError("need at least 200 nodes")
 

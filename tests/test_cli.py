@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,6 +393,27 @@ class TestOperandContract:
         self._fails(capsys, ["tensor", "conv", "--a1", p["a1"], "--a2", p["a2"], "--omega", "0.3", "--eps", "nan",
                              "--cutoff", "200"], ArgumentError, "eps must be positive")
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--t-max", "nan"], "t_max must be positive"),
+        ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--t-max=-5"], "t_max must be positive"),
+        ("dyson", ["--t", "nan", "--orders", "2"], "t must be finite and nonnegative"),
+        ("dyson", ["--t", "inf", "--orders", "2"], "t must be finite and nonnegative"),
+        ("resolvent", ["--order=-1"], "order must be nonnegative"),
+        ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--order=-1"], "order must be nonnegative"),
+        ("eig-perturb", ["--index", "0", "--order=-1"], "order must be nonnegative"),
+        ("dyson", ["--t", "0.5", "--orders=-1"], "m_max must be nonnegative"),
+    ], ids=["scatter-nan-t-max", "scatter-negative-t-max", "dyson-nan-t", "dyson-inf-t", "resolvent-negative-order",
+            "scatter-negative-order", "eig-perturb-negative-order", "dyson-negative-orders"])
+    def test_a_bad_scalar_argument(self, tmp_path, capsys, command, args, message):
+        p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
+        self._fails(capsys, [command, "--a", p["a"], "--b", p["b"]] + args, ArgumentError, message)
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_tensor_conv_with_a_non_finite_cutoff(self, tmp_path, capsys, cutoff):
+        p = _save(tmp_path, a1=np.diag([0.0, 1.0]), a2=np.diag([0.5, 2.0]))
+        self._fails(capsys, ["tensor", "conv", "--a1", p["a1"], "--a2", p["a2"], "--omega", "0.3", "--eps", "0.2",
+                             "--cutoff", cutoff], ArgumentError, "cutoff must be finite and at least 10")
+
 
 def _eig_coefficients(tmp_path, a, b, index):
     p = _save(tmp_path, a=a, b=b)
@@ -415,3 +438,17 @@ def test_eig_perturb_checks_the_level_it_follows_on_a_permuted_diagonal(tmp_path
     checks = [line.split(",")[0] for line in lines[lines.index("# residuals") + 1:]]
     assert {"first_order_diagonal", "second_order_diagonal", "fourth_order_closed_form"} <= set(checks)
     np.testing.assert_allclose(coeffs, sorted_coeffs, rtol=0, atol=1e-12)
+
+
+def test_the_cli_uses_only_public_library_names():
+    # every library name the CLI reads is public API; a private one is flagged
+    # as the module attribute it is read from, or as the name it imports
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.level == 1 and node.module is None for alias in node.names}
+    assert {"matcore", "scattering"} <= modules
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id in modules and node.attr.startswith("_")]
+    private += [f"{node.module}.{alias.name}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level == 1 for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -2,10 +2,12 @@
 
 Every public function of the library modules that takes an operand pair
 (``a`` or ``a_diag`` with ``b`` or ``b_of_t``, or ``u`` with ``m``) raises
-:class:`ShapeError` when the two shapes differ, and every one that takes a
-rate (``tau``, ``eta``, ``eps``) raises :class:`ArgumentError` unless the rate
-is positive and finite.  Every other required parameter is filled from
-:data:`FILL`, keyed by parameter name: new API registers its parameters there.
+:class:`ShapeError` when the two shapes differ, every one that takes a rate
+(``tau``, ``eta``, ``eps``, ``t_max``) raises :class:`ArgumentError` unless
+the rate is positive and finite, and every one that takes an order
+(``order``, ``m_max`` or an integer ``k``) raises :class:`ArgumentError` when
+it is negative.  Every other required parameter is filled from :data:`FILL`,
+keyed by parameter name: new API registers its parameters there.
 """
 
 import inspect
@@ -20,8 +22,10 @@ from pertkit.errors import ArgumentError, PertkitError, ShapeError
 MODULES = (matcore, resolvent, spectral, evolution, scattering, symdiag, tensor)
 PAIRS = (("a", "b"), ("a_diag", "b"), ("a", "b_of_t"), ("u", "m"))
 #: a valid value of each rate
-RATES = {"tau": 0.5, "eta": 10.0, "eps": 0.2}
+RATES = {"tau": 0.5, "eta": 10.0, "eps": 0.2, "t_max": 5.0}
 BAD_RATES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
+#: the names of an order; a ``k`` is one only when it is an ``int``
+ORDERS = ("order", "m_max", "k")
 #: the oscillator's ``eta`` shifts its split, ``A = -Lap + (1 + eta) X^2``; 0 is its default
 NOT_RATES = {"spectral.harmonic_oscillator_operators", "spectral.harmonic_oscillator_demo"}
 
@@ -61,10 +65,14 @@ FILL = {
     "k": ByAnnotation({"int": 3, "KroneckerSum": tensor.KroneckerSum((A, A))}),
     "lam_i": 1.0,
     "lam_j": 2.0,
+    "lambda_series": spectral.eigenvalue_coefficients(A, B, 0, 3),
     "m_a": 1.0,
     "m_b": 2.0,
     "m_c": 0.5,
     "m_max": 3,
+    "name": "k",  # the order that matcore.check_order checks is its own k
+    "norm_a": 2.0,
+    "norm_b": 0.1,
     "num_sites": 8,
     "omega": 0.3,
     "order": 2,
@@ -78,10 +86,9 @@ FILL = {
         "LineQuadrature": tensor.LineQuadrature(cutoff=10.0, nodes=200),
     }),
     "q0": (0.0, 0.0, 0.0),
-    "s": 0.0,
+    "s": ByAnnotation({"float": 0.0, "SchurData": spectral.schur_split(A, B, 0)}),
     "sched": evolution.ramped_schedule(A, B),
     "t": 0.5,
-    "t_max": 5.0,
     "u": np.eye(2),
     "v": np.ones(2),
 }
@@ -105,9 +112,15 @@ def _rates(qual, fn) -> list:
     return [] if qual in NOT_RATES else [r for r in RATES if r in params]
 
 
+def _orders(fn) -> list:
+    params = inspect.signature(fn).parameters.values()
+    return [p.name for p in params if p.name in ORDERS and p.annotation == "int"]
+
+
 PAIR_API = {q: fn for q, fn in _public_functions() if _pair(fn)}
 RATE_API = {q: fn for q, fn in _public_functions() if _rates(q, fn)}
-API = PAIR_API | RATE_API
+ORDER_API = {q: fn for q, fn in _public_functions() if _orders(fn)}
+API = PAIR_API | RATE_API | ORDER_API
 
 
 def _others(fn):
@@ -116,17 +129,17 @@ def _others(fn):
             if p.name not in _pair(fn) and p.name not in RATES and p.default is inspect.Parameter.empty]
 
 
-def _call(fn, a=A, b=B, **rates):
-    """``fn`` on the pair ``(a, b)`` if it takes one, the given rates, valid
+def _call(fn, a=A, b=B, **values):
+    """``fn`` on the pair ``(a, b)`` if it takes one, the given values, valid
     values of its other rates and :data:`FILL` for everything else."""
     kwargs = dict(zip(_pair(fn), (a, b)))
     if "b_of_t" in kwargs:
         kwargs["b_of_t"] = lambda t: b
-    kwargs |= {r: rates.get(r, RATES[r]) for r in RATES if r in inspect.signature(fn).parameters}
+    kwargs |= {r: RATES[r] for r in RATES if r in inspect.signature(fn).parameters}
     for p in _others(fn):
         value = FILL[p.name]
         kwargs[p.name] = value[p.annotation] if isinstance(value, ByAnnotation) else value
-    return fn(**kwargs)
+    return fn(**(kwargs | values))
 
 
 def test_the_contract_finds_the_operand_and_rate_api():
@@ -140,6 +153,11 @@ def test_the_contract_finds_the_operand_and_rate_api():
         "scattering.s_matrix_unitarity_defect", "evolution.adiabatic_evolve", "evolution.adiabatic_eigvec_series",
         "symdiag.diagram_values", "symdiag.three_particle_demo", "tensor.convolution_resolvent_symmetric",
     } <= RATE_API.keys()
+    assert {
+        "resolvent.series_terms", "resolvent.feynman_parameter_entry", "spectral.unit_eigenvector_expansion",
+        "evolution.remainder_bound", "evolution.dyson_terms", "scattering.s_series",
+    } <= ORDER_API.keys()
+    assert "scattering.s_entry_time_average" in RATE_API and "tensor.convolution_resolvent" not in ORDER_API
 
 
 @pytest.mark.parametrize("qual", sorted(API))
@@ -167,6 +185,13 @@ def test_a_rate_that_is_not_positive_and_finite_raises_an_argument_error(qual, b
     for rate in _rates(qual, RATE_API[qual]):
         with pytest.raises(ArgumentError, match=f"^{rate} must be positive$"):
             _call(RATE_API[qual], **{rate: BAD_RATES[bad]})
+
+
+@pytest.mark.parametrize("qual", sorted(ORDER_API))
+def test_a_negative_order_raises_an_argument_error(qual):
+    for order in _orders(ORDER_API[qual]):
+        with pytest.raises(ArgumentError, match=f"^{order} must be nonnegative$"):
+            _call(ORDER_API[qual], **{order: -1})
 
 
 @pytest.mark.parametrize("qual", sorted(PAIR_API))

@@ -8,6 +8,7 @@ import reference
 from ensembles import random_hermitian
 from pertkit import evolution, matcore
 from pertkit.errors import (
+    ArgumentError,
     ContourEnclosureError,
     ConvergenceError,
     GapCollapseError,
@@ -42,6 +43,20 @@ class TestRemainderBound:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             evolution.remainder_bound(-1.0, 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_a_time_that_is_not_finite_and_nonnegative_raises_an_argument_error(self, t):
+        a, b = np.diag([0.0, 1.0]), 0.1 * np.ones((2, 2))
+        for call in (lambda: evolution.remainder_bound(t, 1.0, 1.0, 2),
+                     lambda: evolution.exp_series_terms(a, b, t, 2),
+                     lambda: evolution.dyson_terms(a, b, t, 2)):
+            with pytest.raises(ArgumentError, match="^t "):
+                call()
+
+    @pytest.mark.parametrize("norms", [(math.nan, 1.0), (1.0, math.inf), (1.0, -1.0)])
+    def test_a_norm_that_is_not_finite_and_nonnegative_raises_an_argument_error(self, norms):
+        with pytest.raises(ArgumentError, match="^t and the norms must be finite and nonnegative$"):
+            evolution.remainder_bound(1.0, *norms, 2)
 
 
 class TestExpSeries:

@@ -1,7 +1,8 @@
 """The factor-once resolvent paths against the per-shift references they
 replaced (``reference.py``): contour coefficients in the eigenbasis of ``A``,
-scattering entries and series from one eigendecomposition, the chunked line
-convolution and the CLI's exact remainders from one inverse and one solve.
+scattering entries and series from one eigendecomposition of ``A`` per job,
+the chunked line convolution and the CLI's exact remainders from one inverse
+and one solve.
 
 Agreement is required to 1e-12 relative.  A value that vanishes in exact
 arithmetic is compared against the size of the terms that produce it: an
@@ -162,6 +163,66 @@ class TestScatteringEntries:
                      lambda: scattering.s_matrix_unitarity_defect(a, b, 0.5)):
             with pytest.raises(matcore.NotHermitianError, match="A\\+B"):
                 call()
+
+
+class TestOneDecompositionOfA:
+    """A :class:`matcore.SpectralDecomposition` carries the matrix it
+    decomposed, and the scattering functions take it for ``A``."""
+
+    def test_a_decomposition_records_its_validated_matrix(self):
+        a, b = hermitian_pair(8, 3)
+        dec = matcore.eig_hermitian(a.tolist())
+        assert dec.matrix.dtype == complex
+        assert dec.matrix.tobytes() == matcore.require_hermitian(a).tobytes()
+        np.testing.assert_array_equal(spectral.eigenvalue_coefficients(dec, b, 3, 4).coefficients,
+                                      spectral.eigenvalue_coefficients(a, b, 3, 4).coefficients)
+        with pytest.raises(matcore.ShapeError):  # B is checked against the matrix
+            spectral.eigenvalue_coefficients(dec, b[:3, :3], 3, 4)
+
+    def test_the_reference_basis_of_a_diagonal_a_is_the_standard_basis(self):
+        a = np.diag([2.0, -1.0, 0.5]).astype(complex)
+        basis = scattering.reference_basis(a)
+        np.testing.assert_array_equal(basis.eigenvalues, [2.0, -1.0, 0.5])  # unsorted: matrix indices
+        np.testing.assert_array_equal(basis.eigenvectors, np.eye(3))
+        assert basis.matrix.tobytes() == a.tobytes()
+        with pytest.raises(matcore.NotHermitianError, match="^A is not Hermitian"):
+            scattering.reference_basis(a + np.triu(np.ones((3, 3)), 1))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_the_reference_basis_stands_in_for_a(self, n, diagonal):
+        a, b = hermitian_pair(n, 70 * n, diagonal, b_norm=0.3)
+        basis = scattering.reference_basis(a)
+        q = scattering.ScatteringQuery(0, n - 1, 0.5)
+        for call in (lambda x: scattering.s_series(x, b, q, 6).terms,
+                     lambda x: scattering.s_series(x, b, q, 6).ratio,
+                     lambda x: scattering.s_entry_resolvent(x, b, q),
+                     lambda x: scattering.s_entry_time_average(x, b, q, 20.0, g=400),
+                     lambda x: scattering.s_matrix_unitarity_defect(x, b, 0.5)):
+            assert np.asarray(call(basis)).tobytes() == np.asarray(call(a)).tobytes()
+
+    @pytest.mark.parametrize("diagonal, decompositions", [(False, 2), (True, 1)], ids=["dense-a", "diagonal-a"])
+    @pytest.mark.parametrize("sweep", [[], ["--tau-sweep", "0.05:0.5:0"], ["--tau-sweep", "0.05:0.5:6"]],
+                             ids=["no-sweep", "0-point-sweep", "6-point-sweep"])
+    def test_cli_scatter_decomposes_a_once(self, monkeypatch, tmp_path, diagonal, decompositions, sweep):
+        calls = []
+        original = matcore.eig_hermitian
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(matcore, "eig_hermitian", counting)
+        a, b = hermitian_pair(8, 67, diagonal, b_norm=0.05)
+        iotools.save_matrix(str(tmp_path / "a.json"), a)
+        iotools.save_matrix(str(tmp_path / "b.json"), b)
+        out = tmp_path / "s.csv"
+        assert cli.main(["--out", str(out), "scatter", "--a", str(tmp_path / "a.json"), "--b",
+                         str(tmp_path / "b.json"), "--i", "2", "--j", "5", "--tau", "0.5"] + sweep) == 0
+        assert len(calls) == decompositions  # one of A unless it is diagonal, one of A + B
+        if sweep:  # the sweep ran all its points
+            lines = out.read_text().splitlines()
+            assert lines.index("# residuals") - lines.index("#tau-sweep,,,") - 1 == int(sweep[1].rsplit(":", 1)[1])
 
 
 class TestLineConvolution:

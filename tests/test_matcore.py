@@ -281,7 +281,7 @@ class TestEigHermitian:
         dec = matcore.eig_hermitian(m)
         v = dec.eigenvectors
         assert matcore.op_norm(v.conj().T @ v - np.eye(16)) <= 1e-12
-        assert matcore.op_norm(dec.reconstruct() - m) <= 1e-10 * matcore.op_norm(m)
+        assert matcore.op_norm((v * dec.eigenvalues) @ v.conj().T - m) <= 1e-10 * matcore.op_norm(m)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):

@@ -4,7 +4,7 @@ import pytest
 import reference
 from ensembles import random_hermitian
 from pertkit import matcore, tensor
-from pertkit.errors import ShapeError, SingularMatrixError
+from pertkit.errors import ArgumentError, ShapeError, SingularMatrixError
 
 
 class TestKroneckerSum:
@@ -101,6 +101,11 @@ class TestConvolutionResolvent:
             tensor.LineQuadrature(cutoff=5.0, nodes=2001)
         with pytest.raises(ValueError):
             tensor.LineQuadrature(cutoff=200.0, nodes=100)
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf")])
+    def test_a_cutoff_that_is_not_finite_raises_an_argument_error(self, cutoff):
+        with pytest.raises(ArgumentError, match="^cutoff must be finite and at least 10$"):
+            tensor.LineQuadrature(cutoff=cutoff, nodes=2001)
 
 
 class TestConvolutionSymmetric:

@@ -198,6 +198,9 @@ def _run_scatter(config: RunConfig) -> Report:
     rep.check("abel_vs_direct", abs(abel - direct), 2.0 * np.exp(-q.tau * t_max) + 1e-5)
     if p.get("tau_sweep"):
         lo, hi, n = p["tau_sweep"]
+        matcore.check_positive(lo, "tau_sweep start")
+        matcore.check_positive(hi, "tau_sweep stop")
+        matcore.check_order(n, "tau_sweep count")
         rep.rows.append(tuple(["#tau-sweep", "", "", ""]))
         for tau in np.geomspace(lo, hi, int(n)):
             val = scattering.s_entry_resolvent(basis, b, scattering.ScatteringQuery(p["i"], p["j"], float(tau)))

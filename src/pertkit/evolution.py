@@ -219,6 +219,8 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
     :class:`NotHermitianError` at the first non-Hermitian one, and
     :class:`StepSizeError` when a step estimate exceeds its limit.
     """
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ArgumentError("s and t must be finite")
     if s > t:
         raise ArgumentError("require s <= t")
     a = matcore.require_hermitian(a, what="A")

@@ -7,6 +7,11 @@ convergent when the symmetrized ratio ``||A^{-1/2} B A^{-1/2}|| < 1``;
 truncating at order ``k`` leaves the exact remainder
 ``(-1)^k (A^{-1} B)^k (A+B)^{-1}``, an identity valid at every order
 whether or not the series converges.
+
+The series are sums over index paths, and :func:`index_paths` walks them
+all: the nonzero entries of a dense ``B`` here and in the scattering index
+sum, the sparse diagram basis in ``symdiag``.  The dense callers refuse
+``n**m > PATH_ENUMERATION_CAP`` up front; every walk stops past ``PATH_CAP``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
-#: Exhaustive index-path enumeration guard for the simplex representation
-#: and the scattering index sums.
+#: A priori bound ``n**m`` on the index paths of a dense ``B`` that the
+#: simplex representation and the scattering index sum enumerate.
 PATH_ENUMERATION_CAP = 10**7
+#: Partial paths one walk of :func:`index_paths` may extend.
+PATH_CAP = 10**6
 
 
 def symmetrized_ratio(a, b) -> float:
@@ -102,27 +109,34 @@ class FeynmanEntry:
     order_values: tuple
 
 
-def _paths(b: np.ndarray, i: int, j: int, m: int):
-    """All index paths i -> ... -> j with m interaction factors and nonzero weight."""
-    n = b.shape[0]
-    nz = [np.flatnonzero(np.abs(b[r]) > 0.0) for r in range(n)]
+def index_paths(links, i, j, m: int):
+    """Every index path ``i -> ... -> j`` of ``m`` links, as a tuple of indices.
+
+    A path steps from ``r`` to each index of ``links(r)`` in the order listed,
+    and takes its last step only if ``j`` is among them.  Raises
+    :class:`EnumerationLimitError` once the walk has extended more than
+    :data:`PATH_CAP` partial paths.
+    """
+    matcore.check_order(m, "m")
     if m == 0:
         if i == j:
-            yield (i,), 1.0 + 0.0j
+            yield (i,)
         return
+    extended = 0
 
-    def extend(path, weight):
-        last = path[-1]
-        depth = len(path) - 1
-        if depth == m - 1:
-            w = b[last, j]
-            if w != 0:
-                yield path + (j,), weight * w
+    def extend(path):
+        nonlocal extended
+        extended += 1
+        if extended > PATH_CAP:
+            raise EnumerationLimitError(f"path enumeration exceeds cap {PATH_CAP}")
+        if len(path) == m:
+            if j in links(path[-1]):
+                yield path + (j,)
             return
-        for nxt in nz[last]:
-            yield from extend(path + (int(nxt),), weight * b[last, nxt])
+        for nxt in links(path[-1]):
+            yield from extend(path + (nxt,))
 
-    yield from extend((i,), 1.0 + 0.0j)
+    yield from extend((i,))
 
 
 def _simplex_nodes(m: int, q: SimplexQuadrature, seed_offset: int = 0):
@@ -187,16 +201,17 @@ def feynman_parameter_entry(
             f"index enumeration {n}^{m_max} exceeds cap {PATH_ENUMERATION_CAP}"
         )
 
+    nz = [np.flatnonzero(row).tolist() for row in b]
     order_values = []
     variance = 0.0
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
-        paths = list(_paths(b, i, j, m))
+        paths = list(index_paths(nz.__getitem__, i, j, m))
         if not paths:
             order_values.append(0.0 + 0.0j)
             continue
-        lam_rows = np.array([[lam[k] for k in p] for p, _ in paths])  # (P, m+1)
-        wts = np.array([w for _, w in paths])  # (P,)
+        lam_rows = np.array([[lam[k] for k in p] for p in paths])  # (P, m+1)
+        wts = np.array([math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j) for p in paths])  # (P,)
         x, w = _simplex_nodes(m, q, seed_offset=m)
         # denominators: (S, P) = x @ lam_rows.T + i tau
         denom = (x @ lam_rows.T) + 1j * tau

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matcore
 from .errors import ArgumentError, EnumerationLimitError, SingularMatrixError
-from .resolvent import PATH_ENUMERATION_CAP, _paths
+from .resolvent import PATH_ENUMERATION_CAP, index_paths
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,10 @@ def lambda_shift(lam_i: float, lam_j: float, tau: float) -> complex:
     return (lam_i + lam_j) / 2.0 - 1j * tau
 
 
-def _prefactor(lam_i: float, lam_j: float, tau: float, ell: int) -> complex:
+def term_prefactor(lam_i: float, lam_j: float, tau: float, ell: int) -> complex:
     """Overall factor ``(-1)^(ell+1) i tau / ((lambda_i - lambda_j)^2/4 + tau^2)``
     of the order-``ell`` entry, for the energies of its two end states."""
+    matcore.check_positive(tau, "tau")
     return (-1) ** (ell + 1) * 1j * tau / ((lam_i - lam_j) ** 2 / 4.0 + tau**2)
 
 
@@ -179,10 +180,12 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
         raise EnumerationLimitError(f"{n}^{ell - 1} paths exceed cap {PATH_ENUMERATION_CAP}")
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
 
+    nz = [np.flatnonzero(row).tolist() for row in b]
     total = 0.0 + 0.0j
-    for path, w in _paths(b, q.i, q.j, ell):
+    for path in index_paths(nz.__getitem__, q.i, q.j, ell):
+        w = math.prod((b[r, c] for r, c in zip(path, path[1:])), start=1.0 + 0.0j)
         total += w / math.prod(lam[k] - lt for k in path[1:-1])
-    return complex(_prefactor(lam[q.i], lam[q.j], q.tau, ell) * total)
+    return complex(term_prefactor(lam[q.i], lam[q.j], q.tau, ell) * total)
 
 
 def s_matrix_unitarity_defect(a, b, tau: float) -> float:

@@ -9,10 +9,11 @@ A path ``k_1, ..., k_L`` of basis states maps to a drawing with ``L-1``
 dots (one per transition) and one line per particle occurrence-interval: a
 line starts at the dot where its particle appears and ends at the dot
 where it disappears, with external stubs for particles present in the
-first or last state.  Grouping series paths by this drawing and summing
-the usual energy-denominator weights per group reproduces the full
+first or last state.  :func:`resolvent.index_paths` walks the paths along
+:meth:`SparseInteraction.neighbors`.  Grouping them by this drawing and
+summing the usual energy-denominator weights per group reproduces the full
 multi-index sum, and tree-shaped drawings admit a unique momentum
-assignment solvable from the leaves.
+assignment, solved from the leaves on one running balance of net momenta.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import numpy as np
 
 from . import matcore, scattering
 from .errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotATreeError, ShapeError
+from .resolvent import index_paths
 
 EXT_IN = 0  # start code of a line entering from outside
 BASIS_CAP = 10**5
-PATH_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +135,16 @@ class SparseInteraction:
             self.entries[(t, s)] = v.conjugate()
             adjacency[s].add(t)
             adjacency[t].add(s)
-        self._adjacency = {s: sorted(ts, key=lambda x: x.particles) for s, ts in adjacency.items()}
+        # canonical order, held as a set view: a path walk tests its last step with one lookup
+        self._adjacency = {s: dict.fromkeys(sorted(ts, key=lambda x: x.particles)).keys()
+                           for s, ts in adjacency.items()}
 
     def entry(self, s: MultisetState, t: MultisetState) -> complex:
         return self.entries.get((s, t), 0.0 + 0.0j)
 
     def neighbors(self, s: MultisetState):
-        return self._adjacency.get(s, [])
+        """The states linked to ``s``, in canonical order, as a set view."""
+        return self._adjacency.get(s, {}.keys())
 
     def free_energy(self, s: MultisetState) -> float:
         return float(sum(self.dispersion(sp, p) for sp, p in s.particles))
@@ -435,35 +439,15 @@ def diagram_of(seq) -> Diagram:
     return Diagram.of(num_dots=length - 1, lines=lines)
 
 
-def _paths_between(bop: SparseInteraction, i: MultisetState, j: MultisetState, ell: int):
-    """All interaction paths i -> ... -> j with ``ell`` transitions."""
-    if not i.same_momentum(j):
-        return []
-    paths = []
-    counter = [0]
-
-    def walk(path):
-        counter[0] += 1
-        if counter[0] > PATH_CAP:
-            raise EnumerationLimitError(f"path enumeration exceeds cap {PATH_CAP}")
-        depth = len(path) - 1
-        if depth == ell - 1:
-            if bop.entry(path[-1], j) != 0:
-                paths.append(tuple(path) + (j,))
-            return
-        for t in bop.neighbors(path[-1]):
-            walk(path + [t])
-
-    walk([i])
-    return paths
-
-
 def group_terms_by_diagram(bop: SparseInteraction, i: MultisetState, j: MultisetState, ell: int) -> dict:
-    """Group the order-``ell`` paths from ``i`` to ``j`` by canonical diagram."""
+    """Group the order-``ell`` paths from ``i`` to ``j`` by canonical diagram;
+    states of different total momenta have none."""
     if ell < 1:
         raise ArgumentError("ell must be at least 1")
+    if not i.same_momentum(j):
+        return {}
     groups = defaultdict(list)
-    for path in _paths_between(bop, i, j, ell):
+    for path in index_paths(bop.neighbors, i, j, ell):
         groups[diagram_of(path)].append(path)
     return dict(groups)
 
@@ -492,7 +476,7 @@ def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
         i, j, ell = paths[0][0], paths[0][-1], len(paths[0]) - 1
         lam_i, lam_j = bop.free_energy(i), bop.free_energy(j)
         shift = scattering.lambda_shift(lam_i, lam_j, tau)
-        pref = scattering._prefactor(lam_i, lam_j, tau, ell)
+        pref = scattering.term_prefactor(lam_i, lam_j, tau, ell)
         out[diagram] = pref * sum(_path_weight(bop, p, shift) for p in paths)
     return out
 
@@ -525,15 +509,32 @@ def _dot_components(d: Diagram):
     return list(comps.values()), acyclic
 
 
+def _carry(net: np.ndarray, line, p) -> None:
+    """Add a line carrying ``p`` to the running balance of its two ends."""
+    _, s, e = line
+    net[e] += p
+    net[s] -= p
+
+
+def _net_momenta(d: Diagram, external_momenta: dict, dim: int) -> np.ndarray:
+    """Inflow minus outflow of the external lines at every endpoint: row
+    ``EXT_IN`` is the incoming outside, rows ``1..num_dots`` the dots and
+    row ``out_code`` the outgoing outside."""
+    net = np.zeros((d.out_code + 1, dim), dtype=int)
+    for k in d.external_indices():
+        _carry(net, d.lines[k], np.asarray(external_momenta[k], dtype=int))
+    return net
+
+
 def tree_solve(d: Diagram, external_momenta: dict, total: Momentum):
     """Unique internal-momentum assignment of a tree diagram, or ``None``.
 
     ``external_momenta`` maps the index of each external line (in
     ``d.lines`` order) to its momentum vector.  Vertex conservation
     (incoming minus outgoing momenta vanish at every dot) is solved by leaf
-    elimination; the redundant equation and the total-momentum cross-check
-    decide consistency.  Raises :class:`NotATreeError` when the dot graph
-    has a cycle or is disconnected.
+    elimination on one running balance of the dots; the redundant equation
+    and the total-momentum cross-check decide consistency.  Raises
+    :class:`NotATreeError` when the dot graph has a cycle or is disconnected.
     """
     comps, acyclic = _dot_components(d)
     if not acyclic:
@@ -541,94 +542,41 @@ def tree_solve(d: Diagram, external_momenta: dict, total: Momentum):
     if d.num_dots >= 1 and len(comps) != 1:
         raise NotATreeError("diagram is disconnected over its dots")
 
-    ext_idx = set(d.external_indices())
-    if set(external_momenta) != ext_idx:
+    if set(external_momenta) != set(d.external_indices()):
         raise ArgumentError("external momenta must cover exactly the external lines")
     dim = len(total)
-    known = {k: np.asarray(v, dtype=int) for k, v in external_momenta.items()}
-    for v in known.values():
-        if v.shape != (dim,):
-            raise ShapeError("momentum dimension mismatch")
+    if any(np.shape(v) != (dim,) for v in external_momenta.values()):
+        raise ShapeError("momentum dimension mismatch")
 
-    in_total = np.zeros(dim, dtype=int)
-    out_total = np.zeros(dim, dtype=int)
-    for k in ext_idx:
-        _, s, e = d.lines[k]
-        if s == EXT_IN:
-            in_total += known[k]
-        if e == d.out_code:
-            out_total += known[k]
-    if not np.array_equal(in_total, np.asarray(total, dtype=int)):
+    net = _net_momenta(d, external_momenta, dim)
+    if not np.array_equal(-net[EXT_IN], np.asarray(total, dtype=int)):
         return None
 
-    unknown = set(d.internal_indices())
-    incident = defaultdict(list)
-    for k in unknown:
-        _, s, e = d.lines[k]
-        incident[s].append(k)
-        incident[e].append(k)
-
+    internal = d.internal_indices()
+    incident = {dot: [k for k in internal if dot in d.lines[k][1:]] for dot in range(1, d.out_code)}
     solved: dict = {}
-    remaining = {dot: [k for k in incident[dot] if k in unknown] for dot in range(1, d.num_dots + 1)}
-
-    def dot_balance(dot):
-        # incoming minus outgoing with all currently known lines
-        bal = np.zeros(dim, dtype=int)
-        for k, (_lbl, s, e) in enumerate(d.lines):
-            p = known.get(k)
-            if p is None:
-                p = solved.get(k)
-            if p is None:
-                continue
-            if e == dot:
-                bal += p
-            if s == dot:
-                bal -= p
-        return bal
-
-    pending = set(unknown)
-    while pending:
-        leaf = None
-        for dot in range(1, d.num_dots + 1):
-            live = [k for k in remaining[dot] if k in pending]
+    while len(solved) < len(internal):
+        for dot, lines in incident.items():  # a leaf: a dot with one unsolved line
+            live = [k for k in lines if k not in solved]
             if len(live) == 1:
-                leaf = (dot, live[0])
                 break
-        if leaf is None:
-            raise NotATreeError("no leaf available; diagram is not a tree")
-        dot, k = leaf
-        _, s, e = d.lines[k]
-        bal = dot_balance(dot)
-        # line ends here: p satisfies bal + p = 0; starts here: bal - p = 0
-        solved[k] = -bal if e == dot else bal
-        pending.discard(k)
+        k = live[0]
+        # its line cancels the dot's balance: ending here it is -net, starting here +net
+        solved[k] = -net[dot] if d.lines[k][2] == dot else net[dot].copy()
+        _carry(net, d.lines[k], solved[k])
 
     # every dot equation must hold, including the redundant one
-    for dot in range(1, d.num_dots + 1):
-        if np.any(dot_balance(dot) != 0):
-            return None
+    if np.any(net[1:d.out_code]):
+        return None
     return {k: tuple(int(c) for c in v) for k, v in solved.items()}
 
 
 def connected_component_conservation(d: Diagram, external_momenta: dict) -> bool:
     """True iff the external momenta balance on every dot component."""
     comps, _ = _dot_components(d)
-    for comp in comps:
-        comp_set = set(comp)
-        bal = None
-        for k, (_lbl, s, e) in enumerate(d.lines):
-            if d.is_internal((_lbl, s, e)):
-                continue
-            p = np.asarray(external_momenta[k], dtype=int)
-            if bal is None:
-                bal = np.zeros_like(p)
-            if s == EXT_IN and e in comp_set:
-                bal += p
-            elif e == d.out_code and s in comp_set:
-                bal -= p
-        if bal is not None and np.any(bal != 0):
-            return False
-    return True
+    dim = len(next(iter(external_momenta.values()), ()))
+    net = _net_momenta(d, external_momenta, dim)
+    return not any(np.any(net[comp].sum(axis=0)) for comp in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +642,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     shell = (lam_i + lam_j) / 2.0
     shift = scattering.lambda_shift(lam_i, lam_j, tau)
 
-    paths = _paths_between(bop, i_state, j_state, 2)
+    paths = list(index_paths(bop.neighbors, i_state, j_state, 2))
     if len(paths) != 4:
         raise ArgumentError(
             f"expected the 4 canonical intermediate states, found {len(paths)}; "
@@ -728,7 +676,7 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     if [r.label for r in rows] != ["a", "b", "c", "d"]:
         raise ArgumentError("intermediate states do not match the canonical four-row table")
 
-    pref = scattering._prefactor(lam_i, lam_j, tau, 2)
+    pref = scattering.term_prefactor(lam_i, lam_j, tau, 2)
     assembled = pref * sum(r.product / r.denominator for r in rows)
 
     total_p = i_state.total_momentum()

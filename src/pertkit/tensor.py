@@ -19,6 +19,7 @@ eigenbases every shifted inverse is diagonal, so the line integral is one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -84,6 +85,8 @@ def kron_sum_materialize(k: KroneckerSum) -> np.ndarray:
 
 def exp_factorization_check(k: KroneckerSum, t: float) -> float:
     """Defect ``||e^{it A} - (x)_k e^{it A_k}||`` of the exponential splitting."""
+    if not math.isfinite(t):
+        raise ArgumentError("t must be finite")
     total = kron_sum_materialize(k)
     lhs = matcore.expm(1j * t * total)
     rhs = reduce(np.kron, [matcore.expm(1j * t * np.asarray(f, dtype=complex)) for f in k.factors])

@@ -278,8 +278,8 @@ class TestCliCommands:
 
     def test_diagrams_enumerates_the_paths_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        paths_between = symdiag._paths_between
-        monkeypatch.setattr(symdiag, "_paths_between", lambda *args: calls.append(args) or paths_between(*args))
+        index_paths = symdiag.index_paths
+        monkeypatch.setattr(symdiag, "index_paths", lambda *args: calls.append(args) or index_paths(*args))
         (tmp_path / "model.json").write_text(json.dumps(self.DIAGRAM_MODEL))
         code = cli.main(["diagrams", "--model", str(tmp_path / "model.json"),
                          "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.05"])
@@ -402,8 +402,12 @@ class TestOperandContract:
         ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--order=-1"], "order must be nonnegative"),
         ("eig-perturb", ["--index", "0", "--order=-1"], "order must be nonnegative"),
         ("dyson", ["--t", "0.5", "--orders=-1"], "m_max must be nonnegative"),
+        ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--tau-sweep=0.05:0.5:-1"],
+         "tau_sweep count must be nonnegative"),
+        ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--tau-sweep", "0:1:3"], "tau_sweep start must be positive"),
     ], ids=["scatter-nan-t-max", "scatter-negative-t-max", "dyson-nan-t", "dyson-inf-t", "resolvent-negative-order",
-            "scatter-negative-order", "eig-perturb-negative-order", "dyson-negative-orders"])
+            "scatter-negative-order", "eig-perturb-negative-order", "dyson-negative-orders",
+            "scatter-negative-sweep-count", "scatter-zero-sweep-start"])
     def test_a_bad_scalar_argument(self, tmp_path, capsys, command, args, message):
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
         self._fails(capsys, [command, "--a", p["a"], "--b", p["b"]] + args, ArgumentError, message)
@@ -441,14 +445,23 @@ def test_eig_perturb_checks_the_level_it_follows_on_a_permuted_diagonal(tmp_path
 
 
 def test_the_cli_uses_only_public_library_names():
-    # every library name the CLI reads is public API; a private one is flagged
-    # as the module attribute it is read from, or as the name it imports
-    tree = ast.parse(Path(cli.__file__).read_text())
-    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and node.level == 1 and node.module is None for alias in node.names}
-    assert {"matcore", "scattering"} <= modules
-    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-               and isinstance(node.value, ast.Name) and node.value.id in modules and node.attr.startswith("_")]
-    private += [f"{node.module}.{alias.name}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                and node.level == 1 for alias in node.names if alias.name.startswith("_")]
+    # every name a module reads from another pertkit module is public API (the
+    # CLI's included); a private one is flagged as the module attribute it is
+    # read from, or as the name it imports; a dunder such as __version__ is public
+    def is_private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    private = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and node.level == 1 and node.module is None for alias in node.names}
+        private += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and is_private(node.attr)]
+        private += [f"{path.stem}: {node.module}.{alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names if is_private(alias.name)]
+        if path.stem in ("cli", "symdiag"):
+            assert {"matcore", "scattering"} <= modules
     assert private == []

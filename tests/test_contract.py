@@ -6,18 +6,23 @@ Every public function of the library modules that takes an operand pair
 (``tau``, ``eta``, ``eps``, ``t_max``) raises :class:`ArgumentError` unless
 the rate is positive and finite, and every one that takes an order
 (``order``, ``m_max`` or an integer ``k``) raises :class:`ArgumentError` when
-it is negative.  Every other required parameter is filled from :data:`FILL`,
-keyed by parameter name: new API registers its parameters there.
+it is negative.  Every one that takes a float time (``t``, or the start
+``s``) raises :class:`ArgumentError` when it is NaN or infinite, every one
+that takes an ``int`` index ``i`` or ``j`` raises it at ``-1`` and at ``n``,
+and a NaN entry in either operand raises :class:`MatrixFormatError`.  Every
+other required parameter is filled from :data:`FILL`, keyed by parameter
+name: new API registers its parameters there.
 """
 
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 
-from pertkit import evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
-from pertkit.errors import ArgumentError, PertkitError, ShapeError
+from pertkit import cli, evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
+from pertkit.errors import ArgumentError, MatrixFormatError, PertkitError, ShapeError
 
 MODULES = (matcore, resolvent, spectral, evolution, scattering, symdiag, tensor)
 PAIRS = (("a", "b"), ("a_diag", "b"), ("a", "b_of_t"), ("u", "m"))
@@ -26,6 +31,9 @@ RATES = {"tau": 0.5, "eta": 10.0, "eps": 0.2, "t_max": 5.0}
 BAD_RATES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
 #: the names of an order; a ``k`` is one only when it is an ``int``
 ORDERS = ("order", "m_max", "k")
+#: the names of a time, when it is a ``float``, and of an index, when it is an ``int``
+TIMES = ("t", "s")
+INDICES = ("i", "j")
 #: the oscillator's ``eta`` shifts its split, ``A = -Lap + (1 + eta) X^2``; 0 is its default
 NOT_RATES = {"spectral.harmonic_oscillator_operators", "spectral.harmonic_oscillator_demo"}
 
@@ -51,6 +59,7 @@ FILL = {
     "charge": 1.0,
     "contour": matcore.ContourSpec(center=1.0, radius=0.5),  # encloses one level of A
     "dispersion": lambda p: p * p,
+    "eigenvalues": np.array([1.0, 2.0]),
     "ell": 2,
     "eps_shell": 1.0,
     "f": lambda x: x,  # a ramp, and a holomorphic function
@@ -70,6 +79,7 @@ FILL = {
     "m_b": 2.0,
     "m_c": 0.5,
     "m_max": 3,
+    "n": 2,
     "name": "k",  # the order that matcore.check_order checks is its own k
     "norm_a": 2.0,
     "norm_b": 0.1,
@@ -112,15 +122,21 @@ def _rates(qual, fn) -> list:
     return [] if qual in NOT_RATES else [r for r in RATES if r in params]
 
 
-def _orders(fn) -> list:
+def _named(fn, names, annotation) -> list:
     params = inspect.signature(fn).parameters.values()
-    return [p.name for p in params if p.name in ORDERS and p.annotation == "int"]
+    return [p.name for p in params if p.name in names and p.annotation == annotation]
+
+
+def _orders(fn) -> list:
+    return _named(fn, ORDERS, "int")
 
 
 PAIR_API = {q: fn for q, fn in _public_functions() if _pair(fn)}
 RATE_API = {q: fn for q, fn in _public_functions() if _rates(q, fn)}
 ORDER_API = {q: fn for q, fn in _public_functions() if _orders(fn)}
-API = PAIR_API | RATE_API | ORDER_API
+TIME_API = {q: fn for q, fn in _public_functions() if _named(fn, TIMES, "float")}
+INDEX_API = {q: fn for q, fn in _public_functions() if _named(fn, INDICES, "int")}
+API = PAIR_API | RATE_API | ORDER_API | TIME_API | INDEX_API
 
 
 def _others(fn):
@@ -158,6 +174,15 @@ def test_the_contract_finds_the_operand_and_rate_api():
         "evolution.remainder_bound", "evolution.dyson_terms", "scattering.s_series",
     } <= ORDER_API.keys()
     assert "scattering.s_entry_time_average" in RATE_API and "tensor.convolution_resolvent" not in ORDER_API
+    assert {
+        "evolution.remainder_bound", "evolution.exp_series_terms", "evolution.dyson_terms",
+        "evolution.propagator_time_dependent", "tensor.exp_factorization_check",
+    } == TIME_API.keys()
+    assert {
+        "matcore.check_index", "resolvent.feynman_parameter_entry", "spectral.default_contour",
+        "spectral.eigenvalue_coefficients", "spectral.schur_split", "evolution.adiabatic_evolve",
+        "symdiag.restricted_inverse",
+    } <= INDEX_API.keys()
 
 
 @pytest.mark.parametrize("qual", sorted(API))
@@ -200,3 +225,48 @@ def test_a_one_by_one_pair_returns_a_value_or_raises_a_typed_error(qual):
         _call(PAIR_API[qual], a=np.array([[1.0]]), b=np.array([[0.1]]))
     except PertkitError:
         pass
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("qual", sorted(TIME_API))
+def test_a_time_that_is_not_finite_raises_an_argument_error(qual, bad):
+    for time in _named(TIME_API[qual], TIMES, "float"):
+        with pytest.raises(ArgumentError, match="must be finite"):
+            _call(TIME_API[qual], **{time: bad})
+
+
+@pytest.mark.parametrize("bad", [A.shape[0], -1], ids=["n", "-1"])
+@pytest.mark.parametrize("qual", sorted(INDEX_API))
+def test_an_index_out_of_range_raises_an_argument_error(qual, bad):
+    for index in _named(INDEX_API[qual], INDICES, "int"):
+        with pytest.raises(ArgumentError):
+            _call(INDEX_API[qual], **{index: bad})
+
+
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("qual", sorted(PAIR_API))
+def test_a_nan_entry_raises_a_matrix_format_error(qual, operand):
+    pair = {"a": A.copy(), "b": B.copy()}
+    pair[operand][0, 1] = math.nan
+    with pytest.raises(MatrixFormatError):
+        _call(PAIR_API[qual], **pair)
+
+
+def test_an_empty_enumeration_sums_to_zero():
+    zero = np.zeros((2, 2))
+    entry = _call(resolvent.feynman_parameter_entry, b=zero)  # i != j: no path at any order
+    assert entry.order_values == (0,) * (FILL["m_max"] + 1) and entry.value == 0
+    assert _call(scattering.s_term_index_sum, b=zero) == 0
+    c_state = symdiag.MultisetState.of(("c", (1,)))  # total momentum 1, not 0
+    assert symdiag.group_terms_by_diagram(BOP, I_STATE, c_state, 1) == {}
+
+
+def test_a_diagrams_job_with_no_paths_exits_zero(tmp_path, capsys):
+    # every vertex flips the parity of all three species, so a + b -> a + b has no odd-order path
+    model = {"species": [{"name": s, "mass": m} for s, m in zip("abc", (1.0, 2.0, 0.5))],
+             "grid": {"dim": 1, "radius": 1}}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    code = cli.main(["diagrams", "--model", str(tmp_path / "model.json"), "--i", "a:1,b:-1", "--j", "a:-1,b:1",
+                     "--ell", "3", "--tau", "0.1"])
+    out = capsys.readouterr().out
+    assert code == 0 and "num_diagrams=0" in out and "\ndiagram_partition_identity,0.0,1e-11,1\n" in out

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ensembles import random_hermitian
-from pertkit import matcore, resolvent
-from pertkit.errors import DefinitenessError, EnumerationLimitError, NotHermitianError
+from pertkit import matcore, resolvent, scattering
+from pertkit.errors import ArgumentError, DefinitenessError, EnumerationLimitError, NotHermitianError
 
 
 def hpd_with_ratio(n, target, seed):
@@ -127,6 +127,53 @@ class TestExactRemainder:
         resids = [matcore.op_norm(ser.partial_sum(k) - inv) for k in range(1, 9)]
         slope = np.polyfit(np.arange(1, 9), np.log(resids), 1)[0]
         assert slope <= math.log(ser.ratio) + 0.1
+
+
+class TestIndexPaths:
+    LINKS = {0: [2, 1], 1: [0, 2], 2: [1, 0]}
+
+    def paths(self, i, j, m):
+        return list(resolvent.index_paths(self.LINKS.__getitem__, i, j, m))
+
+    def test_paths_come_in_link_order(self):
+        assert self.paths(0, 0, 2) == [(0, 2, 0), (0, 1, 0)]
+        assert self.paths(0, 2, 3) == [(0, 2, 1, 2), (0, 2, 0, 2), (0, 1, 0, 2)]
+        assert self.paths(1, 1, 1) == []
+
+    def test_no_links(self):
+        assert self.paths(1, 1, 0) == [(1,)]
+        assert self.paths(1, 2, 0) == []
+
+    def test_a_negative_length_is_an_argument_error(self):
+        with pytest.raises(ArgumentError, match="^m must be nonnegative$"):
+            self.paths(0, 0, -1)
+
+    def test_a_walk_stops_past_the_cap(self, monkeypatch):
+        # from 0 over three links of every index: 1 + 3 + 9 partial paths are extended
+        links = [0, 1, 2]
+        monkeypatch.setattr(resolvent, "PATH_CAP", 13)
+        assert len(list(resolvent.index_paths(lambda r: links, 0, 0, 3))) == 9
+        monkeypatch.setattr(resolvent, "PATH_CAP", 12)
+        with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 12"):
+            list(resolvent.index_paths(lambda r: links, 0, 0, 3))
+
+    def test_a_dense_index_sum_stops_past_the_cap(self, monkeypatch):
+        # 4^4 index paths pass the a priori bound; the walk extends 341 partial paths
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        q = scattering.ScatteringQuery(0, 1, 0.5)
+        monkeypatch.setattr(resolvent, "PATH_CAP", 340)
+        with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 340"):
+            scattering.s_term_index_sum(a, np.ones((4, 4)), q, 5)
+        with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 340"):
+            resolvent.feynman_parameter_entry(a, np.ones((4, 4)), 0, 1, 0.5, 5, resolvent.SimplexQuadrature())
+
+    def test_the_dense_bound_refuses_before_the_walk(self):
+        # B = I has one path; the bound n**m refuses it all the same
+        big = np.diag(np.arange(1.0, 41.0))
+        with pytest.raises(EnumerationLimitError, match=r"40\^6"):
+            resolvent.feynman_parameter_entry(big, np.eye(40), 0, 0, 1.0, 6, resolvent.SimplexQuadrature())
+        with pytest.raises(EnumerationLimitError, match=r"40\^5"):
+            scattering.s_term_index_sum(big, np.eye(40), scattering.ScatteringQuery(0, 0, 0.1), 6)
 
 
 class TestFeynmanParameters:

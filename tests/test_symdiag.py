@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference
 from ensembles import random_hermitian, random_momentum_model
-from pertkit import matcore, scattering, symdiag
+from pertkit import matcore, resolvent, scattering, symdiag
 from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotATreeError
 from pertkit.symdiag import EXT_IN, Diagram, MultisetState
 
@@ -221,7 +221,7 @@ class TestVertexChannelTable:
 
         def outcome(build, r, seeds, depth):
             bop = build(r, seeds, depth)
-            return bop.basis, repr(list(bop.entries.items())), [bop.neighbors(s) for s in bop.basis]
+            return bop.basis, repr(list(bop.entries.items())), [list(bop.neighbors(s)) for s in bop.basis]
 
         for seeds, depth, skew in itertools.product(seed_sets, depths, (False, True)):
             counting = CountingRule(rule, skew)
@@ -433,7 +433,7 @@ class TestGroupingAndValues:
     def test_groups_partition_the_paths(self):
         bop = std_model(depth=2)
         groups = symdiag.group_terms_by_diagram(bop, STD_I, STD_J, 2)
-        all_paths = symdiag._paths_between(bop, STD_I, STD_J, 2)
+        all_paths = list(resolvent.index_paths(bop.neighbors, STD_I, STD_J, 2))
         grouped = [p for paths in groups.values() for p in paths]
         key = lambda path: [s.particles for s in path]
         assert sorted(grouped, key=key) == sorted(all_paths, key=key)
@@ -587,6 +587,21 @@ class TestTreeSolve:
             assert out == hits[0]
             assert out == {k: tuple(v) for k, v in plant.items()} or out == hits[0]
 
+    def test_no_dots(self):
+        d = Diagram.of(0, [("x", EXT_IN, 1), ("y", EXT_IN, 1)])
+        assert symdiag.tree_solve(d, {0: (3, 1), 1: (-1, 0)}, (2, 1)) == {}
+        assert symdiag.tree_solve(d, {0: (3, 1), 1: (-1, 0)}, (2, 0)) is None
+
+    def test_a_line_that_enters_and_leaves_without_a_dot(self):
+        d = Diagram.of(2, [("x", EXT_IN, 1), ("x", 1, 2), ("x", 2, 3), ("y", EXT_IN, 3)])
+        (internal,) = d.internal_indices()
+        by_line = {line: k for k, line in enumerate(d.lines)}
+        ext = {by_line[("x", EXT_IN, 1)]: (2,), by_line[("x", 2, 3)]: (2,), by_line[("y", EXT_IN, 3)]: (5,)}
+        assert symdiag.tree_solve(d, ext, (7,)) == {internal: (2,)} and brute_force_tree(d, ext, (7,)) == [{internal: (2,)}]
+        assert symdiag.tree_solve(d, ext, (2,)) is None  # the passing line counts toward the total
+        ext[by_line[("x", 2, 3)]] = (3,)
+        assert symdiag.tree_solve(d, ext, (7,)) is None and brute_force_tree(d, ext, (7,)) == []
+
     def test_perturbed_instance_unsolvable(self):
         rng = np.random.default_rng(77)
         d, externals, _, total = planted_tree_instance(rng, 1, 4)
@@ -613,6 +628,18 @@ class TestComponentConservation:
         for k, (lbl, s, e) in enumerate(d.lines):
             momenta[k] = (1,) if s == EXT_IN else (2,)
         assert not symdiag.connected_component_conservation(d, momenta)
+
+    def test_no_dots(self):
+        d = Diagram.of(0, [("x", EXT_IN, 1)])
+        assert symdiag.connected_component_conservation(d, {0: (3,)})
+
+    def test_a_line_that_enters_and_leaves_without_a_dot(self):
+        d = Diagram.of(2, [("x", EXT_IN, 1), ("x", 1, 2), ("x", 2, 3), ("y", EXT_IN, 3)])
+        by_line = {line: k for k, line in enumerate(d.lines)}
+        ext = {by_line[("x", EXT_IN, 1)]: (2,), by_line[("x", 2, 3)]: (2,), by_line[("y", EXT_IN, 3)]: (5,)}
+        assert symdiag.connected_component_conservation(d, ext)
+        ext[by_line[("x", 2, 3)]] = (3,)
+        assert not symdiag.connected_component_conservation(d, ext)
 
     def test_matches_tree_solvability(self):
         rng = np.random.default_rng(6)

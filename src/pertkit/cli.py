@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -20,38 +19,32 @@ from .iotools import load_matrix, load_model, load_schedule, parse_state
 from .reporting import Report
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    seed: int = 0
-    out: str | None = None
-    quiet: bool = False
-    timestamp: bool = False
+#: namespace attributes that are not echoed in the ``# config:`` header
+_NOT_ECHOED = ("command", "seed", "out", "quiet", "timestamp", "run")
 
 
-def _report(config: RunConfig, columns) -> Report:
-    ts = datetime.now(timezone.utc).isoformat() if config.timestamp else None
+def _report(ns, columns) -> Report:
+    ts = datetime.now(timezone.utc).isoformat() if ns.timestamp else None
     return Report(
-        command=config.command,
-        config={k: v for k, v in config.params.items()},
-        seed=config.seed,
+        command=ns.command,
+        config={k: v for k, v in vars(ns).items() if k not in _NOT_ECHOED and v is not None},
+        seed=ns.seed,
         columns=list(columns),
         timestamp=ts,
     )
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: one runner per leaf subcommand, reading the parsed
+# namespace; argparse holds every default
 
 
-def _run_resolvent(config: RunConfig) -> Report:
-    p = config.params
-    a = load_matrix(p["a"])
-    b = load_matrix(p["b"])
-    order = p["order"]
+def _run_resolvent(ns) -> Report:
+    a = load_matrix(ns.a)
+    b = load_matrix(ns.b)
+    order = ns.order
     matcore.check_order(order, "order")  # series_terms takes order + 1, which -1 would pass
-    rep = _report(config, ["order", "term_norm", "partial_residual", "remainder_norm", "identity_residual", "tolerance"])
+    rep = _report(ns, ["order", "term_norm", "partial_residual", "remainder_norm", "identity_residual", "tolerance"])
     series = resolvent.series_terms(a, b, order + 1)
     # every exact remainder (-1)^k (A^{-1} B)^k (A+B)^{-1} from one inverse and one solve
     inv = matcore.inverse(a + b)
@@ -76,11 +69,11 @@ def _run_resolvent(config: RunConfig) -> Report:
     rep.config["ratio"] = series.ratio
     rep.config["convergent"] = series.convergent
 
-    if p.get("tau") is not None and p.get("entry") is not None:
-        i, j = p["entry"]
-        quad = resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=20000, seed=config.seed)
-        entry = resolvent.feynman_parameter_entry(a, b, i, j, p["tau"], order, quad)
-        direct = matcore.inverse(a + b + 1j * p["tau"] * np.eye(a.shape[0]))[i, j]
+    if ns.tau is not None and ns.entry is not None:
+        i, j = ns.entry
+        quad = resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=20000, seed=ns.seed)
+        entry = resolvent.feynman_parameter_entry(a, b, i, j, ns.tau, order, quad)
+        direct = matcore.inverse(a + b + 1j * ns.tau * np.eye(a.shape[0]))[i, j]
         tail = series.ratio ** (order + 1) if np.isfinite(series.ratio) else 0.0
         rep.check(
             "feynman_parameter_vs_inverse",
@@ -92,17 +85,16 @@ def _run_resolvent(config: RunConfig) -> Report:
     return rep
 
 
-def _run_eig_perturb(config: RunConfig) -> Report:
-    p = config.params
-    a = load_matrix(p["a"])
-    b = load_matrix(p["b"])
-    i, order = p["index"], p["order"]
+def _run_eig_perturb(ns) -> Report:
+    a = load_matrix(ns.a)
+    b = load_matrix(ns.b)
+    i, order = ns.index, ns.order
     dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
     contour = None
-    if p.get("contour_points"):
-        contour = spectral.default_contour(dec.eigenvalues, i, num_points=p["contour_points"])
+    if ns.contour_points is not None:
+        contour = spectral.default_contour(dec.eigenvalues, i, num_points=ns.contour_points)
     series = spectral.eigenvalue_coefficients(dec, b, i, order, contour=contour)
-    rep = _report(config, ["k", "coefficient", "oracle", "residual", "tolerance"])
+    rep = _report(ns, ["k", "coefficient", "oracle", "residual", "tolerance"])
 
     oracles = {}  # closed forms for diagonal A, at the diagonal position d of level i
     if matcore.is_diagonal(a):
@@ -125,12 +117,11 @@ def _run_eig_perturb(config: RunConfig) -> Report:
     return rep
 
 
-def _run_dyson(config: RunConfig) -> Report:
-    p = config.params
-    a = load_matrix(p["a"])
-    b = load_matrix(p["b"])
-    t, orders = p["t"], p["orders"]
-    rep = _report(config, ["order", "exp_defect", "exp_budget", "dyson_defect", "dyson_budget"])
+def _run_dyson(ns) -> Report:
+    a = load_matrix(ns.a)
+    b = load_matrix(ns.b)
+    t, orders = ns.t, ns.orders
+    rep = _report(ns, ["order", "exp_defect", "exp_budget", "dyson_defect", "dyson_budget"])
     na, nb = matcore.op_norm(a), matcore.op_norm(b)
     exp_terms = evolution.exp_series_terms(a, b, t, orders)
     dyson_terms = evolution.dyson_terms(a, b, t, orders)
@@ -148,19 +139,17 @@ def _run_dyson(config: RunConfig) -> Report:
     return rep
 
 
-def _run_adiabatic(config: RunConfig) -> Report:
-    p = config.params
-    a, b, ramp = load_schedule(p["schedule"])
+def _run_adiabatic(ns) -> Report:
+    a, b, ramp = load_schedule(ns.schedule)
     sched = evolution.ramped_schedule(a, b, ramp)
-    i = p["index"]
-    etas = p["eta_list"]
-    steps_per_eta = p.get("steps_per_eta", 48)
-    rep = _report(config, ["eta", "error_vs_eigenpath", "tracked_phase", "steps"])
+    etas = ns.eta_list
+    matcore.check_positive(ns.steps_per_eta, "steps_per_eta")
+    rep = _report(ns, ["eta", "error_vs_eigenpath", "tracked_phase", "steps"])
     errors = []
     for eta in etas:
         matcore.check_positive(eta, "eta")  # before it sizes the grid
-        steps = max(64, int(steps_per_eta * eta))
-        res = evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(steps))
+        steps = max(64, int(ns.steps_per_eta * eta))
+        res = evolution.adiabatic_evolve(sched, eta, ns.index, evolution.TimeGrid(steps))
         errors.append(res.error_vs_eigenpath)
         rep.add_row(eta, res.error_vs_eigenpath, res.tracked_phase, steps)
     if len(etas) >= 3:
@@ -170,16 +159,15 @@ def _run_adiabatic(config: RunConfig) -> Report:
     return rep
 
 
-def _run_scatter(config: RunConfig) -> Report:
-    p = config.params
-    a = load_matrix(p["a"])
-    b = load_matrix(p["b"])
-    q = scattering.ScatteringQuery(i=p["i"], j=p["j"], tau=p["tau"])
-    order = p["order"]
-    t_max = p.get("t_max", max(10.0 / q.tau, 50.0))
+def _run_scatter(ns) -> Report:
+    a = load_matrix(ns.a)
+    b = load_matrix(ns.b)
+    q = scattering.ScatteringQuery(i=ns.i, j=ns.j, tau=ns.tau)
+    order = ns.order
+    t_max = max(10.0 / q.tau, 50.0) if ns.t_max is None else ns.t_max
     matcore.check_positive(t_max, "t_max")  # before it sizes the grid
     basis = scattering.reference_basis(a)  # decomposed once: every call below takes it for A
-    rep = _report(config, ["k", "term_re", "term_im", "abs_term"])
+    rep = _report(ns, ["k", "term_re", "term_im", "abs_term"])
     series = scattering.s_series(basis, b, q, order)
     for k, term in enumerate(series.terms):
         rep.add_row(k, term.real, term.imag, abs(term))
@@ -190,42 +178,41 @@ def _run_scatter(config: RunConfig) -> Report:
     if series.convergent:
         r = series.ratio
         lam = basis.eigenvalues
-        shift = scattering.lambda_shift(lam[p["i"]], lam[p["j"]], q.tau)
+        shift = scattering.lambda_shift(lam[q.i], lam[q.j], q.tau)
         shifted_norm = 1.0 / np.min(np.abs(lam - shift))  # ||(A - shift)^{-1}||, A Hermitian
         bound = r ** (order + 1) / (1.0 - r) * q.tau * shifted_norm + 1e-12
         rep.check("series_vs_direct", abs(series.partial_sum() - direct), bound)
     abel = scattering.s_entry_time_average(basis, b, q, t_max, g=int(40 * t_max))
     rep.check("abel_vs_direct", abs(abel - direct), 2.0 * np.exp(-q.tau * t_max) + 1e-5)
-    if p.get("tau_sweep"):
-        lo, hi, n = p["tau_sweep"]
+    if ns.tau_sweep is not None:
+        lo, hi, n = ns.tau_sweep
         matcore.check_positive(lo, "tau_sweep start")
         matcore.check_positive(hi, "tau_sweep stop")
         matcore.check_order(n, "tau_sweep count")
         rep.rows.append(tuple(["#tau-sweep", "", "", ""]))
         for tau in np.geomspace(lo, hi, int(n)):
-            val = scattering.s_entry_resolvent(basis, b, scattering.ScatteringQuery(p["i"], p["j"], float(tau)))
+            val = scattering.s_entry_resolvent(basis, b, scattering.ScatteringQuery(q.i, q.j, float(tau)))
             rep.rows.append((float(tau), val.real, val.imag, abs(val)))
     return rep
 
 
-def _run_diagrams(config: RunConfig) -> Report:
-    p = config.params
-    rule = load_model(p["model"])
-    i = parse_state(p["i"])
-    j = parse_state(p["j"])
-    ell, tau = p["ell"], p["tau"]
+def _run_diagrams(ns) -> Report:
+    rule = load_model(ns.model)
+    i = parse_state(ns.i)
+    j = parse_state(ns.j)
+    ell, tau = ns.ell, ns.tau
     bop = symdiag.build_interaction(rule, [i, j], depth=max(2, ell))
     groups = symdiag.group_terms_by_diagram(bop, i, j, ell)
     values = symdiag.diagram_values(bop, groups, tau)
-    rep = _report(config, ["diagram", "multiplicity", "value_re", "value_im"])
+    rep = _report(ns, ["diagram", "multiplicity", "value_re", "value_im"])
     total = 0.0 + 0.0j
     for d in sorted(values, key=lambda d: (len(d.lines), d.lines)):
         v = values[d]
         total += v
         rep.add_row(_diagram_str(d), len(groups[d]), v.real, v.imag)
-    a_dense, b_dense = bop.to_dense()
-    qq = scattering.ScatteringQuery(i=bop.index[i], j=bop.index[j], tau=tau)
     if ell >= 2:
+        a_dense, b_dense = bop.to_dense()
+        qq = scattering.ScatteringQuery(i=bop.index[i], j=bop.index[j], tau=tau)
         reference = scattering.s_term_index_sum(a_dense, b_dense, qq, ell)
         rep.check("diagram_partition_identity", abs(total - reference), 1e-11 * max(1.0, abs(reference)))
     rep.config["num_diagrams"] = len(values)
@@ -244,117 +231,94 @@ def _diagram_str(d: symdiag.Diagram) -> str:
     return f"[{d.num_dots}]" + "|".join(parts)
 
 
-def _run_tensor(config: RunConfig) -> Report:
-    p = config.params
-    sub = p["tensor_command"]
-    if sub == "conv":
-        a1 = load_matrix(p["a1"])
-        a2 = load_matrix(p["a2"])
-        ks = tensor.KroneckerSum(factors=(a1, a2))
-        quad = tensor.LineQuadrature(cutoff=p["cutoff"], nodes=p.get("nodes", 20001))
-        conv = tensor.convolution_resolvent(ks, p["omega"], p["eps"], quad)
-        total = tensor.kron_sum_materialize(ks)
-        exact = matcore.inverse(total - (p["omega"] - 2j * p["eps"]) * np.eye(total.shape[0]))
-        rep = _report(config, ["quantity", "defect", "tolerance"])
-        raw_defect = matcore.op_norm(conv.raw - exact)
-        val_defect = matcore.op_norm(conv.value - exact)
-        tail = 1.0 / (np.pi * p["cutoff"])
-        rep.add_row("raw_trapezoid", raw_defect, max(1e-3, 2.0 * tail))
-        rep.add_row("tail_corrected", val_defect, 1e-3)
-        rep.check("tail_corrected_defect", val_defect, 1e-3)
-        rep.check("raw_defect_within_tail_budget", raw_defect, max(1e-3, 2.0 * tail))
-        return rep
-    if sub in ("dirac", "kg"):
-        if sub == "dirac":
-            px, py, pz = p["p"]
-            args, tol = ((px, py, pz), p["m"], p["z"]), 1e-13
-            inv, fwd = tensor.dirac_block_inverse(*args), tensor.dirac_block_matrix(*args)
-        else:
-            args, tol = (p["a"], p["z"]), 1e-14
-            inv, fwd = tensor.klein_gordon_block_inverse(*args), tensor.klein_gordon_block_matrix(*args)
-        rep = _report(config, ["entry_row", "entry_col", "re", "im"])
-        n = inv.shape[0]
-        for r in range(n):
-            for c in range(n):
-                rep.add_row(r, c, inv[r, c].real, inv[r, c].imag)
-        rep.check("product_residual", matcore.op_norm(fwd @ inv - np.eye(n)), tol)
-        return rep
-    raise PertkitError(f"unknown tensor subcommand {sub!r}")
+def _run_tensor_conv(ns) -> Report:
+    a1 = load_matrix(ns.a1)
+    a2 = load_matrix(ns.a2)
+    ks = tensor.KroneckerSum(factors=(a1, a2))
+    quad = tensor.LineQuadrature(cutoff=ns.cutoff, nodes=ns.nodes)
+    conv = tensor.convolution_resolvent(ks, ns.omega, ns.eps, quad)
+    total = tensor.kron_sum_materialize(ks)
+    exact = matcore.inverse(total - (ns.omega - 2j * ns.eps) * np.eye(total.shape[0]))
+    rep = _report(ns, ["quantity", "defect", "tolerance"])
+    raw_defect = matcore.op_norm(conv.raw - exact)
+    val_defect = matcore.op_norm(conv.value - exact)
+    tail = 1.0 / (np.pi * ns.cutoff)
+    rep.add_row("raw_trapezoid", raw_defect, max(1e-3, 2.0 * tail))
+    rep.add_row("tail_corrected", val_defect, 1e-3)
+    rep.check("tail_corrected_defect", val_defect, 1e-3)
+    rep.check("raw_defect_within_tail_budget", raw_defect, max(1e-3, 2.0 * tail))
+    return rep
 
 
-def _run_demo(config: RunConfig) -> Report:
-    p = config.params
-    which = p["demo_command"]
-    if which == "harmonic-oscillator":
-        out = spectral.harmonic_oscillator_demo(p["grid_size"], p["epsilon"], p.get("eta", 0.0))
-        rep = _report(config, ["quantity", "value", "oracle", "tolerance"])
-        rep.add_row("ground_energy", out["ground_energy"], 1.0, "grid-dependent")
-        rep.add_row("quartic_first_order", out["quartic_first_order"], out["gaussian_moment"], 0.02 * 0.75)
-        rep.add_row("split_first_order", out["split_first_order"], "", "")
-        rep.check("quartic_vs_gaussian_moment", abs(out["quartic_first_order"] - 0.75), 0.02 * 0.75)
-        return rep
-    if which == "born":
-        f = lambda mom: mom**2
-        center = p.get("bump_center", 2.0)
-        v = lambda x: p.get("strength", 1.0) * np.exp(-0.5 * (x - center) ** 2)
-        s1, closed = scattering.born_demo(p["sites"], f, v, p["p"], p["q"], p["tau"])
-        rep = _report(config, ["quantity", "re", "im"])
-        rep.add_row("series_first_order", s1.real, s1.imag)
-        rep.add_row("fourier_closed_form", closed.real, closed.imag)
-        rep.check("series_vs_fourier", abs(s1 - closed), 1e-10)
-        return rep
-    if which == "rutherford":
-        val = scattering.rutherford_demo(
-            p["grid_radius"], p["z"], p["p0"], p["q0"], p["eps_shell"], p["tau"]
-        )
-        val2 = scattering.rutherford_demo(
-            p["grid_radius"], 2.0 * p["z"], p["p0"], p["q0"], p["eps_shell"], p["tau"]
-        )
-        half_tau = scattering.rutherford_demo(
-            p["grid_radius"], p["z"], p["p0"], p["q0"], p["eps_shell"], p["tau"] / 2.0
-        )
-        rep = _report(config, ["quantity", "value", "oracle", "tolerance"])
-        rep.add_row("shell_sum", val, "", "")
-        rep.add_row("doubled_charge", val2, 4.0 * val, 0.0)
-        rep.add_row("halved_tau_ratio", half_tau / val, 2.0, 0.3)
-        rep.check("charge_square_law", abs(val2 - 4.0 * val), 0.0)
-        return rep
-    if which == "three-particle":
-        mom = p.get("momentum", 1)
-        i = symdiag.MultisetState.of(("a", (mom,)), ("b", (-mom,)))
-        j = symdiag.MultisetState.of(("a", (-mom,)), ("b", (mom,)))
-        report = symdiag.three_particle_demo(
-            (1, p.get("grid_radius", 2)), p["ma"], p["mb"], p["mc"], i, j, p["tau"]
-        )
-        rep = _report(config, ["row", "state", "product_re", "denominator_re", "denominator_im"])
-        for row in report.rows:
-            rep.add_row(row.label, str(row.state), row.product.real, row.denominator.real, row.denominator.imag)
-        rep.config["assembled"] = report.assembled
-        rep.config["paired_closed_form"] = report.paired_closed_form
-        rep.check("assembled_vs_paired", report.pairing_residual, 1e-9 * max(1.0, abs(report.assembled)))
-        return rep
-    raise PertkitError(f"unknown demo {which!r}")
+def _run_tensor_dirac(ns) -> Report:
+    px, py, pz = ns.p
+    args = ((px, py, pz), ns.m, ns.z)
+    return _block_inverse_report(ns, tensor.dirac_block_inverse(*args), tensor.dirac_block_matrix(*args), 1e-13)
 
 
-_RUNNERS = {
-    "resolvent": _run_resolvent,
-    "eig-perturb": _run_eig_perturb,
-    "dyson": _run_dyson,
-    "adiabatic": _run_adiabatic,
-    "scatter": _run_scatter,
-    "diagrams": _run_diagrams,
-    "tensor": _run_tensor,
-    "demo": _run_demo,
-}
+def _run_tensor_kg(ns) -> Report:
+    inv, fwd = tensor.klein_gordon_block_inverse(ns.a, ns.z), tensor.klein_gordon_block_matrix(ns.a, ns.z)
+    return _block_inverse_report(ns, inv, fwd, 1e-14)
 
 
-def run(config: RunConfig) -> Report:
-    """Dispatch a validated configuration to its command implementation."""
-    try:
-        runner = _RUNNERS[config.command]
-    except KeyError:
-        raise PertkitError(f"unknown command {config.command!r}") from None
-    return runner(config)
+def _block_inverse_report(ns, inv, fwd, tol) -> Report:
+    rep = _report(ns, ["entry_row", "entry_col", "re", "im"])
+    n = inv.shape[0]
+    for r in range(n):
+        for c in range(n):
+            rep.add_row(r, c, inv[r, c].real, inv[r, c].imag)
+    rep.check("product_residual", matcore.op_norm(fwd @ inv - np.eye(n)), tol)
+    return rep
+
+
+def _run_demo_oscillator(ns) -> Report:
+    out = spectral.harmonic_oscillator_demo(ns.grid_size, ns.epsilon, ns.eta)
+    rep = _report(ns, ["quantity", "value", "oracle", "tolerance"])
+    rep.add_row("ground_energy", out["ground_energy"], 1.0, "grid-dependent")
+    rep.add_row("quartic_first_order", out["quartic_first_order"], out["gaussian_moment"], 0.02 * 0.75)
+    rep.add_row("split_first_order", out["split_first_order"], "", "")
+    rep.check("quartic_vs_gaussian_moment", abs(out["quartic_first_order"] - 0.75), 0.02 * 0.75)
+    return rep
+
+
+def _run_demo_born(ns) -> Report:
+    f = lambda mom: mom**2
+    v = lambda x: np.exp(-0.5 * (x - 2.0) ** 2)  # a unit Gaussian bump centred at 2
+    s1, closed = scattering.born_demo(ns.sites, f, v, ns.p, ns.q, ns.tau)
+    rep = _report(ns, ["quantity", "re", "im"])
+    rep.add_row("series_first_order", s1.real, s1.imag)
+    rep.add_row("fourier_closed_form", closed.real, closed.imag)
+    rep.check("series_vs_fourier", abs(s1 - closed), 1e-10)
+    return rep
+
+
+def _run_demo_rutherford(ns) -> Report:
+    def shell_sum(z, tau):
+        return scattering.rutherford_demo(ns.grid_radius, z, ns.p0, ns.q0, ns.eps_shell, tau)
+
+    val = shell_sum(ns.z, ns.tau)
+    val2 = shell_sum(2.0 * ns.z, ns.tau)
+    half_tau = shell_sum(ns.z, ns.tau / 2.0)
+    rep = _report(ns, ["quantity", "value", "oracle", "tolerance"])
+    rep.add_row("shell_sum", val, "", "")
+    rep.add_row("doubled_charge", val2, 4.0 * val, 0.0)
+    rep.add_row("halved_tau_ratio", half_tau / val, 2.0, 0.3)
+    rep.check("charge_square_law", abs(val2 - 4.0 * val), 0.0)
+    return rep
+
+
+def _run_demo_three_particle(ns) -> Report:
+    mom = ns.momentum
+    i = symdiag.MultisetState.of(("a", (mom,)), ("b", (-mom,)))
+    j = symdiag.MultisetState.of(("a", (-mom,)), ("b", (mom,)))
+    report = symdiag.three_particle_demo((1, ns.grid_radius), ns.ma, ns.mb, ns.mc, i, j, ns.tau)
+    rep = _report(ns, ["row", "state", "product_re", "denominator_re", "denominator_im"])
+    for row in report.rows:
+        rep.add_row(row.label, str(row.state), row.product.real, row.denominator.real, row.denominator.imag)
+    rep.config["assembled"] = report.assembled
+    rep.config["paired_closed_form"] = report.paired_closed_form
+    rep.check("assembled_vs_paired", report.pairing_residual, 1e-9 * max(1.0, abs(report.assembled)))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +332,10 @@ def _pair(text: str):
 
 def _floats(text: str):
     return tuple(float(x) for x in text.split(","))
+
+
+def _complex(text: str):
+    return complex(*_floats(text))
 
 
 def _sweep(text: str):
@@ -384,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("resolvent")
+    s.set_defaults(run=_run_resolvent)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--order", type=int, required=True)
@@ -391,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--entry", type=_pair, default=None)
 
     s = sub.add_parser("eig-perturb")
+    s.set_defaults(run=_run_eig_perturb)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--index", type=int, required=True)
@@ -398,18 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--contour-points", type=int, default=None)
 
     s = sub.add_parser("dyson")
+    s.set_defaults(run=_run_dyson)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--t", type=float, required=True)
     s.add_argument("--orders", type=int, required=True)
 
     s = sub.add_parser("adiabatic")
+    s.set_defaults(run=_run_adiabatic)
     s.add_argument("--schedule", required=True)
     s.add_argument("--eta-list", type=_floats, required=True)
     s.add_argument("--index", type=int, required=True)
     s.add_argument("--steps-per-eta", type=int, default=48)
 
     s = sub.add_parser("scatter")
+    s.set_defaults(run=_run_scatter)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--i", type=int, required=True)
@@ -420,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-max", type=float, default=None)
 
     s = sub.add_parser("diagrams")
+    s.set_defaults(run=_run_diagrams)
     s.add_argument("--model", required=True)
     s.add_argument("--i", required=True)
     s.add_argument("--j", required=True)
@@ -429,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("tensor")
     tsub = s.add_subparsers(dest="tensor_command", required=True)
     tc = tsub.add_parser("conv")
+    tc.set_defaults(run=_run_tensor_conv)
     tc.add_argument("--a1", required=True)
     tc.add_argument("--a2", required=True)
     tc.add_argument("--omega", type=float, required=True)
@@ -436,25 +411,30 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--cutoff", type=float, required=True)
     tc.add_argument("--nodes", type=int, default=20001)
     td = tsub.add_parser("dirac")
+    td.set_defaults(run=_run_tensor_dirac)
     td.add_argument("--p", type=_floats, required=True, help="px,py,pz")
     td.add_argument("--m", type=float, required=True)
-    td.add_argument("--z", type=_floats, required=True, help="re,im")
+    td.add_argument("--z", type=_complex, required=True, help="re,im")
     tk = tsub.add_parser("kg")
+    tk.set_defaults(run=_run_tensor_kg)
     tk.add_argument("--a", type=float, required=True)
-    tk.add_argument("--z", type=_floats, required=True, help="re,im")
+    tk.add_argument("--z", type=_complex, required=True, help="re,im")
 
     s = sub.add_parser("demo")
     dsub = s.add_subparsers(dest="demo_command", required=True)
     dh = dsub.add_parser("harmonic-oscillator")
+    dh.set_defaults(run=_run_demo_oscillator)
     dh.add_argument("--grid-size", type=int, default=400)
     dh.add_argument("--epsilon", type=float, default=0.01)
     dh.add_argument("--eta", type=float, default=0.0)
     db = dsub.add_parser("born")
+    db.set_defaults(run=_run_demo_born)
     db.add_argument("--sites", type=int, default=32)
     db.add_argument("--p", type=int, default=3)
     db.add_argument("--q", type=int, default=5)
     db.add_argument("--tau", type=float, default=0.1)
     dr = dsub.add_parser("rutherford")
+    dr.set_defaults(run=_run_demo_rutherford)
     dr.add_argument("--grid-radius", type=int, default=8)
     dr.add_argument("--z", type=float, default=2.0)
     dr.add_argument("--p0", type=_floats, default=(3.0, 2.0, 1.0))
@@ -462,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument("--eps-shell", type=float, default=2.5)
     dr.add_argument("--tau", type=float, default=0.4)
     dt = dsub.add_parser("three-particle")
+    dt.set_defaults(run=_run_demo_three_particle)
     dt.add_argument("--ma", type=float, default=1.0)
     dt.add_argument("--mb", type=float, default=2.0)
     dt.add_argument("--mc", type=float, default=0.5)
@@ -471,38 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in ("command", "seed", "out", "quiet", "timestamp") and v is not None
-    }
-    if "z" in params and isinstance(params["z"], tuple):
-        params["z"] = complex(*params["z"])
-    return RunConfig(
-        command=ns.command,
-        params=params,
-        seed=ns.seed,
-        out=ns.out,
-        quiet=ns.quiet,
-        timestamp=ns.timestamp,
-    )
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = config_from_args(argv)
-        report = run(config)
+        ns = build_parser().parse_args(argv)
+        report = ns.run(ns)
     except PertkitError as exc:
         print(f"error[{exc.exit_code}]: {exc}", file=sys.stderr)
         return exc.exit_code
     text = report.to_csv()
-    if config.out:
-        with open(config.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
-    if not config.quiet and not config.out:
+    if not ns.quiet and not ns.out:
         sys.stdout.write(text)
     return report.exit_code
 

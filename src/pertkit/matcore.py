@@ -29,6 +29,7 @@ All functions are pure; inputs are never mutated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,9 +178,13 @@ def diagonal_of(m) -> np.ndarray:
 
 
 def check_index(i: int, n: int) -> None:
-    """Raise :class:`ArgumentError` unless ``0 <= i < n``: a level index
-    never wraps around."""
-    if not 0 <= i < n:
+    """Raise :class:`ArgumentError` unless ``i`` is an integer with
+    ``0 <= i < n``: a level index never wraps around and is never a float."""
+    try:
+        ok = 0 <= operator.index(i) < n
+    except TypeError:
+        ok = False
+    if not ok:
         raise ArgumentError("eigenvalue index out of range")
 
 

@@ -194,8 +194,8 @@ def feynman_parameter_entry(
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a)
     n = b.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ArgumentError("entry indices out of range")
+    matcore.check_index(i, n)
+    matcore.check_index(j, n)
     if n**m_max > PATH_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"index enumeration {n}^{m_max} exceeds cap {PATH_ENUMERATION_CAP}"

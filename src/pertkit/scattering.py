@@ -51,9 +51,12 @@ class ScatteringQuery:
         matcore.check_positive(self.tau, "tau")
 
     def check_indices(self, n: int) -> None:
-        """Raise :class:`ArgumentError` unless ``i`` and ``j`` index ``n`` levels."""
-        if not (0 <= self.i < n and 0 <= self.j < n):
-            raise ArgumentError(f"entry ({self.i}, {self.j}) out of range for n = {n}")
+        """Raise :class:`ArgumentError` unless ``i`` and ``j`` are integers that index ``n`` levels."""
+        try:
+            matcore.check_index(self.i, n)
+            matcore.check_index(self.j, n)
+        except ArgumentError:
+            raise ArgumentError(f"entry ({self.i}, {self.j}) out of range for n = {n}") from None
 
 
 def reference_basis(a) -> matcore.SpectralDecomposition:

@@ -1,12 +1,15 @@
+import argparse
 import ast
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
-from pertkit import cli, iotools, matcore, symdiag
+from pertkit import cli, iotools, matcore, resolvent, symdiag
 from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError, ShapeError
 from pertkit.symdiag import SparseInteraction
 
@@ -225,7 +228,9 @@ class TestCliCommands:
     @pytest.mark.parametrize("args, message", [
         (["--eta-list=-1,2,3", "--index", "0"], "eta must be positive"),
         (["--eta-list", "1,2,3", "--index", "5"], "eigenvalue index out of range"),
-    ], ids=["negative-eta", "index-out-of-range"])
+        (["--eta-list", "1,2,3", "--index", "0", "--steps-per-eta", "0"], "steps_per_eta must be positive"),
+        (["--eta-list", "1,2,3", "--index", "0", "--steps-per-eta=-8"], "steps_per_eta must be positive"),
+    ], ids=["negative-eta", "index-out-of-range", "zero-steps-per-eta", "negative-steps-per-eta"])
     def test_adiabatic_bad_argument_exit_code(self, tmp_path, capsys, args, message):
         iotools.save_matrix(tmp_path / "ha.json", np.diag([0.0, 1.0]))
         iotools.save_matrix(tmp_path / "hb.json", 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -285,6 +290,24 @@ class TestCliCommands:
                          "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.05"])
         assert code == 0 and "diagram_partition_identity" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_diagrams_keeps_the_paths_a_half_order_closure_would_drop(self, tmp_path):
+        # vacuum creation is capped at max_particles and annihilation is not, so a
+        # link to a state with one more triple can be a move of the larger state
+        # only: the closure of depth ell // 2 misses order-ell paths that the
+        # depth-ell closure holds
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(dict(self.DIAGRAM_MODEL, grid={"dim": 1, "radius": 0})))
+        i = iotools.parse_state("a:0,b:0")
+        half, full = (symdiag.build_interaction(iotools.load_model(str(model)), [i], depth=d) for d in (2, 4))
+        paths = [set(resolvent.index_paths(bop.neighbors, i, i, 4)) for bop in (half, full)]
+        assert paths[0] < paths[1]
+        out = tmp_path / "diagrams.csv"
+        code = cli.main(["--out", str(out), "diagrams", "--model", str(model), "--i", "a:0,b:0", "--j", "a:0,b:0",
+                         "--ell", "4", "--tau", "0.1"])
+        lines = out.read_text().splitlines()
+        rows = lines[lines.index("diagram,multiplicity,value_re,value_im") + 1:lines.index("# residuals")]
+        assert code == 0 and sum(int(row.split(",")[1]) for row in rows) == len(paths[1])
 
     def test_tensor_conv(self, tmp_path, capsys):
         iotools.save_matrix(tmp_path / "a1.json", random_hermitian(2, 1.0, 5))
@@ -401,13 +424,15 @@ class TestOperandContract:
         ("resolvent", ["--order=-1"], "order must be nonnegative"),
         ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--order=-1"], "order must be nonnegative"),
         ("eig-perturb", ["--index", "0", "--order=-1"], "order must be nonnegative"),
+        ("eig-perturb", ["--index", "0", "--order", "2", "--contour-points", "0"],
+         "contour needs at least 16 quadrature points"),
         ("dyson", ["--t", "0.5", "--orders=-1"], "m_max must be nonnegative"),
         ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--tau-sweep=0.05:0.5:-1"],
          "tau_sweep count must be nonnegative"),
         ("scatter", ["--i", "0", "--j", "1", "--tau", "0.5", "--tau-sweep", "0:1:3"], "tau_sweep start must be positive"),
     ], ids=["scatter-nan-t-max", "scatter-negative-t-max", "dyson-nan-t", "dyson-inf-t", "resolvent-negative-order",
-            "scatter-negative-order", "eig-perturb-negative-order", "dyson-negative-orders",
-            "scatter-negative-sweep-count", "scatter-zero-sweep-start"])
+            "scatter-negative-order", "eig-perturb-negative-order", "eig-perturb-zero-contour-points",
+            "dyson-negative-orders", "scatter-negative-sweep-count", "scatter-zero-sweep-start"])
     def test_a_bad_scalar_argument(self, tmp_path, capsys, command, args, message):
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
         self._fails(capsys, [command, "--a", p["a"], "--b", p["b"]] + args, ArgumentError, message)
@@ -465,3 +490,31 @@ def test_the_cli_uses_only_public_library_names():
         if path.stem in ("cli", "symdiag"):
             assert {"matcore", "scattering"} <= modules
     assert private == []
+
+
+def _leaf_parsers(parser, dests=frozenset()):
+    """``(runner, dests)`` of every leaf subcommand: its ``run`` default and
+    the dests of its parser and of the parsers above it."""
+    dests = dests | {action.dest for action in parser._actions}
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield parser.get_default("run"), dests
+    for action in subs:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child, dests)
+
+
+def test_every_runner_reads_only_the_options_of_its_subcommand():
+    # argparse is the one source of every default: a runner reads its typed
+    # namespace and never restates a default through .get
+    leaves = list(_leaf_parsers(cli.build_parser()))
+    runners = {fn for name, fn in vars(cli).items() if name.startswith("_run_")}
+    assert sorted(fn.__name__ for fn, _ in leaves) == sorted(fn.__name__ for fn in runners)
+    for fn, dests in leaves:
+        (func,) = ast.parse(textwrap.dedent(inspect.getsource(fn))).body
+        ns = func.args.args[0].arg
+        read = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == ns}
+        assert read and read <= dests, (fn.__name__, read - dests)
+        assert not [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute) and node.func.attr == "get"], fn.__name__

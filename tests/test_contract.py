@@ -8,10 +8,11 @@ the rate is positive and finite, and every one that takes an order
 (``order``, ``m_max`` or an integer ``k``) raises :class:`ArgumentError` when
 it is negative.  Every one that takes a float time (``t``, or the start
 ``s``) raises :class:`ArgumentError` when it is NaN or infinite, every one
-that takes an ``int`` index ``i`` or ``j`` raises it at ``-1`` and at ``n``,
-and a NaN entry in either operand raises :class:`MatrixFormatError`.  Every
-other required parameter is filled from :data:`FILL`, keyed by parameter
-name: new API registers its parameters there.
+that takes an ``int`` index ``i`` or ``j`` raises it at ``-1``, at ``n`` and
+at the non-integer ``0.5``, and a NaN entry in either operand raises
+:class:`MatrixFormatError`.  Every other required parameter is filled from
+:data:`FILL`, keyed by parameter name: new API registers its parameters
+there.
 """
 
 import inspect
@@ -235,7 +236,7 @@ def test_a_time_that_is_not_finite_raises_an_argument_error(qual, bad):
             _call(TIME_API[qual], **{time: bad})
 
 
-@pytest.mark.parametrize("bad", [A.shape[0], -1], ids=["n", "-1"])
+@pytest.mark.parametrize("bad", [A.shape[0], -1, 0.5], ids=["n", "-1", "0.5"])
 @pytest.mark.parametrize("qual", sorted(INDEX_API))
 def test_an_index_out_of_range_raises_an_argument_error(qual, bad):
     for index in _named(INDEX_API[qual], INDICES, "int"):

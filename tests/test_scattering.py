@@ -70,7 +70,7 @@ class TestDirectEntry:
         entry = scattering.s_entry_resolvent(a, b, scattering.ScatteringQuery(i=0, j=1, tau=2.0 * limit))
         assert np.isfinite(entry)
 
-    @pytest.mark.parametrize("i, j", [(0, 4), (4, 0), (-1, 0), (0, -5)])
+    @pytest.mark.parametrize("i, j", [(0, 4), (4, 0), (-1, 0), (0, -5), (0.5, 1)])
     @pytest.mark.parametrize("entry", [
         scattering.s_entry_resolvent,
         lambda a, b, q: scattering.s_entry_time_average(a, b, q, 10.0, 100),

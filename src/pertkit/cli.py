@@ -201,7 +201,7 @@ def _run_diagrams(ns) -> Report:
     i = parse_state(ns.i)
     j = parse_state(ns.j)
     ell, tau = ns.ell, ns.tau
-    bop = symdiag.build_interaction(rule, [i, j], depth=max(2, ell))
+    bop = symdiag.build_interaction(rule, [i, j], depth=ell // 2)  # holds every order-ell path
     groups = symdiag.group_terms_by_diagram(bop, i, j, ell)
     values = symdiag.diagram_values(bop, groups, tau)
     rep = _report(ns, ["diagram", "multiplicity", "value_re", "value_im"])
@@ -251,8 +251,7 @@ def _run_tensor_conv(ns) -> Report:
 
 
 def _run_tensor_dirac(ns) -> Report:
-    px, py, pz = ns.p
-    args = ((px, py, pz), ns.m, ns.z)
+    args = (ns.p, ns.m, ns.z)
     return _block_inverse_report(ns, tensor.dirac_block_inverse(*args), tensor.dirac_block_matrix(*args), 1e-13)
 
 
@@ -334,6 +333,13 @@ def _floats(text: str):
     return tuple(float(x) for x in text.split(","))
 
 
+def _three_floats(text: str):
+    vals = _floats(text)
+    if len(vals) != 3:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated floats, got {text!r}")
+    return vals
+
+
 def _complex(text: str):
     return complex(*_floats(text))
 
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--nodes", type=int, default=20001)
     td = tsub.add_parser("dirac")
     td.set_defaults(run=_run_tensor_dirac)
-    td.add_argument("--p", type=_floats, required=True, help="px,py,pz")
+    td.add_argument("--p", type=_three_floats, required=True, help="px,py,pz")
     td.add_argument("--m", type=float, required=True)
     td.add_argument("--z", type=_complex, required=True, help="re,im")
     tk = tsub.add_parser("kg")
@@ -437,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     dr.set_defaults(run=_run_demo_rutherford)
     dr.add_argument("--grid-radius", type=int, default=8)
     dr.add_argument("--z", type=float, default=2.0)
-    dr.add_argument("--p0", type=_floats, default=(3.0, 2.0, 1.0))
-    dr.add_argument("--q0", type=_floats, default=(1.0, 2.0, 3.0))
+    dr.add_argument("--p0", type=_three_floats, default=(3.0, 2.0, 1.0))
+    dr.add_argument("--q0", type=_three_floats, default=(1.0, 2.0, 3.0))
     dr.add_argument("--eps-shell", type=float, default=2.5)
     dr.add_argument("--tau", type=float, default=0.4)
     dt = dsub.add_parser("three-particle")

@@ -30,6 +30,8 @@ from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 PATH_ENUMERATION_CAP = 10**7
 #: Partial paths one walk of :func:`index_paths` may extend.
 PATH_CAP = 10**6
+#: (sample, path) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
+BLOCK_ENTRIES = 2**16
 
 
 def symmetrized_ratio(a, b) -> float:
@@ -213,9 +215,10 @@ def feynman_parameter_entry(
         lam_rows = np.array([[lam[k] for k in p] for p in paths])  # (P, m+1)
         wts = np.array([math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j) for p in paths])  # (P,)
         x, w = _simplex_nodes(m, q, seed_offset=m)
-        # denominators: (S, P) = x @ lam_rows.T + i tau
-        denom = (x @ lam_rows.T) + 1j * tau
-        integrand = (wts[None, :] / denom ** (m + 1)).sum(axis=1)  # per sample
+        dots = x @ lam_rows.T  # (S, P); the denominators dots + i tau are formed per block of samples
+        rows = max(1, BLOCK_ENTRIES // len(paths))
+        integrand = np.concatenate([(wts / (dots[s:s + rows] + 1j * tau) ** (m + 1)).sum(axis=1)
+                                    for s in range(0, len(dots), rows)])  # per sample
         # Lebesgue integral over the simplex = mean/ m! for probability weights;
         # the m! prefactor of the representation cancels it exactly.
         mean = complex(np.sum(w * integrand))

@@ -161,9 +161,11 @@ class SparseInteraction:
 
 @dataclass(frozen=True)
 class TrilinearVertex:
-    """Symmetric three-species vertex: states differing by one particle of
-    each species (any side), amplitude ``1/sqrt(omega_c)`` of the third
-    species' momentum.  Momenta live on an integer box grid."""
+    """Three-species vertex on the Fock space of at most ``max_particles``
+    particles: states differing by one particle of each species (any side),
+    amplitude ``1/sqrt(omega_c)`` of the third species' momentum, momenta on an
+    integer box grid.  No move leaves that space, so the rule is reversible:
+    ``t`` is a move of ``s`` exactly when ``s`` is one of ``t``, with the same real amplitude."""
 
     masses: dict
     grid: tuple
@@ -185,6 +187,7 @@ class TrilinearVertex:
         channel merges a present ``first`` and ``second`` into ``lone``; a split
         channel turns a present ``lone`` into ``first`` and ``lone - first``.
         """
+        room = self.max_particles - state.size  # particles a move may add: the Fock cutoff
         sa, sb, sc = self.species
         grid = set(self.grid)
         by_species = defaultdict(set)
@@ -206,14 +209,14 @@ class TrilinearVertex:
         channels = ((True, sc, sa, sb), (False, sc, sa, sb), (False, sa, sb, sc),
                     (True, sa, sb, sc), (False, sb, sa, sc), (True, sb, sa, sc))
         for fuse, lone, first, second in channels:
-            if fuse:
+            if fuse and room >= -1:
                 for q1 in by_species[first]:
                     for q2 in by_species[second]:
                         q = add(q1, q2)
                         if q in grid:
                             t = state._edit(((first, q1), (second, q2)), ((lone, q),))
                             out[t] += amp[q if lone == sc else q2]
-            else:
+            elif not fuse and room >= 1:
                 for q in by_species[lone]:
                     for q1 in self.grid:
                         q2 = sub(q, q1)
@@ -221,19 +224,20 @@ class TrilinearVertex:
                             t = state._edit(((lone, q),), ((first, q1), (second, q2)))
                             out[t] += amp[q if lone == sc else q2]
         # vacuum <-> a+b+c
-        if state.size + 3 <= self.max_particles:
+        if room >= 3:
             for qa in self.grid:
                 for qb in self.grid:
                     qc = neg(add(qa, qb))
                     if qc in grid:
                         t = state._edit((), ((sa, qa), (sb, qb), (sc, qc)))
                         out[t] += amp[qc]
-        for qa in by_species[sa]:
-            for qb in by_species[sb]:
-                qc = neg(add(qa, qb))
-                if qc in by_species[sc]:
-                    t = state._edit(((sa, qa), (sb, qb), (sc, qc)), ())
-                    out[t] += amp[qc]
+        if room >= -3:
+            for qa in by_species[sa]:
+                for qb in by_species[sb]:
+                    qc = neg(add(qa, qb))
+                    if qc in by_species[sc]:
+                        t = state._edit(((sa, qa), (sb, qb), (sc, qc)), ())
+                        out[t] += amp[qc]
         return out.items()
 
 
@@ -250,6 +254,8 @@ def build_interaction(rule, seeds, depth: int, cap: int = BASIS_CAP) -> SparseIn
     Every basis state's moves are taken once, breadth first and so in basis
     order: below the last level they extend the basis, on it they only link
     states already in it.  A pair's entry is the move from its earlier state.
+    Under a reversible rule, depth ``ell // 2`` holds every order-``ell`` path
+    between two seeds: each of its states is that close to one end.
     """
     frontier = list(dict.fromkeys(seeds))
     seen = dict.fromkeys(frontier)

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import scipy.linalg
 
-from pertkit import matcore, spectral, symdiag, tensor
+from pertkit import matcore, resolvent, spectral, symdiag, tensor
 from pertkit.errors import ConvergenceError, EnumerationLimitError, GapCollapseError, ShapeError, StepSizeError
 
 
@@ -365,6 +365,35 @@ def exact_remainder_ref(a, b, k):
     return (-1) ** k * np.linalg.matrix_power(matcore.solve(a, b), k) @ full_inv
 
 
+def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
+    """``resolvent.feynman_parameter_entry`` with the whole (samples, paths)
+    integrand formed at once, on the library's nodes and paths."""
+    a, b = matcore.as_pair(a_diag, b)
+    lam = matcore.diagonal_of(a)
+    nz = [np.flatnonzero(row).tolist() for row in b]
+    order_values = []
+    variance = 0.0
+    total = 0.0 + 0.0j
+    for m in range(m_max + 1):
+        paths = list(resolvent.index_paths(nz.__getitem__, i, j, m))
+        if not paths:
+            order_values.append(0.0 + 0.0j)
+            continue
+        lam_rows = np.array([[lam[k] for k in p] for p in paths])
+        wts = np.array([math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j) for p in paths])
+        x, w = resolvent._simplex_nodes(m, q, seed_offset=m)
+        denom = (x @ lam_rows.T) + 1j * tau
+        integrand = (wts[None, :] / denom ** (m + 1)).sum(axis=1)
+        mean = complex(np.sum(w * integrand))
+        term = (-1) ** m * mean
+        order_values.append(term)
+        total += term
+        if q.method == "monte-carlo" and m >= 1:
+            dev = integrand - mean
+            variance += float(np.sum(w * np.abs(dev) ** 2)) / max(q.samples_or_depth - 1, 1)
+    return resolvent.FeynmanEntry(value=total, std_error=math.sqrt(variance), order_values=tuple(order_values))
+
+
 def rayleigh_schrodinger(a, b, i):
     """Eigenvalue coefficients of orders 1-3 for a simple eigenvalue of
     Hermitian ``A`` from the Rayleigh-Schrodinger residue sums in the
@@ -412,7 +441,8 @@ def multiset_remove_ref(particles: tuple, *removed) -> tuple:
 
 
 def trilinear_moves_ref(rule, state):
-    """``TrilinearVertex.moves`` with each fuse/split channel as its own loop."""
+    """``TrilinearVertex.moves`` with each fuse/split channel as its own loop
+    and the particle cutoff applied to the targets afterwards."""
 
     def moved(removed, added):
         particles = multiset_add_ref(multiset_remove_ref(state.particles, *removed), *added)
@@ -474,20 +504,20 @@ def trilinear_moves_ref(rule, state):
                 t = moved(((sa, qa), (sc, qc)), ((sb, qb),))
                 out[t] += rule._amp(qc)
     # vacuum <-> a+b+c
-    if state.size + 3 <= rule.max_particles:
-        for qa in rule.grid:
-            for qb in rule.grid:
-                qc = neg(add(qa, qb))
-                if qc in grid:
-                    t = moved((), ((sa, qa), (sb, qb), (sc, qc)))
-                    out[t] += rule._amp(qc)
+    for qa in rule.grid:
+        for qb in rule.grid:
+            qc = neg(add(qa, qb))
+            if qc in grid:
+                t = moved((), ((sa, qa), (sb, qb), (sc, qc)))
+                out[t] += rule._amp(qc)
     for qa in by_species[sa]:
         for qb in by_species[sb]:
             qc = neg(add(qa, qb))
             if qc in by_species[sc]:
                 t = moved(((sa, qa), (sb, qb), (sc, qc)), ())
                 out[t] += rule._amp(qc)
-    return out.items()
+    # the Fock cutoff: no state above max_particles
+    return [(t, amp) for t, amp in out.items() if t.size <= rule.max_particles]
 
 
 def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP):

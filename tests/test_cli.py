@@ -2,6 +2,10 @@ import argparse
 import ast
 import inspect
 import json
+import os
+import resource
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -10,7 +14,7 @@ import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, iotools, matcore, resolvent, symdiag
-from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError, ShapeError
+from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotHermitianError, ShapeError
 from pertkit.symdiag import SparseInteraction
 
 
@@ -291,23 +295,55 @@ class TestCliCommands:
         assert code == 0 and "diagram_partition_identity" in capsys.readouterr().out
         assert len(calls) == 1
 
-    def test_diagrams_keeps_the_paths_a_half_order_closure_would_drop(self, tmp_path):
-        # vacuum creation is capped at max_particles and annihilation is not, so a
-        # link to a state with one more triple can be a move of the larger state
-        # only: the closure of depth ell // 2 misses order-ell paths that the
-        # depth-ell closure holds
+    def test_diagrams_half_order_closure_holds_every_path(self, tmp_path):
+        # no move leaves the Fock space of max_particles, so the rule is reversible and
+        # every state of an order-ell path lies within ell // 2 moves of an endpoint
         model = tmp_path / "model.json"
         model.write_text(json.dumps(dict(self.DIAGRAM_MODEL, grid={"dim": 1, "radius": 0})))
         i = iotools.parse_state("a:0,b:0")
         half, full = (symdiag.build_interaction(iotools.load_model(str(model)), [i], depth=d) for d in (2, 4))
-        paths = [set(resolvent.index_paths(bop.neighbors, i, i, 4)) for bop in (half, full)]
-        assert paths[0] < paths[1]
+        paths = [list(resolvent.index_paths(bop.neighbors, i, i, 4)) for bop in (half, full)]
+        assert paths[0] == paths[1] and len(paths[0]) == 49
         out = tmp_path / "diagrams.csv"
         code = cli.main(["--out", str(out), "diagrams", "--model", str(model), "--i", "a:0,b:0", "--j", "a:0,b:0",
                          "--ell", "4", "--tau", "0.1"])
         lines = out.read_text().splitlines()
         rows = lines[lines.index("diagram,multiplicity,value_re,value_im") + 1:lines.index("# residuals")]
         assert code == 0 and sum(int(row.split(",")[1]) for row in rows) == len(paths[1])
+
+    @pytest.mark.parametrize("ell, code, stderr", [
+        (3, 0, ""),
+        (4, EnumerationLimitError.exit_code, "error[5]: 1824^3 paths exceed cap 10000000\n"),
+    ], ids=["ell-3-runs", "ell-4-refused"])
+    def test_two_dimensional_diagrams_run_or_refuse_within_3_gb(self, tmp_path, ell, code, stderr):
+        # a closure of depth max(2, ell) held 16,107 states at ell = 3: a 3.9 GiB dense reference
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(dict(self.DIAGRAM_MODEL, grid={"dim": 2, "radius": 1})))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "pertkit.cli", "--quiet", "diagrams", "--model", str(model),
+             "--i", "a:1;0,b:-1;0", "--j", "a:-1;0,b:1;0", "--ell", str(ell), "--tau", "0.1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, preexec_fn=limit_address_space,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, stderr)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["tensor", "dirac", "--p", "0.3,0.2", "--m", "1.0", "--z", "0.4,0.2"], "--p"),
+        (["tensor", "dirac", "--p", "0.3,0.2,0.1,0.0", "--m", "1.0", "--z", "0.4,0.2"], "--p"),
+        (["demo", "rutherford", "--p0", "3,2"], "--p0"),
+        (["demo", "rutherford", "--q0", "1,2,3,4"], "--q0"),
+    ], ids=["dirac-two", "dirac-four", "rutherford-p0", "rutherford-q0"])
+    def test_a_three_vector_of_another_length_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert f"error: argument {option}: expected three comma-separated floats" in captured.err
 
     def test_tensor_conv(self, tmp_path, capsys):
         iotools.save_matrix(tmp_path / "a1.json", random_hermitian(2, 1.0, 5))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference
 from ensembles import random_hermitian
 from pertkit import matcore, resolvent, scattering
 from pertkit.errors import ArgumentError, DefinitenessError, EnumerationLimitError, NotHermitianError
@@ -229,3 +231,41 @@ class TestFeynmanParameters:
             resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=10)
         with pytest.raises(ValueError):
             resolvent.SimplexQuadrature(method="bogus")
+
+
+class TestBlockedFeynmanIntegrand:
+    """The integrand, evaluated per block of samples, against the one-shot
+    (samples, paths) formula of ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("n, m_max", [(2, 4), (3, 4), (5, 4), (8, 3), (12, 3), (12, 4)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense-B", "sparse-B"])
+    @pytest.mark.parametrize("q", [
+        resolvent.SimplexQuadrature("monte-carlo", 1009, 3),  # a prime count: no block count divides it
+        resolvent.SimplexQuadrature("recursive-grid", 3, 0),
+    ], ids=["monte-carlo", "recursive-grid"])
+    def test_bit_equal_to_the_one_shot_integrand(self, n, m_max, sparse, q):
+        rng = np.random.default_rng(100 * n + m_max)
+        a = np.diag(rng.uniform(1.0, 3.0, n))
+        b = random_hermitian(n, 0.3, n)
+        if sparse:
+            b = b * (rng.uniform(size=(n, n)) < 0.5)
+            b = (b + b.conj().T) / 2
+        i, j = (int(k) for k in rng.integers(0, n, size=2))
+        got = resolvent.feynman_parameter_entry(a, b, i, j, 0.5, m_max, q)
+        want = reference.feynman_parameter_entry_ref(a, b, i, j, 0.5, m_max, q)
+        assert (got.value, got.std_error, got.order_values) == (want.value, want.std_error, want.order_values)
+
+    def test_a_workload_sized_entry_in_many_blocks(self):
+        # n = 6, order 4: 216 order-4 paths, 20,000 samples in 67 blocks of 303, the last one of 2
+        a, b = np.diag(np.linspace(1.0, 3.0, 6)), random_hermitian(6, 0.3, 61)
+        q = resolvent.SimplexQuadrature(seed=7)
+        got = resolvent.feynman_parameter_entry(a, b, 0, 3, 0.5, 4, q)
+        assert got == reference.feynman_parameter_entry_ref(a, b, 0, 3, 0.5, 4, q)
+        tracemalloc.start()
+        try:
+            resolvent.feynman_parameter_entry(a, b, 0, 3, 0.5, 4, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the one-shot (samples, paths) complex temporaries peak at 199 MB
+        assert peak < 80 * 2**20

@@ -4,10 +4,11 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import reference
@@ -277,6 +278,60 @@ class TestVertexChannelTable:
             reference.build_interaction_ref(ref, seeds, 3, cap=cap)
         assert str(new_err.value) == str(ref_err.value)
         assert new.calls == ref.calls
+
+
+@st.composite
+def fock_models(draw):
+    """A small random vertex and a generator seeded alongside it."""
+    seed = draw(st.integers(0, 10**6))
+    rule = random_vertex(seed, draw(st.sampled_from((1, 2))), draw(st.integers(0, 2)), draw(st.sampled_from((3, 4, 7))))
+    return rule, np.random.default_rng(seed)
+
+
+class TestFockCutoff:
+    """No move leaves the Fock space of ``max_particles``, so the rule is
+    reversible and the depth-``ell // 2`` closure of the endpoints holds every
+    order-``ell`` path."""
+
+    @given(model=fock_models())
+    def test_moves_are_reversible_with_equal_real_amplitudes(self, model):
+        rule, rng = model
+        for size in range(rule.max_particles + 1):
+            s = random_state(rng, rule, size)
+            moves = list(rule.moves(s))
+            assert all(t.size <= rule.max_particles and amp.imag == 0 for t, amp in moves)
+            for k in rng.permutation(len(moves))[:16]:  # the reverse of a sample: each takes every move of t
+                t, amp = moves[k]
+                assert dict(rule.moves(t))[s] == amp
+
+    def test_no_channel_passes_the_cutoff(self):
+        # at the cap no split or creation; two above it only the annihilation lands inside
+        rule = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 1),
+                                       max_particles=3)
+        abc = [("a", (0,)), ("b", (0,)), ("c", (0,))]
+        assert {t.size for t, _ in rule.moves(state(*abc))} == {0, 2}
+        assert {t.size for t, _ in rule.moves(state(*abc, ("c", (0,)), ("c", (0,))))} == {2}
+
+    @pytest.mark.parametrize("ell", range(1, 7))
+    @given(model=fock_models(), detour=st.booleans())
+    def test_the_half_order_closure_holds_every_path(self, model, ell, detour):
+        rule, rng = model
+        i = j = random_state(rng, rule, int(rng.integers(1, 4)))
+        for _ in range(ell % 2 + 2 * detour):  # an end state that order-ell paths can reach
+            targets = [t for t, _ in rule.moves(j)] or [j]
+            j = targets[rng.integers(len(targets))]
+        try:  # small cases only: a few hundred states, a few thousand partial paths
+            full = symdiag.build_interaction(rule, [i, j], ell, cap=500)
+            with mock.patch.object(resolvent, "PATH_CAP", 5000):
+                paths = list(resolvent.index_paths(full.neighbors, i, j, ell))
+        except EnumerationLimitError:
+            assume(False)
+        half = symdiag.build_interaction(rule, [i, j], ell // 2)
+        assert list(resolvent.index_paths(half.neighbors, i, j, ell)) == paths
+        values = [symdiag.diagram_values(bop, symdiag.group_terms_by_diagram(bop, i, j, ell), 0.3)
+                  for bop in (half, full)]
+        assert list(values[0].items()) == list(values[1].items())
+        assert sum(values[0].values()) == sum(values[1].values())
 
 
 class TestCommuteCheck:

@@ -124,9 +124,10 @@ def _run_dyson(ns) -> Report:
     rep = _report(ns, ["order", "exp_defect", "exp_budget", "dyson_defect", "dyson_budget"])
     na, nb = matcore.op_norm(a), matcore.op_norm(b)
     exp_terms = evolution.exp_series_terms(a, b, t, orders)
-    dyson_terms = evolution.dyson_terms(a, b, t, orders)
+    exp_ita = matcore.expm(1j * t * a)
+    dyson_terms = evolution.dyson_terms(a, b, t, orders, exp_ita)
     exact_exp = matcore.expm(t * (a + b))
-    exact_dyson = matcore.expm(1j * t * a) @ matcore.expm(-1j * t * (a + b))
+    exact_dyson = exp_ita @ matcore.expm(-1j * t * (a + b))
     ratios = []
     for k in range(orders + 1):
         exp_defect = matcore.op_norm(sum(exp_terms[: k + 1]) - exact_exp)
@@ -145,17 +146,20 @@ def _run_adiabatic(ns) -> Report:
     etas = ns.eta_list
     matcore.check_positive(ns.steps_per_eta, "steps_per_eta")
     rep = _report(ns, ["eta", "error_vs_eigenpath", "tracked_phase", "steps"])
-    errors = []
+    errors, doubling = [], []
     for eta in etas:
         matcore.check_positive(eta, "eta")  # before it sizes the grid
         steps = max(64, int(ns.steps_per_eta * eta))
         res = evolution.adiabatic_evolve(sched, eta, ns.index, evolution.TimeGrid(steps))
         errors.append(res.error_vs_eigenpath)
+        doubling.append(res.step_doubling_error)
         rep.add_row(eta, res.error_vs_eigenpath, res.tracked_phase, steps)
     if len(etas) >= 3:
         slope = np.polyfit(np.log(etas), np.log(errors), 1)[0]
         rep.config["log_slope"] = float(slope)
         rep.check("adiabatic_slope_in_window", abs(slope + 1.0), 0.3)
+    # every final state's integration error within a thousandth of the smallest eigenpath error
+    rep.check("adiabatic_step_doubling", max(doubling), 1e-3 * min(errors))
     return rep
 
 
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--schedule", required=True)
     s.add_argument("--eta-list", type=_floats, required=True)
     s.add_argument("--index", type=int, required=True)
-    s.add_argument("--steps-per-eta", type=int, default=48)
+    s.add_argument("--steps-per-eta", type=int, default=24)
 
     s = sub.add_parser("scatter")
     s.set_defaults(run=_run_scatter)

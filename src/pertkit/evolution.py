@@ -121,27 +121,41 @@ def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Sc
     return _RampedSchedule(a, b, _ramp(ramp))
 
 
-#: Largest accepted step estimate of :func:`_magnus`.
+#: Largest accepted step-doubling estimate of :func:`_doubled_steps`.
 _MAX_STEP_ESTIMATE = 1e-4
+_RICHARDSON = 15.0  # 2^4 - 1, the Richardson factor of a fourth-order step
 
 
 def _magnus(h0, hm, h1, c):
     """Magnus steps ``U_k = exp(-i G_k)`` of ``i u' = eta H(t) u`` from
     ``(k, n, n)`` stacks of ``H`` at each step's start, midpoint and end, ``c =
     eta h_k``: ``G = c S + i (c^2/12) [S, H1 - H0]``, ``S = (H0 + 4 Hm +
-    H1)/6``.  Also returns the estimates ``||G - c Hm||_F``, each step's
-    distance from the exponential-midpoint step (NaN for a non-finite ``G``)."""
+    H1)/6``; NaN where ``G`` is not finite."""
     c = np.reshape(c, (-1, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         s = (h0 + 4.0 * hm + h1) / 6.0
         d = h1 - h0
         g = c * s + (1j / 12.0) * c**2 * (s @ d - d @ s)
-        est = np.linalg.norm(g - c * hm, axis=(1, 2))
     bad = ~np.isfinite(g).all(axis=(1, 2))
     g[bad] = 0.0
-    est[bad] = np.nan
     w, v = np.linalg.eigh(g)
-    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2), est
+    return np.where(bad[:, None, None], np.nan, (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
+
+
+def _doubled_steps(hn, mids, c):
+    """Magnus steps over ``hn[k] -> hn[k + 1]`` (midpoints ``mids``, ``c = eta
+    h_k``), one coarse step over each pair ``(2m, 2m + 1)`` from ``hn[2m:2m + 3]``,
+    and the estimates: the pair's local error ``||U_2h - U_2m+1 U_2m||_F / 15``
+    (Richardson, fourth order) at its second step, 0 at its first.  An odd last
+    step pairs with the step before it."""
+    k = len(mids)
+    first = np.r_[0:k - 1:2, [k - 2] if k % 2 and k > 1 else []].astype(int)
+    u = _magnus(np.concatenate([hn[:-1], hn[first]]), np.concatenate([mids, hn[first + 1]]),
+                np.concatenate([hn[1:], hn[first + 2]]), np.concatenate([c, c[first] + c[first + 1]]))
+    fine, coarse = u[:k], u[k:]
+    est = np.zeros(k)
+    est[first + 1] = np.linalg.norm(coarse - fine[first + 1] @ fine[first], axis=(1, 2)) / _RICHARDSON
+    return fine, coarse, est
 
 
 def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
@@ -201,15 +215,17 @@ def exp_series_terms(a, b, t: float, m_max: int) -> list:
     return list(_cascade(a, b, t, m_max))
 
 
-def dyson_terms(a, b, t: float, m_max: int) -> list:
+def dyson_terms(a, b, t: float, m_max: int, exp_ita=None) -> list:
     """Interaction-picture cascade whose sum approximates ``e^{itA} e^{-it(A+B)}``.
 
     ``G_m = e^{itA} Y_m(-iA, -iB)`` for ``m >= 1`` and ``G_0 = I`` exactly.  In
-    the commuting case the order-m term reduces to ``(-itB)^m / m!``.
+    the commuting case the order-m term reduces to ``(-itB)^m / m!``.  A
+    caller that already holds ``e^{itA}`` passes it as ``exp_ita``.
     """
     a, b = matcore.as_pair(a, b)
     y = _cascade(-1j * a, -1j * b, t, m_max)
-    return [np.eye(a.shape[0], dtype=complex)] + list(matcore.expm(1j * t * a) @ y[1:])
+    exp_ita = matcore.expm(1j * t * a) if exp_ita is None else exp_ita
+    return [np.eye(a.shape[0], dtype=complex)] + list(exp_ita @ y[1:])
 
 
 def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.ndarray:
@@ -232,7 +248,7 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
     hs = np.array([a + matcore.as_pair(a, b_of_t(tt))[1] for tt in ts])
     for j in np.flatnonzero(~matcore.is_hermitian(hs))[:1]:
         matcore.require_hermitian(hs[j], what=f"A + B({ts[j]:g})")
-    steps, est = _magnus(hs[:-1:2], hs[1::2], hs[2::2], h)
+    steps, _, est = _doubled_steps(hs[0::2], hs[1::2], np.full(g.steps, h))
     for j in np.flatnonzero(~(est <= _MAX_STEP_ESTIMATE))[:1]:  # a NaN estimate fails too
         raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * j + 2]:g}; refine the grid")
     u = eye
@@ -296,13 +312,15 @@ def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:
 
 @dataclass
 class AdiabaticResult:
-    """Final state, accumulated eigenvalue phase, and eigenpath error."""
+    """Final state, accumulated eigenvalue phase, eigenpath error, and the
+    final state's own integration error estimate ``|u_N - u_N/2| / 15``."""
 
     final_state: np.ndarray
     tracked_phase: float
     error_vs_eigenpath: float
     eigenvalue_path: np.ndarray
     final_eigenvector: np.ndarray
+    step_doubling_error: float
 
 
 #: Steps per batched eigendecomposition; a bounded block keeps memory flat.
@@ -326,10 +344,12 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
 
     Each step checks, before its state moves: ``H`` at the midpoint, then
     at the end, then the gap at the end node (at least 1e-3), then the step
-    estimate.  Returns nodes, the state history at nodes, ``H u`` at nodes, the
-    continued eigenvector path (positive-overlap gauge) and eigenvalue path.
-    A block of steps is array work, its checks as masks replayed only at the
-    first failing step; per step, only ``u = U_k u`` and the gauge run.
+    estimate (:func:`_doubled_steps`).  Returns nodes, the state history at
+    nodes, ``H u`` at nodes, the continued eigenvector path (positive-overlap
+    gauge), eigenvalue path and the end of the coarse chain ``u_N/2`` (an odd
+    last step its own).  A block of steps is array work, its checks as masks
+    replayed only at the first failing step; per step, only ``u = U_k u`` and
+    the gauge run.  A lone last step joins the block before it.
     """
     steps = g.steps
     h = 1.0 / steps
@@ -343,13 +363,13 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
     hus = np.empty_like(us)
     e_path = np.empty_like(us)
     lam_path = np.empty(steps + 1)
-    us[0] = e_path[0] = u = e_prev = dec0.eigenvectors[:, i].copy()
+    us[0] = e_path[0] = u = e_prev = coarse = dec0.eigenvectors[:, i].copy()
     hus[0] = h_end @ u
     lam_path[0] = dec0.eigenvalues[i]
     idxs, vecs = [i], dec0.eigenvectors[None]
 
-    for k0 in range(0, steps, _BLOCK):
-        ts = nodes[k0:min(k0 + _BLOCK, steps)]
+    for k0 in range(0, steps - 1, _BLOCK):
+        ts = nodes[k0:k0 + _BLOCK if steps - k0 > _BLOCK + 1 else steps]
         hks = (ts + h) - ts  # the width of one step on [t, t + h]
         # H at each step's midpoint and end, through a step whose evaluation
         # raises; non-finite and non-Hermitian ones fail the mask and are zeroed
@@ -362,7 +382,7 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
         ok &= matcore.is_hermitian(stack)
         ends, v_prev = stack[1::2], vecs[-1:]
         lams, vecs = np.linalg.eigh((ends + ends.conj().swapaxes(1, 2)) / 2.0)
-        step_us, est = _magnus(np.concatenate([h_end[None], ends[:-1]]), stack[0::2], ends, eta * hks)
+        step_us, pairs, est = _doubled_steps(np.concatenate([h_end[None], ends]), stack[0::2], eta * hks)
         # the tracked index, chained through the argmax over r of |<v_r(t_k), v_c(t_{k-1})>|
         table = np.abs(vecs.conj().swapaxes(1, 2) @ np.concatenate([v_prev, vecs[:-1]])).argmax(axis=1)
         idxs = list(itertools.accumulate(table.tolist(), lambda c, row: row[c], initial=idxs[-1]))[1:]
@@ -378,6 +398,8 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
             _require_gap(gaps[j], nodes[k0 + j + 1])
             if not est[j] <= _MAX_STEP_ESTIMATE:  # a NaN estimate fails too
                 raise StepSizeError(f"step estimate {est[j]:.2e} at t={nodes[k0 + j + 1]:g}; refine the grid")
+        for step in [*pairs[:hks.size // 2], *step_us[hks.size // 2 * 2:]]:  # and an odd last step
+            coarse = step @ coarse
         cols = vecs[rows, :, idxs]  # contiguous rows: np.vdot of a strided column rounds differently
         for k, step, e_new in zip(range(k0 + 1, steps + 1), step_us, cols):
             u = np.matmul(step, u, out=us[k])
@@ -390,7 +412,7 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
         hus[block] = np.matmul(ends, us[block, :, None])[..., 0]
         h_end = ends[-1]
 
-    return nodes, us, hus, e_path, lam_path
+    return nodes, us, hus, e_path, lam_path, coarse
 
 
 def _integral_on_nodes(values: np.ndarray, h: float) -> float:
@@ -413,7 +435,7 @@ def adiabatic_evolve(sched: Schedule, eta: float, i: int, g: TimeGrid) -> Adiaba
     C^1 schedule with a uniform spectral gap.
     """
     matcore.check_positive(eta, "eta")
-    nodes, us, _, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
+    nodes, us, _, e_path, lam_path, coarse = _integrate_schedule(sched, eta, i, g)
     phi = _integral_on_nodes(lam_path, nodes[1] - nodes[0])
     u_final = us[-1]
     reference = e_path[-1] * np.exp(-1j * eta * phi)
@@ -424,6 +446,7 @@ def adiabatic_evolve(sched: Schedule, eta: float, i: int, g: TimeGrid) -> Adiaba
         error_vs_eigenpath=err,
         eigenvalue_path=lam_path,
         final_eigenvector=e_path[-1],
+        step_doubling_error=float(np.linalg.norm(u_final - coarse)) / _RICHARDSON,
     )
 
 
@@ -437,7 +460,7 @@ def adiabatic_eigenvalue_track(sched: Schedule, eta: float, i: int, g: TimeGrid)
     :class:`TrackingLossError` when the overlap magnitude drops below 1e-6.
     """
     matcore.check_positive(eta, "eta")
-    nodes, us, hus, e_path, lam_path = _integrate_schedule(sched, eta, i, g)
+    nodes, us, hus, e_path, lam_path, _ = _integrate_schedule(sched, eta, i, g)
     e0 = e_path[0]
     ovs = us @ e0.conj()
     for k in np.flatnonzero(np.abs(ovs) < 1e-6)[:1]:

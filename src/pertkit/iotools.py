@@ -129,9 +129,9 @@ def load_schedule(path: str):
 def load_model(path: str) -> TrilinearVertex:
     """Interaction model file.
 
-    ``{"species": [{"name": "a", "mass": 1.0}, ...],
-       "grid": {"dim": 1, "radius": 2}}`` with the trilinear vertex rule
-    and dispersion ``sqrt(m^2 + p^2)``.
+    ``{"species": [{"name": "a", "mass": 1.0}, ...], "grid": {"dim": 1, "radius": 2},
+       "max_particles": 7}`` with the trilinear vertex rule and dispersion
+    ``sqrt(m^2 + p^2)``; the Fock cutoff ``max_particles`` is optional (7).
     """
     try:
         with open(path) as fh:
@@ -146,7 +146,10 @@ def load_model(path: str) -> TrilinearVertex:
         raise MatrixFormatError(f"model {path}: {exc}") from exc
     if len(names) != 3:
         raise MatrixFormatError("the trilinear model needs exactly three species")
-    return TrilinearVertex(masses=masses, grid=grid, species=names)
+    cutoff = obj.get("max_particles", TrilinearVertex.max_particles)
+    if type(cutoff) is not int or cutoff < 1:  # a JSON true is a bool, not an int
+        raise MatrixFormatError(f"model {path}: max_particles must be a positive int, got {cutoff!r}")
+    return TrilinearVertex(masses=masses, grid=grid, species=names, max_particles=cutoff)
 
 
 def parse_state(spec: str) -> MultisetState:

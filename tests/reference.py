@@ -195,11 +195,26 @@ def _node_matrix(x, n):
     return matcore.require_hermitian(a)
 
 
+def _magnus_generator(h_start, h_mid, h_end, c):
+    s = (h_start + 4.0 * h_mid + h_end) / 6.0
+    d = h_end - h_start
+    return c * s + 1j * c**2 / 12.0 * (s @ d - d @ s)
+
+
+def _expm_step(gen):
+    """``expm(-i gen)``, NaN for a generator that is not finite."""
+    return scipy.linalg.expm(-1j * gen) if np.isfinite(gen).all() else np.full(gen.shape, np.nan)
+
+
 def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     """One fourth-order Magnus step by ``scipy.linalg.expm`` and one guarded
     ``eig_hermitian`` per node, checked in the order midpoint, end node, gap,
-    step estimate; returns nodes, states, eigenvector and eigenvalue paths,
-    like ``evolution._integrate_schedule`` without its ``H u`` history."""
+    step estimate.  The estimate is taken at every odd step and at the last
+    one: ``||U_2h - U_k U_{k-1}||_F / 15``, ``U_2h`` one step over both with
+    ``H(t_{k-1})`` as its midpoint.  Returns nodes, states, eigenvector and
+    eigenvalue paths, like ``evolution._integrate_schedule`` without its ``H u``
+    history, and the final state of the chain of the pairs' coarse steps (an
+    odd last step its own)."""
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
     dec0 = matcore.eig_hermitian(sched.matrix(0.0))
@@ -213,9 +228,11 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     if gaps.size and gaps.min() < min_gap:
         raise GapCollapseError(f"spectral gap {gaps.min():.2e} below {min_gap:g} at t=0")
     u = e_prev.copy()
+    coarse = u.copy()
     us = np.empty((steps + 1, n), dtype=complex)
     us[0] = u
-    h_start = np.asarray(sched.evaluator(0.0), dtype=complex)  # evaluated again for the first step
+    h_nodes = [np.asarray(sched.evaluator(0.0), dtype=complex)]  # evaluated again for the first step
+    widths, step_list = [], []
     for k in range(steps):
         t = nodes[k]
         hk = (t + h) - t
@@ -229,16 +246,18 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
             raise GapCollapseError(
                 f"spectral gap {gaps.min():.2e} below {min_gap:g} at t={nodes[k + 1]:g}"
             )
-        c = eta * hk
-        s = (h_start + 4.0 * h_mid + h_end) / 6.0
-        d = h_end - h_start
-        gen = c * s + 1j * c**2 / 12.0 * (s @ d - d @ s)
-        est = np.linalg.norm(gen - c * h_mid)
-        if not est <= 1e-4:
-            raise StepSizeError(f"step estimate {est:.2e} at t={nodes[k + 1]:g}; refine the grid")
-        u = scipy.linalg.expm(-1j * gen) @ u
+        step = _expm_step(_magnus_generator(h_nodes[-1], h_mid, h_end, eta * hk))
+        h_nodes.append(h_end)
+        widths.append(eta * hk)
+        step_list.append(step)
+        if k % 2 or k == steps - 1:
+            doubled = _expm_step(_magnus_generator(h_nodes[k - 1], h_nodes[k], h_end, widths[k - 1] + widths[k]))
+            est = np.linalg.norm(doubled - step @ step_list[k - 1]) / 15.0
+            if not est <= 1e-4:
+                raise StepSizeError(f"step estimate {est:.2e} at t={nodes[k + 1]:g}; refine the grid")
+            coarse = (doubled if k % 2 else step) @ coarse
+        u = step @ u
         us[k + 1] = u
-        h_start = h_end
         e_new = dec.eigenvectors[:, idx].copy()
         ov = np.vdot(e_prev, e_new)
         if abs(ov) > 0:
@@ -246,7 +265,7 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
         e_prev = e_new
         e_path[k + 1] = e_new
         lam_path[k + 1] = dec.eigenvalues[idx]
-    return nodes, us, e_path, lam_path
+    return nodes, us, e_path, lam_path, coarse
 
 
 # ---------------------------------------------------------------------------

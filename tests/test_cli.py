@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
-from pertkit import cli, iotools, matcore, resolvent, symdiag
+from pertkit import cli, evolution, iotools, matcore, resolvent, symdiag
 from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotHermitianError, ShapeError
 from pertkit.symdiag import SparseInteraction
 
@@ -193,6 +193,14 @@ class TestCliCommands:
         assert check == f"defects_within_budgets,{worst!r},1.0,1"
         assert 0.0 < worst <= 1.0
 
+    def test_dyson_computes_the_free_exponential_once(self, fixtures, monkeypatch):
+        pa, pb, _ = fixtures
+        calls = []
+        expm = matcore.expm
+        monkeypatch.setattr(matcore, "expm", lambda m: calls.append(m.shape) or expm(m))
+        assert cli.main(["dyson", "--a", pa, "--b", pb, "--t", "0.8", "--orders", "6"]) == 0
+        assert len(calls) == 3  # e^{itA}, e^{t(A+B)} and e^{-it(A+B)}
+
     def test_scatter(self, fixtures, capsys):
         pa, pb, _ = fixtures
         code = cli.main(
@@ -228,6 +236,48 @@ class TestCliCommands:
              "--eta-list", "50,100,200", "--index", "0", "--steps-per-eta", "40"]
         )
         assert code == 0
+
+    @staticmethod
+    def _gapped_ramp(n, ramp, seed):
+        """Traceless ``A``, ``B`` scaled to a minimum ground-state gap of 1
+        along ``A + f(t) B``, so eta is in gap units, with ``|eig H(t)|``
+        at most 8 gaps: the shape of the benchmark's adiabatic draws."""
+        f = {"linear": lambda t: t, "smoothstep": lambda t: t * t * (3.0 - 2.0 * t)}[ramp]
+        a, b = (m - np.trace(m).real / n * np.eye(n) for m in (random_hermitian(n, 1.0, seed + k) for k in (0, 1)))
+        w = np.array([np.linalg.eigvalsh(a + f(t) * b) for t in np.linspace(0.0, 1.0, 201)])
+        gap = np.min(w[:, 1] - w[:, 0])
+        assert np.max(np.abs(w)) <= 8.0 * gap
+        return a / gap, b / gap
+
+    def _step_doubling_run(self, tmp_path, n, ramp, seed):
+        """The rows and the ``adiabatic_step_doubling`` check of a default-grid run at eta 10, 20, 40."""
+        a, b = self._gapped_ramp(n, ramp, seed)
+        iotools.save_matrix(tmp_path / "ha.json", a)
+        iotools.save_matrix(tmp_path / "hb.json", b)
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": ramp}))
+        out = tmp_path / "adiabatic.csv"
+        code = cli.main(["--out", str(out), "adiabatic", "--schedule", str(tmp_path / "sched.json"),
+                         "--eta-list", "10,20,40", "--index", "0"])
+        lines = out.read_text().splitlines()  # written: no grid was refused
+        assert code in (0, 1) and "steps_per_eta=24" in lines[1]
+        header = lines.index("eta,error_vs_eigenpath,tracked_phase,steps")
+        (check,) = [line.split(",") for line in lines if line.startswith("adiabatic_step_doubling,")]
+        return [line.split(",") for line in lines[header + 1:header + 4]], check
+
+    @pytest.mark.parametrize("n, ramp, seed", [(2, "linear", 3), (4, "smoothstep", 5), (8, "linear", 8),
+                                               (4, "linear", 13), (2, "smoothstep", 17), (8, "smoothstep", 22)])
+    def test_the_default_grid_passes_the_step_doubling_row(self, tmp_path, n, ramp, seed):
+        rows, check = self._step_doubling_run(tmp_path, n, ramp, seed)
+        assert [row[-1] for row in rows] == ["240", "480", "960"]
+        assert check[-1] == "1" and float(check[1]) <= float(check[2]) / 10  # at least a 10x margin
+
+    def test_a_second_order_step_fails_the_step_doubling_row(self, tmp_path, monkeypatch):
+        # equal end matrices (H0 + H1)/2 keep S and drop the commutator term of the Magnus
+        # step: its final states are then about 2 thousandths of the smallest error off
+        magnus = evolution._magnus
+        monkeypatch.setattr(evolution, "_magnus", lambda h0, hm, h1, c: magnus((h0 + h1) / 2, hm, (h0 + h1) / 2, c))
+        _, check = self._step_doubling_run(tmp_path, 8, "smoothstep", 22)
+        assert check[-1] == "0"
 
     @pytest.mark.parametrize("args, message", [
         (["--eta-list=-1,2,3", "--index", "0"], "eta must be positive"),
@@ -294,6 +344,29 @@ class TestCliCommands:
                          "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.05"])
         assert code == 0 and "diagram_partition_identity" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_a_model_states_its_fock_cutoff(self, tmp_path):
+        # at radius 0 the depth-2 closure of a:0,b:0 holds 49 order-4 paths under the default
+        # cutoff of 7 particles; a cutoff of 4 keeps fewer of them
+        i = iotools.parse_state("a:0,b:0")
+        counts = {}
+        for cutoff in (None, 7, 4):
+            model = dict(self.DIAGRAM_MODEL, grid={"dim": 1, "radius": 0})
+            if cutoff is not None:
+                model["max_particles"] = cutoff
+            (tmp_path / "model.json").write_text(json.dumps(model))
+            rule = iotools.load_model(str(tmp_path / "model.json"))
+            bop = symdiag.build_interaction(rule, [i], depth=2)
+            counts[cutoff] = (rule.max_particles, len(list(resolvent.index_paths(bop.neighbors, i, i, 4))))
+        assert counts[None] == counts[7] == (7, 49)
+        assert counts[4][0] == 4 and 0 < counts[4][1] < 49
+
+    @pytest.mark.parametrize("cutoff", [True, 7.0, "7", 0, -1, None], ids=["bool", "float", "string", "zero",
+                                                                            "negative", "null"])
+    def test_a_bad_fock_cutoff_is_a_format_error(self, tmp_path, cutoff):
+        (tmp_path / "model.json").write_text(json.dumps(dict(self.DIAGRAM_MODEL, max_particles=cutoff)))
+        with pytest.raises(MatrixFormatError, match="max_particles must be a positive int"):
+            iotools.load_model(str(tmp_path / "model.json"))
 
     def test_diagrams_half_order_closure_holds_every_path(self, tmp_path):
         # no move leaves the Fock space of max_particles, so the rule is reversible and

@@ -428,7 +428,7 @@ class TestMagnusSteppers:
     def test_adiabatic_evolve_matches_the_per_node_reference(self, n, steps):
         sched, i = _ramp_instance(n, steps, "smoothstep")
         res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(steps))
-        nodes, us, e_path, lam_path = reference.integrate_schedule_ref(sched, 3.0, i, steps)
+        nodes, us, e_path, lam_path, coarse = reference.integrate_schedule_ref(sched, 3.0, i, steps)
         assert np.linalg.norm(res.final_state - us[-1]) <= 1e-13
         np.testing.assert_array_equal(res.eigenvalue_path, lam_path)
         np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
@@ -444,7 +444,7 @@ class TestMagnusSteppers:
 
         est = evolution.adiabatic_eigenvalue_track(evolution.Schedule(evaluator), 20.0, 0, evolution.TimeGrid(100))
         assert len(calls) == 2 * 100 + 1
-        nodes, us, _, e_path, lam_path = evolution._integrate_schedule(base, 20.0, 0, evolution.TimeGrid(100))
+        nodes, us, _, e_path, lam_path, _ = evolution._integrate_schedule(base, 20.0, 0, evolution.TimeGrid(100))
         e0 = e_path[0]
         want = np.array([(np.vdot(e0, base.evaluator(t) @ u) / np.vdot(e0, u)).real for t, u in zip(nodes, us)])
         want -= lam_path[0]
@@ -471,8 +471,74 @@ class TestMagnusSteppers:
 
     def test_propagator_refuses_a_coarse_grid(self):
         a, b = scaled_pair(2, 1.0, 1.0, 19)
-        with pytest.raises(StepSizeError, match="step estimate .* at t=0.625;"):
+        # the estimate of the first pair of steps belongs to its second step
+        with pytest.raises(StepSizeError, match="step estimate .* at t=1.25;"):
             evolution.propagator_time_dependent(a, lambda t: np.sin(40 * t) * b, 0.0, 5.0, evolution.TimeGrid(8))
+
+
+def _pair_on(sched, eta, t0, h):
+    """:func:`evolution._doubled_steps` of the pair of steps ``h`` from ``t0``."""
+    hn = np.array([sched.evaluator(t0 + k * h) for k in range(3)])
+    mids = np.array([sched.evaluator(t0 + k * h) for k in (0.5, 1.5)])
+    return evolution._doubled_steps(hn, mids, eta * np.array([h, h]))
+
+
+class TestStepDoubling:
+    """The step-doubling estimate ``||U_2h - U_1 U_0||_F / 15`` of a pair of
+    fourth-order Magnus steps, and the coarse chain behind the CLI's
+    ``adiabatic_step_doubling`` row."""
+
+    CASES = list(itertools.product(range(2, 9), ("linear", "smoothstep")))
+
+    @pytest.mark.parametrize("n, ramp", CASES)
+    def test_grows_like_h_to_the_fifth(self, n, ramp):
+        sched = evolution.ramped_schedule(random_hermitian(n, 1.0, n), random_hermitian(n, 1.0, 100 + n), ramp)
+        est = [_pair_on(sched, 10.0, 0.3, h)[2] for h in (0.01, 0.005)]
+        assert est[0][0] == est[1][0] == 0.0  # the first step of a pair has none
+        assert 24.0 <= est[0][1] / est[1][1] <= 40.0  # 2^5 = 32
+
+    @pytest.mark.parametrize("n, ramp", CASES)
+    def test_within_a_factor_1_5_of_the_local_error(self, n, ramp):
+        # the true local error of the pair, against eight steps of h / 4 over it
+        a, b = random_hermitian(n, 1.0, n), random_hermitian(n, 1.0, 100 + n)
+        f = evolution.RAMPS[ramp]
+        for h in (0.01, 0.005):
+            fine, _, est = _pair_on(evolution.ramped_schedule(a, b, ramp), 10.0, 0.3, h)
+            ref = evolution.propagator_time_dependent(10.0 * a, lambda t: 10.0 * f(t) * b, 0.3, 0.3 + 2 * h,
+                                                      evolution.TimeGrid(8))
+            assert 1 / 1.5 <= est[1] / np.linalg.norm(fine[1] @ fine[0] - ref) <= 1.5
+
+    def test_an_odd_last_step_pairs_with_the_step_before_it(self):
+        sched = evolution.ramped_schedule(random_hermitian(3, 1.0, 3), random_hermitian(3, 1.0, 103), "smoothstep")
+        hn = np.array([sched.evaluator(t) for t in 0.1 * np.arange(4)])
+        mids = np.array([sched.evaluator(t) for t in 0.1 * np.arange(3) + 0.05])
+        fine, coarse, est = evolution._doubled_steps(hn, mids, np.full(3, 0.1))
+        assert len(coarse) == 2 and est[0] == 0.0 and est[1] > 0
+        _, _, last = evolution._doubled_steps(hn[1:], mids[1:], np.full(2, 0.1))
+        assert est[2] == pytest.approx(last[1], rel=1e-12)
+
+    @pytest.mark.parametrize("steps", [24, 2 * evolution._BLOCK, evolution._BLOCK + 1, 2 * evolution._BLOCK + 1, 187])
+    def test_the_reference_applies_the_same_pair_rule(self, steps):
+        # the coarse chains agree, odd step counts and a lone step after a full block included
+        sched, i = _ramp_instance(4, steps, "smoothstep")
+        res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(steps))
+        nodes, us, _, _, coarse = reference.integrate_schedule_ref(sched, 3.0, i, steps)
+        assert abs(res.step_doubling_error - np.linalg.norm(us[-1] - coarse) / 15.0) <= 1e-14
+        assert 0 < res.step_doubling_error <= 1e-6
+
+    @pytest.mark.parametrize("steps", [96, 97, evolution._BLOCK + 1])
+    def test_a_jump_at_the_last_node_is_refused_at_the_last_step(self, steps):
+        # only the pair that ends at t = 1 sees the jump; an odd last step is that pair's second step
+        kick = np.diag([0.0, 1.0]) + 5.0 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        kind, message = TestErrorOrder._both(lambda t: kick if t > 1 - 0.25 / steps else np.diag([0.0, 1.0 + t]), 1.0, 0, steps)
+        assert kind is StepSizeError and message.endswith("at t=1; refine the grid")
+
+    def test_the_richardson_estimate_tracks_the_final_state_error(self):
+        sched, i = _ramp_instance(8, 200, "linear")
+        res = evolution.adiabatic_evolve(sched, 20.0, i, evolution.TimeGrid(200))
+        ref = evolution.adiabatic_evolve(sched, 20.0, i, evolution.TimeGrid(1600))
+        true = np.linalg.norm(res.final_state - ref.final_state)
+        assert 1 / 1.5 <= res.step_doubling_error / true <= 1.5
 
 
 #: Derivatives of the named ramps.
@@ -625,11 +691,11 @@ class TestErrorOrder:
     )
     def test_early_step_estimate_wins_over_a_later_bad_node(self, late):
         # the early H does not commute with itself at other times, so the
-        # commutator term puts the first step's estimate far above its limit
+        # first pair's estimate, taken at its second step, is far above its limit
         early = lambda t: np.diag([0.0, 1.0]) + 10.0 * t * np.array([[0.0, 1.0], [1.0, 0.0]])
         kind, message = self._both(lambda t: late if t > 0.05 else early(t), 2000.0, 1, 40)
         assert kind is StepSizeError
-        assert "at t=0.025;" in message
+        assert "at t=0.05;" in message
 
     @pytest.mark.parametrize("node", [evolution._BLOCK + 1, evolution._BLOCK], ids=["first-of-block", "last-of-block"])
     @pytest.mark.parametrize("tracked", [0, 1], ids=["upper-neighbour", "lower-neighbour"])
@@ -712,7 +778,8 @@ class TestBlockCore:
         "non-hermitian": (np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError),
         "non-finite": (np.full((2, 2), np.nan), MatrixFormatError),
         "collapsed-gap": (np.diag([0.0, 1e-4]), GapCollapseError),
-        "step-estimate": (np.diag([0.0, 1.0]) + 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), StepSizeError),
+        # a jump the estimate of the pair around the node sees, wherever the node is in its pair
+        "step-estimate": (np.diag([0.0, 1.0]) + 5.0 * np.array([[0.0, 1.0], [1.0, 0.0]]), StepSizeError),
         "raises": (None, RuntimeError),
     }
 
@@ -736,6 +803,8 @@ class TestBlockCore:
         node = evolution._BLOCK + offset
         got, message = TestErrorOrder._both(self._bad_at({node: kind}, steps), 1.0, 0, steps)
         assert got is self.BAD_NODES[kind][1]
+        if kind == "step-estimate":  # at the second step of the pair whose steps meet at an odd node
+            node += node % 2
         if kind != "non-hermitian":
             assert f"at t={node / steps:g}" in message
 
@@ -747,8 +816,10 @@ class TestBlockCore:
         evaluator = self._bad_at({first: early, first + 3: late}, steps)
         got, message = TestErrorOrder._both(evaluator, 1.0, 0, steps)
         assert got is self.BAD_NODES[early][1]
-        if early in ("collapsed-gap", "step-estimate", "raises"):
+        if early in ("collapsed-gap", "raises"):
             assert f"at t={first / steps:g}" in message
+        if early == "step-estimate":  # the odd node joins the pair's two steps; the second one ends a node later
+            assert f"at t={(first + 1) / steps:g}" in message
 
     @pytest.mark.parametrize("raise_at, collapse_at", [(20, 40), (40, 20)], ids=["ramp-first", "gap-first"])
     def test_a_raising_ramp_raises_at_its_step(self, raise_at, collapse_at):
@@ -776,7 +847,7 @@ class TestBlockCore:
         steps = 3 * evolution._BLOCK - 5
         sched = evolution.Schedule(evaluator=lambda t: np.diag([0.0, 2.0 * (crossing / steps - t)]))
         res = evolution.adiabatic_evolve(sched, 1.0, 0, evolution.TimeGrid(steps))
-        nodes, us, e_path, lam_path = reference.integrate_schedule_ref(sched, 1.0, 0, steps)
+        nodes, us, e_path, lam_path, _ = reference.integrate_schedule_ref(sched, 1.0, 0, steps)
         np.testing.assert_array_equal(res.eigenvalue_path, lam_path)
         np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
         assert np.all(lam_path == 0.0)

@@ -186,7 +186,7 @@ def _run_scatter(ns) -> Report:
         shifted_norm = 1.0 / np.min(np.abs(lam - shift))  # ||(A - shift)^{-1}||, A Hermitian
         bound = r ** (order + 1) / (1.0 - r) * q.tau * shifted_norm + 1e-12
         rep.check("series_vs_direct", abs(series.partial_sum() - direct), bound)
-    abel = scattering.s_entry_time_average(basis, b, q, t_max, g=int(40 * t_max))
+    abel = scattering.s_entry_time_average(basis, b, q, t_max, g=max(2, int(40 * t_max)))
     rep.check("abel_vs_direct", abs(abel - direct), 2.0 * np.exp(-q.tau * t_max) + 1e-5)
     if ns.tau_sweep is not None:
         lo, hi, n = ns.tau_sweep
@@ -214,11 +214,10 @@ def _run_diagrams(ns) -> Report:
         v = values[d]
         total += v
         rep.add_row(_diagram_str(d), len(groups[d]), v.real, v.imag)
-    if ell >= 2:
-        a_dense, b_dense = bop.to_dense()
-        qq = scattering.ScatteringQuery(i=bop.index[i], j=bop.index[j], tau=tau)
-        reference = scattering.s_term_index_sum(a_dense, b_dense, qq, ell)
-        rep.check("diagram_partition_identity", abs(total - reference), 1e-11 * max(1.0, abs(reference)))
+    a_dense, b_dense = bop.to_dense()
+    qq = scattering.ScatteringQuery(i=bop.index[i], j=bop.index[j], tau=tau)
+    reference = scattering.s_term_index_sum(a_dense, b_dense, qq, ell)
+    rep.check("diagram_partition_identity", abs(total - reference), 1e-11 * max(1.0, abs(reference)))
     rep.config["num_diagrams"] = len(values)
     return rep
 

@@ -10,8 +10,9 @@ whether or not the series converges.
 
 The series are sums over index paths, and :func:`index_paths` walks them
 all: the nonzero entries of a dense ``B`` here and in the scattering index
-sum, the sparse diagram basis in ``symdiag``.  The dense callers refuse
-``n**m > PATH_ENUMERATION_CAP`` up front; every walk stops past ``PATH_CAP``.
+sum, the sparse diagram basis in ``symdiag``.  It owns the one enumeration
+limit, ``PATH_CAP`` partial paths counted before the walk, and each path's
+weight, the product of its link entries.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
-#: A priori bound ``n**m`` on the index paths of a dense ``B`` that the
-#: simplex representation and the scattering index sum enumerate.
-PATH_ENUMERATION_CAP = 10**7
 #: Partial paths one walk of :func:`index_paths` may extend.
 PATH_CAP = 10**6
+#: (sample, path) entries of one order's ``x @ lam_rows.T``: 2 GiB of float64.
+INTEGRAND_CAP = 2**28
 #: (sample, path) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
 BLOCK_ENTRIES = 2**16
 
@@ -111,34 +111,48 @@ class FeynmanEntry:
     order_values: tuple
 
 
-def index_paths(links, i, j, m: int):
-    """Every index path ``i -> ... -> j`` of ``m`` links, as a tuple of indices.
+def dense_links(b) -> list:
+    """The links of a dense ``B``: row ``r`` maps each nonzero column, ascending, to ``B[r, c]``."""
+    return [dict(zip(nz.tolist(), row[nz])) for row, nz in zip(b, map(np.flatnonzero, b))]
 
-    A path steps from ``r`` to each index of ``links(r)`` in the order listed,
-    and takes its last step only if ``j`` is among them.  Raises
-    :class:`EnumerationLimitError` once the walk has extended more than
-    :data:`PATH_CAP` partial paths.
+
+def index_paths(links, i, j, m: int):
+    """Every index path ``i -> ... -> j`` of ``m`` links with its weight, as
+    ``(path, weight)``: a tuple of indices and the product of its entries.
+
+    ``links(r)`` maps each next index, in walk order, to its link's entry; a
+    path takes its last step only if ``j`` is among them.  The weight is
+    multiplied once per link of a shared prefix, from ``1+0j``.  Before
+    walking, the partial paths the walk extends, ``1 + W_1 + ... + W_{m-1}``
+    with ``W_L`` the ``L``-link walks from ``i``, are counted; more than
+    :data:`PATH_CAP` raises :class:`EnumerationLimitError`.
     """
     matcore.check_order(m, "m")
+    level, extended = {i: 1}, min(m, 1)  # walks from i to each index at the current length; partial paths in all
+    for _ in range(m - 1):
+        counts = {}
+        for r, walks in level.items():
+            for t in links(r):
+                counts[t] = counts.get(t, 0) + walks
+        level = counts
+        extended += sum(level.values())
+    if extended > PATH_CAP:
+        raise EnumerationLimitError(f"path enumeration exceeds cap {PATH_CAP}")
     if m == 0:
         if i == j:
-            yield (i,)
+            yield (i,), 1.0 + 0.0j
         return
-    extended = 0
 
-    def extend(path):
-        nonlocal extended
-        extended += 1
-        if extended > PATH_CAP:
-            raise EnumerationLimitError(f"path enumeration exceeds cap {PATH_CAP}")
+    def extend(path, weight):
+        out = links(path[-1])
         if len(path) == m:
-            if j in links(path[-1]):
-                yield path + (j,)
+            if j in out:
+                yield path + (j,), weight * out[j]
             return
-        for nxt in links(path[-1]):
-            yield from extend(path + (nxt,))
+        for nxt, entry in out.items():
+            yield from extend(path + (nxt,), weight * entry)
 
-    yield from extend((i,))
+    yield from extend((i,), 1.0 + 0.0j)
 
 
 def _simplex_nodes(m: int, q: SimplexQuadrature, seed_offset: int = 0):
@@ -198,25 +212,25 @@ def feynman_parameter_entry(
     n = b.shape[0]
     matcore.check_index(i, n)
     matcore.check_index(j, n)
-    if n**m_max > PATH_ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"index enumeration {n}^{m_max} exceeds cap {PATH_ENUMERATION_CAP}"
-        )
-
-    nz = [np.flatnonzero(row).tolist() for row in b]
+    links = dense_links(b).__getitem__
+    orders = []  # every order is walked, and its integrand bounded, before any is integrated
+    for m in range(m_max + 1):
+        orders.append(list(index_paths(links, i, j, m)))
+        samples = q.samples_or_depth ** m if q.method == "recursive-grid" else q.samples_or_depth
+        if samples * len(orders[m]) > INTEGRAND_CAP:
+            raise EnumerationLimitError(f"order {m}: {samples} samples x {len(orders[m])} paths exceed cap {INTEGRAND_CAP}")
     order_values = []
     variance = 0.0
     total = 0.0 + 0.0j
-    for m in range(m_max + 1):
-        paths = list(index_paths(nz.__getitem__, i, j, m))
-        if not paths:
+    for m, walked in enumerate(orders):
+        if not walked:
             order_values.append(0.0 + 0.0j)
             continue
-        lam_rows = np.array([[lam[k] for k in p] for p in paths])  # (P, m+1)
-        wts = np.array([math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j) for p in paths])  # (P,)
+        lam_rows = np.array([[lam[k] for k in p] for p, _ in walked])  # (P, m+1)
+        wts = np.array([weight for _, weight in walked])  # (P,)
         x, w = _simplex_nodes(m, q, seed_offset=m)
         dots = x @ lam_rows.T  # (S, P); the denominators dots + i tau are formed per block of samples
-        rows = max(1, BLOCK_ENTRIES // len(paths))
+        rows = max(1, BLOCK_ENTRIES // len(walked))
         integrand = np.concatenate([(wts / (dots[s:s + rows] + 1j * tau) ** (m + 1)).sum(axis=1)
                                     for s in range(0, len(dots), rows)])  # per sample
         # Lebesgue integral over the simplex = mean/ m! for probability weights;

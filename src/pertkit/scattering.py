@@ -30,13 +30,14 @@ A non-Hermitian ``A + B`` raises :class:`NotHermitianError`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, EnumerationLimitError, SingularMatrixError
-from .resolvent import PATH_ENUMERATION_CAP, index_paths
+from .errors import ArgumentError, SingularMatrixError
+from .resolvent import dense_links, index_paths
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,13 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     <v_i, e^{-itA} e^{2it(A+B)} e^{-itA} v_j> dt`` by Simpson quadrature;
     the damping rate matches the ``-i tau`` shift of the resolvent form, so
     the result agrees with :func:`s_entry_resolvent` within
-    ``2 exp(-tau t_max)`` plus quadrature error.  ``g`` is a step count or
-    any object with a ``steps`` attribute (e.g. a TimeGrid).
+    ``2 exp(-tau t_max)`` plus quadrature error.  ``g`` is a step count of
+    at least 1 or any object with a ``steps`` attribute (e.g. a TimeGrid).
     """
     matcore.check_positive(t_max, "t_max")
+    steps = getattr(g, "steps", g)
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ArgumentError(f"step count must be an integer of at least 1, got {steps!r}")
     lam, vecs, a, b = _operands(a, b)
     m = matcore.require_hermitian(a + b, what="A+B")
     q.check_indices(lam.size)
@@ -126,8 +130,7 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> comp
     amp = (w.conj().T @ vecs[:, q.i]).conj() * (w.conj().T @ vecs[:, q.j])
     freq = 2.0 * mu - lam[q.i] - lam[q.j]
 
-    steps = int(getattr(g, "steps", g))
-    steps = steps + (steps % 2)
+    steps = int(steps) + (steps % 2)
     h = t_max / steps
     ts = h * np.arange(steps + 1)
     weights = matcore.simpson_weights(steps, h)
@@ -170,23 +173,19 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     sum over k_1..k_{ell-1} of B_{i k_1} ... B_{k_{ell-1} j} /
     prod_a (lambda_{k_a} - lambda_tau)``.
 
-    Enumerates the nonzero-weight paths exhaustively; the matrix-product route in
-    :func:`s_series` is the independent cross-check.
+    Enumerates the nonzero-weight paths exhaustively (at ``ell = 1`` the one
+    path ``i -> j``); the matrix-product route in :func:`s_series` is the
+    independent cross-check.
     """
-    if ell < 2:
-        raise ArgumentError("the multi-index sum is defined for ell >= 2")
+    if ell < 1:
+        raise ArgumentError("ell must be at least 1")
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a)
-    n = lam.size
-    q.check_indices(n)
-    if n ** (ell - 1) > PATH_ENUMERATION_CAP:
-        raise EnumerationLimitError(f"{n}^{ell - 1} paths exceed cap {PATH_ENUMERATION_CAP}")
+    q.check_indices(lam.size)
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
 
-    nz = [np.flatnonzero(row).tolist() for row in b]
     total = 0.0 + 0.0j
-    for path in index_paths(nz.__getitem__, q.i, q.j, ell):
-        w = math.prod((b[r, c] for r, c in zip(path, path[1:])), start=1.0 + 0.0j)
+    for path, w in index_paths(dense_links(b).__getitem__, q.i, q.j, ell):
         total += w / math.prod(lam[k] - lt for k in path[1:-1])
     return complex(term_prefactor(lam[q.i], lam[q.j], q.tau, ell) * total)
 

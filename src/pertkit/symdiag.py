@@ -10,10 +10,11 @@ dots (one per transition) and one line per particle occurrence-interval: a
 line starts at the dot where its particle appears and ends at the dot
 where it disappears, with external stubs for particles present in the
 first or last state.  :func:`resolvent.index_paths` walks the paths along
-:meth:`SparseInteraction.neighbors`.  Grouping them by this drawing and
-summing the usual energy-denominator weights per group reproduces the full
-multi-index sum, and tree-shaped drawings admit a unique momentum
-assignment, solved from the leaves on one running balance of net momenta.
+:meth:`SparseInteraction.neighbors` and carries each path's interaction
+product.  Grouping the paths by this drawing and dividing each product by
+its energy denominators reproduces, summed per group, the full multi-index
+sum, and tree-shaped drawings admit a unique momentum assignment, solved
+from the leaves on one running balance of net momenta.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class SparseInteraction:
             raise MatrixFormatError("duplicate states in basis")
         self.dispersion = dispersion
         self.entries = {}
-        adjacency = defaultdict(set)
         momentum = {s: s.total_momentum() for s in self.basis}  # equal ones conserve; same_momentum judges zeros
         for (s, t), v in entries.items():
             if s not in self.index or t not in self.index:
@@ -133,18 +133,17 @@ class SparseInteraction:
                 raise MatrixFormatError("conflicting duplicate entries")
             self.entries[(s, t)] = v
             self.entries[(t, s)] = v.conjugate()
-            adjacency[s].add(t)
-            adjacency[t].add(s)
-        # canonical order, held as a set view: a path walk tests its last step with one lookup
-        self._adjacency = {s: dict.fromkeys(sorted(ts, key=lambda x: x.particles)).keys()
-                           for s, ts in adjacency.items()}
+        # {t: entry(s, t)} per state in canonical order: a path walk tests its last step with one lookup
+        self._adjacency = defaultdict(dict)
+        for (s, t), v in sorted(self.entries.items(), key=lambda e: e[0][1].particles):
+            self._adjacency[s][t] = v
 
     def entry(self, s: MultisetState, t: MultisetState) -> complex:
         return self.entries.get((s, t), 0.0 + 0.0j)
 
-    def neighbors(self, s: MultisetState):
-        """The states linked to ``s``, in canonical order, as a set view."""
-        return self._adjacency.get(s, {}.keys())
+    def neighbors(self, s: MultisetState) -> dict:
+        """The states linked to ``s``, in canonical order, each mapped to ``entry(s, t)``."""
+        return self._adjacency.get(s, {})
 
     def free_energy(self, s: MultisetState) -> float:
         return float(sum(self.dispersion(sp, p) for sp, p in s.particles))
@@ -446,25 +445,23 @@ def diagram_of(seq) -> Diagram:
 
 
 def group_terms_by_diagram(bop: SparseInteraction, i: MultisetState, j: MultisetState, ell: int) -> dict:
-    """Group the order-``ell`` paths from ``i`` to ``j`` by canonical diagram;
-    states of different total momenta have none."""
+    """Group the order-``ell`` paths from ``i`` to ``j``, as ``(path, weight)``
+    pairs of :func:`resolvent.index_paths`, by canonical diagram; states of
+    different total momenta have none."""
     if ell < 1:
         raise ArgumentError("ell must be at least 1")
     if not i.same_momentum(j):
         return {}
     groups = defaultdict(list)
-    for path in index_paths(bop.neighbors, i, j, ell):
-        groups[diagram_of(path)].append(path)
+    for path, weight in index_paths(bop.neighbors, i, j, ell):
+        groups[diagram_of(path)].append((path, weight))
     return dict(groups)
 
 
-def _path_weight(bop: SparseInteraction, path, lambda_shift: complex) -> complex:
-    w = 1.0 + 0.0j
-    for s, t in zip(path, path[1:]):
-        w *= bop.entry(s, t)
+def _path_weight(bop: SparseInteraction, path, weight: complex, lambda_shift: complex) -> complex:
     for k in path[1:-1]:
-        w /= bop.free_energy(k) - lambda_shift
-    return w
+        weight /= bop.free_energy(k) - lambda_shift
+    return weight
 
 
 def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
@@ -478,12 +475,13 @@ def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
     """
     matcore.check_positive(tau, "tau")
     out = {}
-    for diagram, paths in groups.items():
-        i, j, ell = paths[0][0], paths[0][-1], len(paths[0]) - 1
+    for diagram, pairs in groups.items():
+        path = pairs[0][0]
+        i, j, ell = path[0], path[-1], len(path) - 1
         lam_i, lam_j = bop.free_energy(i), bop.free_energy(j)
         shift = scattering.lambda_shift(lam_i, lam_j, tau)
         pref = scattering.term_prefactor(lam_i, lam_j, tau, ell)
-        out[diagram] = pref * sum(_path_weight(bop, p, shift) for p in paths)
+        out[diagram] = pref * sum(_path_weight(bop, p, w, shift) for p, w in pairs)
     return out
 
 
@@ -667,18 +665,8 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
             return "d"
         return "?"
 
-    rows = []
-    for path in paths:
-        k = path[1]
-        rows.append(
-            ThreeParticleRow(
-                label=classify(k),
-                state=k,
-                product=bop.entry(i_state, k) * bop.entry(k, j_state),
-                denominator=bop.free_energy(k) - shift,
-            )
-        )
-    rows.sort(key=lambda r: r.label)
+    rows = sorted((ThreeParticleRow(label=classify(k), state=k, product=weight, denominator=bop.free_energy(k) - shift)
+                   for (_, k, _), weight in paths), key=lambda r: r.label)
     if [r.label for r in rows] != ["a", "b", "c", "d"]:
         raise ArgumentError("intermediate states do not match the canonical four-row table")
 

@@ -389,12 +389,12 @@ def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
     integrand formed at once, on the library's nodes and paths."""
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a)
-    nz = [np.flatnonzero(row).tolist() for row in b]
+    links = resolvent.dense_links(b).__getitem__  # the walk's weights are recomputed below
     order_values = []
     variance = 0.0
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
-        paths = list(resolvent.index_paths(nz.__getitem__, i, j, m))
+        paths = [p for p, _ in resolvent.index_paths(links, i, j, m)]
         if not paths:
             order_values.append(0.0 + 0.0j)
             continue

@@ -14,7 +14,7 @@ import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, evolution, iotools, matcore, resolvent, symdiag
-from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotHermitianError, ShapeError
+from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError, ShapeError
 from pertkit.symdiag import SparseInteraction
 
 
@@ -211,6 +211,15 @@ class TestCliCommands:
         assert code == 0
         assert "abel_vs_direct" in out
 
+    def test_scatter_with_a_short_time_average(self, tmp_path, capsys):
+        # 40 steps per unit time would give no step at all below t_max = 0.025; the grid keeps two
+        iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0]))
+        iotools.save_matrix(tmp_path / "b.json", 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        code = cli.main(["scatter", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                         "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "0.01"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "" and "abel_vs_direct" in captured.out
+
     @pytest.mark.parametrize("args, message", [
         (["--i", "0", "--j", "5"], "entry (0, 5) out of range for n = 2"),
         (["--i=-1", "--j", "1"], "entry (-1, 1) out of range for n = 2"),
@@ -323,6 +332,16 @@ class TestCliCommands:
         assert code == 0
         assert "diagram_partition_identity" in out
 
+    def test_first_order_diagrams_check_their_identity(self, tmp_path, capsys):
+        # one vertex a + b -> c: one one-link path, checked against the dense index sum like every order
+        (tmp_path / "model.json").write_text(json.dumps(self.DIAGRAM_MODEL))
+        code = cli.main(["diagrams", "--model", str(tmp_path / "model.json"),
+                         "--i", "a:1,b:-1", "--j", "c:0", "--ell", "1", "--tau", "0.05"])
+        out = capsys.readouterr().out
+        assert code == 0 and "num_diagrams=1" in out
+        row = next(line for line in out.splitlines() if line.startswith("diagram_partition_identity,"))
+        assert row.endswith(",1")
+
     @pytest.mark.parametrize("args, message", [
         (["--ell", "0", "--tau", "0.1"], "ell must be at least 1"),
         (["--ell", "2", "--tau", "-0.1"], "tau must be positive"),
@@ -384,11 +403,8 @@ class TestCliCommands:
         rows = lines[lines.index("diagram,multiplicity,value_re,value_im") + 1:lines.index("# residuals")]
         assert code == 0 and sum(int(row.split(",")[1]) for row in rows) == len(paths[1])
 
-    @pytest.mark.parametrize("ell, code, stderr", [
-        (3, 0, ""),
-        (4, EnumerationLimitError.exit_code, "error[5]: 1824^3 paths exceed cap 10000000\n"),
-    ], ids=["ell-3-runs", "ell-4-refused"])
-    def test_two_dimensional_diagrams_run_or_refuse_within_3_gb(self, tmp_path, ell, code, stderr):
+    @pytest.mark.parametrize("ell", [3, 4], ids=["ell-3-runs", "ell-4-runs"])
+    def test_two_dimensional_diagrams_run_within_3_gb(self, tmp_path, ell):
         # a closure of depth max(2, ell) held 16,107 states at ell = 3: a 3.9 GiB dense reference
         model = tmp_path / "model.json"
         model.write_text(json.dumps(dict(self.DIAGRAM_MODEL, grid={"dim": 2, "radius": 1})))
@@ -398,11 +414,13 @@ class TestCliCommands:
 
         src = str(Path(cli.__file__).parents[1])
         proc = subprocess.run(
-            [sys.executable, "-m", "pertkit.cli", "--quiet", "diagrams", "--model", str(model),
-             "--i", "a:1;0,b:-1;0", "--j", "a:-1;0,b:1;0", "--ell", str(ell), "--tau", "0.1"],
+            [sys.executable, "-m", "pertkit.cli", "--out", str(tmp_path / "report.csv"), "diagrams", "--model",
+             str(model), "--i", "a:1;0,b:-1;0", "--j", "a:-1;0,b:1;0", "--ell", str(ell), "--tau", "0.1"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, preexec_fn=limit_address_space,
             timeout=120)
-        assert (proc.returncode, proc.stderr) == (code, stderr)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert next(r for r in rows if r.startswith("diagram_partition_identity,")).endswith(",1")
 
     @pytest.mark.parametrize("argv, option", [
         (["tensor", "dirac", "--p", "0.3,0.2", "--m", "1.0", "--z", "0.4,0.2"], "--p"),

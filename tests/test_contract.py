@@ -18,12 +18,13 @@ there.
 import inspect
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from pertkit import cli, evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
-from pertkit.errors import ArgumentError, MatrixFormatError, PertkitError, ShapeError
+from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, PertkitError, ShapeError
 
 MODULES = (matcore, resolvent, spectral, evolution, scattering, symdiag, tensor)
 PAIRS = (("a", "b"), ("a_diag", "b"), ("a", "b_of_t"), ("u", "m"))
@@ -260,6 +261,34 @@ def test_an_empty_enumeration_sums_to_zero():
     assert _call(scattering.s_term_index_sum, b=zero) == 0
     c_state = symdiag.MultisetState.of(("c", (1,)))  # total momentum 1, not 0
     assert symdiag.group_terms_by_diagram(BOP, I_STATE, c_state, 1) == {}
+
+
+def _full_interaction(n):
+    """``n`` states of total momentum 0, every pair of them (and every state with itself) linked."""
+    basis = [symdiag.MultisetState.of(("a", (p,)), ("b", (-p,))) for p in range(n)]
+    return symdiag.SparseInteraction(basis, {(s, t): 0.01 for s in basis for t in basis}, RULE.dispersion)
+
+
+@pytest.mark.parametrize("n, order", [(100, 4), (10, 7)])
+def test_a_huge_enumeration_is_refused_up_front(n, order):
+    # 1 + n + ... + n**(order - 1) partial paths, past PATH_CAP = 10**6: refused before the walk
+    a, b, bop = np.diag(np.arange(1.0, n + 1.0)), 0.01 * np.ones((n, n)), _full_interaction(n)
+    for refuse in (lambda: resolvent.feynman_parameter_entry(a, b, 0, 1, 0.5, order, resolvent.SimplexQuadrature()),
+                   lambda: scattering.s_term_index_sum(a, b, scattering.ScatteringQuery(0, 1, 0.5), order),
+                   lambda: symdiag.group_terms_by_diagram(bop, bop.basis[0], bop.basis[1], order)):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError):
+            refuse()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_a_simplex_integrand_past_2_gib_is_refused():
+    # n = 40, order 4: 40**3 paths times 20,000 samples is past the 2**28 entries of a 2 GiB x @ lam_rows.T
+    a, b = np.diag(np.arange(1.0, 41.0)), 0.001 * np.ones((40, 40))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match="order 4: 20000 samples x 64000 paths exceed cap 268435456"):
+        resolvent.feynman_parameter_entry(a, b, 0, 1, 0.5, 4, resolvent.SimplexQuadrature())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_diagrams_job_with_no_paths_exits_zero(tmp_path, capsys):

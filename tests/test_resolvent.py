@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 import reference
 from ensembles import random_hermitian
-from pertkit import matcore, resolvent, scattering
+from pertkit import matcore, resolvent, scattering, symdiag
 from pertkit.errors import ArgumentError, DefinitenessError, EnumerationLimitError, NotHermitianError
 
 
@@ -132,35 +133,36 @@ class TestExactRemainder:
 
 
 class TestIndexPaths:
-    LINKS = {0: [2, 1], 1: [0, 2], 2: [1, 0]}
+    LINKS = {0: {2: 0.5, 1: 2j}, 1: {0: 3.0, 2: -1.0}, 2: {1: 1j, 0: 0.25}}
 
     def paths(self, i, j, m):
         return list(resolvent.index_paths(self.LINKS.__getitem__, i, j, m))
 
-    def test_paths_come_in_link_order(self):
-        assert self.paths(0, 0, 2) == [(0, 2, 0), (0, 1, 0)]
-        assert self.paths(0, 2, 3) == [(0, 2, 1, 2), (0, 2, 0, 2), (0, 1, 0, 2)]
+    def test_paths_come_in_link_order_with_their_weights(self):
+        assert self.paths(0, 0, 2) == [((0, 2, 0), 0.125), ((0, 1, 0), 6j)]
+        assert self.paths(0, 2, 3) == [((0, 2, 1, 2), -0.5j), ((0, 2, 0, 2), 0.0625), ((0, 1, 0, 2), 3j)]
         assert self.paths(1, 1, 1) == []
 
     def test_no_links(self):
-        assert self.paths(1, 1, 0) == [(1,)]
+        assert self.paths(1, 1, 0) == [((1,), 1.0 + 0.0j)]
         assert self.paths(1, 2, 0) == []
 
     def test_a_negative_length_is_an_argument_error(self):
         with pytest.raises(ArgumentError, match="^m must be nonnegative$"):
             self.paths(0, 0, -1)
 
-    def test_a_walk_stops_past_the_cap(self, monkeypatch):
+    def test_a_walk_past_the_cap_is_refused_before_it_starts(self, monkeypatch):
         # from 0 over three links of every index: 1 + 3 + 9 partial paths are extended
-        links = [0, 1, 2]
+        links = {0: 1.0, 1: 1.0, 2: 1.0}
         monkeypatch.setattr(resolvent, "PATH_CAP", 13)
         assert len(list(resolvent.index_paths(lambda r: links, 0, 0, 3))) == 9
         monkeypatch.setattr(resolvent, "PATH_CAP", 12)
+        walk = resolvent.index_paths(lambda r: links, 0, 0, 3)
         with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 12"):
-            list(resolvent.index_paths(lambda r: links, 0, 0, 3))
+            next(walk)
 
     def test_a_dense_index_sum_stops_past_the_cap(self, monkeypatch):
-        # 4^4 index paths pass the a priori bound; the walk extends 341 partial paths
+        # a full 4 x 4 B at order 5: the walk extends 1 + 4 + 16 + 64 + 256 = 341 partial paths
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         q = scattering.ScatteringQuery(0, 1, 0.5)
         monkeypatch.setattr(resolvent, "PATH_CAP", 340)
@@ -169,13 +171,64 @@ class TestIndexPaths:
         with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 340"):
             resolvent.feynman_parameter_entry(a, np.ones((4, 4)), 0, 1, 0.5, 5, resolvent.SimplexQuadrature())
 
-    def test_the_dense_bound_refuses_before_the_walk(self):
-        # B = I has one path; the bound n**m refuses it all the same
-        big = np.diag(np.arange(1.0, 41.0))
-        with pytest.raises(EnumerationLimitError, match=r"40\^6"):
-            resolvent.feynman_parameter_entry(big, np.eye(40), 0, 0, 1.0, 6, resolvent.SimplexQuadrature())
-        with pytest.raises(EnumerationLimitError, match=r"40\^5"):
-            scattering.s_term_index_sum(big, np.eye(40), scattering.ScatteringQuery(0, 0, 0.1), 6)
+    def test_one_path_runs_at_any_size(self):
+        # B = I has the one path 0 -> 0 -> ... -> 0 however large n**m is
+        lam0, tau = 1.0, 0.1
+        big = np.diag(np.arange(lam0, 41.0))
+        entry = resolvent.feynman_parameter_entry(big, np.eye(40), 0, 0, tau, 6, resolvent.SimplexQuadrature())
+        for m, value in enumerate(entry.order_values):
+            assert value == pytest.approx((-1) ** m / (lam0 + 1j * tau) ** (m + 1), rel=1e-12)
+        pref = scattering.term_prefactor(lam0, lam0, tau, 6)
+        shift = scattering.lambda_shift(lam0, lam0, tau)
+        got = scattering.s_term_index_sum(big, np.eye(40), scattering.ScatteringQuery(0, 0, tau), 6)
+        assert got == pytest.approx(pref / (lam0 - shift) ** 5, rel=1e-12)
+
+
+class TestWalkProperties:
+    """The up-front count against a brute-force count of the partial paths,
+    and the carried weight against the product of the path's entries."""
+
+    @staticmethod
+    def partial_paths(links, i, m):
+        if m == 0:
+            return 0
+        return 1 + sum(TestWalkProperties.partial_paths(links, t, m - 1) for t in links(i))
+
+    def check_walk(self, monkeypatch, links, i, j, m, entry):
+        count = self.partial_paths(links, i, m)
+        monkeypatch.setattr(resolvent, "PATH_CAP", count)
+        walked = list(resolvent.index_paths(links, i, j, m))
+        for path, weight in walked:
+            want = math.prod((entry(r, c) for r, c in zip(path, path[1:])), start=1.0 + 0.0j)
+            assert np.array(weight).tobytes() == np.array(want).tobytes()  # bit for bit
+        if count:
+            monkeypatch.setattr(resolvent, "PATH_CAP", count - 1)
+            with pytest.raises(EnumerationLimitError):
+                next(resolvent.index_paths(links, i, j, m))
+        return walked
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dense_patterns(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 6)), int(rng.integers(0, 5))
+        pattern = rng.uniform(size=(n, n)) < rng.uniform(0.2, 0.9)
+        b = pattern * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        i, j = (int(k) for k in rng.integers(0, n, size=2))
+        walked = self.check_walk(monkeypatch, resolvent.dense_links(b).__getitem__, i, j, m, lambda r, c: b[r, c])
+        every = [(i, *mid, j) for mid in itertools.product(range(n), repeat=max(m - 1, 0))] if m else [(i,)] * (i == j)
+        assert [p for p, _ in walked] == [p for p in every if all(pattern[r, c] for r, c in zip(p, p[1:]))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interaction_closures(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        rule = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 1),
+                                       max_particles=5)
+        p = int(rng.integers(-1, 2))
+        seeds = [symdiag.MultisetState.of(("a", (p,)), ("b", (-p,))), symdiag.MultisetState.of(("c", (0,)))]
+        bop = symdiag.build_interaction(rule, seeds, depth=2)
+        i, j = (bop.basis[int(k)] for k in rng.integers(0, len(bop.basis), size=2))
+        for m in range(5):
+            self.check_walk(monkeypatch, bop.neighbors, i, j, m, bop.entry)
 
 
 class TestFeynmanParameters:
@@ -222,9 +275,9 @@ class TestFeynmanParameters:
             resolvent.feynman_parameter_entry(self.a, self.b, 0, 0, -1.0, 2, q)
         with pytest.raises(ValueError):
             resolvent.feynman_parameter_entry(self.b + np.eye(3), self.b, 0, 0, 1.0, 2, q)
-        big = np.diag(np.arange(1.0, 41.0))
-        with pytest.raises(EnumerationLimitError):
-            resolvent.feynman_parameter_entry(big, np.eye(40), 0, 0, 1.0, 6, q)
+        big = np.diag(np.arange(1.0, 41.0))  # one path at every order: the 40^6 index tuples are never formed
+        entry = resolvent.feynman_parameter_entry(big, np.eye(40), 0, 0, 1.0, 6, q)
+        assert entry.value == pytest.approx(sum((-1) ** m / (1.0 + 1.0j) ** (m + 1) for m in range(7)), rel=1e-12)
 
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):

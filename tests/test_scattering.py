@@ -138,9 +138,21 @@ class TestIndexSum:
         with pytest.raises(EnumerationLimitError):
             scattering.s_term_index_sum(a, np.ones((n, n)), scattering.ScatteringQuery(0, 0, 0.1), 6)
 
-    def test_requires_ell_at_least_two(self):
-        with pytest.raises(ValueError):
-            scattering.s_term_index_sum(self.a, self.b, scattering.ScatteringQuery(0, 0, 0.1), 1)
+    def test_requires_ell_at_least_one(self):
+        with pytest.raises(ArgumentError, match="^ell must be at least 1$"):
+            scattering.s_term_index_sum(self.a, self.b, scattering.ScatteringQuery(0, 0, 0.1), 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_order_is_the_one_link_path(self, seed):
+        # no intermediate index: the sum is term_prefactor(...) * B_ij, series term 1
+        n = 3 + seed % 4
+        a, b = diagonal_instance(n, 0.3, 40 + seed)
+        i, j = seed % n, (3 * seed + 1) % n
+        q = scattering.ScatteringQuery(i, j, 0.1 + 0.05 * seed)
+        got = scattering.s_term_index_sum(a, b, q, 1)
+        lam = np.real(np.diagonal(a))
+        assert got == scattering.term_prefactor(lam[i], lam[j], q.tau, 1) * b[i, j]
+        assert got == pytest.approx(scattering.s_series(a, b, q, 1).terms[1], rel=1e-14)
 
 
 class TestTimeAverage:
@@ -168,6 +180,13 @@ class TestTimeAverage:
         via_grid = scattering.s_entry_time_average(a, b, q, 60.0, g=TimeGrid(4000))
         via_int = scattering.s_entry_time_average(a, b, q, 60.0, g=4000)
         assert via_grid == via_int
+
+    @pytest.mark.parametrize("g", [0, -2, 2.5], ids=["zero", "negative", "fractional"])
+    def test_a_step_count_below_one_or_not_an_integer_is_an_argument_error(self, g):
+        a, b = diagonal_instance(4, 0.1, 13)
+        q = scattering.ScatteringQuery(i=0, j=1, tau=0.3)
+        with pytest.raises(ArgumentError, match="step count must be an integer of at least 1"):
+            scattering.s_entry_time_average(a, b, q, 1.0, g=g)
 
     def test_non_diagonal_reference_basis(self):
         # for non-diagonal A the eigenbasis is the sorted Hermitian one

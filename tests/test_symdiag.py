@@ -488,10 +488,10 @@ class TestGroupingAndValues:
     def test_groups_partition_the_paths(self):
         bop = std_model(depth=2)
         groups = symdiag.group_terms_by_diagram(bop, STD_I, STD_J, 2)
-        all_paths = list(resolvent.index_paths(bop.neighbors, STD_I, STD_J, 2))
-        grouped = [p for paths in groups.values() for p in paths]
-        key = lambda path: [s.particles for s in path]
-        assert sorted(grouped, key=key) == sorted(all_paths, key=key)
+        all_pairs = list(resolvent.index_paths(bop.neighbors, STD_I, STD_J, 2))
+        grouped = [pair for pairs in groups.values() for pair in pairs]
+        key = lambda pair: [s.particles for s in pair[0]]
+        assert sorted(grouped, key=key) == sorted(all_pairs, key=key)
 
     @pytest.mark.parametrize("ell,j_state", [(2, STD_J), (3, state(("c", (0,))))])
     def test_partition_identity(self, ell, j_state):

@@ -461,9 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: the parser of every ``main`` call; parsing leaves it unchanged, so it is built once per process
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         report = ns.run(ns)
     except PertkitError as exc:
         print(f"error[{exc.exit_code}]: {exc}", file=sys.stderr)

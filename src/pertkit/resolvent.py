@@ -17,7 +17,6 @@ weight, the product of its link entries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
 #: Partial paths one walk of :func:`index_paths` may extend.
 PATH_CAP = 10**6
-#: (sample, path) entries of one order's ``x @ lam_rows.T``: 2 GiB of float64.
+#: (sample, path) integrand entries of one order: a bound on work; no (samples, paths) array is formed.
 INTEGRAND_CAP = 2**28
 #: (sample, path) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
 BLOCK_ENTRIES = 2**16
@@ -175,23 +174,43 @@ def _simplex_nodes(m: int, q: SimplexQuadrature, seed_offset: int = 0):
     nodes, weights = np.polynomial.legendre.leggauss(q.samples_or_depth)
     u = (nodes + 1.0) / 2.0
     wu = weights / 2.0
-    xs = []
-    ws = []
-    for combo in itertools.product(range(q.samples_or_depth), repeat=m):
-        remaining = 1.0
-        weight = 1.0
-        x = np.empty(m + 1)
-        for axis, idx in enumerate(combo):
-            x[axis] = remaining * u[idx]
-            # Jacobian of the stick-breaking map is the remaining length
-            weight *= wu[idx] * remaining
-            remaining -= x[axis]
-        x[m] = remaining
-        xs.append(x)
-        ws.append(weight)
-    x = np.array(xs)
-    w = np.array(ws)
+    combos = np.indices((q.samples_or_depth,) * m).reshape(m, -1)  # one column per node, in product order
+    x = np.empty((combos.shape[1], m + 1))
+    remaining = np.ones(combos.shape[1])
+    w = np.ones(combos.shape[1])
+    for axis, idx in enumerate(combos):
+        x[:, axis] = remaining * u[idx]
+        # Jacobian of the stick-breaking map is the remaining length
+        w *= wu[idx] * remaining
+        remaining -= x[:, axis]
+    x[:, m] = remaining
     return x, w / w.sum()
+
+
+def _path_sums(x, lam_rows, wts, tau: float, m: int) -> np.ndarray:
+    """``sum_p wts_p / (x_s . lam_rows_p + i*tau)^(m+1)`` for every sample ``s``.
+
+    Each block of about :data:`BLOCK_ENTRIES` (sample, path) entries is
+    formed in three reused buffers: one real gemm and the shift give the
+    denominators ``z``, ``m`` complex multiplications and one reciprocal
+    give ``z^-(m+1)``, and one ``zgemv`` sums it against the weights.
+    """
+    rows = max(1, BLOCK_ENTRIES // len(wts))
+    dots = np.empty((min(rows, len(x)), len(wts)))
+    z = np.empty(dots.shape, dtype=complex)
+    p = np.empty_like(z)
+    sums = np.empty(len(x), dtype=complex)
+    for s in range(0, len(x), rows):
+        xb = x[s:s + rows]
+        d, zb, pb = dots[:len(xb)], z[:len(xb)], p[:len(xb)]
+        np.matmul(xb, lam_rows.T, out=d)
+        np.add(d, 1j * tau, out=zb)
+        np.copyto(pb, zb)
+        for _ in range(m):
+            np.multiply(pb, zb, out=pb)
+        np.reciprocal(pb, out=pb)
+        np.matmul(pb, wts, out=sums[s:s + rows])
+    return sums
 
 
 def feynman_parameter_entry(
@@ -229,10 +248,7 @@ def feynman_parameter_entry(
         lam_rows = np.array([[lam[k] for k in p] for p, _ in walked])  # (P, m+1)
         wts = np.array([weight for _, weight in walked])  # (P,)
         x, w = _simplex_nodes(m, q, seed_offset=m)
-        dots = x @ lam_rows.T  # (S, P); the denominators dots + i tau are formed per block of samples
-        rows = max(1, BLOCK_ENTRIES // len(walked))
-        integrand = np.concatenate([(wts / (dots[s:s + rows] + 1j * tau) ** (m + 1)).sum(axis=1)
-                                    for s in range(0, len(dots), rows)])  # per sample
+        integrand = _path_sums(x, lam_rows, wts, tau, m)  # per sample
         # Lebesgue integral over the simplex = mean/ m! for probability weights;
         # the m! prefactor of the representation cancels it exactly.
         mean = complex(np.sum(w * integrand))

@@ -8,6 +8,7 @@ expansions.  The reference implementations are the earlier, slower forms of
 library paths, kept so the tests can compare the two.
 """
 
+import itertools
 import math
 from collections import Counter, defaultdict
 
@@ -384,25 +385,58 @@ def exact_remainder_ref(a, b, k):
     return (-1) ** k * np.linalg.matrix_power(matcore.solve(a, b), k) @ full_inv
 
 
+def simplex_nodes_ref(m, q):
+    """The recursive grid of ``resolvent._simplex_nodes``, built one node at
+    a time over ``itertools.product``."""
+    nodes, weights = np.polynomial.legendre.leggauss(q.samples_or_depth)
+    u = (nodes + 1.0) / 2.0
+    wu = weights / 2.0
+    xs = []
+    ws = []
+    for combo in itertools.product(range(q.samples_or_depth), repeat=m):
+        remaining = 1.0
+        weight = 1.0
+        x = np.empty(m + 1)
+        for axis, idx in enumerate(combo):
+            x[axis] = remaining * u[idx]
+            weight *= wu[idx] * remaining
+            remaining -= x[axis]
+        x[m] = remaining
+        xs.append(x)
+        ws.append(weight)
+    x = np.array(xs)
+    w = np.array(ws)
+    return x, w / w.sum()
+
+
 def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
     """``resolvent.feynman_parameter_entry`` with the whole (samples, paths)
-    integrand formed at once, on the library's nodes and paths."""
+    integrand formed at once by ``** (m + 1)``, on the library's nodes and
+    paths.
+
+    Returns the entry and, per order, the magnitude
+    ``A_m = sum_s w_s sum_p |wts_p| / |z_sp|^(m+1)`` that scales the
+    rounding error of any evaluation of that order's integral.
+    """
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a)
     links = resolvent.dense_links(b).__getitem__  # the walk's weights are recomputed below
     order_values = []
+    magnitudes = []
     variance = 0.0
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
         paths = [p for p, _ in resolvent.index_paths(links, i, j, m)]
         if not paths:
             order_values.append(0.0 + 0.0j)
+            magnitudes.append(0.0)
             continue
         lam_rows = np.array([[lam[k] for k in p] for p in paths])
         wts = np.array([math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j) for p in paths])
         x, w = resolvent._simplex_nodes(m, q, seed_offset=m)
         denom = (x @ lam_rows.T) + 1j * tau
         integrand = (wts[None, :] / denom ** (m + 1)).sum(axis=1)
+        magnitudes.append(float(np.sum(w * (np.abs(wts)[None, :] / np.abs(denom) ** (m + 1)).sum(axis=1))))
         mean = complex(np.sum(w * integrand))
         term = (-1) ** m * mean
         order_values.append(term)
@@ -410,7 +444,8 @@ def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
         if q.method == "monte-carlo" and m >= 1:
             dev = integrand - mean
             variance += float(np.sum(w * np.abs(dev) ** 2)) / max(q.samples_or_depth - 1, 1)
-    return resolvent.FeynmanEntry(value=total, std_error=math.sqrt(variance), order_values=tuple(order_values))
+    entry = resolvent.FeynmanEntry(value=total, std_error=math.sqrt(variance), order_values=tuple(order_values))
+    return entry, tuple(magnitudes)
 
 
 def rayleigh_schrodinger(a, b, i):

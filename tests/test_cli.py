@@ -645,3 +645,29 @@ def test_every_runner_reads_only_the_options_of_its_subcommand():
         assert read and read <= dests, (fn.__name__, read - dests)
         assert not [node for node in ast.walk(func) if isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute) and node.func.attr == "get"], fn.__name__
+
+
+def test_one_parser_serves_consecutive_calls(fixtures, capsys):
+    # main parses with one parser per process: a sequence of calls, an argparse
+    # error among them, gives the bytes of each call made in a process of its own
+    pa, pb, _ = fixtures
+    calls = [
+        ["--seed", "3", "demo", "born", "--sites", "16", "--tau", "0.2"],
+        ["resolvent", "--a", pa, "--b", pb, "--order", "3", "--tau", "1.0", "--entry", "0,2"],
+        ["tensor", "kg", "--a", "1.0", "--z", "0.3,0.1"],
+        ["demo", "born"],  # none of the first call's options or seed carries over
+        ["resolvent", "--a", pa, "--b", pb, "--order", "3"],  # nor the second's --tau and --entry
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    alone = [subprocess.run([sys.executable, "-m", "pertkit.cli"] + argv, env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120) for argv in calls]
+    assert [(proc.returncode, proc.stderr) for proc in alone] == [(0, "")] * len(calls)
+    for argv, proc in zip(calls, alone):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["demo", "born", "--sites", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == proc.stdout
+    assert "sites=32 tau=0.1" in alone[3].stdout.splitlines()[1]
+    assert "# seed: 0" in alone[3].stdout and "tau=" not in alone[4].stdout.splitlines()[1]

@@ -283,7 +283,8 @@ def test_a_huge_enumeration_is_refused_up_front(n, order):
 
 
 def test_a_simplex_integrand_past_2_gib_is_refused():
-    # n = 40, order 4: 40**3 paths times 20,000 samples is past the 2**28 entries of a 2 GiB x @ lam_rows.T
+    # n = 40, order 4: 40**3 paths times 20,000 samples is past the 2**28-entry work bound,
+    # which a 2 GiB float64 x @ lam_rows.T would hold were the integrand formed at once
     a, b = np.diag(np.arange(1.0, 41.0)), 0.001 * np.ones((40, 40))
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError, match="order 4: 20000 samples x 64000 paths exceed cap 268435456"):

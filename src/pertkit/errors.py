@@ -84,6 +84,6 @@ class NotATreeError(PertkitError, ValueError):
 
 
 class EnumerationLimitError(PertkitError, RuntimeError):
-    """An exhaustive enumeration would exceed its safety guard."""
+    """An exhaustive enumeration or a time grid would exceed its safety guard."""
 
     exit_code = 5

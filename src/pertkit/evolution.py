@@ -42,18 +42,7 @@ from .errors import (
     StepSizeError,
     TrackingLossError,
 )
-from .matcore import ContourSpec
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform integration grid: ``steps`` intervals over the caller's interval."""
-
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 8:
-            raise ArgumentError("need at least 8 steps")
+from .matcore import ContourSpec, TimeGrid
 
 
 RAMPS: dict[str, Callable[[float], float]] = {
@@ -68,9 +57,6 @@ class Schedule:
     """Hermitian-valued map ``t in [0,1] -> H(t)``; caller asserts C^1."""
 
     evaluator: Callable[[float], np.ndarray]
-
-    def matrix(self, t: float) -> np.ndarray:
-        return matcore.require_hermitian(self.evaluator(t), what=f"H({t:g})")
 
     def _stack(self, ts: np.ndarray, n: int):
         """``H`` at each of ``ts`` up to the first evaluation that raises or
@@ -243,6 +229,7 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
     eye = np.eye(a.shape[0], dtype=complex)
     if s == t:
         return eye
+    g.check_size(2 * a.size)  # H at each node and each midpoint
     h = (t - s) / g.steps
     ts = s + (h / 2) * np.arange(2 * g.steps + 1)
     hs = np.array([a + matcore.as_pair(a, b_of_t(tt))[1] for tt in ts])
@@ -267,10 +254,7 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     matcore.check_positive(t_max, "t_max")
     a, b = matcore.as_pair(a, b)
     m = a + b
-    steps = g.steps + (g.steps % 2)
-    h = t_max / steps
-    ts = h * np.arange(steps + 1)
-    weights = matcore.simpson_weights(steps, h)
+    ts, weights = g.simpson(t_max, m.shape[0])
 
     if matcore.is_hermitian(m):
         dec = matcore.eig_hermitian(m)
@@ -351,14 +335,15 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
     replayed only at the first failing step; per step, only ``u = U_k u`` and
     the gauge run.  A lone last step joins the block before it.
     """
-    steps = g.steps
-    h = 1.0 / steps
-    nodes = h * np.arange(steps + 1)
-    h_end = sched.matrix(0.0)
-    dec0 = matcore.eig_hermitian(h_end)
+    dec0 = matcore.eig_hermitian(sched.evaluator(0.0), what="H(0)")
+    h_end = dec0.matrix
     n = dec0.eigenvalues.size
     matcore.check_index(i, n)
     _require_gap(_nearest_gaps(dec0.eigenvalues)[i], 0.0)
+    g.check_size(3 * n + 2)  # us, hus, e_path, lam_path and nodes
+    steps = g.steps
+    h = 1.0 / steps
+    nodes = h * np.arange(steps + 1)
     us = np.empty((steps + 1, n), dtype=complex)
     hus = np.empty_like(us)
     e_path = np.empty_like(us)
@@ -416,13 +401,7 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
 
 
 def _integral_on_nodes(values: np.ndarray, h: float) -> float:
-    n = values.size - 1
-    if n % 2 == 0:
-        w = matcore.simpson_weights(n, h)
-    else:
-        w = np.full(n + 1, h)
-        w[0] = w[-1] = h / 2
-    return float(np.sum(w * values))
+    return float(np.sum(matcore.node_weights(values.size - 1, h) * values))
 
 
 def adiabatic_evolve(sched: Schedule, eta: float, i: int, g: TimeGrid) -> AdiabaticResult:
@@ -488,7 +467,7 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
     matcore.check_positive(eta, "eta")
     matcore.check_order(m_max, "m_max")
     a, b = matcore.as_pair(a, b)
-    a = matcore.require_hermitian(a, what="A")
+    dec = matcore.eig_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
     f = _ramp(f)
     norm_b = matcore.op_norm(b)
@@ -498,7 +477,6 @@ def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid
             f"error budget {budget:.3g} >= 1 (eta*||B|| = {eta * norm_b:.3g}, "
             f"m_max = {m_max}); raise m_max or lower eta*||B||"
         )
-    dec = matcore.eig_hermitian(a)
     lam, v = dec.eigenvalues, dec.eigenvectors
     matcore.check_index(i, lam.size)
     if norm_b > _nearest_gaps(lam)[i]:

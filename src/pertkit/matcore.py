@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 This module provides the validated core every other module builds on:
 spectral norm, guarded inverse, Hermitian eigendecomposition, matrix
-exponential, circular contour quadrature of analytic maps, the one set of
-Simpson weights and the one truncated-series type, :class:`Series`.
+exponential, circular contour quadrature of analytic maps, the one time grid,
+:class:`TimeGrid`, with the one set of quadrature weights, and the one
+truncated-series type, :class:`Series`.
 
 Guard policy: every Hermiticity, diagonality, level-index, operand-shape,
 rate and singularity decision is made here: an ``(A, B)`` pair passes
@@ -18,7 +19,8 @@ of squares, with the same margins; a slice whose sum may have underflowed
 or overflowed falls back to the single-matrix test.  :func:`solve` keeps
 its SVD test, and reported norms are always :func:`op_norm`.
 
-Factor once: a Hermitian matrix is decomposed once by :func:`eig_hermitian`
+Factor once: a Hermitian matrix is decomposed once by :func:`eig_hermitian`,
+which is also the one Hermiticity decision on it and names it in a refusal,
 and its :class:`SpectralDecomposition`, which carries the matrix and stands in
 for it, is passed on.  Every shifted inverse ``(A - z)^{-1}`` is then a diagonal
 scaling that needs no singularity guard while ``z`` keeps off the spectrum.
@@ -29,6 +31,7 @@ All functions are pure; inputs are never mutated.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -38,6 +41,7 @@ from scipy.linalg.blas import dznrm2
 
 from .errors import (
     ArgumentError,
+    EnumerationLimitError,
     MatrixFormatError,
     NotHermitianError,
     ShapeError,
@@ -49,6 +53,10 @@ from .errors import (
 SINGULARITY_RTOL = 1e-13
 
 HERMITICITY_RTOL = 1e-10
+
+#: Entries of one time grid's node arrays: its nodes times the entries an
+#: integrator holds per node, 1 GiB of complex128.
+GRID_CAP = 2**26
 
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
@@ -250,13 +258,14 @@ class SpectralDecomposition:
     matrix: np.ndarray
 
 
-def eig_hermitian(m) -> SpectralDecomposition:
+def eig_hermitian(m, what: str = "matrix") -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    The input is validated to be Hermitian to relative 1e-10; the returned
-    eigenvalues are real and ascending, the eigenvectors orthonormal.
+    The input is validated as by :func:`require_hermitian`, which names it
+    ``what`` in a refusal; the returned eigenvalues are real and ascending,
+    the eigenvectors orthonormal.
     """
-    a = require_hermitian(m)
+    a = require_hermitian(m, what)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, matrix=a)
 
@@ -269,6 +278,45 @@ def simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
+
+
+def trapezoid_weights(n_intervals: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights on ``n_intervals + 1`` equispaced nodes."""
+    w = np.full(n_intervals + 1, h)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def node_weights(n_intervals: int, h: float) -> np.ndarray:
+    """Weights on a given set of ``n_intervals + 1`` equispaced nodes: Simpson
+    on an even count of intervals, the trapezoid rule on an odd one."""
+    return trapezoid_weights(n_intervals, h) if n_intervals % 2 else simpson_weights(n_intervals, h)
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform integration grid: ``steps`` intervals, an integer count of at
+    least 8, over the caller's interval."""
+
+    steps: int
+
+    def __post_init__(self):
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 8):
+            raise ArgumentError(f"need an integer count of at least 8 steps, got {self.steps!r}")
+
+    def check_size(self, per_node: int) -> None:
+        """Raise :class:`EnumerationLimitError` unless ``steps + 1`` nodes of
+        ``per_node`` entries each fit :data:`GRID_CAP`; call it before allocating them."""
+        if (self.steps + 1) * per_node > GRID_CAP:
+            raise EnumerationLimitError(f"time grid of {self.steps + 1} nodes x {per_node} entries exceeds cap {GRID_CAP}")
+
+    def simpson(self, t_end: float, per_node: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and composite Simpson weights on ``[0, t_end]``, an odd step
+        count rounded up to even; that grid's size is checked first."""
+        even = TimeGrid(self.steps + self.steps % 2)
+        even.check_size(per_node)
+        h = t_end / even.steps
+        return h * np.arange(even.steps + 1), simpson_weights(even.steps, h)
 
 
 def expm(m) -> np.ndarray:

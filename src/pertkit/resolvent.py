@@ -28,6 +28,7 @@ from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 #: Partial paths one walk of :func:`index_paths` may extend.
 PATH_CAP = 10**6
 #: (sample, path) integrand entries of one order: a bound on work; no (samples, paths) array is formed.
+#: The cube of a recursive grid's depth, the work of its Gauss-Legendre rule, is held to it too.
 INTEGRAND_CAP = 2**28
 #: (sample, path) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
 BLOCK_ENTRIES = 2**16
@@ -36,7 +37,7 @@ BLOCK_ENTRIES = 2**16
 def symmetrized_ratio(a, b) -> float:
     """Convergence ratio ``||A^{-1/2} B A^{-1/2}||`` for Hermitian PD ``A``."""
     a, b = matcore.as_pair(a, b)
-    dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
+    dec = matcore.eig_hermitian(a, what="A")
     if dec.eigenvalues[0] <= 0:
         raise DefinitenessError(
             f"A must be positive definite (min eigenvalue {dec.eigenvalues[0]:.3e})"
@@ -171,6 +172,8 @@ def _simplex_nodes(m: int, q: SimplexQuadrature, seed_offset: int = 0):
         x = e / e.sum(axis=1, keepdims=True)
         w = np.full(q.samples_or_depth, 1.0 / q.samples_or_depth)
         return x, w
+    if q.samples_or_depth**3 > INTEGRAND_CAP:  # the Gauss-Legendre rule alone takes O(depth^3) work
+        raise EnumerationLimitError(f"recursive-grid depth {q.samples_or_depth} cubed exceeds cap {INTEGRAND_CAP}")
     nodes, weights = np.polynomial.legendre.leggauss(q.samples_or_depth)
     u = (nodes + 1.0) / 2.0
     wu = weights / 2.0

@@ -30,7 +30,6 @@ A non-Hermitian ``A + B`` raises :class:`NotHermitianError`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +62,10 @@ class ScatteringQuery:
 def reference_basis(a) -> matcore.SpectralDecomposition:
     """The eigenbasis that indexes the entries; for exactly diagonal ``A`` the
     standard basis and the unsorted diagonal, so indices are matrix indices."""
-    a = matcore.require_hermitian(a, what="A")
-    if matcore.is_diagonal(a):
+    if matcore.is_diagonal(a):  # the Hermiticity decision follows, once, on either branch
+        a = matcore.require_hermitian(a, what="A")
         return matcore.SpectralDecomposition(np.real(np.diagonal(a)).copy(), np.eye(a.shape[0], dtype=complex), a)
-    return matcore.eig_hermitian(a)
+    return matcore.eig_hermitian(a, what="A")
 
 
 def _operands(a, b):
@@ -108,32 +107,25 @@ def s_entry_resolvent(a, b, q: ScatteringQuery) -> complex:
     return complex(1j * q.tau * np.vdot(vecs[:, q.i], x))
 
 
-def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float, g=4000) -> complex:
+def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float,
+                         g: matcore.TimeGrid = matcore.TimeGrid(4000)) -> complex:
     """Abel-averaged time series of the scattering entry.
 
     Evaluates ``2 tau * integral_0^{t_max} e^{-2 tau t}
     <v_i, e^{-itA} e^{2it(A+B)} e^{-itA} v_j> dt`` by Simpson quadrature;
     the damping rate matches the ``-i tau`` shift of the resolvent form, so
     the result agrees with :func:`s_entry_resolvent` within
-    ``2 exp(-tau t_max)`` plus quadrature error.  ``g`` is a step count of
-    at least 1 or any object with a ``steps`` attribute (e.g. a TimeGrid).
+    ``2 exp(-tau t_max)`` plus quadrature error.
     """
     matcore.check_positive(t_max, "t_max")
-    steps = getattr(g, "steps", g)
-    if not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ArgumentError(f"step count must be an integer of at least 1, got {steps!r}")
     lam, vecs, a, b = _operands(a, b)
-    m = matcore.require_hermitian(a + b, what="A+B")
+    dec = matcore.eig_hermitian(a + b, what="A+B")
     q.check_indices(lam.size)
-    dec = matcore.eig_hermitian(m)
     mu, w = dec.eigenvalues, dec.eigenvectors
     amp = (w.conj().T @ vecs[:, q.i]).conj() * (w.conj().T @ vecs[:, q.j])
     freq = 2.0 * mu - lam[q.i] - lam[q.j]
 
-    steps = int(steps) + (steps % 2)
-    h = t_max / steps
-    ts = h * np.arange(steps + 1)
-    weights = matcore.simpson_weights(steps, h)
+    ts, weights = g.simpson(t_max, lam.size)
     phases = np.exp((1j * freq[None, :] - 2.0 * q.tau) * ts[:, None])
     integral = complex(np.sum(weights[:, None] * phases * amp[None, :]))
     return 2.0 * q.tau * integral
@@ -199,7 +191,7 @@ def s_matrix_unitarity_defect(a, b, tau: float) -> float:
     """
     matcore.check_positive(tau, "tau")
     lam, vecs, a, b = _operands(a, b)
-    dec = matcore.eig_hermitian(matcore.require_hermitian(a + b, what="A+B"))
+    dec = matcore.eig_hermitian(a + b, what="A+B")
     mu, e = dec.eigenvalues, vecs.conj().T @ dec.eigenvectors  # e: eigenvectors of A + B in A's basis
     n = lam.size
     # row i: i tau sum_k e_ik conj(e_jk) / (mu_k - lambda_tau(i, j)), O(n^2) each

@@ -37,7 +37,6 @@ class EigenPerturbationSeries:
 
     coefficients: np.ndarray
     contour: ContourSpec
-    target_index: int
 
     def evaluate(self, eps: float, order: int | None = None) -> float:
         c = self.coefficients if order is None else self.coefficients[: order + 1]
@@ -51,10 +50,7 @@ class ProjectionSeries:
     coefficients: list
 
     def evaluate(self, eps: float) -> np.ndarray:
-        total = np.zeros_like(self.coefficients[0])
-        for k, c in enumerate(self.coefficients):
-            total = total + (eps**k) * c
-        return total
+        return sum((eps**k) * c for k, c in enumerate(self.coefficients))
 
 
 def default_contour(eigenvalues, i: int, num_points: int = 256) -> ContourSpec:
@@ -104,7 +100,7 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
     dec = a if isinstance(a, SpectralDecomposition) else None
     a, b = matcore.as_pair(a if dec is None else dec.matrix, b)
     if dec is None:
-        dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
+        dec = matcore.eig_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
     lam = dec.eigenvalues
     matcore.check_index(i, lam.size)
@@ -135,7 +131,7 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
 
         val = matcore.contour_integrate(integrand, c) / k
         coeffs[k] = val.real
-    return EigenPerturbationSeries(coefficients=coeffs, contour=c, target_index=i)
+    return EigenPerturbationSeries(coefficients=coeffs, contour=c)
 
 
 def projection_coefficients(a, b, contour: ContourSpec, order: int) -> ProjectionSeries:
@@ -148,7 +144,7 @@ def projection_coefficients(a, b, contour: ContourSpec, order: int) -> Projectio
     """
     matcore.check_order(order, "order")
     a, b = matcore.as_pair(a, b)
-    dec = matcore.eig_hermitian(matcore.require_hermitian(a, what="A"))
+    dec = matcore.eig_hermitian(a, what="A")
     lam = dec.eigenvalues
     _winding_check(lam, contour)
     v = dec.eigenvectors
@@ -249,9 +245,8 @@ def _orthocomplement_basis(v: np.ndarray) -> np.ndarray:
 def schur_split(a, b, i: int) -> SchurData:
     """Split ``A + B`` around the i-th eigenvector of Hermitian ``A``."""
     a, b = matcore.as_pair(a, b)
-    a = matcore.require_hermitian(a, what="A")
+    dec = matcore.eig_hermitian(a, what="A")
     matcore.check_index(i, a.shape[0])
-    dec = matcore.eig_hermitian(a)
     v = dec.eigenvectors[:, i].copy()
     q = _orthocomplement_basis(v)
     bv = b @ v

@@ -67,14 +67,7 @@ class MultisetState:
         return len(self.particles)
 
     def total_momentum(self) -> Momentum:
-        if not self.particles:
-            return ()
-        dim = len(self.particles[0][1])
-        total = [0] * dim
-        for _, p in self.particles:
-            for k, c in enumerate(p):
-                total[k] += c
-        return tuple(total)
+        return tuple(map(sum, zip(*(p for _, p in self.particles))))
 
     def same_momentum(self, other: "MultisetState") -> bool:
         """Equal total momenta, reading the empty state's ``()`` as zero."""
@@ -246,9 +239,9 @@ def box_grid(dim: int, radius: int) -> tuple:
     return tuple(itertools.product(axis, repeat=dim))
 
 
-def build_interaction(rule, seeds, depth: int, cap: int = BASIS_CAP) -> SparseInteraction:
+def build_interaction(rule, seeds, depth: int) -> SparseInteraction:
     """Materialize the interaction on the closure of ``seeds`` under ``depth``
-    applications of the vertex rule, capped at ``cap`` states.
+    applications of the vertex rule, capped at :data:`BASIS_CAP` states.
 
     Every basis state's moves are taken once, breadth first and so in basis
     order: below the last level they extend the basis, on it they only link
@@ -268,8 +261,8 @@ def build_interaction(rule, seeds, depth: int, cap: int = BASIS_CAP) -> SparseIn
                         continue
                     seen[t] = None
                     nxt.append(t)
-                    if len(seen) > cap:
-                        raise EnumerationLimitError(f"basis closure exceeds cap {cap}")
+                    if len(seen) > BASIS_CAP:
+                        raise EnumerationLimitError(f"basis closure exceeds cap {BASIS_CAP}")
                 if (t, s) not in entries:
                     entries[(s, t)] = amp
         frontier = nxt
@@ -337,12 +330,7 @@ def restricted_inverse(a, b, u, i: int, j: int) -> complex:
     if not commute_check(u, a) or not commute_check(u, b):
         raise ArgumentError("symmetry operator must commute with both operands")
     blocks = block_decompose(u)
-    bi = bj = None
-    for blk in blocks:
-        if i in blk.basis_indices:
-            bi = blk
-        if j in blk.basis_indices:
-            bj = blk
+    bi, bj = (next((blk for blk in blocks if k in blk.basis_indices), None) for k in (i, j))
     if bi is None or bj is None:
         raise ArgumentError("index out of range")
     if bi is not bj:

@@ -48,10 +48,7 @@ class KroneckerSum:
 
     @property
     def total_dim(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= np.asarray(f).shape[0]
-        return n
+        return math.prod(np.asarray(f).shape[0] for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -76,10 +73,7 @@ def kron_sum_materialize(k: KroneckerSum) -> np.ndarray:
     dims = [m.shape[0] for m in mats]
     total = np.zeros((k.total_dim, k.total_dim), dtype=complex)
     for idx, m in enumerate(mats):
-        left = int(np.prod(dims[:idx])) if idx else 1
-        right = int(np.prod(dims[idx + 1 :])) if idx + 1 < len(dims) else 1
-        term = np.kron(np.kron(np.eye(left), m), np.eye(right))
-        total += term
+        total += np.kron(np.kron(np.eye(math.prod(dims[:idx])), m), np.eye(math.prod(dims[idx + 1:])))
     return total
 
 
@@ -123,8 +117,7 @@ def _line_sum(q: LineQuadrature, g1, g2) -> np.ndarray:
     """Trapezoid sum of ``g1(w)[:, None] * g2(w)[None, :]`` over the line,
     for ``g1``, ``g2`` mapping a chunk of nodes to ``(chunk, n1)``, ``(chunk, n2)``."""
     w1 = np.linspace(-q.cutoff, q.cutoff, q.nodes)
-    weights = np.full(q.nodes, w1[1] - w1[0])
-    weights[[0, -1]] *= 0.5
+    weights = matcore.trapezoid_weights(q.nodes - 1, w1[1] - w1[0])
     total = 0.0
     for s in range(0, q.nodes, LINE_CHUNK):
         w = w1[s : s + LINE_CHUNK]
@@ -186,9 +179,7 @@ def dirac_block_matrix(p, m: float, z: complex) -> np.ndarray:
         raise ShapeError("momentum must be a 3-vector")
     sp = sum(pk * sk for pk, sk in zip(p, PAULI))
     eye2 = np.eye(2, dtype=complex)
-    top = np.hstack([(m - z) * eye2, sp])
-    bot = np.hstack([sp, (-m - z) * eye2])
-    return np.vstack([top, bot])
+    return np.block([[(m - z) * eye2, sp], [sp, (-m - z) * eye2]])
 
 
 def dirac_block_inverse(p, m: float, z: complex) -> np.ndarray:

@@ -218,7 +218,7 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     odd last step its own)."""
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
-    dec0 = matcore.eig_hermitian(sched.matrix(0.0))
+    dec0 = matcore.eig_hermitian(sched.evaluator(0.0), what="H(0)")
     n = dec0.eigenvalues.size
     e_path = np.empty((steps + 1, n), dtype=complex)
     lam_path = np.empty(steps + 1)
@@ -336,6 +336,56 @@ def unitarity_defect_ref(a, b, tau):
     n = a.shape[0]
     m = np.array([[s_entry_solve_ref(a, b, i, j, tau) for j in range(n)] for i in range(n)])
     return matcore.op_norm(m.conj().T @ m - np.eye(n))
+
+
+def simpson_grid_ref(steps, t_max):
+    """The inline Simpson prologue of the time averages: an odd step count
+    rounded up to even, its nodes and composite Simpson weights."""
+    steps = steps + (steps % 2)
+    h = t_max / steps
+    ts = h * np.arange(steps + 1)
+    weights = np.ones(steps + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return ts, weights * (h / 3.0)
+
+
+def laplace_bridge_ref(a, b, tau, t_max, steps):
+    """``-i integral_0^t_max e^{it(A+B) - tau t} dt`` for Hermitian ``A + B``
+    on :func:`simpson_grid_ref`, per eigenvalue of ``A + B``."""
+    m = np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
+    ts, weights = simpson_grid_ref(steps, t_max)
+    dec = matcore.eig_hermitian(m)
+    phases = np.exp((1j * dec.eigenvalues[None, :] - tau) * ts[:, None])
+    diag = -1j * (weights[:, None] * phases).sum(axis=0)
+    return (dec.eigenvectors * diag) @ dec.eigenvectors.conj().T
+
+
+def s_entry_time_average_ref(a, b, i, j, tau, t_max, steps):
+    """The Abel time average of the scattering entry on :func:`simpson_grid_ref`."""
+    lam, vecs = _reference_basis(np.asarray(a, dtype=complex))
+    dec = matcore.eig_hermitian(np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex))
+    w = dec.eigenvectors
+    amp = (w.conj().T @ vecs[:, i]).conj() * (w.conj().T @ vecs[:, j])
+    freq = 2.0 * dec.eigenvalues - lam[i] - lam[j]
+    ts, weights = simpson_grid_ref(steps, t_max)
+    phases = np.exp((1j * freq[None, :] - 2.0 * tau) * ts[:, None])
+    return 2.0 * tau * complex(np.sum(weights[:, None] * phases * amp[None, :]))
+
+
+def integral_on_nodes_ref(values, h):
+    """Simpson on an even count of intervals, else the trapezoid rule, with
+    the weights built inline."""
+    n = values.size - 1
+    if n % 2 == 0:
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w = w * (h / 3.0)
+    else:
+        w = np.full(n + 1, h)
+        w[0] = w[-1] = h / 2
+    return float(np.sum(w * values))
 
 
 def s_series_ref(a, b, i, j, tau, order):

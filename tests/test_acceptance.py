@@ -206,7 +206,7 @@ def test_criterion_06_scattering():
         assert abs(series.partial_sum() - direct) <= bound
 
         t_max = 100.0
-        abel = scattering.s_entry_time_average(a, b, q, t_max, g=8000)
+        abel = scattering.s_entry_time_average(a, b, q, t_max, g=matcore.TimeGrid(8000))
         assert abs(abel - direct) <= 2.0 * math.exp(-tau * t_max) + 1e-5
 
         # closed forms for orders 0..2

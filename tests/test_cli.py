@@ -3,6 +3,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, evolution, iotools, matcore, resolvent, symdiag
-from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError, ShapeError
+from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotHermitianError, ShapeError
 from pertkit.symdiag import SparseInteraction
 
 
@@ -212,7 +213,7 @@ class TestCliCommands:
         assert "abel_vs_direct" in out
 
     def test_scatter_with_a_short_time_average(self, tmp_path, capsys):
-        # 40 steps per unit time would give no step at all below t_max = 0.025; the grid keeps two
+        # 40 steps per unit time would give no step at all below t_max = 0.025; the grid keeps eight
         iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0]))
         iotools.save_matrix(tmp_path / "b.json", 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         code = cli.main(["scatter", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
@@ -421,6 +422,31 @@ class TestCliCommands:
         assert (proc.returncode, proc.stderr) == (0, "")
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert next(r for r in rows if r.startswith("diagram_partition_identity,")).endswith(",1")
+
+    @pytest.mark.parametrize("argv", [
+        ["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e7", "--index", "0"],
+        ["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e300", "--index", "0"],
+        ["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e7"],
+        ["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e300"],
+    ], ids=["adiabatic-eta-1e7", "adiabatic-eta-1e300", "scatter-t-max-1e7", "scatter-t-max-1e300"])
+    def test_a_time_grid_too_large_to_hold_is_refused_within_3_gb(self, tmp_path, argv):
+        # at 1e7 the nodes array alone took 1.79 GiB (adiabatic) and 2.98 GiB (scatter), an untyped
+        # MemoryError under the limit; at 1e300 numpy refused the array size with a ValueError
+        iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0]))
+        iotools.save_matrix(tmp_path / "b.json", 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "a.json", "b": "b.json", "ramp": "linear"}))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        timed = ("import sys, time; from pertkit import cli; start = time.perf_counter(); code = cli.main(sys.argv[1:]); "
+                 "print(time.perf_counter() - start); sys.exit(code)")
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", timed] + argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, preexec_fn=limit_address_space, timeout=120)
+        assert proc.returncode == EnumerationLimitError.exit_code not in (0, 1)
+        assert re.fullmatch(r"error\[5\]: time grid of [0-9]+ nodes x [0-9]+ entries exceeds cap 67108864\n", proc.stderr)
+        assert float(proc.stdout) < 1.0
 
     @pytest.mark.parametrize("argv, option", [
         (["tensor", "dirac", "--p", "0.3,0.2", "--m", "1.0", "--z", "0.4,0.2"], "--p"),

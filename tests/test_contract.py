@@ -10,7 +10,11 @@ it is negative.  Every one that takes a float time (``t``, or the start
 ``s``) raises :class:`ArgumentError` when it is NaN or infinite, every one
 that takes an ``int`` index ``i`` or ``j`` raises it at ``-1``, at ``n`` and
 at the non-integer ``0.5``, and a NaN entry in either operand raises
-:class:`MatrixFormatError`.  Every other required parameter is filled from
+:class:`MatrixFormatError`.  A time grid is a :class:`matcore.TimeGrid` of
+an integer count of at least 8 steps, and every function that takes one
+(``g``) and holds arrays over its nodes raises :class:`EnumerationLimitError`
+on a grid past :data:`matcore.GRID_CAP` before it allocates them.  Every
+other required parameter is filled from
 :data:`FILL`, keyed by parameter name: new API registers its parameters
 there.
 """
@@ -19,6 +23,7 @@ import inspect
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +41,8 @@ ORDERS = ("order", "m_max", "k")
 #: the names of a time, when it is a ``float``, and of an index, when it is an ``int``
 TIMES = ("t", "s")
 INDICES = ("i", "j")
+#: the one integrator taking a time grid ``g`` that holds no array over its nodes (RK4 in place)
+NO_NODE_ARRAYS = {"evolution.adiabatic_eigvec_series"}
 #: the oscillator's ``eta`` shifts its split, ``A = -Lap + (1 + eta) X^2``; 0 is its default
 NOT_RATES = {"spectral.harmonic_oscillator_operators", "spectral.harmonic_oscillator_demo"}
 
@@ -138,7 +145,8 @@ RATE_API = {q: fn for q, fn in _public_functions() if _rates(q, fn)}
 ORDER_API = {q: fn for q, fn in _public_functions() if _orders(fn)}
 TIME_API = {q: fn for q, fn in _public_functions() if _named(fn, TIMES, "float")}
 INDEX_API = {q: fn for q, fn in _public_functions() if _named(fn, INDICES, "int")}
-API = PAIR_API | RATE_API | ORDER_API | TIME_API | INDEX_API
+GRID_API = {q: fn for q, fn in _public_functions() if "g" in inspect.signature(fn).parameters}
+API = PAIR_API | RATE_API | ORDER_API | TIME_API | INDEX_API | GRID_API
 
 
 def _others(fn):
@@ -185,6 +193,10 @@ def test_the_contract_finds_the_operand_and_rate_api():
         "spectral.eigenvalue_coefficients", "spectral.schur_split", "evolution.adiabatic_evolve",
         "symdiag.restricted_inverse",
     } <= INDEX_API.keys()
+    assert {
+        "evolution.propagator_time_dependent", "evolution.laplace_resolvent_bridge", "evolution.adiabatic_evolve",
+        "evolution.adiabatic_eigenvalue_track", "evolution.adiabatic_eigvec_series", "scattering.s_entry_time_average",
+    } == GRID_API.keys()
 
 
 @pytest.mark.parametrize("qual", sorted(API))
@@ -252,6 +264,27 @@ def test_a_nan_entry_raises_a_matrix_format_error(qual, operand):
     pair[operand][0, 1] = math.nan
     with pytest.raises(MatrixFormatError):
         _call(PAIR_API[qual], **pair)
+
+
+@pytest.mark.parametrize("steps", [64.0, 10.5, "64", None, 7, 0, -8],
+                         ids=["float", "fractional", "string", "none", "7", "0", "-8"])
+def test_a_grid_that_is_not_an_integer_count_of_at_least_8_steps_is_refused(steps):
+    with pytest.raises(ArgumentError, match="^need an integer count of at least 8 steps, got "):
+        matcore.TimeGrid(steps)
+
+
+@pytest.mark.parametrize("steps", [matcore.GRID_CAP, 10**301], ids=["cap", "1e301"])
+@pytest.mark.parametrize("qual", sorted(GRID_API.keys() - NO_NODE_ARRAYS))
+def test_a_grid_past_the_cap_is_refused_before_its_nodes_are_allocated(qual, steps):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(EnumerationLimitError, match=f"^time grid of {steps + 1} nodes x [0-9]+ entries exceeds cap"):
+            _call(GRID_API[qual], g=matcore.TimeGrid(steps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 2**20
 
 
 def test_an_empty_enumeration_sums_to_zero():

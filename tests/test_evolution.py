@@ -187,6 +187,21 @@ class TestLaplaceBridge:
         with pytest.raises(ValueError):
             evolution.laplace_resolvent_bridge(np.eye(2), np.eye(2), 0.0, 10.0, evolution.TimeGrid(100))
 
+    @pytest.mark.parametrize("steps", [8, 9, 600, 601])
+    def test_bit_equal_to_the_inline_simpson_grid(self, steps):
+        # an odd count is rounded up to even, as the inline prologue did
+        a, b = scaled_pair(5, 0.5, 0.15, 15)
+        got = evolution.laplace_resolvent_bridge(a, b, 0.5, 20.0, evolution.TimeGrid(steps))
+        assert got.tobytes() == reference.laplace_bridge_ref(a, b, 0.5, 20.0, steps).tobytes()
+
+
+@pytest.mark.parametrize("intervals", [0, 1, 2, 7, 8, 239, 240])
+def test_the_node_integral_is_bit_equal_to_inline_weights(intervals):
+    # Simpson on an even count, the trapezoid rule on an odd one
+    values = np.sin(np.arange(intervals + 1.0)) + 2.0
+    h = 1.0 / max(intervals, 1)
+    assert evolution._integral_on_nodes(values, h) == reference.integral_on_nodes_ref(values, h)
+
 
 class TestHolomorphicCalculus:
     def setup_method(self):
@@ -324,8 +339,8 @@ class TestGridValidation:
 
     def test_schedule_hermiticity_checked(self):
         sched = evolution.Schedule(evaluator=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(Exception):
-            sched.matrix(0.0)
+        with pytest.raises(NotHermitianError, match="^H\\(0\\) is not Hermitian"):
+            evolution.adiabatic_evolve(sched, 10.0, 0, evolution.TimeGrid(8))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +434,7 @@ class TestMagnusSteppers:
     def test_adiabatic_evolve(self, n, steps, ramp):
         sched, i = _ramp_instance(n, steps, ramp)
         res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(steps))
-        u0 = matcore.eig_hermitian(sched.matrix(0.0)).eigenvectors[:, i]
+        u0 = matcore.eig_hermitian(sched.evaluator(0.0)).eigenvectors[:, i]
         ref = reference.schrodinger_rk4(lambda t: 3.0 * sched.evaluator(t), u0, 0.0, 1.0, 8 * steps)
         assert np.linalg.norm(res.final_state - ref) <= 1e-7
 

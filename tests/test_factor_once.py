@@ -1,6 +1,7 @@
 """The factor-once resolvent paths against the per-shift references they
 replaced (``reference.py``): contour coefficients in the eigenbasis of ``A``,
 scattering entries and series from one eigendecomposition of ``A`` per job,
+one Hermiticity decision per operand matrix,
 the chunked line convolution and the CLI's exact remainders from one inverse
 and one solve.
 
@@ -17,7 +18,7 @@ import pytest
 
 import reference
 from ensembles import random_hermitian
-from pertkit import cli, iotools, matcore, resolvent, scattering, spectral, tensor
+from pertkit import cli, evolution, iotools, matcore, resolvent, scattering, spectral, tensor
 
 SIZES = [1, 2, 3, 8, 33]
 ORDERS = range(7)
@@ -197,7 +198,7 @@ class TestOneDecompositionOfA:
         for call in (lambda x: scattering.s_series(x, b, q, 6).terms,
                      lambda x: scattering.s_series(x, b, q, 6).ratio,
                      lambda x: scattering.s_entry_resolvent(x, b, q),
-                     lambda x: scattering.s_entry_time_average(x, b, q, 20.0, g=400),
+                     lambda x: scattering.s_entry_time_average(x, b, q, 20.0, g=matcore.TimeGrid(400)),
                      lambda x: scattering.s_matrix_unitarity_defect(x, b, 0.5)):
             assert np.asarray(call(basis)).tobytes() == np.asarray(call(a)).tobytes()
 
@@ -208,9 +209,9 @@ class TestOneDecompositionOfA:
         calls = []
         original = matcore.eig_hermitian
 
-        def counting(m):
+        def counting(m, what="matrix"):
             calls.append(np.shape(m))
-            return original(m)
+            return original(m, what)
 
         monkeypatch.setattr(matcore, "eig_hermitian", counting)
         a, b = hermitian_pair(8, 67, diagonal, b_norm=0.05)
@@ -223,6 +224,54 @@ class TestOneDecompositionOfA:
         if sweep:  # the sweep ran all its points
             lines = out.read_text().splitlines()
             assert lines.index("# residuals") - lines.index("#tau-sweep,,,") - 1 == int(sweep[1].rsplit(":", 1)[1])
+
+
+class TestOneHermiticityDecision:
+    """Each operand matrix is decided Hermitian once: ``eig_hermitian`` makes
+    the decision on a matrix it decomposes, under the operand's name."""
+
+    CALLS = {
+        "eigenvalue_coefficients": (lambda a, b: spectral.eigenvalue_coefficients(a, b, 2, 4), 2),  # A, B
+        "eigenvalue_coefficients-of-a-decomposition": (
+            lambda a, b: spectral.eigenvalue_coefficients(matcore.eig_hermitian(a), b, 2, 4), 2),  # A, then B
+        "projection_coefficients": (lambda a, b: spectral.projection_coefficients(
+            a, b, spectral.default_contour(np.linalg.eigvalsh(a), 2), 3), 1),  # A
+        "schur_split": (lambda a, b: spectral.schur_split(a, b, 2), 1),  # A
+        "s_entry_time_average": (lambda a, b: scattering.s_entry_time_average(
+            a, b, scattering.ScatteringQuery(1, 4, 0.5), 10.0, matcore.TimeGrid(64)), 2),  # A, A + B
+        "s_matrix_unitarity_defect": (lambda a, b: scattering.s_matrix_unitarity_defect(a, b, 0.5), 2),  # A, A + B
+        "adiabatic_eigvec_series": (lambda a, b: evolution.adiabatic_eigvec_series(
+            a, 0.01 * b, "linear", 2, 10.0, 6, matcore.TimeGrid(16)), 2),  # A, B
+    }
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal-a", "dense-a"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_one_decision_per_operand_matrix(self, monkeypatch, name, diagonal):
+        call, operands = self.CALLS[name]
+        a, b = hermitian_pair(6, 41, diagonal)
+        decided = []
+        original = matcore.is_hermitian
+
+        def counting(m):
+            decided.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(matcore, "is_hermitian", counting)
+        call(a, b)
+        assert decided == [(6, 6)] * operands
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda a, b: spectral.eigenvalue_coefficients(a, b, 0, 2), "A"),
+        (lambda a, b: spectral.schur_split(a, b, 0), "A"),
+        (lambda a, b: resolvent.symmetrized_ratio(a, b), "A"),
+        (lambda a, b: scattering.s_matrix_unitarity_defect(b, a, 0.5), "A\\+B"),
+        (lambda a, b: evolution.adiabatic_eigvec_series(a, b, "linear", 0, 10.0, 4, matcore.TimeGrid(8)), "A"),
+    ], ids=["eigenvalue_coefficients", "schur_split", "symmetrized_ratio", "s_matrix_unitarity_defect",
+            "adiabatic_eigvec_series"])
+    def test_the_refusal_names_the_operand(self, call, what):
+        skew = np.array([[1.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(matcore.NotHermitianError, match=f"^{what} is not Hermitian to relative 1e-10$"):
+            call(skew, np.zeros((2, 2)))
 
 
 class TestLineConvolution:

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from ensembles import random_hermitian
 from pertkit import matcore
 from pertkit.errors import (
     ArgumentError,
+    EnumerationLimitError,
     MatrixFormatError,
     NotHermitianError,
     ShapeError,
@@ -387,6 +389,43 @@ class TestLevelIndexAndDiagonal:
         # its real part alone is not the operator: dropping it changed every entry computed from it
         with pytest.raises(NotHermitianError, match="A is not Hermitian"):
             matcore.diagonal_of(np.diag([1.0 + imag * 1j, 2.0, 3.0]))
+
+
+class TestQuadratureWeights:
+    @pytest.mark.parametrize("n, h", [(1, 0.5), (2, 0.1), (7, 1.0 / 7), (200, 0.01)])
+    def test_trapezoid_weights_are_the_inline_ones(self, n, h):
+        inline = np.full(n + 1, h)
+        inline[0] = inline[-1] = h / 2
+        assert matcore.trapezoid_weights(n, h).tobytes() == inline.tobytes()
+        assert np.sum(matcore.trapezoid_weights(n, h)) == pytest.approx(n * h, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_node_weights_are_simpson_on_an_even_count_and_trapezoid_on_an_odd_one(self, n):
+        want = matcore.trapezoid_weights(n, 0.1) if n % 2 else matcore.simpson_weights(n, 0.1)
+        assert matcore.node_weights(n, 0.1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps", [8, 9, 100, 4001])
+    def test_the_simpson_grid_is_the_inline_prologue(self, steps):
+        ts, w = matcore.TimeGrid(steps).simpson(7.5, 1)
+        ts_ref, w_ref = reference.simpson_grid_ref(steps, 7.5)
+        assert ts.tobytes() == ts_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+    @pytest.mark.parametrize("steps", [7, 0, -8, 8.0, 10.5, "16", None])
+    def test_a_grid_is_an_integer_count_of_at_least_8(self, steps):
+        with pytest.raises(ArgumentError, match="^need an integer count of at least 8 steps"):
+            matcore.TimeGrid(steps)
+
+    def test_a_numpy_integer_count_is_a_grid(self):
+        assert matcore.TimeGrid(np.int64(8)).steps == 8
+
+    def test_the_cap_counts_every_node_and_its_entries(self):
+        fits = matcore.GRID_CAP // 4 - 1  # steps + 1 nodes of 4 entries: exactly the cap
+        matcore.TimeGrid(fits).check_size(4)
+        with pytest.raises(EnumerationLimitError, match=f"^time grid of {fits + 2} nodes x 4 entries exceeds cap"):
+            matcore.TimeGrid(fits + 1).check_size(4)
+        # the Simpson grid checks its even count: one node more for an odd one
+        with pytest.raises(EnumerationLimitError):
+            matcore.TimeGrid(matcore.GRID_CAP - 1).simpson(1.0, 1)
 
 
 class TestOperandContract:

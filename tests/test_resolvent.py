@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -293,6 +294,19 @@ class TestSimplexNodes:
         x, w = resolvent._simplex_nodes(m, q)
         want_x, want_w = reference.simplex_nodes_ref(m, q)
         assert (x.tobytes(), w.tobytes()) == (want_x.tobytes(), want_w.tobytes())
+
+
+    @pytest.mark.parametrize("depth", [646, 4000])
+    def test_a_depth_whose_cube_exceeds_the_cap_is_refused_before_the_gauss_legendre_rule(self, depth):
+        # leggauss(depth) takes O(depth^2) memory and O(depth^3) time: 4.2 s and 122 MiB at 4,000;
+        # 645**3 is the last cube within INTEGRAND_CAP = 2**28
+        a, b = np.diag([1.0, 2.0]), 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])  # one order-1 path, 0 -> 1
+        q = resolvent.SimplexQuadrature("recursive-grid", depth, 0)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match=f"^recursive-grid depth {depth} cubed exceeds cap 268435456$"):
+            resolvent.feynman_parameter_entry(a, b, 0, 1, 0.5, 1, q)
+        assert time.perf_counter() - start < 0.1
+        assert 645**3 <= resolvent.INTEGRAND_CAP < 646**3
 
 
 class TestFeynmanExactness:

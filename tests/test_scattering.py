@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from ensembles import random_diagonal, random_hermitian
 from pertkit import matcore, scattering
 from pertkit.errors import ArgumentError, EnumerationLimitError, SingularMatrixError
@@ -73,7 +74,7 @@ class TestDirectEntry:
     @pytest.mark.parametrize("i, j", [(0, 4), (4, 0), (-1, 0), (0, -5), (0.5, 1)])
     @pytest.mark.parametrize("entry", [
         scattering.s_entry_resolvent,
-        lambda a, b, q: scattering.s_entry_time_average(a, b, q, 10.0, 100),
+        lambda a, b, q: scattering.s_entry_time_average(a, b, q, 10.0, matcore.TimeGrid(100)),
         lambda a, b, q: scattering.s_series(a, b, q, 3),
         lambda a, b, q: scattering.s_term_index_sum(a, b, q, 2),
     ], ids=["resolvent", "time-average", "series", "index-sum"])
@@ -168,25 +169,24 @@ class TestTimeAverage:
         a, b = diagonal_instance(5, 0.2, 8)
         q = scattering.ScatteringQuery(i=1, j=2, tau=0.2)
         t_max = 100.0
-        abel = scattering.s_entry_time_average(a, b, q, t_max, g=8000)
+        abel = scattering.s_entry_time_average(a, b, q, t_max, g=matcore.TimeGrid(8000))
         direct = scattering.s_entry_resolvent(a, b, q)
         assert abs(abel - direct) <= 2.0 * math.exp(-q.tau * t_max) + 1e-5
 
-    def test_accepts_time_grid(self):
-        from pertkit.evolution import TimeGrid
-
+    def test_the_default_grid_is_4000_steps(self):
         a, b = diagonal_instance(4, 0.1, 13)
         q = scattering.ScatteringQuery(i=0, j=0, tau=0.3)
-        via_grid = scattering.s_entry_time_average(a, b, q, 60.0, g=TimeGrid(4000))
-        via_int = scattering.s_entry_time_average(a, b, q, 60.0, g=4000)
-        assert via_grid == via_int
+        via_default = scattering.s_entry_time_average(a, b, q, 60.0)
+        assert via_default == scattering.s_entry_time_average(a, b, q, 60.0, g=matcore.TimeGrid(4000))
 
-    @pytest.mark.parametrize("g", [0, -2, 2.5], ids=["zero", "negative", "fractional"])
-    def test_a_step_count_below_one_or_not_an_integer_is_an_argument_error(self, g):
-        a, b = diagonal_instance(4, 0.1, 13)
-        q = scattering.ScatteringQuery(i=0, j=1, tau=0.3)
-        with pytest.raises(ArgumentError, match="step count must be an integer of at least 1"):
-            scattering.s_entry_time_average(a, b, q, 1.0, g=g)
+    @pytest.mark.parametrize("steps", [8, 9, 400, 401, 4000])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal-a", "dense-a"])
+    def test_bit_equal_to_the_inline_simpson_grid(self, steps, diagonal):
+        # an odd count is rounded up to even, as the inline prologue did
+        a, b = diagonal_instance(5, 0.2, 17) if diagonal else (random_hermitian(5, 1.0, 19), random_hermitian(5, 0.1, 20))
+        q = scattering.ScatteringQuery(i=1, j=3, tau=0.3)
+        got = scattering.s_entry_time_average(a, b, q, 40.0, g=matcore.TimeGrid(steps))
+        assert got == reference.s_entry_time_average_ref(a, b, 1, 3, 0.3, 40.0, steps)
 
     def test_non_diagonal_reference_basis(self):
         # for non-diagonal A the eigenbasis is the sorted Hermitian one
@@ -194,7 +194,7 @@ class TestTimeAverage:
         b = random_hermitian(5, 0.1, 10)
         q = scattering.ScatteringQuery(i=0, j=0, tau=0.25)
         direct = scattering.s_entry_resolvent(a, b, q)
-        abel = scattering.s_entry_time_average(a, b, q, 80.0, g=8000)
+        abel = scattering.s_entry_time_average(a, b, q, 80.0, g=matcore.TimeGrid(8000))
         assert abs(abel - direct) <= 2.0 * math.exp(-0.25 * 80.0) + 1e-5
 
 

@@ -267,13 +267,14 @@ class TestVertexChannelTable:
         assert symdiag.group_terms_by_diagram(bop, vacuum, abc, 1) != {}
 
     @pytest.mark.parametrize("cap", [3, 40, 200])
-    def test_cap_raises_at_the_same_point(self, cap):
+    def test_cap_raises_at_the_same_point(self, cap, monkeypatch):
+        monkeypatch.setattr(symdiag, "BASIS_CAP", cap)
         rule = random_vertex(5, 1, 2)
         seeds = [STD_I, STD_J]
         new = CountingRule(rule)
         ref = counting_ref(rule)
         with pytest.raises(EnumerationLimitError) as new_err:
-            symdiag.build_interaction(new, seeds, 3, cap=cap)
+            symdiag.build_interaction(new, seeds, 3)
         with pytest.raises(EnumerationLimitError) as ref_err:
             reference.build_interaction_ref(ref, seeds, 3, cap=cap)
         assert str(new_err.value) == str(ref_err.value)
@@ -321,8 +322,8 @@ class TestFockCutoff:
             targets = [t for t, _ in rule.moves(j)] or [j]
             j = targets[rng.integers(len(targets))]
         try:  # small cases only: a few hundred states, a few thousand partial paths
-            full = symdiag.build_interaction(rule, [i, j], ell, cap=500)
-            with mock.patch.object(resolvent, "PATH_CAP", 5000):
+            with mock.patch.object(symdiag, "BASIS_CAP", 500), mock.patch.object(resolvent, "PATH_CAP", 5000):
+                full = symdiag.build_interaction(rule, [i, j], ell)
                 paths = list(resolvent.index_paths(full.neighbors, i, j, ell))
         except EnumerationLimitError:
             assume(False)

@@ -149,11 +149,11 @@ def _run_adiabatic(ns) -> Report:
     errors, doubling = [], []
     for eta in etas:
         matcore.check_positive(eta, "eta")  # before it sizes the grid
-        steps = max(64, int(ns.steps_per_eta * eta))
-        res = evolution.adiabatic_evolve(sched, eta, ns.index, matcore.TimeGrid(steps))
+        g = matcore.TimeGrid.of(ns.steps_per_eta * eta, at_least=64)
+        res = evolution.adiabatic_evolve(sched, eta, ns.index, g)
         errors.append(res.error_vs_eigenpath)
         doubling.append(res.step_doubling_error)
-        rep.add_row(eta, res.error_vs_eigenpath, res.tracked_phase, steps)
+        rep.add_row(eta, res.error_vs_eigenpath, res.tracked_phase, g.steps)
     if len(etas) >= 3:
         slope = np.polyfit(np.log(etas), np.log(errors), 1)[0]
         rep.config["log_slope"] = float(slope)
@@ -186,7 +186,7 @@ def _run_scatter(ns) -> Report:
         shifted_norm = 1.0 / np.min(np.abs(lam - shift))  # ||(A - shift)^{-1}||, A Hermitian
         bound = r ** (order + 1) / (1.0 - r) * q.tau * shifted_norm + 1e-12
         rep.check("series_vs_direct", abs(series.partial_sum() - direct), bound)
-    abel = scattering.s_entry_time_average(basis, b, q, t_max, g=matcore.TimeGrid(max(8, int(40 * t_max))))
+    abel = scattering.s_entry_time_average(basis, b, q, t_max, g=matcore.TimeGrid.of(40 * t_max))
     rep.check("abel_vs_direct", abs(abel - direct), 2.0 * np.exp(-q.tau * t_max) + 1e-5)
     if ns.tau_sweep is not None:
         lo, hi, n = ns.tau_sweep

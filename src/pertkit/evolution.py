@@ -255,18 +255,22 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     a, b = matcore.as_pair(a, b)
     m = a + b
     ts, weights = g.simpson(t_max, m.shape[0])
-
-    if matcore.is_hermitian(m):
-        dec = matcore.eig_hermitian(m)
-        lam, v = dec.eigenvalues, dec.eigenvectors
-        # diagonal quadrature per eigenvalue
-        phases = np.exp((1j * lam[None, :] - tau) * ts[:, None])  # (T, n)
-        diag = -1j * (weights[:, None] * phases).sum(axis=0)
-        return (v * diag) @ v.conj().T
-    total = np.zeros_like(m)
-    for w_k, t_k in zip(weights, ts):
-        total = total + w_k * math.exp(-tau * t_k) * matcore.expm(1j * t_k * m)
-    return -1j * total
+    try:
+        dec = matcore.eig_hermitian(m, what="A+B")
+    except matcore.NotHermitianError:
+        # on the uniform grid e^{i t_k M} is the k-th power of U = e^{i h M}: one exponential, one product per node
+        u = matcore.expm(1j * ts[1] * m)
+        power = np.eye(m.shape[0], dtype=complex)
+        total = np.zeros_like(m)
+        for w_k, t_k in zip(weights, ts):
+            total += w_k * math.exp(-tau * t_k) * power
+            power = power @ u
+        return -1j * total
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    # diagonal quadrature per eigenvalue
+    phases = np.exp((1j * lam[None, :] - tau) * ts[:, None])  # (T, n)
+    diag = -1j * (weights[:, None] * phases).sum(axis=0)
+    return (v * diag) @ v.conj().T
 
 
 def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:

@@ -304,6 +304,17 @@ class TimeGrid:
         if not (isinstance(self.steps, numbers.Integral) and self.steps >= 8):
             raise ArgumentError(f"need an integer count of at least 8 steps, got {self.steps!r}")
 
+    @classmethod
+    def of(cls, count: float, at_least: int = 8) -> TimeGrid:
+        """The grid of ``max(at_least, int(count))`` steps for a float ``count``,
+        such as a rate times a length.  A count whose nodes alone exceed
+        :data:`GRID_CAP`, infinity and NaN included, raises
+        :class:`EnumerationLimitError` before ``int()`` can overflow on it."""
+        if not count < GRID_CAP:
+            nodes = math.floor(count) + 1 if math.isfinite(count) else count
+            raise EnumerationLimitError(f"time grid of {nodes} nodes x 1 entries exceeds cap {GRID_CAP}")
+        return cls(max(at_least, int(count)))
+
     def check_size(self, per_node: int) -> None:
         """Raise :class:`EnumerationLimitError` unless ``steps + 1`` nodes of
         ``per_node`` entries each fit :data:`GRID_CAP`; call it before allocating them."""

@@ -27,10 +27,11 @@ from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
 #: Partial paths one walk of :func:`index_paths` may extend.
 PATH_CAP = 10**6
-#: (sample, path) integrand entries of one order: a bound on work; no (samples, paths) array is formed.
+#: Samples times walked paths of one order: a bound on work.  The integrand runs per multiset
+#: column, of which there are at most as many as walked paths; no (samples, columns) array is formed.
 #: The cube of a recursive grid's depth, the work of its Gauss-Legendre rule, is held to it too.
 INTEGRAND_CAP = 2**28
-#: (sample, path) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
+#: (sample, column) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
 BLOCK_ENTRIES = 2**16
 
 
@@ -190,10 +191,31 @@ def _simplex_nodes(m: int, q: SimplexQuadrature, seed_offset: int = 0):
     return x, w / w.sum()
 
 
-def _path_sums(x, lam_rows, wts, tau: float, m: int) -> np.ndarray:
-    """``sum_p wts_p / (x_s . lam_rows_p + i*tau)^(m+1)`` for every sample ``s``.
+def _multiset_columns(walk, lam) -> tuple[np.ndarray, np.ndarray, int]:
+    """The walked ``(path, weight)`` pairs of one order, summed by the sorted
+    levels ``lam[k]`` of their intermediate indices ``path[1:-1]``.
 
-    Each block of about :data:`BLOCK_ENTRIES` (sample, path) entries is
+    Returns ``(lam_rows, wts, paths)``: one row ``(lam[i], *sorted levels,
+    lam[j])``, just ``(lam[i],)`` at order 0, and one summed weight per
+    multiset, both in first-seen walk order with each weight summed in walk
+    order, and the number of walked paths.  The simplex measure is
+    exchangeable, so every path of a multiset has the same integral
+    (Hermite-Genocchi); equal float levels of a degenerate ``A`` merge too.
+    """
+    sums = {}
+    paths = 0
+    for path, weight in walk:
+        # the endpoints bracket the sorted middle; [:len(path)] keeps the one level of an order-0 path
+        row = (lam[path[0]], *sorted(lam[k] for k in path[1:-1]), lam[path[-1]])[:len(path)]
+        sums[row] = sums[row] + weight if row in sums else weight
+        paths += 1
+    return np.array(list(sums), dtype=float), np.array(list(sums.values()), dtype=complex), paths
+
+
+def _path_sums(x, lam_rows, wts, tau: float, m: int) -> np.ndarray:
+    """``sum_c wts_c / (x_s . lam_rows_c + i*tau)^(m+1)`` over columns ``c``, for every sample ``s``.
+
+    Each block of about :data:`BLOCK_ENTRIES` (sample, column) entries is
     formed in three reused buffers: one real gemm and the shift give the
     denominators ``z``, ``m`` complex multiplications and one reciprocal
     give ``z^-(m+1)``, and one ``zgemv`` sums it against the weights.
@@ -225,31 +247,34 @@ def feynman_parameter_entry(
     ``(-1)^m m! * integral over the simplex of
     sum over index paths of prod B / (x . lambda_path + i*tau)^{m+1}``,
     the Feynman parameters being the simplex coordinates.  Index paths are
-    enumerated exhaustively; Monte-Carlo sampling reports a standard error.
+    enumerated exhaustively and summed by the multiset of their intermediate
+    levels (:func:`_multiset_columns`), so the integrand runs once per column:
+    ``C(n+m-2, m-1)`` of them for a dense ``B`` against ``n^(m-1)`` paths.
+    :data:`INTEGRAND_CAP` still bounds samples times walked paths.
+    Monte-Carlo sampling reports a standard error.
     """
     matcore.check_positive(tau, "tau")
     matcore.check_order(m_max, "m_max")
     a, b = matcore.as_pair(a_diag, b)
-    lam = matcore.diagonal_of(a)
+    lam = matcore.diagonal_of(a).tolist()
     n = b.shape[0]
     matcore.check_index(i, n)
     matcore.check_index(j, n)
     links = dense_links(b).__getitem__
     orders = []  # every order is walked, and its integrand bounded, before any is integrated
     for m in range(m_max + 1):
-        orders.append(list(index_paths(links, i, j, m)))
+        lam_rows, wts, paths = _multiset_columns(index_paths(links, i, j, m), lam)
         samples = q.samples_or_depth ** m if q.method == "recursive-grid" else q.samples_or_depth
-        if samples * len(orders[m]) > INTEGRAND_CAP:
-            raise EnumerationLimitError(f"order {m}: {samples} samples x {len(orders[m])} paths exceed cap {INTEGRAND_CAP}")
+        if samples * paths > INTEGRAND_CAP:
+            raise EnumerationLimitError(f"order {m}: {samples} samples x {paths} paths exceed cap {INTEGRAND_CAP}")
+        orders.append((lam_rows, wts))
     order_values = []
     variance = 0.0
     total = 0.0 + 0.0j
-    for m, walked in enumerate(orders):
-        if not walked:
+    for m, (lam_rows, wts) in enumerate(orders):
+        if not len(wts):
             order_values.append(0.0 + 0.0j)
             continue
-        lam_rows = np.array([[lam[k] for k in p] for p, _ in walked])  # (P, m+1)
-        wts = np.array([weight for _, weight in walked])  # (P,)
         x, w = _simplex_nodes(m, q, seed_offset=m)
         integrand = _path_sums(x, lam_rows, wts, tau, m)  # per sample
         # Lebesgue integral over the simplex = mean/ m! for probability weights;

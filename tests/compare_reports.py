@@ -11,7 +11,7 @@ against each tree, in one child process per tree and workload, from that
 directory: a CLI job through ``pertkit.cli.main`` (its report bytes and exit
 code) and a library call through its own call (its body bytes).  The script
 prints, per workload and seed, the jobs whose bytes, exit code or raised
-error differ, and exits 1 when any job differs.  pytest does not collect it.
+error differ, with each differing line's differing fields, and exits 1 when any job differs.  pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -76,11 +76,18 @@ def _run_jobs(src: str, workload: str, seed: int, input_dir: str, result: str) -
         pickle.dump(outputs, fh)
 
 
-def _first_difference(a: bytes, b: bytes) -> str:
-    for k, (x, y) in enumerate(zip(a.splitlines(), b.splitlines())):
+def _differences(a: bytes, b: bytes) -> str:
+    """Every differing line, by number, with its differing space-separated fields."""
+    old, new = a.splitlines(), b.splitlines()
+    if len(old) != len(new):
+        return f"{len(old)} -> {len(new)} lines"
+    lines = []
+    for k, (x, y) in enumerate(zip(old, new)):
         if x != y:
-            return f"line {k + 1}: {x[:160]!r} -> {y[:160]!r}"
-    return f"{len(a)} -> {len(b)} bytes"
+            fx, fy = x.split(b" "), y.split(b" ")
+            pairs = [(f, g) for f, g in zip(fx, fy) if f != g] if len(fx) == len(fy) else [(x, y)]
+            lines.append(f"line {k + 1}: " + "; ".join(f"{f[:120]!r} -> {g[:120]!r}" for f, g in pairs))
+    return "\n    ".join(lines)
 
 
 def compare(old_src: str, new_src: str, workload: str, seed: int, workdir: str) -> list:
@@ -103,7 +110,7 @@ def compare(old_src: str, new_src: str, workload: str, seed: int, workdir: str) 
         if old_code != new_code:
             differ.append((label, f"exit {old_code!r} -> {new_code!r}"))
         elif old_body != new_body:
-            differ.append((label, _first_difference(old_body, new_body)))
+            differ.append((label, _differences(old_body, new_body)))
     print(f"{workload} seed {seed}: {len(old)} jobs, {len(differ)} differ", flush=True)
     for label, what in differ:
         print(f"  {label}: {what}", flush=True)

@@ -361,6 +361,23 @@ def laplace_bridge_ref(a, b, tau, t_max, steps):
     return (dec.eigenvectors * diag) @ dec.eigenvectors.conj().T
 
 
+def laplace_bridge_per_node_ref(a, b, tau, t_max, steps):
+    """``-i integral_0^t_max e^{it(A+B) - tau t} dt`` on :func:`simpson_grid_ref`
+    for any ``A + B``, with one Pade ``expm`` per node.
+
+    Returns the integral and its scale ``sum_k w_k e^{-tau t_k} ||e^{i t_k (A+B)}||_2``.
+    """
+    m = np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
+    ts, weights = simpson_grid_ref(steps, t_max)
+    total = np.zeros_like(m)
+    scale = 0.0
+    for w_k, t_k in zip(weights, ts):
+        term = w_k * math.exp(-tau * t_k) * scipy.linalg.expm(1j * t_k * m)
+        total = total + term
+        scale += np.linalg.norm(term, 2)
+    return -1j * total, scale
+
+
 def s_entry_time_average_ref(a, b, i, j, tau, t_max, steps):
     """The Abel time average of the scattering entry on :func:`simpson_grid_ref`."""
     lam, vecs = _reference_basis(np.asarray(a, dtype=complex))
@@ -460,16 +477,18 @@ def simplex_nodes_ref(m, q):
 
 
 def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
-    """``resolvent.feynman_parameter_entry`` with the whole (samples, paths)
+    """``resolvent.feynman_parameter_entry`` with the whole (samples, columns)
     integrand formed at once by ``** (m + 1)``, on the library's nodes and
-    paths.
+    multiset columns.
 
-    Returns the entry and, per order, the magnitude
-    ``A_m = sum_s w_s sum_p |wts_p| / |z_sp|^(m+1)`` that scales the
+    The walked paths' weights are recomputed as products of ``B`` entries and
+    summed into columns by the library's ``_multiset_columns``, so both sides
+    integrate the same columns.  Returns the entry and, per order, the
+    magnitude ``A_m = sum_s w_s sum_c |wts_c| / |z_sc|^(m+1)`` that scales the
     rounding error of any evaluation of that order's integral.
     """
     a, b = matcore.as_pair(a_diag, b)
-    lam = matcore.diagonal_of(a)
+    lam = matcore.diagonal_of(a).tolist()
     links = resolvent.dense_links(b).__getitem__  # the walk's weights are recomputed below
     order_values = []
     magnitudes = []
@@ -477,12 +496,12 @@ def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
         paths = [p for p, _ in resolvent.index_paths(links, i, j, m)]
+        weighed = ((p, math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j)) for p in paths)
+        lam_rows, wts, _ = resolvent._multiset_columns(weighed, lam)
         if not paths:
             order_values.append(0.0 + 0.0j)
             magnitudes.append(0.0)
             continue
-        lam_rows = np.array([[lam[k] for k in p] for p in paths])
-        wts = np.array([math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j) for p in paths])
         x, w = resolvent._simplex_nodes(m, q, seed_offset=m)
         denom = (x @ lam_rows.T) + 1j * tau
         integrand = (wts[None, :] / denom ** (m + 1)).sum(axis=1)

@@ -423,15 +423,23 @@ class TestCliCommands:
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert next(r for r in rows if r.startswith("diagram_partition_identity,")).endswith(",1")
 
-    @pytest.mark.parametrize("argv", [
-        ["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e7", "--index", "0"],
-        ["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e300", "--index", "0"],
-        ["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e7"],
-        ["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e300"],
-    ], ids=["adiabatic-eta-1e7", "adiabatic-eta-1e300", "scatter-t-max-1e7", "scatter-t-max-1e300"])
-    def test_a_time_grid_too_large_to_hold_is_refused_within_3_gb(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv, nodes", [
+        (["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e7", "--index", "0"], "[0-9]+"),
+        (["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e300", "--index", "0"], "[0-9]+"),
+        (["adiabatic", "--schedule", "sched.json", "--eta-list", "10,20,1e307", "--index", "0"], "inf"),
+        (["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e7"],
+         "[0-9]+"),
+        (["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e300"],
+         "[0-9]+"),
+        (["scatter", "--a", "a.json", "--b", "b.json", "--i", "0", "--j", "1", "--tau", "0.2", "--t-max", "1e308"],
+         "inf"),
+    ], ids=["adiabatic-eta-1e7", "adiabatic-eta-1e300", "adiabatic-eta-1e307", "scatter-t-max-1e7",
+            "scatter-t-max-1e300", "scatter-t-max-1e308"])
+    def test_a_time_grid_too_large_to_hold_is_refused_within_3_gb(self, tmp_path, argv, nodes):
         # at 1e7 the nodes array alone took 1.79 GiB (adiabatic) and 2.98 GiB (scatter), an untyped
-        # MemoryError under the limit; at 1e300 numpy refused the array size with a ValueError
+        # MemoryError under the limit; at 1e300 numpy refused the array size with a ValueError; at 1e307
+        # (times 24 steps per unit eta) and 1e308 (times 40) the step count overflows to infinity, which
+        # int() refused with an untyped OverflowError
         iotools.save_matrix(tmp_path / "a.json", np.diag([0.0, 1.0]))
         iotools.save_matrix(tmp_path / "b.json", 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         (tmp_path / "sched.json").write_text(json.dumps({"a": "a.json", "b": "b.json", "ramp": "linear"}))
@@ -445,7 +453,7 @@ class TestCliCommands:
         proc = subprocess.run([sys.executable, "-c", timed] + argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, preexec_fn=limit_address_space, timeout=120)
         assert proc.returncode == EnumerationLimitError.exit_code not in (0, 1)
-        assert re.fullmatch(r"error\[5\]: time grid of [0-9]+ nodes x [0-9]+ entries exceeds cap 67108864\n", proc.stderr)
+        assert re.fullmatch(rf"error\[5\]: time grid of {nodes} nodes x [0-9]+ entries exceeds cap 67108864\n", proc.stderr)
         assert float(proc.stdout) < 1.0
 
     @pytest.mark.parametrize("argv, option", [

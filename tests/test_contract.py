@@ -287,6 +287,23 @@ def test_a_grid_past_the_cap_is_refused_before_its_nodes_are_allocated(qual, ste
     assert time.perf_counter() - start < 1.0 and peak < 2**20
 
 
+@pytest.mark.parametrize("count", [math.inf, math.nan, 40 * 1e308, 24 * 1e307, 1e300, float(matcore.GRID_CAP)],
+                         ids=["inf", "nan", "40x1e308", "24x1e307", "1e300", "cap"])
+def test_a_float_step_count_past_the_cap_is_refused_before_int(count):
+    # the CLI's rate-times-length step counts: int() of infinity is an untyped OverflowError
+    nodes = math.floor(count) + 1 if math.isfinite(count) else count
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match=f"^time grid of {nodes} nodes x 1 entries exceeds cap 67108864$"):
+        matcore.TimeGrid.of(count)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("count, at_least, steps", [(matcore.GRID_CAP - 0.5, 8, matcore.GRID_CAP - 1), (100.9, 8, 100),
+                                                    (7.9, 8, 8), (100.0, 640, 640)])
+def test_a_float_step_count_within_the_cap_is_truncated_and_floored(count, at_least, steps):
+    assert matcore.TimeGrid.of(count, at_least) == matcore.TimeGrid(steps)
+
+
 def test_an_empty_enumeration_sums_to_zero():
     zero = np.zeros((2, 2))
     entry = _call(resolvent.feynman_parameter_entry, b=zero)  # i != j: no path at any order

@@ -242,6 +242,10 @@ class TestOneHermiticityDecision:
         "s_matrix_unitarity_defect": (lambda a, b: scattering.s_matrix_unitarity_defect(a, b, 0.5), 2),  # A, A + B
         "adiabatic_eigvec_series": (lambda a, b: evolution.adiabatic_eigvec_series(
             a, 0.01 * b, "linear", 2, 10.0, 6, matcore.TimeGrid(16)), 2),  # A, B
+        "laplace_resolvent_bridge": (lambda a, b: evolution.laplace_resolvent_bridge(
+            a, b, 0.5, 10.0, matcore.TimeGrid(64)), 1),  # A + B
+        "laplace_resolvent_bridge-non-hermitian": (lambda a, b: evolution.laplace_resolvent_bridge(
+            a, b + np.triu(b, 1), 0.5, 10.0, matcore.TimeGrid(64)), 1),  # A + B, refused and integrated by powers
     }
 
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal-a", "dense-a"])

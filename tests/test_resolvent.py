@@ -366,7 +366,7 @@ class TestBlockedFeynmanIntegrand:
         self.assert_within_rounding(got, *reference.feynman_parameter_entry_ref(a, b, i, j, 0.5, m_max, q))
 
     def test_a_workload_sized_entry_in_many_blocks(self):
-        # n = 6, order 4: 216 order-4 paths, 20,000 samples in 67 blocks of 303, the last one of 2
+        # n = 6, order 4: 216 order-4 paths in 56 columns, 20,000 samples in 18 blocks of 1,170, the last one of 110
         a, b = np.diag(np.linspace(1.0, 3.0, 6)), random_hermitian(6, 0.3, 61)
         q = resolvent.SimplexQuadrature(seed=7)
         got = resolvent.feynman_parameter_entry(a, b, 0, 3, 0.5, 4, q)
@@ -380,3 +380,90 @@ class TestBlockedFeynmanIntegrand:
         # the one-shot formula's complex temporaries peak at 199 MB and a whole float64 x @ lam_rows.T takes
         # 35 MB; one block's buffers and the nodes measure about 4.5 MiB
         assert peak < 8 * 2**20
+
+
+class TestMultisetColumns:
+    """Walked paths summed by the sorted levels of their intermediate indices:
+    the column weights against a brute-force sum over index tuples, the column
+    counts, and the grouped integral against the per-path one on a rule that
+    is exchangeable by construction."""
+
+    @staticmethod
+    def draw(seed, n, sparse):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(1.0, 3.0, n).tolist()
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if sparse:
+            b = b * (rng.uniform(size=(n, n)) < 0.5)
+        i, j = (int(k) for k in rng.integers(0, n, size=2))
+        return lam, b, i, j
+
+    @staticmethod
+    def columns(lam, b, i, j, m):
+        walk = resolvent.index_paths(resolvent.dense_links(b).__getitem__, i, j, m)
+        return resolvent._multiset_columns(walk, lam)
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense-B", "sparse-B"])
+    def test_column_weights_are_the_sums_over_index_tuples(self, n, m, sparse):
+        lam, b, i, j = self.draw(10 * n + m, n, sparse)
+        lam_rows, wts, paths = self.columns(lam, b, i, j, m)
+        want, moduli, linked = {}, {}, 0
+        tuples = [(i, *mid, j) for mid in itertools.product(range(n), repeat=m - 1)] if m else [(i,)] * (i == j)
+        for p in tuples:
+            row = (lam[i],) if m == 0 else (lam[i], *sorted(lam[k] for k in p[1:-1]), lam[j])
+            weight = math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j)
+            want[row] = want.get(row, 0) + weight
+            moduli[row] = moduli.get(row, 0) + abs(weight)
+            linked += weight != 0
+        got = dict(zip(map(tuple, lam_rows.tolist()), wts.tolist()))
+        assert len(got) == len(wts) and all(len(row) == m + 1 for row in got) and paths == linked
+        assert got.keys() <= want.keys()
+        eps = np.finfo(float).eps
+        for row, value in want.items():
+            # both sides sum at most n**(m-1) products of m entries, in different orders
+            assert abs(got.get(row, 0) - value) <= 2 * (m + n ** max(m - 1, 0)) * eps * moduli[row]
+
+    @pytest.mark.parametrize("n, m, columns", [(6, 4, 56), (10, 3, 55), (8, 3, 36), (6, 3, 21), (4, 5, 35), (3, 1, 1)])
+    def test_a_dense_b_has_a_column_per_multiset(self, n, m, columns):
+        # C(n + m - 2, m - 1) multisets of m - 1 intermediate levels out of n distinct ones
+        lam, b, i, j = self.draw(n, n, sparse=False)
+        lam_rows, wts, paths = self.columns(lam, b, i, j, m)
+        assert (len(wts), paths) == (columns, n ** (m - 1)) and columns == math.comb(n + m - 2, m - 1)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_a_degenerate_a_merges_equal_levels(self, m):
+        # levels 1.0 and 2.5, each twice: a multiset of m - 1 intermediates is its count of 1.0's, 0 to m - 1
+        lam = [1.0, 2.5, 1.0, 2.5]
+        b = np.random.default_rng(m).standard_normal((4, 4))
+        lam_rows, wts, paths = self.columns(lam, b, 0, 3, m)
+        assert (len(wts), paths) == (m, 4 ** (m - 1))
+        assert sorted(int(np.sum(row[1:-1] == 1.0)) for row in lam_rows) == list(range(m))
+        assert abs(wts.sum() - np.linalg.matrix_power(b, m)[0, 3]) <= 1e-13 * np.linalg.matrix_power(abs(b), m)[0, 3]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_on_an_exchangeable_rule_grouping_changes_only_rounding(self, seed):
+        # every Dirichlet sample taken in all (m + 1)! coordinate orders: the rule is symmetric, so each path's
+        # integral depends only on its multiset and the grouped integral is the per-path one up to rounding
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(3, 6)), int(rng.integers(3, 5))
+        lam, b, i, j = self.draw(seed, n, sparse=False)
+        walked = list(resolvent.index_paths(resolvent.dense_links(b).__getitem__, i, j, m))
+        e = rng.exponential(size=(100, m + 1))
+        x0 = e / e.sum(axis=1, keepdims=True)
+        x = np.concatenate([x0[:, list(order)] for order in itertools.permutations(range(m + 1))])
+        per_rows = np.array([[lam[k] for k in p] for p, _ in walked])
+        per_wts = np.array([weight for _, weight in walked])
+        lam_rows, wts, _ = resolvent._multiset_columns(walked, lam)
+        assert len(wts) < len(walked)
+
+        def integral(x, rows, weights):
+            return np.mean(resolvent._path_sums(x, rows, weights, 0.5, m))
+
+        # A_m, the order's sum of moduli, scales the rounding of either evaluation (TestBlockedFeynmanIntegrand)
+        magnitude = np.mean((abs(per_wts) / abs(x @ per_rows.T + 0.5j) ** (m + 1)).sum(axis=1))
+        bound = 4 * (m + 2) * np.finfo(float).eps * magnitude
+        assert abs(integral(x, lam_rows, wts) - integral(x, per_rows, per_wts)) <= bound
+        # on the draws alone, not symmetrized, the two estimators differ by Monte Carlo error, far past rounding
+        assert abs(integral(x0, lam_rows, wts) - integral(x0, per_rows, per_wts)) > 1e6 * bound

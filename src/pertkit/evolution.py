@@ -4,7 +4,8 @@ The simplex integrals of the exponential and Dyson expansions are the terms
 of the cascade ``Y_m' = A Y_m + B Y_{m-1}``, ``Y(0) = [I, 0, ..., 0]``: the
 first block column of ``e^{tL}``, ``L`` block lower-bidiagonal with ``A`` on
 the diagonal and ``B`` below it (Van Loan, 1978), computed exactly as one
-``(m_max + 1, n, n)`` array:
+``(m_max + 1, n, n)`` array by :func:`matcore.cascade`, the kernel of every
+matrix exponential:
 
 * exponential series: ``T_m = Y_m(A, B)``; ``sum_m T_m(t)`` approximates
   ``e^{t(A+B)}``;
@@ -110,6 +111,7 @@ def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Sc
 #: Largest accepted step-doubling estimate of :func:`_doubled_steps`.
 _MAX_STEP_ESTIMATE = 1e-4
 _RICHARDSON = 15.0  # 2^4 - 1, the Richardson factor of a fourth-order step
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _magnus(h0, hm, h1, c):
@@ -158,37 +160,23 @@ def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.nd
 
 
 def remainder_bound(t: float, norm_a: float, norm_b: float, k: int) -> float:
-    """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade."""
+    """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade;
+    :class:`ArgumentError` when the bound itself overflows a float."""
     if not all(0 <= x < math.inf for x in (t, norm_a, norm_b)):
         raise ArgumentError("t and the norms must be finite and nonnegative")
     matcore.check_order(k, "k")
-    return t**k / math.factorial(k) * norm_b**k * math.exp(t * (norm_a + norm_b))
-
-
-def _cascade(a, b, t: float, m_max: int) -> np.ndarray:
-    """First block column ``[Y_0, ..., Y_{m_max}]`` of ``e^{tL}``.  Powers of
-    ``L`` are block lower-triangular Toeplitz, so a column determines its
-    matrix and a squaring is the block convolution ``sum_k E_{m-k} E_k``."""
-    if not 0 <= t < math.inf:
-        raise ArgumentError("t must be finite and nonnegative")
-    matcore.check_order(m_max, "m_max")
-    a, b = matcore.as_pair(a, b)
-    # ||hL||_2 <= ||hA||_2 + ||hB||_2 <= h (||A||_F + ||B||_F) <= 1/2
-    s = max(0, math.frexp(2.0 * t * (np.linalg.norm(a) + np.linalg.norm(b)))[1])
-    h = t / 2.0**s
-    one = np.zeros((m_max + 1,) + a.shape, dtype=complex)
-    one[0] = np.eye(a.shape[0])
-    # Taylor polynomial by Horner.  Block m carries m factors of hB, so degree
-    # 16 + m_max leaves each block a remainder within theta^17 e^theta / 17!
-    # (below 3.6e-20 at theta = 1/2, under 2^-53) of (h ||B||_2)^m / m!
-    e = one
-    for k in range(16 + m_max, 0, -1):
-        le = a @ e
-        le[1:] += b @ e[:-1]
-        e = one + (h / k) * le
-    for _ in range(s):
-        e = np.stack([np.matmul(e[m::-1], e[: m + 1]).sum(axis=0) for m in range(m_max + 1)])
-    return e
+    try:
+        bound = t**k / math.factorial(k) * norm_b**k * math.exp(t * (norm_a + norm_b))
+    except OverflowError:  # k! or the exponential alone, not necessarily the bound
+        bound = math.inf
+    if bound < math.inf:
+        return bound
+    if k and t * norm_b == 0:
+        return 0.0
+    log_bound = (k and k * math.log(t * norm_b)) - math.lgamma(k + 1) + t * (norm_a + norm_b)
+    if log_bound >= _LOG_MAX:
+        raise ArgumentError(f"remainder bound overflows: e^{log_bound:.4g} at t={t:g}, order {k}")
+    return math.exp(log_bound)
 
 
 def exp_series_terms(a, b, t: float, m_max: int) -> list:
@@ -198,7 +186,7 @@ def exp_series_terms(a, b, t: float, m_max: int) -> list:
     with ``T_0 = e^{tA}`` exactly; the defect of ``sum_{m<=m_max} T_m(t)`` is
     bounded by ``remainder_bound(m_max+1)``.
     """
-    return list(_cascade(a, b, t, m_max))
+    return list(matcore.cascade(a, b, t, m_max))
 
 
 def dyson_terms(a, b, t: float, m_max: int, exp_ita=None) -> list:
@@ -209,7 +197,7 @@ def dyson_terms(a, b, t: float, m_max: int, exp_ita=None) -> list:
     caller that already holds ``e^{itA}`` passes it as ``exp_ita``.
     """
     a, b = matcore.as_pair(a, b)
-    y = _cascade(-1j * a, -1j * b, t, m_max)
+    y = matcore.cascade(-1j * a, -1j * b, t, m_max)
     exp_ita = matcore.expm(1j * t * a) if exp_ita is None else exp_ita
     return [np.eye(a.shape[0], dtype=complex)] + list(exp_ita @ y[1:])
 

@@ -2,21 +2,25 @@
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 This module provides the validated core every other module builds on:
-spectral norm, guarded inverse, Hermitian eigendecomposition, matrix
-exponential, circular contour quadrature of analytic maps, the one time grid,
-:class:`TimeGrid`, with the one set of quadrature weights, and the one
-truncated-series type, :class:`Series`.
+spectral norm, guarded inverse, Hermitian eigendecomposition, the one
+matrix-exponential kernel, :func:`cascade` (a Taylor polynomial with scaling
+and squaring, whose single block is :func:`expm`), circular contour
+quadrature of analytic maps, the one time grid, :class:`TimeGrid`, with the
+one set of quadrature weights, and the one truncated-series type,
+:class:`Series`.  It needs numpy alone.
 
 Guard policy: every Hermiticity, diagonality, level-index, operand-shape,
 rate and singularity decision is made here: an ``(A, B)`` pair passes
 :func:`as_pair` and a rate :func:`check_positive`.  :func:`is_hermitian`,
 :func:`is_diagonal` and :func:`inverse` first try to decide from O(n^2)
 Frobenius norms, via ``||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F``, and
-accept or reject only with a factor-2 margin and finite norms.  Otherwise the exact SVD test
-runs, so every verdict is the SVD verdict.  :func:`is_hermitian` also
-takes a ``(k, n, n)`` stack and decides every slice at once from plain sums
-of squares, with the same margins; a slice whose sum may have underflowed
-or overflowed falls back to the single-matrix test.  :func:`solve` keeps
+accept or reject only with a factor-2 margin and finite norms; a Frobenius
+norm is one sum of squares, rescaled where it may have underflowed.
+Otherwise the exact SVD test runs, so every verdict is the SVD verdict.
+:func:`is_hermitian` also takes a ``(k, n, n)`` stack and decides every
+slice at once from plain sums of squares, with the same margins; a slice
+whose sum may have underflowed or overflowed falls back to the single-matrix
+test.  :func:`solve` keeps
 its SVD test, and reported norms are always :func:`op_norm`.
 
 Factor once: a Hermitian matrix is decomposed once by :func:`eig_hermitian`,
@@ -36,8 +40,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dznrm2
 
 from .errors import (
     ArgumentError,
@@ -117,8 +119,18 @@ def herm_defect(m) -> float:
 
 
 def _fro(x: np.ndarray) -> float:
-    """Frobenius norm by BLAS ``nrm2``, which scales and so cannot underflow."""
-    return float(dznrm2(x.ravel()))
+    """Frobenius norm from one sum of squares, trusted when finite and at
+    least 1e-280 as in :func:`is_hermitian`'s stack; otherwise the sum is
+    taken of ``x`` over its largest modulus, so it cannot underflow."""
+    sq = np.vdot(x, x).real
+    if math.isfinite(sq) and sq >= 1e-280:
+        return math.sqrt(sq)
+    with np.errstate(over="ignore"):
+        big = float(np.abs(x).max())
+    if not 0.0 < big < math.inf:
+        return big
+    y = x / big
+    return big * math.sqrt(np.vdot(y, y).real)
 
 
 def _decide(a: np.ndarray, rtol: float, defect_lo: float, defect_hi: float, exact) -> bool:
@@ -330,9 +342,45 @@ class TimeGrid:
         return h * np.arange(even.steps + 1), simpson_weights(even.steps, h)
 
 
+def cascade(a, b, t: float, m_max: int) -> np.ndarray:
+    """First block column ``[Y_0, ..., Y_{m_max}]`` of ``e^{tL}``, ``L`` block
+    lower-bidiagonal with ``A`` on the diagonal and ``B`` below it (Van Loan,
+    1978): ``Y_m' = A Y_m + B Y_{m-1}``, ``Y(0) = [I, 0, ..., 0]``.  Powers of
+    ``L`` are block lower-triangular Toeplitz, so a column determines its
+    matrix and a squaring is the block convolution ``sum_k E_{m-k} E_k``.
+    A result that overflows raises :class:`ArgumentError`."""
+    if not 0 <= t < math.inf:
+        raise ArgumentError("t must be finite and nonnegative")
+    check_order(m_max, "m_max")
+    a, b = as_pair(a, b)
+    # ||hL||_2 <= ||hA||_2 + ||hB||_2 <= h (||A||_F + ||B||_F) <= 1/2
+    theta = t * (_fro(a) + _fro(b))
+    s = max(0, math.frexp(2.0 * theta)[1])
+    h = t / 2.0**s
+    one = np.zeros((m_max + 1,) + a.shape, dtype=complex)
+    one[0] = np.eye(a.shape[0])
+    # Taylor polynomial by Horner.  Block m carries m factors of hB, so degree
+    # 16 + m_max leaves each block a remainder within theta^17 e^theta / 17!
+    # (below 3.6e-20 at theta = 1/2, under 2^-53) of (h ||B||_2)^m / m!
+    e = one
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(16 + m_max, 0, -1):
+            le = a @ e
+            le[1:] += b @ e[:-1]
+            e = one + (h / k) * le
+        for _ in range(s):
+            e = np.stack([np.matmul(e[m::-1], e[: m + 1]).sum(axis=0) for m in range(m_max + 1)])
+    if not np.isfinite(e).all():
+        raise ArgumentError(f"exponential overflows: t (||A||_F + ||B||_F) = {theta:.3g}")
+    return e
+
+
 def expm(m) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (Pade core)."""
-    return scipy.linalg.expm(as_matrix(m, square=True))
+    """Matrix exponential ``e^M``: the single block of :func:`cascade` with
+    ``B = 0`` and ``t = 1``, a Taylor polynomial on ``M / 2^s`` and ``s``
+    squarings."""
+    a = as_matrix(m, square=True)
+    return cascade(a, np.zeros_like(a), 1.0, 0)[0]
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,10 @@ from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
 #: Partial paths one walk of :func:`index_paths` may extend.
 PATH_CAP = 10**6
-#: Samples times walked paths of one order: a bound on work.  The integrand runs per multiset
-#: column, of which there are at most as many as walked paths; no (samples, columns) array is formed.
-#: The cube of a recursive grid's depth, the work of its Gauss-Legendre rule, is held to it too.
+#: Samples times multiset columns of one order: a bound on the integrand's work, which runs once
+#: per (sample, column) in blocks; no (samples, columns) array is formed.  The walk that finds the
+#: columns is bounded by PATH_CAP.  The cube of a recursive grid's depth, the work of its
+#: Gauss-Legendre rule, is held to this cap too.
 INTEGRAND_CAP = 2**28
 #: (sample, column) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
 BLOCK_ENTRIES = 2**16
@@ -250,7 +251,7 @@ def feynman_parameter_entry(
     enumerated exhaustively and summed by the multiset of their intermediate
     levels (:func:`_multiset_columns`), so the integrand runs once per column:
     ``C(n+m-2, m-1)`` of them for a dense ``B`` against ``n^(m-1)`` paths.
-    :data:`INTEGRAND_CAP` still bounds samples times walked paths.
+    :data:`INTEGRAND_CAP` bounds samples times columns, :data:`PATH_CAP` the walk.
     Monte-Carlo sampling reports a standard error.
     """
     matcore.check_positive(tau, "tau")
@@ -265,8 +266,9 @@ def feynman_parameter_entry(
     for m in range(m_max + 1):
         lam_rows, wts, paths = _multiset_columns(index_paths(links, i, j, m), lam)
         samples = q.samples_or_depth ** m if q.method == "recursive-grid" else q.samples_or_depth
-        if samples * paths > INTEGRAND_CAP:
-            raise EnumerationLimitError(f"order {m}: {samples} samples x {paths} paths exceed cap {INTEGRAND_CAP}")
+        if samples * len(wts) > INTEGRAND_CAP:
+            raise EnumerationLimitError(
+                f"order {m}: {samples} samples x {len(wts)} columns of {paths} paths exceed cap {INTEGRAND_CAP}")
         orders.append((lam_rows, wts))
     order_values = []
     variance = 0.0

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -598,6 +599,21 @@ class TestOperandContract:
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
         self._fails(capsys, [command, "--a", p["a"], "--b", p["b"]] + args, ArgumentError, message)
 
+    @pytest.mark.parametrize("t, code", [("1000", ArgumentError.exit_code), ("400", 0)])
+    def test_dyson_refuses_an_exponential_past_the_float_range(self, tmp_path, capsys, t, code):
+        # n = 8, ||A|| = 1, ||B|| = 0.5: e^{t(A+B)} reaches e^{1.5 t} > e^{709.8}, the largest float, at
+        # t = 1000; the squaring's overflow used to be a MatrixFormatError that blamed the input
+        a, b = random_hermitian(8, 1.0, 1), random_hermitian(8, 1.0, 2)
+        p = _save(tmp_path, a=a / matcore.op_norm(a), b=0.5 * b / matcore.op_norm(b))
+        start = time.perf_counter()
+        got = cli.main(["dyson", "--a", p["a"], "--b", p["b"], "--t", t, "--orders", "3"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert got == code and elapsed < 1.0
+        if code:
+            assert re.fullmatch(r"error\[7\]: exponential overflows: t \(\|\|A\|\|_F \+ \|\|B\|\|_F\) = \S+\n",
+                                captured.err) and captured.out == ""
+
     @pytest.mark.parametrize("cutoff", ["nan", "inf"])
     def test_tensor_conv_with_a_non_finite_cutoff(self, tmp_path, capsys, cutoff):
         p = _save(tmp_path, a1=np.diag([0.0, 1.0]), a2=np.diag([0.5, 2.0]))
@@ -628,6 +644,47 @@ def test_eig_perturb_checks_the_level_it_follows_on_a_permuted_diagonal(tmp_path
     checks = [line.split(",")[0] for line in lines[lines.index("# residuals") + 1:]]
     assert {"first_order_diagonal", "second_order_diagonal", "fourth_order_closed_form"} <= set(checks)
     np.testing.assert_allclose(coeffs, sorted_coeffs, rtol=0, atol=1e-12)
+
+
+#: One small job of every CLI command and library call the benchmark workloads run, then the scipy
+#: modules loaded; run in a fresh interpreter, since the test process itself imports scipy.
+NO_SCIPY_JOBS = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from pertkit import cli, matcore, scattering, spectral
+    codes = [cli.main(["--out", "report.csv"] + argv) for argv in json.load(open("jobs.json"))]
+    a, b = np.diag([0.0, 1.0, 2.5, 4.0]), 0.05 * np.ones((4, 4))
+    spectral.projection_coefficients(a, b, matcore.ContourSpec(center=1.0, radius=0.5, num_points=64), 2)
+    scattering.s_matrix_unitarity_defect(a, b, 0.5)
+    print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+""")
+
+
+def test_no_workload_command_loads_scipy(tmp_path):
+    # scipy is a test-only dependency: pertkit computes e^M and Frobenius norms with numpy alone
+    a, b = np.diag([1.0, 1.5, 2.0, 3.0]), 0.1 * random_hermitian(4, 1.0, 2)
+    _save(tmp_path, a=a, b=b, a1=random_hermitian(3, 1.0, 5), a2=random_hermitian(3, 1.0, 6),
+          ha=np.diag([0.0, 1.0]), hb=0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "smootherstep"}))
+    (tmp_path / "model.json").write_text(json.dumps(TestCliCommands.DIAGRAM_MODEL))
+    pair = ["--a", "a.json", "--b", "b.json"]
+    jobs = [
+        ["resolvent", *pair, "--order", "3", "--tau", "0.5", "--entry", "0,1"],
+        ["eig-perturb", *pair, "--index", "1", "--order", "4"],
+        ["scatter", *pair, "--i", "0", "--j", "1", "--tau", "0.5", "--order", "3"],
+        ["tensor", "conv", "--a1", "a1.json", "--a2", "a2.json", "--omega", "0.3", "--eps", "0.5", "--cutoff", "200"],
+        ["demo", "harmonic-oscillator", "--grid-size", "80", "--epsilon", "0.01"],
+        ["demo", "three-particle", "--grid-radius", "1"],
+        ["dyson", *pair, "--t", "1.0", "--orders", "4"],
+        ["adiabatic", "--schedule", "sched.json", "--eta-list", "50,100,200", "--index", "0", "--steps-per-eta", "40"],
+        ["diagrams", "--model", "model.json", "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.05"],
+    ]
+    (tmp_path / "jobs.json").write_text(json.dumps(jobs))
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_JOBS], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(jobs), []]
 
 
 def test_the_cli_uses_only_public_library_names():

@@ -186,7 +186,7 @@ def test_the_contract_finds_the_operand_and_rate_api():
     assert "scattering.s_entry_time_average" in RATE_API and "tensor.convolution_resolvent" not in ORDER_API
     assert {
         "evolution.remainder_bound", "evolution.exp_series_terms", "evolution.dyson_terms",
-        "evolution.propagator_time_dependent", "tensor.exp_factorization_check",
+        "evolution.propagator_time_dependent", "tensor.exp_factorization_check", "matcore.cascade",
     } == TIME_API.keys()
     assert {
         "matcore.check_index", "resolvent.feynman_parameter_entry", "spectral.default_contour",
@@ -304,6 +304,19 @@ def test_a_float_step_count_within_the_cap_is_truncated_and_floored(count, at_le
     assert matcore.TimeGrid.of(count, at_least) == matcore.TimeGrid(steps)
 
 
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: evolution.remainder_bound(1000.0, 1.0, 0.5, 3), r"^remainder bound overflows: e\^1517 at t=1000, order 3$"),
+    (lambda: evolution.exp_series_terms(A, B, 1000.0, 3), "^exponential overflows: t "),
+    (lambda: evolution.dyson_terms(1j * A, B, 1000.0, 3), "^exponential overflows: t "),
+], ids=["remainder-bound", "exp-series", "dyson-non-hermitian"])
+def test_a_result_past_the_float_range_is_refused(refuse, message):
+    # e^x passes the largest float at x = 709.8: an untyped OverflowError, or a non-finite result
+    start = time.perf_counter()
+    with pytest.raises(ArgumentError, match=message):
+        refuse()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_an_empty_enumeration_sums_to_zero():
     zero = np.zeros((2, 2))
     entry = _call(resolvent.feynman_parameter_entry, b=zero)  # i != j: no path at any order
@@ -333,13 +346,30 @@ def test_a_huge_enumeration_is_refused_up_front(n, order):
 
 
 def test_a_simplex_integrand_past_2_gib_is_refused():
-    # n = 40, order 4: 40**3 paths times 20,000 samples is past the 2**28-entry work bound,
-    # which a 2 GiB float64 x @ lam_rows.T would hold were the integrand formed at once
-    a, b = np.diag(np.arange(1.0, 41.0)), 0.001 * np.ones((40, 40))
+    # n = 45, order 4: 45**3 paths fall into C(47, 3) = 16,215 multiset columns, and those times
+    # 20,000 samples are past the 2**28-entry work bound, which a 2 GiB float64 x @ lam_rows.T
+    # would hold were the integrand formed at once
+    a, b = np.diag(np.arange(1.0, 46.0)), 0.001 * np.ones((45, 45))
     start = time.perf_counter()
-    with pytest.raises(EnumerationLimitError, match="order 4: 20000 samples x 64000 paths exceed cap 268435456"):
+    with pytest.raises(EnumerationLimitError,
+                       match="order 4: 20000 samples x 16215 columns of 91125 paths exceed cap 268435456"):
         resolvent.feynman_parameter_entry(a, b, 0, 1, 0.5, 4, resolvent.SimplexQuadrature())
     assert time.perf_counter() - start < 1.0
+
+
+def test_an_integrand_within_the_cap_by_columns_runs():
+    # n = 8, order 6: 8**5 = 32,768 paths times 8,200 samples passed the cap when it counted paths; the
+    # integrand runs over C(12, 5) = 792 columns, 6.5e6 sample-columns
+    rng = np.random.default_rng(0)
+    lam, b = np.linspace(1.0, 3.0, 8), rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    b = 0.3 * (b + b.conj().T) / np.linalg.norm(b + b.conj().T, 2)
+    assert 8200 * 8**5 > resolvent.INTEGRAND_CAP
+    start = time.perf_counter()
+    q = resolvent.SimplexQuadrature(samples_or_depth=8200)
+    entry = resolvent.feynman_parameter_entry(np.diag(lam), b, 0, 1, 0.5, 6, q)
+    assert time.perf_counter() - start < 2.0
+    want = resolvent.series_terms(np.diag(lam) + 0.5j * np.eye(8), b, 7).terms[:, 0, 1].sum()
+    assert abs(entry.value - want) <= 3.0 * entry.std_error  # measured 0.70 of the standard error
 
 
 def test_a_diagrams_job_with_no_paths_exits_zero(tmp_path, capsys):

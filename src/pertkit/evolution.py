@@ -108,6 +108,16 @@ def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Sc
     return _RampedSchedule(a, b, _ramp(ramp))
 
 
+#: Steps per batched eigendecomposition; a bounded block keeps memory flat.
+_BLOCK = 64
+
+
+def _blocks(steps: int) -> list:
+    """``(k0, k1)`` step ranges of :data:`_BLOCK` steps each; a lone last step
+    joins the block before it, so that every step gets a doubling estimate."""
+    return [(k0, k0 + _BLOCK if steps - k0 > _BLOCK + 1 else steps) for k0 in range(0, steps - 1, _BLOCK)]
+
+
 #: Largest accepted step-doubling estimate of :func:`_doubled_steps`.
 _MAX_STEP_ESTIMATE = 1e-4
 _RICHARDSON = 15.0  # 2^4 - 1, the Richardson factor of a fourth-order step
@@ -160,17 +170,11 @@ def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.nd
 
 
 def remainder_bound(t: float, norm_a: float, norm_b: float, k: int) -> float:
-    """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade;
-    :class:`ArgumentError` when the bound itself overflows a float."""
+    """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade,
+    taken in logarithms; :class:`ArgumentError` when it overflows a float."""
     if not all(0 <= x < math.inf for x in (t, norm_a, norm_b)):
         raise ArgumentError("t and the norms must be finite and nonnegative")
     matcore.check_order(k, "k")
-    try:
-        bound = t**k / math.factorial(k) * norm_b**k * math.exp(t * (norm_a + norm_b))
-    except OverflowError:  # k! or the exponential alone, not necessarily the bound
-        bound = math.inf
-    if bound < math.inf:
-        return bound
     if k and t * norm_b == 0:
         return 0.0
     log_bound = (k and k * math.log(t * norm_b)) - math.lgamma(k + 1) + t * (norm_a + norm_b)
@@ -220,15 +224,19 @@ def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.
     g.check_size(2 * a.size)  # H at each node and each midpoint
     h = (t - s) / g.steps
     ts = s + (h / 2) * np.arange(2 * g.steps + 1)
-    hs = np.array([a + matcore.as_pair(a, b_of_t(tt))[1] for tt in ts])
-    for j in np.flatnonzero(~matcore.is_hermitian(hs))[:1]:
-        matcore.require_hermitian(hs[j], what=f"A + B({ts[j]:g})")
-    steps, _, est = _doubled_steps(hs[0::2], hs[1::2], np.full(g.steps, h))
-    for j in np.flatnonzero(~(est <= _MAX_STEP_ESTIMATE))[:1]:  # a NaN estimate fails too
-        raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * j + 2]:g}; refine the grid")
+    hs = np.empty(ts.shape + a.shape, dtype=complex)
+    for k, tt in enumerate(ts):
+        hs[k] = a + matcore.as_pair(a, b_of_t(tt))[1]
+    for k0 in range(0, ts.size, 2 * _BLOCK):  # every H is decided before any step
+        for j in np.flatnonzero(~matcore.is_hermitian(hs[k0:k0 + 2 * _BLOCK]))[:1]:
+            matcore.require_hermitian(hs[k0 + j], what=f"A + B({ts[k0 + j]:g})")
     u = eye
-    for step in steps:
-        u = step @ u
+    for k0, k1 in _blocks(g.steps):
+        steps, _, est = _doubled_steps(hs[2 * k0:2 * k1 + 1:2], hs[2 * k0 + 1:2 * k1:2], np.full(k1 - k0, h))
+        for j in np.flatnonzero(~(est <= _MAX_STEP_ESTIMATE))[:1]:  # a NaN estimate fails too
+            raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * (k0 + j) + 2]:g}; refine the grid")
+        for step in steps:
+            u = step @ u
     return u
 
 
@@ -242,10 +250,10 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     matcore.check_positive(t_max, "t_max")
     a, b = matcore.as_pair(a, b)
     m = a + b
-    ts, weights = g.simpson(t_max, m.shape[0])
     try:
         dec = matcore.eig_hermitian(m, what="A+B")
     except matcore.NotHermitianError:
+        ts, weights = g.simpson(t_max, m.shape[0])
         # on the uniform grid e^{i t_k M} is the k-th power of U = e^{i h M}: one exponential, one product per node
         u = matcore.expm(1j * ts[1] * m)
         power = np.eye(m.shape[0], dtype=complex)
@@ -254,11 +262,9 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
             total += w_k * math.exp(-tau * t_k) * power
             power = power @ u
         return -1j * total
-    lam, v = dec.eigenvalues, dec.eigenvectors
     # diagonal quadrature per eigenvalue
-    phases = np.exp((1j * lam[None, :] - tau) * ts[:, None])  # (T, n)
-    diag = -1j * (weights[:, None] * phases).sum(axis=0)
-    return (v * diag) @ v.conj().T
+    diag = -1j * g.damped(t_max, dec.eigenvalues, tau).sum(axis=0)
+    return (dec.eigenvectors * diag) @ dec.eigenvectors.conj().T
 
 
 def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:
@@ -297,10 +303,6 @@ class AdiabaticResult:
     eigenvalue_path: np.ndarray
     final_eigenvector: np.ndarray
     step_doubling_error: float
-
-
-#: Steps per batched eigendecomposition; a bounded block keeps memory flat.
-_BLOCK = 64
 
 
 def _nearest_gaps(w: np.ndarray) -> np.ndarray:
@@ -345,8 +347,8 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
     lam_path[0] = dec0.eigenvalues[i]
     idxs, vecs = [i], dec0.eigenvectors[None]
 
-    for k0 in range(0, steps - 1, _BLOCK):
-        ts = nodes[k0:k0 + _BLOCK if steps - k0 > _BLOCK + 1 else steps]
+    for k0, k1 in _blocks(steps):
+        ts = nodes[k0:k1]
         hks = (ts + h) - ts  # the width of one step on [t, t + h]
         # H at each step's midpoint and end, through a step whose evaluation
         # raises; non-finite and non-Hermitian ones fail the mask and are zeroed

@@ -76,15 +76,24 @@ def matrix_from_json(obj) -> np.ndarray:
     raise MatrixFormatError(f"bad matrix entry at index {k} (row {k // cols}, col {k % cols}): {cells[k]!r}")
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Parse a matrix file; errors carry file and field context."""
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the ``what`` file ``path``; :class:`MatrixFormatError`
+    naming it when it cannot be read, is not JSON or is not an object."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except OSError as exc:
-        raise MatrixFormatError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # and bytes past UTF-8 or the nesting depth
+        raise MatrixFormatError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+        raise MatrixFormatError(f"{what} {path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(obj, dict):
+        raise MatrixFormatError(f"{what} {path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def load_matrix(path: str) -> np.ndarray:
+    """Parse a matrix file; errors carry file and field context."""
+    obj = _read_json(path, "matrix")
     try:
         return matrix_from_json(obj)
     except MatrixFormatError as exc:
@@ -108,22 +117,18 @@ def save_matrix(path: str, m) -> None:
 def load_schedule(path: str):
     """Schedule file: ``{"a": "A.json", "b": "B.json", "ramp": "linear"}``.
 
-    Matrix paths are resolved relative to the schedule file.  Returns the
-    pair of matrices and the ramp name.
+    Matrix paths are resolved relative to the schedule file, and all three
+    values are strings; ``ramp`` defaults to ``"linear"``.  Returns the pair
+    of matrices and the ramp name.
     """
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MatrixFormatError(f"cannot read schedule {path}: {exc}") from exc
+    obj = {"ramp": "linear", **_read_json(path, "schedule")}
+    for key in ("a", "b", "ramp"):
+        if key not in obj:
+            raise MatrixFormatError(f"schedule {path}: missing key {key!r}")
+        if not isinstance(obj[key], str):
+            raise MatrixFormatError(f"schedule {path}: {key!r} must be a string, got {obj[key]!r}")
     base = os.path.dirname(os.path.abspath(path))
-    try:
-        a = load_matrix(os.path.join(base, obj["a"]))
-        b = load_matrix(os.path.join(base, obj["b"]))
-        ramp = obj.get("ramp", "linear")
-    except KeyError as exc:
-        raise MatrixFormatError(f"schedule {path}: missing key {exc}") from exc
-    return a, b, ramp
+    return load_matrix(os.path.join(base, obj["a"])), load_matrix(os.path.join(base, obj["b"])), obj["ramp"]
 
 
 def load_model(path: str) -> TrilinearVertex:
@@ -133,11 +138,7 @@ def load_model(path: str) -> TrilinearVertex:
        "max_particles": 7}`` with the trilinear vertex rule and dispersion
     ``sqrt(m^2 + p^2)``; the Fock cutoff ``max_particles`` is optional (7).
     """
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MatrixFormatError(f"cannot read model {path}: {exc}") from exc
+    obj = _read_json(path, "model")
     try:
         masses = {sp["name"]: float(sp["mass"]) for sp in obj["species"]}
         names = tuple(sp["name"] for sp in obj["species"])

@@ -5,9 +5,9 @@ This module provides the validated core every other module builds on:
 spectral norm, guarded inverse, Hermitian eigendecomposition, the one
 matrix-exponential kernel, :func:`cascade` (a Taylor polynomial with scaling
 and squaring, whose single block is :func:`expm`), circular contour
-quadrature of analytic maps, the one time grid, :class:`TimeGrid`, with the
-one set of quadrature weights, and the one truncated-series type,
-:class:`Series`.  It needs numpy alone.
+quadrature of analytic maps, the one time grid, :class:`TimeGrid`, with its
+quadrature weights and damped exponentials, and the one truncated-series
+type, :class:`Series`.  It needs numpy alone.
 
 Guard policy: every Hermiticity, diagonality, level-index, operand-shape,
 rate and singularity decision is made here: an ``(A, B)`` pair passes
@@ -20,8 +20,8 @@ Otherwise the exact SVD test runs, so every verdict is the SVD verdict.
 :func:`is_hermitian` also takes a ``(k, n, n)`` stack and decides every
 slice at once from plain sums of squares, with the same margins; a slice
 whose sum may have underflowed or overflowed falls back to the single-matrix
-test.  :func:`solve` keeps
-its SVD test, and reported norms are always :func:`op_norm`.
+test.  :func:`solve` takes :func:`inverse`'s verdict, and reported norms are
+always :func:`op_norm`.
 
 Factor once: a Hermitian matrix is decomposed once by :func:`eig_hermitian`,
 which is also the one Hermiticity decision on it and names it in a refusal,
@@ -234,11 +234,9 @@ def inverse(m) -> np.ndarray:
 
 
 def solve(m, rhs) -> np.ndarray:
-    """Guarded linear solve ``m @ x = rhs`` with the same singularity policy."""
+    """Guarded linear solve ``m @ x = rhs``: :func:`inverse` is the singularity test."""
     a = as_matrix(m, square=True)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] < SINGULARITY_RTOL * max(s[0], 1e-300):
-        raise SingularMatrixError("linear system singular to tolerance")
+    inverse(a)
     return np.linalg.solve(a, np.asarray(rhs, dtype=complex))
 
 
@@ -340,6 +338,15 @@ class TimeGrid:
         even.check_size(per_node)
         h = t_end / even.steps
         return h * np.arange(even.steps + 1), simpson_weights(even.steps, h)
+
+    def damped(self, t_end: float, freqs: np.ndarray, rate: float) -> np.ndarray:
+        """``w_k e^{(i f - rate) t_k}`` on the :meth:`simpson` grid, one ``(nodes, len(freqs))``
+        array formed in place, which sums to ``integral_0^{t_end} e^{(i f - rate) t} dt``."""
+        ts, weights = self.simpson(t_end, len(freqs))
+        out = (1j * freqs[None, :] - rate) * ts[:, None]
+        np.exp(out, out=out)
+        out *= weights[:, None]
+        return out
 
 
 def cascade(a, b, t: float, m_max: int) -> np.ndarray:

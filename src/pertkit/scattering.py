@@ -125,10 +125,9 @@ def s_entry_time_average(a, b, q: ScatteringQuery, t_max: float,
     amp = (w.conj().T @ vecs[:, q.i]).conj() * (w.conj().T @ vecs[:, q.j])
     freq = 2.0 * mu - lam[q.i] - lam[q.j]
 
-    ts, weights = g.simpson(t_max, lam.size)
-    phases = np.exp((1j * freq[None, :] - 2.0 * q.tau) * ts[:, None])
-    integral = complex(np.sum(weights[:, None] * phases * amp[None, :]))
-    return 2.0 * q.tau * integral
+    terms = g.damped(t_max, freq, 2.0 * q.tau)
+    terms *= amp[None, :]
+    return 2.0 * q.tau * complex(np.sum(terms))
 
 
 def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
@@ -158,6 +157,15 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     return matcore.Series(terms, float(ratio))
 
 
+def path_terms(paths, energy, shift: complex):
+    """The term ``weight / prod_k (energy(k) - shift)`` of each ``(path,
+    weight)`` pair, over the inner states ``k`` of the path in path order."""
+    for path, weight in paths:
+        for k in path[1:-1]:
+            weight /= energy(k) - shift
+        yield weight
+
+
 def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     """Order-``ell`` series term as an explicit multi-index sum (diagonal A).
 
@@ -176,9 +184,7 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     q.check_indices(lam.size)
     lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
 
-    total = 0.0 + 0.0j
-    for path, w in index_paths(dense_links(b).__getitem__, q.i, q.j, ell):
-        total += w / math.prod(lam[k] - lt for k in path[1:-1])
+    total = sum(path_terms(index_paths(dense_links(b).__getitem__, q.i, q.j, ell), lam.__getitem__, lt))
     return complex(term_prefactor(lam[q.i], lam[q.j], q.tau, ell) * total)
 
 

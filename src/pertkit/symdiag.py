@@ -446,12 +446,6 @@ def group_terms_by_diagram(bop: SparseInteraction, i: MultisetState, j: Multiset
     return dict(groups)
 
 
-def _path_weight(bop: SparseInteraction, path, weight: complex, lambda_shift: complex) -> complex:
-    for k in path[1:-1]:
-        weight /= bop.free_energy(k) - lambda_shift
-    return weight
-
-
 def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
     """Value of every diagram of ``groups``, the order-``ell`` paths from ``i``
     to ``j`` as :func:`group_terms_by_diagram` grouped them.
@@ -469,7 +463,7 @@ def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
         lam_i, lam_j = bop.free_energy(i), bop.free_energy(j)
         shift = scattering.lambda_shift(lam_i, lam_j, tau)
         pref = scattering.term_prefactor(lam_i, lam_j, tau, ell)
-        out[diagram] = pref * sum(_path_weight(bop, p, w, shift) for p, w in pairs)
+        out[diagram] = pref * sum(scattering.path_terms(pairs, bop.free_energy, shift))
     return out
 
 

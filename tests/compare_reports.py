@@ -11,7 +11,9 @@ against each tree, in one child process per tree and workload, from that
 directory: a CLI job through ``pertkit.cli.main`` (its report bytes and exit
 code) and a library call through its own call (its body bytes).  The script
 prints, per workload and seed, the jobs whose bytes, exit code or raised
-error differ, with each differing line's differing fields, and exits 1 when any job differs.  pytest does not collect it.
+error differ, with each differing line's differing fields (a CSV field by
+index and column name), and exits 1 when any job differs.  pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -77,16 +79,29 @@ def _run_jobs(src: str, workload: str, seed: int, input_dir: str, result: str) -
 
 
 def _differences(a: bytes, b: bytes) -> str:
-    """Every differing line, by number, with its differing space-separated fields."""
+    """Every differing line, by number, with its differing fields: the
+    space-separated fields of a ``#`` line, and the comma-separated fields of
+    any other line, each by its index and the column name of its section's
+    header row (the first line of the body or after a ``#`` line)."""
     old, new = a.splitlines(), b.splitlines()
     if len(old) != len(new):
         return f"{len(old)} -> {len(new)} lines"
-    lines = []
+    lines, header, opens_section = [], [], True
     for k, (x, y) in enumerate(zip(old, new)):
+        comment = x.startswith(b"#")
+        if not comment and opens_section:
+            header = x.split(b",")
+        opens_section = comment
         if x != y:
-            fx, fy = x.split(b" "), y.split(b" ")
-            pairs = [(f, g) for f, g in zip(fx, fy) if f != g] if len(fx) == len(fy) else [(x, y)]
-            lines.append(f"line {k + 1}: " + "; ".join(f"{f[:120]!r} -> {g[:120]!r}" for f, g in pairs))
+            fx, fy = (x.split(b" "), y.split(b" ")) if comment else (x.split(b","), y.split(b","))
+            if len(fx) != len(fy):
+                pairs = [("", x, y)]
+            elif comment:
+                pairs = [("", f, g) for f, g in zip(fx, fy) if f != g]
+            else:
+                pairs = [(f"[{i}{' ' + header[i].decode(errors='replace') if i < len(header) else ''}] ", f, g)
+                         for i, (f, g) in enumerate(zip(fx, fy)) if f != g]
+            lines.append(f"line {k + 1}: " + "; ".join(f"{n}{f[:120]!r} -> {g[:120]!r}" for n, f, g in pairs))
     return "\n    ".join(lines)
 
 

@@ -350,6 +350,26 @@ def simpson_grid_ref(steps, t_max):
     return ts, weights * (h / 3.0)
 
 
+def propagator_whole_grid_ref(a, b_of_t, s, t, steps):
+    """``propagator_time_dependent`` as one pass over its whole grid: every
+    ``A + B`` in one array, one Hermiticity decision and one
+    ``_doubled_steps`` call over all steps, the first failure raised."""
+    from pertkit import evolution
+
+    h = (t - s) / steps
+    ts = s + (h / 2) * np.arange(2 * steps + 1)
+    hs = np.array([a + np.asarray(b_of_t(tt), dtype=complex) for tt in ts])
+    for j in np.flatnonzero(~matcore.is_hermitian(hs))[:1]:
+        matcore.require_hermitian(hs[j], what=f"A + B({ts[j]:g})")
+    fine, _, est = evolution._doubled_steps(hs[0::2], hs[1::2], np.full(steps, h))
+    for j in np.flatnonzero(~(est <= evolution._MAX_STEP_ESTIMATE))[:1]:
+        raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * j + 2]:g}; refine the grid")
+    u = np.eye(a.shape[0], dtype=complex)
+    for step in fine:
+        u = step @ u
+    return u
+
+
 def laplace_bridge_ref(a, b, tau, t_max, steps):
     """``-i integral_0^t_max e^{it(A+B) - tau t} dt`` for Hermitian ``A + B``
     on :func:`simpson_grid_ref`, per eigenvalue of ``A + B``."""

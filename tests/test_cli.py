@@ -74,6 +74,22 @@ class TestMatrixIO:
         with pytest.raises(MatrixFormatError):
             iotools.load_matrix("/nonexistent/matrix.json")
 
+    @pytest.mark.parametrize("load, what", [(iotools.load_matrix, "matrix"), (iotools.load_schedule, "schedule"),
+                                            (iotools.load_model, "model")], ids=["matrix", "schedule", "model"])
+    def test_one_reader_names_the_kind_of_file(self, tmp_path, load, what):
+        path = tmp_path / "in.json"
+        name = re.escape(str(path))
+        for content, message in [(None, f"cannot read {what} {name}: .*No such file"),
+                                 (b"{", f"{what} {name}: invalid JSON at line 1"),
+                                 (b"\xff{}", f"cannot read {what} {name}: 'utf-8' codec can't decode"),
+                                 (b"[" * 100000, f"cannot read {what} {name}: maximum recursion depth"),
+                                 (b"[1, 2]", f"{what} {name}: expected a JSON object, got list"),
+                                 (b"null", f"{what} {name}: expected a JSON object, got NoneType")]:
+            if content is not None:
+                path.write_bytes(content)
+            with pytest.raises(MatrixFormatError, match=f"^{message}"):
+                load(str(path))
+
     def test_parse_state(self):
         s = iotools.parse_state("a:1,b:-1")
         assert s.particles == (("a", (-1,)), ("b", (1,))) or s.particles == (
@@ -557,6 +573,20 @@ class TestOperandContract:
         (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
         self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", "10,20,40",
                              "--index", "0"], ShapeError, "A and B must have the same shape, got (3, 3) and (1, 1)")
+
+    @pytest.mark.parametrize("schedule, message", [
+        ([1, 2], "expected a JSON object, got list"),
+        ({"a": 5, "b": "hb.json"}, "'a' must be a string, got 5"),
+        ({"a": "ha.json", "b": "hb.json", "ramp": 3}, "'ramp' must be a string, got 3"),
+        ({"a": "ha.json", "b": "hb.json", "ramp": None}, "'ramp' must be a string, got None"),
+        ({"a": "ha.json"}, "missing key 'b'"),
+    ], ids=["a-list", "a-number-for-a-path", "a-number-for-a-ramp", "a-null-ramp", "no-b"])
+    def test_adiabatic_with_a_malformed_schedule(self, tmp_path, capsys, schedule, message):
+        _save(tmp_path, ha=np.diag([0.0, 1.0]), hb=self.X2)
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(schedule))
+        self._fails(capsys, ["adiabatic", "--schedule", str(path), "--eta-list", "10,20,40", "--index", "0"],
+                    MatrixFormatError, f"schedule {path}: {message}")
 
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_adiabatic_with_a_non_finite_eta(self, tmp_path, capsys, eta):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 
 import reference
 from ensembles import random_hermitian
-from pertkit import evolution, matcore
+from pertkit import evolution, matcore, scattering
 from pertkit.errors import (
     ArgumentError,
     ContourEnclosureError,
@@ -59,6 +60,15 @@ class TestRemainderBound:
         # 100^200 and 200! each overflow a float; the bound 100^200 / 200! * e^100, about 3.4e68, does not
         exact = float(Fraction(100**200, math.factorial(200))) * math.exp(100.0)
         assert evolution.remainder_bound(100.0, 0.0, 1.0, 200) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("t, norm_a, norm_b, k", [(1.0, 1.0, 0.5, 4), (0.3, 2.0, 0.1, 1), (2.5, 0.7, 1.3, 9),
+                                                      (10.0, 3.0, 2.0, 30), (0.01, 0.0, 1e-3, 20)])
+    def test_the_logarithmic_form_is_within_rounding_of_the_exact_bound(self, t, norm_a, norm_b, k):
+        # (t ||B||)^k / k! in exact rationals; the exponential carries the rounding of the logarithms it sums
+        exact = float(Fraction(t * norm_b) ** k / math.factorial(k)) * math.exp(t * (norm_a + norm_b))
+        logs = abs(k * math.log(t * norm_b)) + math.lgamma(k + 1) + t * (norm_a + norm_b)
+        got = evolution.remainder_bound(t, norm_a, norm_b, k)
+        assert abs(got - exact) <= 4 * (1 + logs) * np.finfo(float).eps * exact
 
     @pytest.mark.parametrize("norms", [(math.nan, 1.0), (1.0, math.inf), (1.0, -1.0)])
     def test_a_norm_that_is_not_finite_and_nonnegative_raises_an_argument_error(self, norms):
@@ -147,6 +157,27 @@ class TestPropagator:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             evolution.propagator_time_dependent(np.eye(2), lambda t: np.zeros((2, 2)), 1.0, 0.0, evolution.TimeGrid(8))
+
+    @pytest.mark.parametrize("steps", [8, 9, evolution._BLOCK, evolution._BLOCK + 1, evolution._BLOCK + 2,
+                                       2 * evolution._BLOCK + 1, 3 * evolution._BLOCK - 5, 1001])
+    def test_blocks_are_bit_equal_to_one_pass_over_the_whole_grid(self, steps):
+        # a lone last step joins the block before it, so every step keeps its estimate
+        a, b = scaled_pair(4, 0.8, 0.4, 14)
+        sched = lambda t: math.cos(3 * t) * b
+        got = evolution.propagator_time_dependent(a, sched, 0.0, 2.0, evolution.TimeGrid(steps))
+        assert got.tobytes() == reference.propagator_whole_grid_ref(a, sched, 0.0, 2.0, steps).tobytes()
+
+    @pytest.mark.parametrize("steps", [3 * evolution._BLOCK - 5, 3 * evolution._BLOCK + 1])
+    @pytest.mark.parametrize("bad", ["hermiticity", "estimate", "both"])
+    def test_a_refusal_in_a_later_block_is_the_whole_grid_refusal(self, steps, bad):
+        # a non-Hermitian H anywhere is refused before any step estimate
+        a, b = scaled_pair(3, 0.7, 0.3, 15)
+        h_late = 1j * b if bad != "estimate" else b
+        kick = 200.0 if bad != "hermiticity" else 1.0
+        sched = lambda t: h_late if t > 1.9 else (kick * math.sin(40 * t) if t > 1.5 else 1.0) * b
+        got = _outcome(lambda: evolution.propagator_time_dependent(a, sched, 0.0, 2.0, evolution.TimeGrid(steps)))
+        want = _outcome(lambda: reference.propagator_whole_grid_ref(a, sched, 0.0, 2.0, steps))
+        assert got == want and got[0] == (StepSizeError if bad == "estimate" else NotHermitianError)
 
 
 class TestLaplaceBridge:
@@ -368,6 +399,38 @@ class TestAdiabaticEigenvalueTrack:
         est = evolution.adiabatic_eigenvalue_track(sched, eta, 1, evolution.TimeGrid(1600))
         nodes = np.linspace(0.0, 1.0, 1601)
         assert np.max(np.abs(est - 0.3 * nodes)) <= 10.0 / eta
+
+
+class TestGridMemory:
+    """Each grid integrator holds what its cap counts: a traced peak within 1.5
+    times ``(steps + 1) * per_node`` complex entries, plus 1 MiB for the
+    operands and the per-block work."""
+
+    @staticmethod
+    def _cases():
+        a4, b4 = random_hermitian(4, 1.0, 40), random_hermitian(4, 0.1, 41)
+        a8, b8 = random_hermitian(8, 1.0, 80), random_hermitian(8, 0.1, 81)
+        q = scattering.ScatteringQuery(1, 3, 0.3)
+        return {  # name: (steps, entries per node, the call on a grid)
+            "propagator": (4000, 2 * 16, lambda g: evolution.propagator_time_dependent(
+                a4, lambda t: math.cos(t) * b4, 0.0, 1.0, g)),
+            "bridge-hermitian": (100000, 8, lambda g: evolution.laplace_resolvent_bridge(a8, b8, 0.5, 40.0, g)),
+            "bridge-general": (4000, 8, lambda g: evolution.laplace_resolvent_bridge(np.triu(a8), b8, 0.5, 40.0, g)),
+            "time-average": (100000, 8, lambda g: scattering.s_entry_time_average(a8, b8, q, 40.0, g)),
+            "adiabatic": (4000, 3 * 4 + 2, lambda g: evolution.adiabatic_evolve(
+                evolution.ramped_schedule(a4, b4), 10.0, 0, g)),
+        }
+
+    @pytest.mark.parametrize("name", ["propagator", "bridge-hermitian", "bridge-general", "time-average", "adiabatic"])
+    def test_the_peak_is_within_the_counted_entries(self, name):
+        steps, per_node, run = self._cases()[name]
+        tracemalloc.start()
+        try:
+            run(evolution.TimeGrid(steps))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (steps + 1) * per_node * 16 + 2**20
 
 
 class TestGridValidation:

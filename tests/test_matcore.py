@@ -197,6 +197,15 @@ class TestGuardPredicates:
         else:
             assert expected
             np.testing.assert_array_equal(x, np.linalg.solve(a, np.eye(n)))
+        # solve takes inverse's verdict, for a matrix and for a vector right-hand side
+        for rhs in (np.eye(n)[:, ::-1], np.arange(1.0, n + 1)):
+            try:
+                y = matcore.solve(a, rhs)
+            except SingularMatrixError:
+                assert not expected
+            else:
+                assert expected
+                np.testing.assert_array_equal(y, np.linalg.solve(a, rhs.astype(complex)))
 
     @given(
         seed=st.integers(0, 10**6),
@@ -251,6 +260,26 @@ class TestGuardPredicates:
             matcore.is_diagonal(np.diag(np.arange(1.0, n + 1)))
         assert calls == []
         matcore.op_norm(np.eye(2))
+        assert calls == [1]
+
+    def test_a_well_conditioned_solve_runs_no_svd(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counting_svd)
+        rng = np.random.default_rng(5)
+        for n in SIZES:
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * n * np.eye(n)
+            matcore.solve(a, np.ones(n))
+            matcore.solve(a, np.eye(n))
+        assert calls == []
+        with pytest.raises(SingularMatrixError):
+            matcore.solve(np.array([[1.0, 2.0], [0.5, 1.0]]), np.ones(2))
         assert calls == [1]
 
     def test_exactly_hermitian_stack_runs_no_svd(self, monkeypatch):

@@ -61,7 +61,7 @@ def _run_resolvent(ns) -> Report:
             k,
             matcore.op_norm(series.terms[k]),
             matcore.op_norm(partial - inv),
-            matcore.op_norm(rem),
+            matcore.op_norm(rem) if k else inv_norm,
             ident,
             tol,
         )

@@ -3,7 +3,10 @@
 Matrix files are ``{"rows": n, "cols": m, "data": [...]}`` with row-major
 ``data`` whose entries are ``[re, im]`` pairs or bare numbers for real
 matrices; a nested list of rows is also accepted.  JSON booleans are
-rejected.
+rejected.  The layout :func:`save_matrix` writes (pairs, ``json.dumps``
+separators) is read in bounded chunks straight into one float array; every
+other file goes to the general JSON reader, and both give the same values,
+or the same error, for the same file.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 
 import numpy as np
 
@@ -91,8 +95,71 @@ def _read_json(path: str, what: str) -> dict:
     return obj
 
 
+_PAIR_HEAD = re.compile(rb'\{"rows": ([1-9][0-9]{0,15}), "cols": ([1-9][0-9]{0,15}), "data": \[\[')
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b"[], \t\n\r")))
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_CHUNK = 1 << 18  # bytes of number text per decode
+_NUMBERS = json.JSONDecoder(parse_constant=int)  # int() refuses NaN and Infinity with a ValueError
+
+
+def _pair_layout(raw: bytes) -> np.ndarray | None:
+    """The matrix in ``raw`` when it is ASCII in :func:`save_matrix`'s layout,
+    ``{"rows": R, "cols": C, "data": [[re, im], [re, im], ...]}`` with
+    ``json.dumps``'s separators and optional trailing JSON whitespace; None
+    for any other file.
+
+    The layout is proven before a number is read: the skeleton of brackets,
+    commas and whitespace must be that of ``R*C`` pairs (its length compared
+    first, so a header that claims more entries than the file holds
+    allocates nothing), every comma must be followed by its space, and every
+    bracket must sit in the leading ``[[``, one of the ``R*C - 1`` separators
+    ``], [`` or the closing ``]]``.  The text between brackets, blanked, is
+    then decoded in chunks of about ``_CHUNK`` bytes into one float array.
+    A value that is not a JSON int or float (NaN, true, null, a string) or
+    an int past the float range returns None too, so the general reader
+    gives its own value or error."""
+    head = _PAIR_HEAD.match(raw)
+    end = len(raw.rstrip(b" \t\n\r"))
+    if head is None or not raw.isascii() or raw[end - 3:end] != b"]]}":
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    n = rows * cols
+    skeleton, trailer = raw.translate(None, _NOT_SKELETON), raw[end:]
+    if len(skeleton) != 7 + 6 * n + len(trailer):
+        return None
+    if (skeleton != b" ,  ,  [[, ]" + b", [, ]" * (n - 1) + b"]" + trailer
+            or raw.count(b", ") != 2 * n + 1 or raw.count(b"], [") != n - 1):
+        return None
+    out = np.empty(2 * n)
+    k, start, stop = 0, head.end(), end - 3
+    try:
+        while start < stop:
+            cut = raw.find(b"], [", start + _CHUNK, stop)
+            cut = stop if cut < 0 else cut
+            values = _NUMBERS.decode("[" + raw[start:cut].translate(_BLANK_BRACKETS).decode() + "]")
+            if not set(map(type, values)) <= {int, float}:
+                return None
+            out[k:k + len(values)] = values
+            k += len(values)
+            start = cut + 4
+    except (ValueError, OverflowError, RecursionError):  # bad JSON, a constant, an int past the float range
+        return None
+    return out.view(complex).reshape(rows, cols) if k == out.size else None
+
+
 def load_matrix(path: str) -> np.ndarray:
-    """Parse a matrix file; errors carry file and field context."""
+    """Parse a matrix file; errors carry file and field context.
+
+    A file in :func:`save_matrix`'s layout is read once, by
+    :func:`_pair_layout`; any other, and any file that cannot be read, goes
+    to the general reader, which gives the same values and every error."""
+    try:
+        with open(path, "rb") as fh:
+            values = _pair_layout(fh.read())
+    except OSError:
+        values = None
+    if values is not None:
+        return values
     obj = _read_json(path, "matrix")
     try:
         return matrix_from_json(obj)

@@ -55,16 +55,19 @@ def series_terms(a, b, k: int) -> matcore.Series:
     ``terms[m] = (-1)^m A^{-1} (B A^{-1})^m`` for ``m = 0..k-1``; a single
     inversion of ``A`` is performed.  ``ratio`` is the symmetrized ratio, NaN
     when ``A`` is not Hermitian positive definite (it is then undefined).
+    A term that overflows raises :class:`ArgumentError`.
     """
     matcore.check_order(k, "k")
     a, b = matcore.as_pair(a, b)
     a_inv = matcore.inverse(a)
-    step = b @ a_inv
     terms = np.empty((k,) + a.shape, dtype=complex)
-    t = a_inv
-    for m in range(k):
-        terms[m] = t
-        t = -(t @ step)
+    terms[:1] = a_inv  # no term when k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = b @ a_inv
+        for m in range(1, k):
+            terms[m] = -(terms[m - 1] @ step)
+            if not np.isfinite(terms[m]).all():
+                raise ArgumentError(f"resolvent series overflows the float range at order {m}")
     try:
         ratio = symmetrized_ratio(a, b)
     except (DefinitenessError, matcore.NotHermitianError):

@@ -92,7 +92,8 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
     ``a`` is Hermitian ``A`` or, so that a caller who already holds it need
     not decompose ``A`` again, its :class:`SpectralDecomposition`.  ``B`` must
     be Hermitian, so the coefficients are real; :class:`NotHermitianError` is
-    raised otherwise.  In the eigenbasis of ``A`` the resolvent is a diagonal
+    raised otherwise, and :class:`ArgumentError` for a coefficient that
+    overflows.  In the eigenbasis of ``A`` the resolvent is a diagonal
     scaling, and the order-``k`` trace takes ``ceil(k/2) - 1`` matrix products
     per node.
     """
@@ -129,7 +130,10 @@ def eigenvalue_coefficients(a, b, i: int, order: int, contour: ContourSpec | Non
                 q = p @ m if _k % 2 else p
                 return np.sum(p * q.T)
 
-        val = matcore.contour_integrate(integrand, c) / k
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = matcore.contour_integrate(integrand, c) / k
+        if not np.isfinite(val):
+            raise ArgumentError(f"eigenvalue coefficient overflows the float range at order {k}")
         coeffs[k] = val.real
     return EigenPerturbationSeries(coefficients=coeffs, contour=c)
 

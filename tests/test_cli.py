@@ -3,12 +3,14 @@ import ast
 import inspect
 import json
 import os
+import random
 import re
 import resource
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,147 @@ class TestMatrixIO:
     def test_missing_file(self):
         with pytest.raises(MatrixFormatError):
             iotools.load_matrix("/nonexistent/matrix.json")
+
+    @pytest.mark.parametrize("m", [
+        np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+                  [5e-324, -0.0, -1.7976931348623157e308, 0.0]]).view(complex),
+        np.array([[1, -2, 0], [3, 2**53 + 1, -(2**62)]]),
+        np.array([[0.1 + 0.2j]]),
+    ], ids=["float-extremes", "integers", "one-by-one"])
+    def test_roundtrip_is_bit_exact(self, tmp_path, m):
+        path = tmp_path / "m.json"
+        iotools.save_matrix(path, m)
+        got = iotools.load_matrix(str(path))
+        assert got.dtype == complex and got.shape == m.shape
+        assert got.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+    @staticmethod
+    def _outcome(path):
+        """The bits of the loaded matrix, or the error it was refused with."""
+        try:
+            m = iotools.load_matrix(str(path))
+        except (MatrixFormatError, ValueError) as exc:
+            return type(exc), str(exc)
+        return m.shape, m.tobytes()
+
+    def _both_readers(self, path, monkeypatch):
+        """``load_matrix``'s outcome for ``path``, and the general reader's."""
+        got = self._outcome(path)
+        with monkeypatch.context() as mp:
+            mp.setattr(iotools, "_pair_layout", lambda raw: None)
+            return got, self._outcome(path)
+
+    PAIRS = (b'{"rows": 2, "cols": 2, "data": '
+             b'[[1.5, -0.0], [5e-324, 2], [-1.7976931348623157e+308, 10.19], [3, -1e-05]]}')
+
+    @pytest.mark.parametrize("content, saved_layout", [
+        (PAIRS, True),
+        (PAIRS + b" \t\r\n", True),
+        (b'{"rows": 1, "cols": 2, "data": [[1.0, 2.0], 10.19[, -1e-05]]}', False),
+        (b'{"rows": 1, "cols": 2, "data": [[NaN, 2.0], [Infinity, -Infinity]]}', False),
+        (b'{"rows": 1, "cols": 2, "data": [[true, 2.0], [3.0, 4.0]]}', False),
+        (b'{"rows": 1, "cols": 2, "data": [[1.0, null], [3.0, 4.0]]}', False),
+        (PAIRS + "\u00a0".encode(), False),
+        (PAIRS.replace(b"], [", "],\u00a0[".encode(), 1), False),
+        (PAIRS.replace(b"1.5, -0.0]", b"1.5,-0.0 ]"), False),
+        (PAIRS.replace(b", ", b",\t", 3), False),
+        (PAIRS.replace(b"], [", b"],\n[", 1), False),
+        (b'{"cols": 1, "rows": 1, "data": [[1.0, 2.0]]}', False),
+        (b'{"rows": 1, "cols": 1, "data": [[1.0, 2.0]], "note": "x"}', False),
+        (b"\xef\xbb\xbf" + PAIRS, False),
+        (b'{"rows": 1, "cols": 1, "data": [[1' + b"0" * 400 + b', 0]]}', False),
+        (b'{"rows": 1, "cols": 1, "data": [[' + b"1" * 5000 + b', 0]]}', False),
+        (b'{"rows": 1, "cols": 1, "data": [[' + b'{"a":' * 10**5 + b"1" + b"}" * 10**5 + b', 0]]}', False),
+    ], ids=["saved", "trailing-whitespace", "bracket-past-a-number", "nan-and-infinity", "true", "null",
+            "trailing-nbsp", "nbsp", "space-after-a-number", "tab", "newline", "reordered-keys", "extra-key",
+            "byte-order-mark", "int-past-the-float-range", "int-past-the-digit-limit",
+            "nested-past-the-recursion-limit"])
+    def test_the_saved_layout_reads_as_the_general_reader_does(self, tmp_path, monkeypatch, content, saved_layout):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        assert (iotools._pair_layout(content) is not None) == saved_layout
+        got, general = self._both_readers(path, monkeypatch)
+        assert got == general
+
+    EDITS = [b"[", b"]", b",", b" ", b"\t", b"\n", b"0", b"9", b".", b"e", b"-", b"+", b'"', b"{", b"}", b":",
+             b"NaN", b"Infinity", b"true", b"null", "\u00a0".encode(), b"\xef\xbb\xbf", b"1" * 400, b"], [", b", "]
+
+    def test_mutated_files_read_as_the_general_reader_does(self, tmp_path, monkeypatch):
+        # 1,000 seeded edits of one to three bytes or tokens each, about 0.5 s; an order check of the brackets
+        # and commas alone accepted "[10.19[, -1e-05]", a bracket moved past a number
+        draw = random.Random(28)
+        bases = [self.PAIRS, json.dumps(iotools.matrix_to_json(np.arange(6).reshape(3, 2) * (0.5 - 1j))).encode()]
+        path = tmp_path / "m.json"
+        saved_layout = 0
+        for _ in range(1000):
+            b = bytearray(draw.choice(bases))
+            for _ in range(draw.randint(1, 3)):
+                i = draw.randrange(len(b))
+                edit = draw.randrange(4)
+                if edit == 0:
+                    del b[i]
+                elif edit == 1:
+                    b[i:i] = draw.choice(self.EDITS)
+                elif edit == 2:
+                    b[i:i + 1] = draw.choice(self.EDITS)
+                else:
+                    c = b.pop(i)
+                    b.insert(draw.randrange(len(b) + 1), c)
+            path.write_bytes(b)
+            saved_layout += iotools._pair_layout(bytes(b)) is not None
+            got, general = self._both_readers(path, monkeypatch)
+            assert got == general, bytes(b)
+        assert saved_layout >= 20
+
+    def test_a_file_in_the_saved_layout_never_reaches_the_general_reader(self, tmp_path, monkeypatch, rng):
+        m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        iotools.save_matrix(tmp_path / "m.json", m)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the general reader was reached")
+
+        monkeypatch.setattr(iotools.json, "load", refuse)
+        monkeypatch.setattr(iotools, "matrix_from_json", refuse)
+        assert iotools.load_matrix(str(tmp_path / "m.json")).tobytes() == m.tobytes()
+
+    def test_a_saved_256_matrix_loads_in_half_the_general_readers_memory(self, tmp_path, monkeypatch, rng):
+        # 12.0 MB traced by the general reader: one list and two floats per entry
+        path = tmp_path / "m.json"
+        iotools.save_matrix(path, rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                iotools.load_matrix(str(path))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        saved_layout = peak()
+        with monkeypatch.context() as mp:
+            mp.setattr(iotools, "_pair_layout", lambda raw: None)
+            general = peak()
+        assert saved_layout <= general / 2
+
+    def test_a_header_past_the_file_is_refused_within_3_gb(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1000000, "cols": 1000000, "data": [[1.0, 0.0]]}')
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        timed = ("import sys, time; from pertkit import iotools; from pertkit.errors import MatrixFormatError\n"
+                 "start = time.perf_counter()\n"
+                 "try:\n    iotools.load_matrix(sys.argv[1])\nexcept MatrixFormatError as exc:\n    print(exc)\n"
+                 "print(time.perf_counter() - start)")
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", timed, str(path)], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, preexec_fn=limit_address_space, timeout=60)
+        message, elapsed = proc.stdout.splitlines()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert message == (f"{path}: ragged or malformed data: expected 1000000000000 flat entries "
+                           "or 1000000 rows of 1000000")
+        assert float(elapsed) < 1.0
 
     @pytest.mark.parametrize("load, what", [(iotools.load_matrix, "matrix"), (iotools.load_schedule, "schedule"),
                                             (iotools.load_model, "model")], ids=["matrix", "schedule", "model"])
@@ -643,6 +786,17 @@ class TestOperandContract:
         if code:
             assert re.fullmatch(r"error\[7\]: exponential overflows: t \(\|\|A\|\|_F \+ \|\|B\|\|_F\) = \S+\n",
                                 captured.err) and captured.out == ""
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("resolvent", ["--order", "3"], "resolvent series overflows the float range at order 3"),
+        ("eig-perturb", ["--index", "1", "--order", "3"], "eigenvalue coefficient overflows the float range at order 3"),
+    ], ids=["resolvent", "eig-perturb"])
+    def test_a_series_past_the_float_range_is_refused(self, tmp_path, capsys, command, args, message):
+        # B = 1e150 H: the order-3 terms hold B^3 ~ 1e450; resolvent used to blame the input (exit 2) and
+        # eig-perturb to report a nan coefficient and exit 0
+        h = random_hermitian(4, 1.0, 3)
+        p = _save(tmp_path, a=h, b=1e150 * h)
+        self._fails(capsys, [command, "--a", p["a"], "--b", p["b"]] + args, ArgumentError, message)
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf"])
     def test_tensor_conv_with_a_non_finite_cutoff(self, tmp_path, capsys, cutoff):

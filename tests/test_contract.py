@@ -308,7 +308,10 @@ def test_a_float_step_count_within_the_cap_is_truncated_and_floored(count, at_le
     (lambda: evolution.remainder_bound(1000.0, 1.0, 0.5, 3), r"^remainder bound overflows: e\^1517 at t=1000, order 3$"),
     (lambda: evolution.exp_series_terms(A, B, 1000.0, 3), "^exponential overflows: t "),
     (lambda: evolution.dyson_terms(1j * A, B, 1000.0, 3), "^exponential overflows: t "),
-], ids=["remainder-bound", "exp-series", "dyson-non-hermitian"])
+    (lambda: resolvent.series_terms(A, 1e150 * B, 4), "^resolvent series overflows the float range at order 3$"),
+    (lambda: spectral.eigenvalue_coefficients(A, 1e150 * B, 0, 4),
+     "^eigenvalue coefficient overflows the float range at order 4$"),
+], ids=["remainder-bound", "exp-series", "dyson-non-hermitian", "resolvent-series", "eigenvalue-coefficients"])
 def test_a_result_past_the_float_range_is_refused(refuse, message):
     # e^x passes the largest float at x = 709.8: an untyped OverflowError, or a non-finite result
     start = time.perf_counter()

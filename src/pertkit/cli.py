@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import evolution, matcore, resolvent, scattering, spectral, symdiag, tensor
-from .errors import PertkitError
+from .errors import ArgumentError, PertkitError
 from .iotools import load_matrix, load_model, load_schedule, parse_state
 from .reporting import Report
 
@@ -71,10 +71,14 @@ def _run_resolvent(ns) -> Report:
 
     if ns.tau is not None and ns.entry is not None:
         i, j = ns.entry
+        try:  # the series tail past `order` widens the row's tolerance, so it must be finite
+            tail = series.ratio ** (order + 1) if np.isfinite(series.ratio) else 0.0
+        except OverflowError:
+            raise ArgumentError(f"the Feynman row's tail term ratio^{order + 1} overflows the float range "
+                                f"(ratio {series.ratio:.3g})") from None
         quad = resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=20000, seed=ns.seed)
         entry = resolvent.feynman_parameter_entry(a, b, i, j, ns.tau, order, quad)
         direct = matcore.inverse(a + b + 1j * ns.tau * np.eye(a.shape[0]))[i, j]
-        tail = series.ratio ** (order + 1) if np.isfinite(series.ratio) else 0.0
         rep.check(
             "feynman_parameter_vs_inverse",
             abs(entry.value - direct),

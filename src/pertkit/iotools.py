@@ -1,18 +1,20 @@
 """File formats: JSON matrices, schedules, interaction models, state specs.
 
-Matrix files are ``{"rows": n, "cols": m, "data": [...]}`` with row-major
-``data`` whose entries are ``[re, im]`` pairs or bare numbers for real
-matrices; a nested list of rows is also accepted.  JSON booleans are
-rejected.  The layout :func:`save_matrix` writes (pairs, ``json.dumps``
-separators) is read in bounded chunks straight into one float array; every
-other file goes to the general JSON reader, and both give the same values,
-or the same error, for the same file.
+Matrix files are ``{"rows": n, "cols": m, "data": [...]}`` with JSON ints
+``n, m >= 1`` and row-major ``data`` whose entries are ``[re, im]`` pairs or
+bare numbers for real matrices; a nested list of rows is also accepted.  JSON
+booleans are rejected.  The layout :func:`save_matrix` writes (pairs,
+``json.dumps`` separators) is read in bounded chunks straight into one float
+array; every other file goes to the general JSON reader, which converts entry
+by entry, and both give the same values, or the same error, for the same file.
+Every field a loader reads is checked for its JSON type; nothing is coerced.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 
@@ -35,49 +37,56 @@ def _entry(x) -> complex | None:
     return None
 
 
-def _cells_to_complex(cells: list) -> np.ndarray | None:
-    """Row-major entries as a complex vector, or None if any is malformed.
+def _finite_number(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
 
-    When all entries are numbers, or all are ``[re, im]`` lists, C-level
-    ``map`` checks the leaf types and one ``np.asarray`` converts them."""
-    leaves = cells
-    if set(map(type, cells)) == {list} and set(map(len, cells)) == {2}:
-        leaves = itertools.chain.from_iterable(cells)
-    if set(map(type, leaves)) <= {int, float}:
-        try:
-            arr = np.asarray(cells, dtype=float)
-        except OverflowError:
-            return None
-        return arr.view(complex).reshape(-1) if arr.ndim == 2 else arr.astype(complex)
-    values = [_entry(x) for x in cells]
-    return None if None in values else np.array(values, dtype=complex)
+
+#: What a typed field may hold, as (description, test).  Nothing is coerced:
+#: a JSON true is a bool, neither an int nor a number, and 2.0 is not an int.
+_POSITIVE_INT = ("a positive int", lambda v: type(v) is int and v >= 1)
+_NATURAL = ("a non-negative int", lambda v: type(v) is int and v >= 0)
+_FINITE = ("a finite number", _finite_number)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_LIST = ("a list", lambda v: isinstance(v, list))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_THREE_OBJECTS = ("a list of three objects", lambda v: isinstance(v, list) and len(v) == 3
+                  and all(isinstance(x, dict) for x in v))
+
+
+def _field(obj, key: str, kind: tuple, where: str = "", name: str | None = None):
+    """``obj[key]`` when ``kind`` accepts it; otherwise a :class:`MatrixFormatError`
+    that starts with ``where`` and names the field (``name``, ``repr(key)`` by
+    default) and the value."""
+    name = name or repr(key)
+    if not isinstance(obj, dict) or key not in obj:
+        raise MatrixFormatError(f"{where}missing key {name}")
+    want, ok = kind
+    if not ok(obj[key]):
+        raise MatrixFormatError(f"{where}{name} must be {want}, got {obj[key]!r}")
+    return obj[key]
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"matrix object needs rows/cols/data: {exc}") from exc
-    if rows < 1 or cols < 1 or not isinstance(data, list):
-        raise MatrixFormatError("rows/cols must be positive and data a list")
-    layouts = []
-    if len(data) == rows * cols:
-        layouts.append(data)
+    rows = _field(obj, "rows", _POSITIVE_INT)
+    cols = _field(obj, "cols", _POSITIVE_INT)
+    data = _field(obj, "data", _LIST)
+    # both layouts fit only when cols == 1 and every item is a one-item list, never a flat entry
     if len(data) == rows and all(isinstance(row, list) and len(row) == cols for row in data):
-        layouts.append(list(itertools.chain.from_iterable(data)))
-    if not layouts:
+        cells = list(itertools.chain.from_iterable(data))
+    elif len(data) == rows * cols:
+        cells = data
+    else:
         raise MatrixFormatError(
             f"ragged or malformed data: expected {rows * cols} flat entries or {rows} rows of {cols}"
         )
-    for cells in layouts:
-        values = _cells_to_complex(cells)
-        if values is not None:
-            return values.reshape(rows, cols)
-    cells = layouts[-1]
-    k = next(k for k, x in enumerate(cells) if _entry(x) is None)
-    raise MatrixFormatError(f"bad matrix entry at index {k} (row {k // cols}, col {k % cols}): {cells[k]!r}")
+    values = [_entry(x) for x in cells]
+    if None in values:
+        k = values.index(None)
+        raise MatrixFormatError(f"bad matrix entry at index {k} (row {k // cols}, col {k % cols}): {cells[k]!r}")
+    return np.array(values, dtype=complex).reshape(rows, cols)
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -86,10 +95,10 @@ def _read_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # and bytes past UTF-8 or the nesting depth
-        raise MatrixFormatError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a ValueError, so caught before the clause below
         raise MatrixFormatError(f"{what} {path}: invalid JSON at line {exc.lineno}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # and bytes past UTF-8, ints past 4,300 digits, deep nesting
+        raise MatrixFormatError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise MatrixFormatError(f"{what} {path}: expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -189,13 +198,9 @@ def load_schedule(path: str):
     of matrices and the ramp name.
     """
     obj = {"ramp": "linear", **_read_json(path, "schedule")}
-    for key in ("a", "b", "ramp"):
-        if key not in obj:
-            raise MatrixFormatError(f"schedule {path}: missing key {key!r}")
-        if not isinstance(obj[key], str):
-            raise MatrixFormatError(f"schedule {path}: {key!r} must be a string, got {obj[key]!r}")
+    a, b, ramp = (_field(obj, key, _STRING, f"schedule {path}: ") for key in ("a", "b", "ramp"))
     base = os.path.dirname(os.path.abspath(path))
-    return load_matrix(os.path.join(base, obj["a"])), load_matrix(os.path.join(base, obj["b"])), obj["ramp"]
+    return load_matrix(os.path.join(base, a)), load_matrix(os.path.join(base, b)), ramp
 
 
 def load_model(path: str) -> TrilinearVertex:
@@ -205,18 +210,17 @@ def load_model(path: str) -> TrilinearVertex:
        "max_particles": 7}`` with the trilinear vertex rule and dispersion
     ``sqrt(m^2 + p^2)``; the Fock cutoff ``max_particles`` is optional (7).
     """
-    obj = _read_json(path, "model")
-    try:
-        masses = {sp["name"]: float(sp["mass"]) for sp in obj["species"]}
-        names = tuple(sp["name"] for sp in obj["species"])
-        grid = box_grid(int(obj["grid"]["dim"]), int(obj["grid"]["radius"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"model {path}: {exc}") from exc
-    if len(names) != 3:
-        raise MatrixFormatError("the trilinear model needs exactly three species")
-    cutoff = obj.get("max_particles", TrilinearVertex.max_particles)
-    if type(cutoff) is not int or cutoff < 1:  # a JSON true is a bool, not an int
-        raise MatrixFormatError(f"model {path}: max_particles must be a positive int, got {cutoff!r}")
+    obj = {"max_particles": TrilinearVertex.max_particles, **_read_json(path, "model")}
+    where = f"model {path}: "
+    species = _field(obj, "species", _THREE_OBJECTS, where)
+    names = tuple(_field(sp, "name", _STRING, where, f"species[{k}].name") for k, sp in enumerate(species))
+    if len(set(names)) != 3:
+        raise MatrixFormatError(f"{where}species names must be distinct, got {names!r}")
+    masses = {names[k]: float(_field(sp, "mass", _FINITE, where, f"species[{k}].mass")) for k, sp in enumerate(species)}
+    grid = _field(obj, "grid", _OBJECT, where)
+    grid = box_grid(_field(grid, "dim", _POSITIVE_INT, where, "grid.dim"),
+                    _field(grid, "radius", _NATURAL, where, "grid.radius"))
+    cutoff = _field(obj, "max_particles", _POSITIVE_INT, where, "max_particles")
     return TrilinearVertex(masses=masses, grid=grid, species=names, max_particles=cutoff)
 
 

@@ -242,6 +242,7 @@ def _path_sums(x, lam_rows, wts, tau: float, m: int) -> np.ndarray:
     return sums
 
 
+@np.errstate(all="ignore")  # an order that overflows is refused by name below, not warned about
 def feynman_parameter_entry(
     a_diag, b, i: int, j: int, tau: float, m_max: int, q: SimplexQuadrature
 ) -> FeynmanEntry:
@@ -255,7 +256,8 @@ def feynman_parameter_entry(
     levels (:func:`_multiset_columns`), so the integrand runs once per column:
     ``C(n+m-2, m-1)`` of them for a dense ``B`` against ``n^(m-1)`` paths.
     :data:`INTEGRAND_CAP` bounds samples times columns, :data:`PATH_CAP` the walk.
-    Monte-Carlo sampling reports a standard error.
+    Monte-Carlo sampling reports a standard error.  The first order whose
+    sum or variance leaves the float range raises :class:`ArgumentError`.
     """
     matcore.check_positive(tau, "tau")
     matcore.check_order(m_max, "m_max")
@@ -292,6 +294,8 @@ def feynman_parameter_entry(
             s = q.samples_or_depth
             dev = integrand - mean
             variance += float(np.sum(w * np.abs(dev) ** 2)) / max(s - 1, 1)
+        if not (np.isfinite(total) and math.isfinite(variance)):
+            raise ArgumentError(f"Feynman-parameter entry overflows the float range at order {m}")
     return FeynmanEntry(
         value=total, std_error=math.sqrt(variance), order_values=tuple(order_values)
     )

@@ -2,6 +2,7 @@ import argparse
 import ast
 import inspect
 import json
+import math
 import os
 import random
 import re
@@ -88,6 +89,58 @@ class TestMatrixIO:
         got = iotools.load_matrix(str(path))
         assert got.dtype == complex and got.shape == m.shape
         assert got.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+    F = 1.7976931348623157e308
+    GENERAL = {
+        "integers": ({"rows": 1, "cols": 4, "data": [2**53 + 1, 2**64 + 7, 10**300, -3]},
+                     [[9007199254740992.0, 0.0], [1.8446744073709552e19, 0.0], [1e300, 0.0], [-3.0, 0.0]]),
+        "float-extremes": ({"rows": 1, "cols": 5, "data": [math.nan, math.inf, -0.0, 5e-324, F]},
+                           [[math.nan, 0.0], [math.inf, 0.0], [-0.0, 0.0], [5e-324, 0.0], [F, 0.0]]),
+        "nested-pairs": ({"rows": 2, "cols": 2,
+                          "data": [[[1.5, -0.0], [-0.0, 5e-324]], [[-F, 2**53 + 1], [0, -math.inf]]]},
+                         [[1.5, -0.0], [-0.0, 5e-324], [-F, 9007199254740992.0], [0.0, -math.inf]]),
+        "one-item-rows": ({"rows": 2, "cols": 1, "data": [[5], [[1, -0.0]]]}, [[5.0, 0.0], [1.0, -0.0]]),
+        "one-by-one-row": ({"rows": 1, "cols": 1, "data": [[7]]}, [[7.0, 0.0]]),
+        "mixed": ({"rows": 1, "cols": 3, "data": [1, [0, 1], [2.5, -0.0]]}, [[1.0, 0.0], [0.0, 1.0], [2.5, -0.0]]),
+        "tuples": ({"rows": 1, "cols": 2, "data": [(1, 2), (3.5, -0.0)]}, [[1.0, 2.0], [3.5, -0.0]]),
+        "int-past-the-float-range": ({"rows": 1, "cols": 1, "data": [10**400]},
+                                     f"bad matrix entry at index 0 (row 0, col 0): {10**400!r}"),
+        "pair-past-the-float-range": ({"rows": 1, "cols": 2, "data": [[1, -10**400], 2]},
+                                      f"bad matrix entry at index 0 (row 0, col 0): [1, {-10**400!r}]"),
+        "bool-in-a-one-item-row": ({"rows": 2, "cols": 1, "data": [[1], [[1, True]]]},
+                                   "bad matrix entry at index 1 (row 1, col 0): [1, True]"),
+        "list-in-a-one-item-row": ({"rows": 2, "cols": 1, "data": [[[1]], [2]]},
+                                   "bad matrix entry at index 0 (row 0, col 0): [1]"),
+        "null-and-string": ({"rows": 1, "cols": 3, "data": [1, None, "3"]},
+                            "bad matrix entry at index 1 (row 0, col 1): None"),
+        "three-list": ({"rows": 2, "cols": 2, "data": [1, 2, 3, [1, 2, 3]]},
+                       "bad matrix entry at index 3 (row 1, col 1): [1, 2, 3]"),
+        "three-tuple": ({"rows": 1, "cols": 2, "data": [(1, 2, 3), 1]},
+                        "bad matrix entry at index 0 (row 0, col 0): (1, 2, 3)"),
+        "ragged-rows": ({"rows": 2, "cols": 2, "data": [[1, 2], [3]]},
+                        "ragged or malformed data: expected 4 flat entries or 2 rows of 2"),
+        "short-flat": ({"rows": 2, "cols": 3, "data": [1, 2, 3, 4, 5]},
+                       "ragged or malformed data: expected 6 flat entries or 2 rows of 3"),
+    }
+
+    @pytest.mark.parametrize("obj, expected", GENERAL.values(), ids=GENERAL.keys())
+    def test_the_general_reader_keeps_its_bits_and_messages(self, obj, expected):
+        # one conversion, entry by entry: the same bits as numpy's float conversion, -0.0 and NaN included
+        if isinstance(expected, str):
+            with pytest.raises(MatrixFormatError) as info:
+                iotools.matrix_from_json(obj)
+            assert str(info.value) == expected
+        else:
+            m = iotools.matrix_from_json(obj)
+            assert m.dtype == complex and m.shape == (obj["rows"], obj["cols"])
+            assert m.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    def test_an_indented_pairs_file_keeps_its_bits(self, tmp_path):
+        m = np.array([[1.5, -0.0, 5e-324, 2.0], [-self.F, 10.19, 3.0, -1e-05]]).view(complex)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(iotools.matrix_to_json(m), indent=2))
+        assert iotools._pair_layout(path.read_bytes()) is None
+        assert iotools.load_matrix(str(path)).tobytes() == m.tobytes()
 
     @staticmethod
     def _outcome(path):
@@ -650,6 +703,19 @@ class TestCliCommands:
         assert code == 0
         assert "assembled_vs_paired" in out
 
+    def test_demo_harmonic_oscillator_rows(self, capsys):
+        code = cli.main(["demo", "harmonic-oscillator", "--grid-size", "80", "--epsilon", "0.01"])
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")}
+        assert code == 0
+        assert rows["quantity"] == ["value", "oracle", "tolerance"]
+        energy, quartic, split = (float(rows[q][0]) for q in ("ground_energy", "quartic_first_order",
+                                                               "split_first_order"))
+        assert abs(energy - 1.0) < 0.01 and rows["ground_energy"][1:] == ["1.0", "grid-dependent"]
+        assert abs(quartic - 0.75) < 0.015 and rows["quartic_first_order"][1:] == ["0.75", "0.015"]
+        assert split == pytest.approx(0.01 * quartic, rel=1e-9)  # at eta = 0 the split is eps X^4
+        assert rows["quartic_vs_gaussian_moment"] == [str(abs(quartic - 0.75)), "0.015", "1"]
+
     def test_demo_born(self, capsys):
         code = cli.main(["demo", "born", "--sites", "32", "--p", "3", "--q", "5", "--tau", "0.1"])
         assert code == 0
@@ -797,6 +863,87 @@ class TestOperandContract:
         h = random_hermitian(4, 1.0, 3)
         p = _save(tmp_path, a=h, b=1e150 * h)
         self._fails(capsys, [command, "--a", p["a"], "--b", p["b"]] + args, ArgumentError, message)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (1e150, 1e300, "the Feynman row's tail term ratio^3 overflows the float range (ratio 1e+150)"),
+        (1e200, 1e200, "Feynman-parameter entry overflows the float range at order 2"),
+    ], ids=["tail-term", "entry"])
+    def test_a_feynman_row_past_the_float_range_is_refused(self, tmp_path, capsys, a, b, message):
+        # the tail term used to end in an untyped OverflowError, the entry in a nan row that failed with exit 1
+        p = _save(tmp_path, a=np.array([[a]]), b=np.array([[b]]))
+        start = time.perf_counter()
+        self._fails(capsys, ["resolvent", "--a", p["a"], "--b", p["b"], "--order", "2", "--tau", "0.5",
+                             "--entry", "0,0"], ArgumentError, message)
+        assert time.perf_counter() - start < 1.0
+
+    MODEL = TestCliCommands.DIAGRAM_MODEL
+
+    @staticmethod
+    def _species(k, **field):
+        species = [dict(sp) for sp in TestCliCommands.DIAGRAM_MODEL["species"]]
+        species[k].update(field)
+        return species
+
+    @staticmethod
+    def _digit_limit():
+        try:
+            int("1" * 5000)
+        except ValueError as exc:
+            return str(exc)
+
+    DIGITS = "1" * 5000
+    FIELDS = {
+        "rows-true": ("matrix", {"rows": True, "cols": 1, "data": [1]}, "{path}: 'rows' must be a positive int, got True"),
+        "rows-float": ("matrix", {"rows": 1.9, "cols": 1, "data": [1]}, "{path}: 'rows' must be a positive int, got 1.9"),
+        "rows-whole-float": ("matrix", {"rows": 2.0, "cols": 1, "data": [1, 2]},
+                             "{path}: 'rows' must be a positive int, got 2.0"),
+        "rows-string": ("matrix", {"rows": "1", "cols": 1, "data": [1]}, "{path}: 'rows' must be a positive int, got '1'"),
+        "rows-zero": ("matrix", {"rows": 0, "cols": 1, "data": []}, "{path}: 'rows' must be a positive int, got 0"),
+        "cols-float": ("matrix", {"rows": 1, "cols": 2.5, "data": [1, 2]},
+                       "{path}: 'cols' must be a positive int, got 2.5"),
+        "no-data": ("matrix", {"rows": 1, "cols": 1}, "{path}: missing key 'data'"),
+        "data-number": ("matrix", {"rows": 1, "cols": 1, "data": 5}, "{path}: 'data' must be a list, got 5"),
+        "mass-true": ("model", dict(MODEL, species=_species(0, mass=True)),
+                      "model {path}: species[0].mass must be a finite number, got True"),
+        "mass-string": ("model", dict(MODEL, species=_species(1, mass="1")),
+                        "model {path}: species[1].mass must be a finite number, got '1'"),
+        "mass-past-the-float-range": ("model", json.dumps(dict(MODEL, species=_species(2, mass=0.5))).replace(
+            "0.5", "1e400"), "model {path}: species[2].mass must be a finite number, got inf"),
+        "name-number": ("model", dict(MODEL, species=_species(2, name=5)),
+                        "model {path}: species[2].name must be a string, got 5"),
+        "names-repeated": ("model", dict(MODEL, species=_species(1, name="a")),
+                           "model {path}: species names must be distinct, got ('a', 'a', 'c')"),
+        "two-species": ("model", dict(MODEL, species=MODEL["species"][:2]),
+                        "model {path}: 'species' must be a list of three objects, got "
+                        "[{'name': 'a', 'mass': 1.0}, {'name': 'b', 'mass': 2.0}]"),
+        "dim-true": ("model", dict(MODEL, grid={"dim": True, "radius": 1.7}),
+                     "model {path}: grid.dim must be a positive int, got True"),
+        "radius-float": ("model", dict(MODEL, grid={"dim": 1, "radius": 1.7}),
+                         "model {path}: grid.radius must be a non-negative int, got 1.7"),
+        "radius-negative": ("model", dict(MODEL, grid={"dim": 1, "radius": -1}),
+                            "model {path}: grid.radius must be a non-negative int, got -1"),
+        "no-grid": ("model", {"species": MODEL["species"]}, "model {path}: missing key 'grid'"),
+        "matrix-digits": ("matrix", '{"rows": 1, "cols": 1, "data": [' + DIGITS + "]}",
+                          "cannot read matrix {path}: " + _digit_limit()),
+        "schedule-digits": ("schedule", '{"a": "ha.json", "b": "hb.json", "n": ' + DIGITS + "}",
+                            "cannot read schedule {path}: " + _digit_limit()),
+        "model-digits": ("model", '{"species": [], "n": ' + DIGITS + "}", "cannot read model {path}: " + _digit_limit()),
+    }
+
+    @pytest.mark.parametrize("kind, content, message", FIELDS.values(), ids=FIELDS.keys())
+    def test_a_field_of_the_wrong_type_is_refused(self, tmp_path, capsys, kind, content, message):
+        # nothing is coerced: int() used to read "rows": true as 1 and "radius": 1.7 as 1, float() "mass": "1"
+        # as 1.0; a name that is not a string and an int past 4,300 digits ended in tracebacks
+        p = _save(tmp_path, ha=np.diag([0.0, 1.0]), hb=self.X2)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = {"matrix": ["resolvent", "--a", str(path), "--b", p["hb"], "--order", "1"],
+                "schedule": ["adiabatic", "--schedule", str(path), "--eta-list", "10,20,40", "--index", "0"],
+                "model": ["diagrams", "--model", str(path), "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2",
+                          "--tau", "0.05"]}[kind]
+        start = time.perf_counter()
+        self._fails(capsys, argv, MatrixFormatError, message.replace("{path}", str(path)))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf"])
     def test_tensor_conv_with_a_non_finite_cutoff(self, tmp_path, capsys, cutoff):

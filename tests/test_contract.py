@@ -311,7 +311,10 @@ def test_a_float_step_count_within_the_cap_is_truncated_and_floored(count, at_le
     (lambda: resolvent.series_terms(A, 1e150 * B, 4), "^resolvent series overflows the float range at order 3$"),
     (lambda: spectral.eigenvalue_coefficients(A, 1e150 * B, 0, 4),
      "^eigenvalue coefficient overflows the float range at order 4$"),
-], ids=["remainder-bound", "exp-series", "dyson-non-hermitian", "resolvent-series", "eigenvalue-coefficients"])
+    (lambda: resolvent.feynman_parameter_entry([[1e200]], [[1e200]], 0, 0, 0.5, 2, resolvent.SimplexQuadrature()),
+     "^Feynman-parameter entry overflows the float range at order 2$"),
+], ids=["remainder-bound", "exp-series", "dyson-non-hermitian", "resolvent-series", "eigenvalue-coefficients",
+        "feynman-entry"])
 def test_a_result_past_the_float_range_is_refused(refuse, message):
     # e^x passes the largest float at x = 709.8: an untyped OverflowError, or a non-finite result
     start = time.perf_counter()

@@ -4,8 +4,9 @@ is still a ``ValueError``, so ``except ValueError`` callers keep working."""
 import numpy as np
 import pytest
 
-from pertkit import evolution, matcore, reporting, resolvent, scattering, spectral, tensor
-from pertkit.errors import ArgumentError, MatrixFormatError, NotHermitianError, PertkitError, ShapeError
+from pertkit import evolution, iotools, matcore, reporting, resolvent, scattering, spectral, symdiag, tensor
+from pertkit.errors import (ArgumentError, ContourEnclosureError, MatrixFormatError, NotHermitianError, PertkitError,
+                            ShapeError)
 
 NOT_DIAGONAL = np.array([[0.0, 1.0], [1.0, 2.0]])
 #: diagonal to 1e-13 relative: accepted by the old 1e-12 test of ``lambda4_closed_form``
@@ -65,3 +66,65 @@ def test_a_bad_call_raises_a_typed_value_error(call, error):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, PertkitError) and isinstance(info.value, ValueError)
+
+
+TWO_DOTS = symdiag.Diagram.of(2, [("x", symdiag.EXT_IN, 1), ("x", 1, 2), ("x", 2, 3)])
+TWO_DOT_EXTERNALS = dict.fromkeys(TWO_DOTS.external_indices(), (2,))
+LEVEL_B = 0.1 * np.ones((3, 3))
+
+
+def _short_series_expansion():
+    split = spectral.schur_split(LEVELS, LEVEL_B, 0)
+    return spectral.unit_eigenvector_expansion(split, spectral.eigenvalue_coefficients(LEVELS, LEVEL_B, 0, 1), 3)
+
+
+def _three_particle(i_spec, j_spec):
+    return symdiag.three_particle_demo((1, 1), 1.0, 1.0, 0.5, iotools.parse_state(i_spec),
+                                       iotools.parse_state(j_spec), 0.1)
+
+
+#: guarded branches that no other tier-1 test reaches, each with the outcome that shows it ran
+BRANCHES = {
+    "contour-not-isolated": (lambda: spectral.default_contour([1.0, 1.0], 0),
+                             (ContourEnclosureError, "^target eigenvalue is not isolated$")),
+    "contour-around-another-level": (
+        lambda: spectral.eigenvalue_coefficients(LEVELS, LEVEL_B, 0, 2, contour=matcore.ContourSpec(1.0, 0.5, 64)),
+        (ContourEnclosureError, "^contour does not enclose the target eigenvalue$")),
+    "eigenvector-series-too-short": (_short_series_expansion,
+                                     (ArgumentError, "^eigenvalue series too short for the requested order$")),
+    "tree-external-keys": (lambda: symdiag.tree_solve(TWO_DOTS, {0: (2,)}, (2,)),
+                           (ArgumentError, "^external momenta must cover exactly the external lines$")),
+    "tree-dimension": (lambda: symdiag.tree_solve(TWO_DOTS, TWO_DOT_EXTERNALS, (2, 0)),
+                       (ShapeError, "^momentum dimension mismatch$")),
+    "three-particle-no-a": (lambda: _three_particle("b:1,b:-1", "a:-1,b:1"),
+                            (ArgumentError, r"must contain exactly one 'a' particle$")),
+    "three-particle-totals": (lambda: _three_particle("a:1,b:-1", "a:1,b:0"),
+                              (ArgumentError, "^states must carry the same total momentum$")),
+    "kronecker-no-factor": (lambda: tensor.KroneckerSum(()), (ArgumentError, "^need at least one factor$")),
+    "dirac-two-vector": (lambda: tensor.dirac_block_matrix([0.3, 0.2], 1.0, 0.4),
+                         (ShapeError, "^momentum must be a 3-vector$")),
+    "born-mode-out-of-range": (lambda: scattering.born_demo(8, abs, lambda x: 0.0, 4, 0, 0.1),
+                               (ArgumentError, "^mode numbers out of range$")),
+    "rutherford-on-the-shell": (lambda: scattering.rutherford_demo(1, 1.0, (1, 0, 0), (1, 0, 0), 0.5, 0.1),
+                                (ArgumentError, "^Coulomb kernel pole: p0 lies on the shell$")),
+    "adiabatic-series-past-the-gap": (
+        lambda: evolution.adiabatic_eigvec_series(LEVELS, 1.5 * np.eye(3), "linear", 0, 10.0, 60,
+                                                  evolution.TimeGrid(8)),
+        (ArgumentError, r"^\|\|B\|\| exceeds the unperturbed spectral gap$")),
+    "propagator-at-its-start": (
+        lambda: evolution.propagator_time_dependent(LEVELS, lambda t: LEVEL_B, 0.5, 0.5, evolution.TimeGrid(8)),
+        np.eye(3)),
+    "measure-nan-probe": (lambda: spectral.spectral_measure(LEVELS, LEVEL_B, [np.nan, 0.0, 0.0]),
+                          (MatrixFormatError, "^expected a finite, non-empty vector$")),
+    "empty-state-literal": (lambda: iotools.parse_state(","), (MatrixFormatError, "^empty state literal$")),
+}
+
+
+@pytest.mark.parametrize("call, outcome", BRANCHES.values(), ids=BRANCHES.keys())
+def test_each_guarded_branch_gives_its_outcome(call, outcome):
+    if isinstance(outcome, tuple):
+        error, message = outcome
+        with pytest.raises(error, match=message):
+            call()
+    else:
+        np.testing.assert_array_equal(call(), outcome)

@@ -52,8 +52,8 @@ def _run_resolvent(ns) -> Report:
     inv_norm = matcore.op_norm(inv)
     tol = 1e-10 * inv_norm
     worst = 0.0
+    partial = np.zeros_like(inv)  # the sum of the terms below order k
     for k in range(order + 1):
-        partial = series.partial_sum(k)
         rem = (-1) ** k * np.linalg.matrix_power(y, k) @ inv if k else inv
         ident = matcore.op_norm(partial + rem - inv)
         worst = max(worst, ident)
@@ -65,6 +65,7 @@ def _run_resolvent(ns) -> Report:
             ident,
             tol,
         )
+        partial = partial + series.terms[k]
     rep.check("exact_remainder_identity", worst, tol)
     rep.config["ratio"] = series.ratio
     rep.config["convergent"] = series.convergent
@@ -133,9 +134,11 @@ def _run_dyson(ns) -> Report:
     exact_exp = matcore.expm(t * (a + b))
     exact_dyson = exp_ita @ matcore.expm(-1j * t * (a + b))
     ratios = []
+    exp_sum = dyson_sum = 0  # the partial sums through order k, added as sum() adds them
     for k in range(orders + 1):
-        exp_defect = matcore.op_norm(sum(exp_terms[: k + 1]) - exact_exp)
-        dys_defect = matcore.op_norm(sum(dyson_terms[: k + 1]) - exact_dyson)
+        exp_sum, dyson_sum = exp_sum + exp_terms[k], dyson_sum + dyson_terms[k]
+        exp_defect = matcore.op_norm(exp_sum - exact_exp)
+        dys_defect = matcore.op_norm(dyson_sum - exact_dyson)
         budget = evolution.remainder_bound(t, na, nb, k + 1) + 1e-8
         ratios += [exp_defect / budget, dys_defect / budget]
         rep.add_row(k, exp_defect, budget, dys_defect, budget)

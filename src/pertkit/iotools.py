@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import reprlib
 
 import numpy as np
 
@@ -35,6 +36,17 @@ def _entry(x) -> complex | None:
         except OverflowError:
             pass
     return None
+
+
+_ABBREVIATION = reprlib.Repr()  # a few items of each string, list and object, two levels deep
+_ABBREVIATION.maxlevel = 2
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message, abbreviated past 500 characters,
+    so that a huge value gives a bounded line."""
+    text = repr(value)
+    return text if len(text) <= 500 else _ABBREVIATION.repr(value)
 
 
 def _finite_number(v) -> bool:
@@ -65,7 +77,7 @@ def _field(obj, key: str, kind: tuple, where: str = "", name: str | None = None)
         raise MatrixFormatError(f"{where}missing key {name}")
     want, ok = kind
     if not ok(obj[key]):
-        raise MatrixFormatError(f"{where}{name} must be {want}, got {obj[key]!r}")
+        raise MatrixFormatError(f"{where}{name} must be {want}, got {_shown(obj[key])}")
     return obj[key]
 
 
@@ -85,7 +97,7 @@ def matrix_from_json(obj) -> np.ndarray:
     values = [_entry(x) for x in cells]
     if None in values:
         k = values.index(None)
-        raise MatrixFormatError(f"bad matrix entry at index {k} (row {k // cols}, col {k % cols}): {cells[k]!r}")
+        raise MatrixFormatError(f"bad matrix entry at index {k} (row {k // cols}, col {k % cols}): {_shown(cells[k])}")
     return np.array(values, dtype=complex).reshape(rows, cols)
 
 
@@ -215,7 +227,7 @@ def load_model(path: str) -> TrilinearVertex:
     species = _field(obj, "species", _THREE_OBJECTS, where)
     names = tuple(_field(sp, "name", _STRING, where, f"species[{k}].name") for k, sp in enumerate(species))
     if len(set(names)) != 3:
-        raise MatrixFormatError(f"{where}species names must be distinct, got {names!r}")
+        raise MatrixFormatError(f"{where}species names must be distinct, got {_shown(names)}")
     masses = {names[k]: float(_field(sp, "mass", _FINITE, where, f"species[{k}].mass")) for k, sp in enumerate(species)}
     grid = _field(obj, "grid", _OBJECT, where)
     grid = box_grid(_field(grid, "dim", _POSITIVE_INT, where, "grid.dim"),

@@ -34,6 +34,11 @@ from .resolvent import index_paths
 
 EXT_IN = 0  # start code of a line entering from outside
 BASIS_CAP = 10**5
+#: Momenta in one box grid, and components in one momentum: a move list then pairs at most
+#: MOMENTUM_CAP**2 grid momenta.
+MOMENTUM_CAP = 1000
+#: States of a dense reference: 2**26 entries per matrix, 1 GiB of complex128, ``matcore.GRID_CAP``'s budget.
+DENSE_CAP = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,11 @@ class MultisetState:
         return f"|{inner}>"
 
 
+def _free_energy(dispersion: Callable, s: MultisetState) -> float:
+    """The sum of the dispersions of ``s``'s particles."""
+    return float(sum(dispersion(sp, p) for sp, p in s.particles))
+
+
 class SparseInteraction:
     """Hermitian, momentum-conserving interaction over an explicit basis.
 
@@ -139,11 +149,14 @@ class SparseInteraction:
         return self._adjacency.get(s, {})
 
     def free_energy(self, s: MultisetState) -> float:
-        return float(sum(self.dispersion(sp, p) for sp, p in s.particles))
+        return _free_energy(self.dispersion, s)
 
     def to_dense(self):
-        """(diagonal free operator, dense interaction) over the basis order."""
+        """(diagonal free operator, dense interaction) over the basis order; a
+        basis of more than :data:`DENSE_CAP` states raises :class:`EnumerationLimitError`."""
         n = len(self.basis)
+        if n > DENSE_CAP:
+            raise EnumerationLimitError(f"dense reference of {n} states exceeds cap {DENSE_CAP}")
         a = np.diag([self.free_energy(s) for s in self.basis]).astype(complex)
         b = np.zeros((n, n), dtype=complex)
         for (s, t), v in self.entries.items():
@@ -164,6 +177,9 @@ class TrilinearVertex:
     species: tuple = ("a", "b", "c")
     max_particles: int = 7
 
+    def __post_init__(self):
+        object.__setattr__(self, "_grid_set", frozenset(self.grid))
+
     def dispersion(self, species: str, p: Momentum) -> float:
         return math.sqrt(self.masses[species] ** 2 + sum(c * c for c in p))
 
@@ -181,7 +197,7 @@ class TrilinearVertex:
         """
         room = self.max_particles - state.size  # particles a move may add: the Fock cutoff
         sa, sb, sc = self.species
-        grid = set(self.grid)
+        grid = self._grid_set
         by_species = defaultdict(set)
         for sp, p in state.particles:
             by_species[sp].add(p)
@@ -234,7 +250,16 @@ class TrilinearVertex:
 
 
 def box_grid(dim: int, radius: int) -> tuple:
-    """Integer momentum box ``{-radius..radius}^dim``."""
+    """Integer momentum box ``{-radius..radius}^dim``; more than :data:`MOMENTUM_CAP`
+    momenta, or components per momentum, raise :class:`EnumerationLimitError`
+    before a tuple is built."""
+    if dim > MOMENTUM_CAP:
+        raise EnumerationLimitError(f"momentum box of more than {MOMENTUM_CAP} dimensions")
+    size = 1
+    for _ in range(dim):  # a side of 3 or more passes the cap within 7 steps
+        size *= max(2 * radius + 1, 0)
+        if size > MOMENTUM_CAP:
+            raise EnumerationLimitError(f"momentum box exceeds cap {MOMENTUM_CAP} momenta")
     axis = range(-radius, radius + 1)
     return tuple(itertools.product(axis, repeat=dim))
 
@@ -396,40 +421,28 @@ class Diagram:
 def diagram_of(seq) -> Diagram:
     """Canonical diagram of a sequence of basis states.
 
-    One dot per transition.  For every distinct particle value the
-    multiplicity profile across the sequence is decomposed into maximal
-    constant-presence runs (level decomposition); each run becomes one line
-    from the dot where it starts to the dot where it ends, with external
-    stubs at the sequence boundaries.  Two identical particles swapping
-    places are indistinguishable and merge into persisting runs.
+    Dot ``k`` is the transition into state ``k``.  Each particle value's
+    multiplicity profile, closed by a 0, gives one line per level and maximal
+    run at or above it: from the first state of the run (``EXT_IN`` for state
+    0) to the first state below the level (the outgoing stub past the last
+    state).  Two identical particles swapping places are indistinguishable
+    and merge into persisting runs.
     """
     seq = list(seq)
     if not seq:
         raise ArgumentError("empty state sequence")
-    length = len(seq)
-    values = sorted({p for s in seq for p in s.particles})
     lines = []
-    for value in values:
-        profile = [s.particles.count(value) for s in seq]
-        top = max(profile)
-        for level in range(1, top + 1):
-            present = [k for k, m in enumerate(profile) if m >= level]
-            # maximal runs of consecutive states
-            run_start = present[0]
-            prev = present[0]
-            runs = []
-            for k in present[1:]:
-                if k == prev + 1:
-                    prev = k
-                else:
-                    runs.append((run_start, prev))
-                    run_start = prev = k
-            runs.append((run_start, prev))
-            for a, b_ in runs:
-                start = EXT_IN if a == 0 else a  # dot index = transition position
-                end = length if b_ == length - 1 else b_ + 1
-                lines.append((value[0], start, end))
-    return Diagram.of(num_dots=length - 1, lines=lines)
+    for value in sorted({p for s in seq for p in s.particles}):
+        profile = [s.particles.count(value) for s in seq] + [0]
+        for level in range(1, max(profile) + 1):
+            start = None
+            for k, m in enumerate(profile):
+                if m >= level and start is None:
+                    start = k
+                elif m < level and start is not None:
+                    lines.append((value[0], start, k))
+                    start = None
+    return Diagram.of(num_dots=len(seq) - 1, lines=lines)
 
 
 def group_terms_by_diagram(bop: SparseInteraction, i: MultisetState, j: MultisetState, ell: int) -> dict:
@@ -622,13 +635,12 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
     if abs(lam_i - lam_j) > 1e-12 * max(1.0, lam_i):
         raise ArgumentError("states must be on the same energy shell")
 
-    # depth-1 closure of the two endpoints already contains every length-2
-    # path intermediate
-    bop = build_interaction(rule, [i_state, j_state], depth=1)
+    # the order-2 intermediates are the states both ends move to: the rule is reversible with the same
+    # real amplitude, so a path's weight is the two moves' product; a zero amplitude is no link
+    into_j = dict(rule.moves(j_state))
+    paths = [(k, amp * into_j[k]) for k, amp in rule.moves(i_state) if amp and into_j.get(k)]
     shell = (lam_i + lam_j) / 2.0
     shift = scattering.lambda_shift(lam_i, lam_j, tau)
-
-    paths = list(index_paths(bop.neighbors, i_state, j_state, 2))
     if len(paths) != 4:
         raise ArgumentError(
             f"expected the 4 canonical intermediate states, found {len(paths)}; "
@@ -647,8 +659,8 @@ def three_particle_demo(grid_spec, m_a: float, m_b: float, m_c: float,
             return "d"
         return "?"
 
-    rows = sorted((ThreeParticleRow(label=classify(k), state=k, product=weight, denominator=bop.free_energy(k) - shift)
-                   for (_, k, _), weight in paths), key=lambda r: r.label)
+    rows = sorted((ThreeParticleRow(classify(k), k, w, _free_energy(rule.dispersion, k) - shift) for k, w in paths),
+                  key=lambda r: r.label)
     if [r.label for r in rows] != ["a", "b", "c", "d"]:
         raise ArgumentError("intermediate states do not match the canonical four-row table")
 

@@ -15,8 +15,8 @@ from collections import Counter, defaultdict
 import numpy as np
 import scipy.linalg
 
-from pertkit import matcore, resolvent, spectral, symdiag, tensor
-from pertkit.errors import ConvergenceError, EnumerationLimitError, GapCollapseError, ShapeError, StepSizeError
+from pertkit import matcore, resolvent, scattering, spectral, symdiag, tensor
+from pertkit.errors import ArgumentError, ConvergenceError, EnumerationLimitError, GapCollapseError, ShapeError, StepSizeError
 
 
 def cheb_nodes(eps_max: float, count: int) -> np.ndarray:
@@ -689,6 +689,74 @@ def build_interaction_ref(rule, seeds, depth, cap=symdiag.BASIS_CAP):
             if t in basis_set and (t, s) not in entries:
                 entries[(s, t)] = amp
     return symdiag.SparseInteraction(basis=basis, entries=entries, dispersion=rule.dispersion)
+
+
+def diagram_of_ref(seq):
+    """The former ``symdiag.diagram_of``: per value and level, the indices of
+    the states holding it at least that often, split into runs of consecutive
+    indices, each run one line."""
+    seq = list(seq)
+    length = len(seq)
+    lines = []
+    for value in sorted({p for s in seq for p in s.particles}):
+        profile = [s.particles.count(value) for s in seq]
+        for level in range(1, max(profile) + 1):
+            present = [k for k, m in enumerate(profile) if m >= level]
+            run_start = prev = present[0]
+            runs = []
+            for k in present[1:]:
+                if k == prev + 1:
+                    prev = k
+                else:
+                    runs.append((run_start, prev))
+                    run_start = prev = k
+            runs.append((run_start, prev))
+            for a, b_ in runs:
+                start = symdiag.EXT_IN if a == 0 else a  # dot index = transition position
+                end = length if b_ == length - 1 else b_ + 1
+                lines.append((value[0], start, end))
+    return symdiag.Diagram.of(num_dots=length - 1, lines=lines)
+
+
+def three_particle_paths_ref(grid_spec, m_a, m_b, m_c, i_state, j_state, tau):
+    """The former ``three_particle_demo`` table: the order-2 paths of the
+    depth-1 closure of the two end states, walked by ``index_paths``, as
+    ``(state, product, denominator)`` rows in the demo's row order, with the
+    demo's refusals."""
+    matcore.check_positive(tau, "tau")
+    rule = symdiag.TrilinearVertex(masses={"a": m_a, "b": m_b, "c": m_c}, grid=symdiag.box_grid(*grid_spec))
+
+    def one_of(state, species):
+        ps = [p for sp, p in state.particles if sp == species]
+        if len(ps) != 1:
+            raise ArgumentError(f"state {state} must contain exactly one {species!r} particle")
+        return ps[0]
+
+    p1, p2, p3, p4 = one_of(i_state, "a"), one_of(i_state, "b"), one_of(j_state, "a"), one_of(j_state, "b")
+    if not i_state.same_momentum(j_state):
+        raise ArgumentError("states must carry the same total momentum")
+    lam_i = rule.dispersion("a", p1) + rule.dispersion("b", p2)
+    lam_j = rule.dispersion("a", p3) + rule.dispersion("b", p4)
+    if abs(lam_i - lam_j) > 1e-12 * max(1.0, lam_i):
+        raise ArgumentError("states must be on the same energy shell")
+    bop = symdiag.build_interaction(rule, [i_state, j_state], depth=1)
+    shift = scattering.lambda_shift(lam_i, lam_j, tau)
+    paths = list(resolvent.index_paths(bop.neighbors, i_state, j_state, 2))
+    if len(paths) != 4:
+        raise ArgumentError(
+            f"expected the 4 canonical intermediate states, found {len(paths)}; "
+            "choose generic on-shell momenta inside the grid"
+        )
+    labels = {("c",): "a", ("b", "b", "c"): "c", ("a", "a", "c"): "d"}
+
+    def label(k):
+        return "b" if k.size == 5 else labels.get(tuple(sp for sp, _ in k.particles), "?")
+
+    rows = sorted(((label(k), k, weight, bop.free_energy(k) - shift) for (_, k, _), weight in paths),
+                  key=lambda r: r[0])
+    if [r[0] for r in rows] != ["a", "b", "c", "d"]:
+        raise ArgumentError("intermediate states do not match the canonical four-row table")
+    return [r[1:] for r in rows]
 
 
 def fixed_point_eigenvalue_ref(s, max_iter=100):

@@ -404,6 +404,14 @@ class TestCliCommands:
         worst = max(max(r[1] / r[2], r[3] / r[4]) for r in rows)
         (check,) = [line for line in lines if line.startswith("defects_within_budgets,")]
         assert code == 0
+        # the running partial sums are the prefix sums, bit for bit
+        a, b = iotools.load_matrix(pa), iotools.load_matrix(pb)
+        exp_terms, dyson_terms = evolution.exp_series_terms(a, b, 0.8, 6), evolution.dyson_terms(a, b, 0.8, 6)
+        exact_exp, exp_ita = matcore.expm(0.8 * (a + b)), matcore.expm(0.8j * a)
+        exact_dyson = exp_ita @ matcore.expm(-0.8j * (a + b))
+        assert [(r[1], r[3]) for r in rows] == [(matcore.op_norm(sum(exp_terms[: k + 1]) - exact_exp),
+                                                 matcore.op_norm(sum(dyson_terms[: k + 1]) - exact_dyson))
+                                                for k in range(7)]
         assert check == f"defects_within_budgets,{worst!r},1.0,1"
         assert 0.0 < worst <= 1.0
 
@@ -669,6 +677,34 @@ class TestCliCommands:
         assert re.fullmatch(rf"error\[5\]: time grid of {nodes} nodes x [0-9]+ entries exceeds cap 67108864\n", proc.stderr)
         assert float(proc.stdout) < 1.0
 
+    @pytest.mark.parametrize("argv, grid, message", [
+        (["demo", "three-particle", "--grid-radius", "30000"], None, "momentum box exceeds cap 1000 momenta"),
+        (["demo", "three-particle", "--grid-radius", "500"], None, "momentum box exceeds cap 1000 momenta"),
+        (["diagrams"], {"dim": 4, "radius": 50}, "momentum box exceeds cap 1000 momenta"),
+        (["diagrams"], {"dim": 3, "radius": 10**4000}, "momentum box exceeds cap 1000 momenta"),
+        (["diagrams"], {"dim": 10**20, "radius": 1}, "momentum box of more than 1000 dimensions"),
+        (["diagrams"], {"dim": 1001, "radius": 0}, "momentum box of more than 1000 dimensions"),
+    ], ids=["demo-radius-30000", "demo-radius-500", "dim-4-radius-50", "radius-4001-digits", "dim-1e20",
+            "dim-1001-radius-0"])
+    def test_a_momentum_box_too_large_to_list_is_refused_within_3_gb(self, tmp_path, argv, grid, message):
+        # the box used to be listed whole: radius 30000 ran past 300 s, dim 4 radius 50 asks for 1e8 tuples,
+        # and dim 1e20 ended in an untyped OverflowError
+        if grid is not None:
+            (tmp_path / "model.json").write_text(json.dumps(dict(self.DIAGRAM_MODEL, grid=grid)))
+            argv = argv + ["--model", "model.json", "--i", "a:1,b:-1", "--j", "a:-1,b:1", "--ell", "2", "--tau", "0.1"]
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        timed = ("import sys, time; from pertkit import cli; start = time.perf_counter(); code = cli.main(sys.argv[1:]); "
+                 "print(time.perf_counter() - start); sys.exit(code)")
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", timed] + argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, preexec_fn=limit_address_space, timeout=120)
+        assert proc.returncode == EnumerationLimitError.exit_code not in (0, 1)
+        assert proc.stderr == f"error[5]: {message}\n"
+        assert float(proc.stdout) < 1.0
+
     @pytest.mark.parametrize("argv, option", [
         (["tensor", "dirac", "--p", "0.3,0.2", "--m", "1.0", "--z", "0.4,0.2"], "--p"),
         (["tensor", "dirac", "--p", "0.3,0.2,0.1,0.0", "--m", "1.0", "--z", "0.4,0.2"], "--p"),
@@ -923,6 +959,15 @@ class TestOperandContract:
         "radius-negative": ("model", dict(MODEL, grid={"dim": 1, "radius": -1}),
                             "model {path}: grid.radius must be a non-negative int, got -1"),
         "no-grid": ("model", {"species": MODEL["species"]}, "model {path}: missing key 'grid'"),
+        # a huge value is shown abbreviated: in full these lines ran to 100,000 characters and more
+        "rows-of-100000-chars": ("matrix", {"rows": "x" * 100000, "cols": 1, "data": [1]},
+                                 "{path}: 'rows' must be a positive int, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        "entry-of-100000-items": ("matrix", {"rows": 1, "cols": 1, "data": [list(range(100000))]},
+                                  "{path}: bad matrix entry at index 0 (row 0, col 0): [0, 1, 2, 3, 4, 5, ...]"),
+        "names-of-100000-chars": ("model", dict(MODEL, species=[dict(sp, name="a" * 100000) if k < 2 else sp
+                                                                for k, sp in enumerate(MODEL["species"])]),
+                                  "model {path}: species names must be distinct, got ('aaaaaaaaaaaa...aaaaaaaaaaaaa', "
+            "'aaaaaaaaaaaa...aaaaaaaaaaaaa', 'c')"),
         "matrix-digits": ("matrix", '{"rows": 1, "cols": 1, "data": [' + DIGITS + "]}",
                           "cannot read matrix {path}: " + _digit_limit()),
         "schedule-digits": ("schedule", '{"a": "ha.json", "b": "hb.json", "n": ' + DIGITS + "}",

@@ -325,3 +325,7 @@ class TestExactRemainders:
         for k in range(7):
             assert got[k] == repr(matcore.op_norm(reference.exact_remainder_ref(a, b, k)))
             assert got[k] == repr(matcore.op_norm(resolvent.exact_remainder(a, b, k)))
+        # the running partial sum is the series' own partial sum, bit for bit
+        series, inv = resolvent.series_terms(a, b, 7), matcore.inverse(a + b)
+        assert [line.split(",")[2] for line in lines[start : start + 7]] == [
+            repr(matcore.op_norm(series.partial_sum(k) - inv)) for k in range(7)]

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from collections import Counter
 from unittest import mock
 
@@ -145,6 +146,17 @@ class TestSparseInteraction:
         with pytest.raises(MatrixFormatError, match=message):
             symdiag.SparseInteraction(basis=basis, entries=entries, dispersion=lambda sp, p: 1.0)
 
+    def test_a_dense_reference_past_the_cap_is_refused_before_it_is_allocated(self):
+        # 8,193 states would take two 1 GiB arrays; the refusal comes before the first, whose
+        # free energies would fail this test
+        basis = [state(("a", (k,))) for k in range(symdiag.DENSE_CAP + 1)]
+        bop = symdiag.SparseInteraction(basis=basis, entries={}, dispersion=lambda sp, p: 1.0)
+        bop.free_energy = lambda s: pytest.fail("to_dense began to allocate")
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match="^dense reference of 8193 states exceeds cap 8192$"):
+            bop.to_dense()
+        assert time.perf_counter() - start < 1.0
+
     def test_free_energy(self):
         bop = std_model()
         expected = np.sqrt(1.0 + 1.0) + np.sqrt(4.0 + 1.0)
@@ -187,6 +199,23 @@ class CountingRule:
 def counting_ref(rule, skew=False):
     """A counting rule over the reference channels."""
     return CountingRule(rule, skew, reference.trilinear_moves_ref)
+
+
+class TestBoxGrid:
+    @pytest.mark.parametrize("dim, radius, size", [(1, 0, 1), (1, 2, 5), (2, 2, 25), (3, 4, 729), (1, 499, 999),
+                                                   (1000, 0, 1)])
+    def test_boxes_within_the_cap(self, dim, radius, size):
+        grid = symdiag.box_grid(dim, radius)
+        assert len(grid) == len(set(grid)) == size and {len(p) for p in grid} == {dim}
+
+    # boxes that would be huge to list are probed in a subprocess under a memory limit, in test_cli.py
+    @pytest.mark.parametrize("dim, radius", [(1, 500), (3, 5), (7, 1), (10**20, 1), (10**20, 0), (1001, 0)])
+    def test_boxes_past_the_cap_are_refused_before_they_are_listed(self, dim, radius):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match="^momentum box (exceeds cap 1000 momenta|of more than 1000 "
+                                                        "dimensions)$"):
+            symdiag.box_grid(dim, radius)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVertexChannelTable:
@@ -466,6 +495,14 @@ class TestDiagramOf:
         with pytest.raises(ValueError):
             symdiag.diagram_of([])
 
+    # a few values of species a-c and momenta -1..1, so that particles repeat, vanish and come back
+    PARTICLES = st.tuples(st.sampled_from("abc"), st.tuples(st.integers(-1, 1)))
+
+    @given(seq=st.lists(st.lists(PARTICLES, max_size=4), min_size=1, max_size=7))
+    def test_matches_the_run_splitting_reference(self, seq):
+        states = [state(*particles) for particles in seq]
+        assert symdiag.diagram_of(states) == reference.diagram_of_ref(states)
+
 
 class TestGroupingAndValues:
     @pytest.mark.parametrize("ell", [0, -1])
@@ -738,3 +775,59 @@ class TestThreeParticleDemo:
     def test_tau_positive_required(self):
         with pytest.raises(ValueError):
             symdiag.three_particle_demo((1, 2), 1.0, 2.0, 0.5, STD_I, STD_J, 0.0)
+
+    @staticmethod
+    def _outcome(table, *args):
+        """The table's ``(state, product, denominator)`` rows, or its refusal."""
+        try:
+            return table(*args)
+        except ArgumentError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _rows(*args):
+        return [(r.state, r.product, r.denominator) for r in symdiag.three_particle_demo(*args).rows]
+
+    @given(
+        radius=st.integers(1, 3),
+        masses=st.tuples(*[st.sampled_from((0.3, 0.7, 1.0, 1.3, 2.0, 2.5))] * 3),
+        p=st.tuples(*[st.integers(-3, 3)] * 4),
+        shape=st.sampled_from(("cli", "cli", "swapped", "conserving", "free")),
+        tau=st.sampled_from((1e-3, 0.1)),
+    )
+    def test_rows_match_the_closure_walk(self, radius, masses, p, shape, tau):
+        # the command's end states, the pair's momenta swapped, any pair of one total momentum and any pair:
+        # on and off the grid and the shell
+        p = {"cli": (p[0], -p[0], -p[0], p[0]), "swapped": (p[0], p[1], p[1], p[0]),
+             "conserving": (p[0], p[1], p[2], p[0] + p[1] - p[2]), "free": p}[shape]
+        args = ((1, radius), *masses, state(("a", (p[0],)), ("b", (p[1],))), state(("a", (p[2],)), ("b", (p[3],))), tau)
+        assert self._outcome(self._rows, *args) == self._outcome(
+            reference.three_particle_paths_ref, *args)
+
+    def test_rows_match_the_closure_walk_on_the_command_states(self):
+        # an infinite mass makes amplitudes 0, which are no links in the closure either
+        masses = [(1.0, 2.0, 0.5), (1.0, 1.0, 0.5), (0.3, 2.5, 1.3), (2.5, 2.5, 0.3), (1.0, 2.0, float("inf"))]
+        tables = 0
+        for radius, mom, (m_a, m_b, m_c) in itertools.product(range(1, 4), range(4), masses):
+            args = ((1, radius), m_a, m_b, m_c, state(("a", (mom,)), ("b", (-mom,))),
+                    state(("a", (-mom,)), ("b", (mom,))), 1e-3)
+            got = self._outcome(self._rows, *args)
+            assert got == self._outcome(reference.three_particle_paths_ref, *args)
+            tables += isinstance(got, list)
+        assert tables == 24  # of 60: momentum 0, momenta off the grid and the infinite mass are refused
+
+    def test_no_closure_and_no_walk(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+        for name in ("build_interaction", "index_paths"):
+            monkeypatch.setattr(symdiag, name, counted(name, getattr(symdiag, name)))
+        monkeypatch.setattr(resolvent, "index_paths", counted("index_paths", resolvent.index_paths))
+        monkeypatch.setattr(symdiag.SparseInteraction, "__init__",
+                            counted("SparseInteraction", symdiag.SparseInteraction.__init__))
+        rep = symdiag.three_particle_demo((1, 2), 1.0, 2.0, 0.5, STD_I, STD_J, 1e-3)
+        assert [r.label for r in rep.rows] == ["a", "b", "c", "d"] and calls == []
+        std_model()  # the counters count
+        assert calls == ["build_interaction", "SparseInteraction"]

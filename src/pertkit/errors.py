@@ -71,12 +71,6 @@ class StepSizeError(PertkitError, RuntimeError):
     exit_code = 5
 
 
-class TrackingLossError(PertkitError, RuntimeError):
-    """Overlap with the reference state fell below the tracking threshold."""
-
-    exit_code = 5
-
-
 class NotATreeError(PertkitError, ValueError):
     """Diagram is not a connected acyclic multigraph over its dots."""
 

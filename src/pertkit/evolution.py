@@ -1,4 +1,4 @@
-"""Time-domain series and propagators.
+"""Time-domain series and adiabatic evolution.
 
 The simplex integrals of the exponential and Dyson expansions are the terms
 of the cascade ``Y_m' = A Y_m + B Y_{m-1}``, ``Y(0) = [I, 0, ..., 0]``: the
@@ -13,12 +13,10 @@ matrix exponential:
   ``G_m' = -i Btilde(t) G_{m-1}`` for ``Btilde(s) = e^{isA} B e^{-isA}``;
   ``sum_m G_m(t)`` approximates ``e^{itA} e^{-it(A+B)}``.
 
-Also here: time-dependent propagators, the Laplace-transform bridge from
-time evolution to the shifted inverse, holomorphic functional calculus, and
-adiabatic evolution with its eigenvalue/eigenvector estimators.  Both
-Hermitian time-dependent paths take exactly unitary fourth-order Magnus
-steps (Blanes, Casas, Oteo & Ros, 2009), a stack of them from one batched
-``eigh``.  The adiabatic path runs block by block, a ramped schedule's ``H``
+Also here: the Laplace-transform bridge from time evolution to the shifted
+inverse, and adiabatic evolution.  The adiabatic path takes exactly unitary
+fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, 2009), a stack of them
+from one batched ``eigh``.  It runs block by block, a ramped schedule's ``H``
 as one broadcast ``A + f(t) B``; only the O(n^2) state update and the gauge
 of the tracked eigenvector run step by step, and each error is raised at the
 step it belongs to.
@@ -34,16 +32,8 @@ from typing import Callable
 import numpy as np
 
 from . import matcore
-from .errors import (
-    ArgumentError,
-    ContourEnclosureError,
-    ConvergenceError,
-    GapCollapseError,
-    ShapeError,
-    StepSizeError,
-    TrackingLossError,
-)
-from .matcore import ContourSpec, TimeGrid
+from .errors import ArgumentError, GapCollapseError, ShapeError, StepSizeError
+from .matcore import TimeGrid
 
 
 RAMPS: dict[str, Callable[[float], float]] = {
@@ -93,19 +83,14 @@ class _RampedSchedule(Schedule):
         return self.a + np.array(fs, dtype=complex)[:, None, None] * self.b, err
 
 
-def _ramp(f: str | Callable[[float], float]) -> Callable[[float], float]:
-    """A callable ramp as given, or the one :data:`RAMPS` names."""
-    if isinstance(f, str) and f not in RAMPS:
-        raise ArgumentError(f"unknown ramp {f!r}; known ramps: {', '.join(RAMPS)}")
-    return RAMPS[f] if isinstance(f, str) else f
-
-
 def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Schedule:
-    """Schedule ``H(t) = A + f(t) B`` for a named or callable ramp."""
+    """Schedule ``H(t) = A + f(t) B`` for a callable ramp, or the one :data:`RAMPS` names."""
     a, b = matcore.as_pair(a, b)
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
-    return _RampedSchedule(a, b, _ramp(ramp))
+    if isinstance(ramp, str) and ramp not in RAMPS:
+        raise ArgumentError(f"unknown ramp {ramp!r}; known ramps: {', '.join(RAMPS)}")
+    return _RampedSchedule(a, b, RAMPS[ramp] if isinstance(ramp, str) else ramp)
 
 
 #: Steps per batched eigendecomposition; a bounded block keeps memory flat.
@@ -156,19 +141,6 @@ def _doubled_steps(hn, mids, c):
     return fine, coarse, est
 
 
-def _rk4_system(deriv, y: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
-    """Classical RK4 on an array state; returns the final state."""
-    h = (t1 - t0) / steps
-    for k in range(steps):
-        t = t0 + k * h
-        k1 = deriv(t, y)
-        k2 = deriv(t + h / 2, y + (h / 2) * k1)
-        k3 = deriv(t + h / 2, y + (h / 2) * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
 def remainder_bound(t: float, norm_a: float, norm_b: float, k: int) -> float:
     """Tail bound ``(t^k / k!) ||B||^k e^{t(||A|| + ||B||)}`` of the cascade,
     taken in logarithms; :class:`ArgumentError` when it overflows a float."""
@@ -206,40 +178,6 @@ def dyson_terms(a, b, t: float, m_max: int, exp_ita=None) -> list:
     return [np.eye(a.shape[0], dtype=complex)] + list(exp_ita @ y[1:])
 
 
-def propagator_time_dependent(a, b_of_t, s: float, t: float, g: TimeGrid) -> np.ndarray:
-    """Unitary propagator ``U(s,t)`` of ``i dU/dt = (A + B(t)) U``, ``U(s,s)=I``.
-
-    Magnus steps from ``A + B`` at the grid's nodes and midpoints; raises
-    :class:`NotHermitianError` at the first non-Hermitian one, and
-    :class:`StepSizeError` when a step estimate exceeds its limit.
-    """
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise ArgumentError("s and t must be finite")
-    if s > t:
-        raise ArgumentError("require s <= t")
-    a = matcore.require_hermitian(a, what="A")
-    eye = np.eye(a.shape[0], dtype=complex)
-    if s == t:
-        return eye
-    g.check_size(2 * a.size)  # H at each node and each midpoint
-    h = (t - s) / g.steps
-    ts = s + (h / 2) * np.arange(2 * g.steps + 1)
-    hs = np.empty(ts.shape + a.shape, dtype=complex)
-    for k, tt in enumerate(ts):
-        hs[k] = a + matcore.as_pair(a, b_of_t(tt))[1]
-    for k0 in range(0, ts.size, 2 * _BLOCK):  # every H is decided before any step
-        for j in np.flatnonzero(~matcore.is_hermitian(hs[k0:k0 + 2 * _BLOCK]))[:1]:
-            matcore.require_hermitian(hs[k0 + j], what=f"A + B({ts[k0 + j]:g})")
-    u = eye
-    for k0, k1 in _blocks(g.steps):
-        steps, _, est = _doubled_steps(hs[2 * k0:2 * k1 + 1:2], hs[2 * k0 + 1:2 * k1:2], np.full(k1 - k0, h))
-        for j in np.flatnonzero(~(est <= _MAX_STEP_ESTIMATE))[:1]:  # a NaN estimate fails too
-            raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * (k0 + j) + 2]:g}; refine the grid")
-        for step in steps:
-            u = step @ u
-    return u
-
-
 def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.ndarray:
     """Damped time integral ``-i * integral_0^{t_max} e^{it(A+B) - tau t} dt``.
 
@@ -265,27 +203,6 @@ def laplace_resolvent_bridge(a, b, tau: float, t_max: float, g: TimeGrid) -> np.
     # diagonal quadrature per eigenvalue
     diag = -1j * g.damped(t_max, dec.eigenvalues, tau).sum(axis=0)
     return (dec.eigenvectors * diag) @ dec.eigenvectors.conj().T
-
-
-def holomorphic_calculus(a, b, f, c: ContourSpec) -> np.ndarray:
-    """Cauchy functional calculus ``f(A+B)`` by contour quadrature.
-
-    The counterclockwise circle must enclose the whole spectrum of ``A+B``;
-    nodes evaluate ``f(z) (z - (A+B))^{-1}`` through the guarded
-    :func:`matcore.inverse`, so a node next to an eigenvalue raises
-    :class:`SingularMatrixError`.
-    """
-    a, b = matcore.as_pair(a, b)
-    m = a + b
-    eigs = np.linalg.eigvals(m)
-    if np.any(np.abs(eigs - c.center) >= c.radius):
-        raise ContourEnclosureError("contour must enclose the whole spectrum")
-    eye = np.eye(m.shape[0], dtype=complex)
-
-    def integrand(z):
-        return f(z) * matcore.inverse(z * eye - m)
-
-    return matcore.contour_integrate(integrand, c)
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +235,30 @@ def _require_gap(gap: float, t: float) -> None:
 
 
 def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
-    """Shared core: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
+    """Core of :func:`adiabatic_evolve`: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
 
     Each step checks, before its state moves: ``H`` at the midpoint, then
     at the end, then the gap at the end node (at least 1e-3), then the step
-    estimate (:func:`_doubled_steps`).  Returns nodes, the state history at
-    nodes, ``H u`` at nodes, the continued eigenvector path (positive-overlap
-    gauge), eigenvalue path and the end of the coarse chain ``u_N/2`` (an odd
-    last step its own).  A block of steps is array work, its checks as masks
-    replayed only at the first failing step; per step, only ``u = U_k u`` and
-    the gauge run.  A lone last step joins the block before it.
+    estimate (:func:`_doubled_steps`).  Returns nodes, the final state, the
+    final continued eigenvector (positive-overlap gauge), the eigenvalue path
+    and the end of the coarse chain ``u_N/2`` (an odd last step its own).  A
+    block of steps is array work, its checks as masks replayed only at the
+    first failing step; per step, only ``u = U_k u`` and the gauge run.  A
+    lone last step joins the block before it.
     """
     dec0 = matcore.eig_hermitian(sched.evaluator(0.0), what="H(0)")
     h_end = dec0.matrix
     n = dec0.eigenvalues.size
     matcore.check_index(i, n)
     _require_gap(_nearest_gaps(dec0.eigenvalues)[i], 0.0)
-    g.check_size(3 * n + 2)  # us, hus, e_path, lam_path and nodes
+    # 3 n + 2 entries a node bounds the run's length, and with it the step work; over
+    # the grid the core holds only lam_path and nodes
+    g.check_size(3 * n + 2)
     steps = g.steps
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
-    us = np.empty((steps + 1, n), dtype=complex)
-    hus = np.empty_like(us)
-    e_path = np.empty_like(us)
     lam_path = np.empty(steps + 1)
-    us[0] = e_path[0] = u = e_prev = coarse = dec0.eigenvectors[:, i].copy()
-    hus[0] = h_end @ u
+    u = e_prev = coarse = dec0.eigenvectors[:, i].copy()
     lam_path[0] = dec0.eigenvalues[i]
     idxs, vecs = [i], dec0.eigenvectors[None]
 
@@ -380,18 +295,16 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
         for step in [*pairs[:hks.size // 2], *step_us[hks.size // 2 * 2:]]:  # and an odd last step
             coarse = step @ coarse
         cols = vecs[rows, :, idxs]  # contiguous rows: np.vdot of a strided column rounds differently
-        for k, step, e_new in zip(range(k0 + 1, steps + 1), step_us, cols):
-            u = np.matmul(step, u, out=us[k])
+        for step, e_new in zip(step_us, cols):
+            u = step @ u
             ov = np.vdot(e_prev, e_new)
             if abs(ov) > 0:
                 e_new *= ov.conjugate() / abs(ov)  # positive-overlap gauge
             e_prev = e_new
-        block = slice(k0 + 1, k0 + 1 + hks.size)
-        e_path[block], lam_path[block] = cols, lams[rows, idxs]
-        hus[block] = np.matmul(ends, us[block, :, None])[..., 0]
+        lam_path[k0 + 1:k0 + 1 + hks.size] = lams[rows, idxs]
         h_end = ends[-1]
 
-    return nodes, us, hus, e_path, lam_path, coarse
+    return nodes, u, e_prev, lam_path, coarse
 
 
 def _integral_on_nodes(values: np.ndarray, h: float) -> float:
@@ -408,88 +321,15 @@ def adiabatic_evolve(sched: Schedule, eta: float, i: int, g: TimeGrid) -> Adiaba
     C^1 schedule with a uniform spectral gap.
     """
     matcore.check_positive(eta, "eta")
-    nodes, us, _, e_path, lam_path, coarse = _integrate_schedule(sched, eta, i, g)
+    nodes, u_final, e_final, lam_path, coarse = _integrate_schedule(sched, eta, i, g)
     phi = _integral_on_nodes(lam_path, nodes[1] - nodes[0])
-    u_final = us[-1]
-    reference = e_path[-1] * np.exp(-1j * eta * phi)
+    reference = e_final * np.exp(-1j * eta * phi)
     err = float(np.linalg.norm(u_final - reference))
     return AdiabaticResult(
         final_state=u_final,
         tracked_phase=phi,
         error_vs_eigenpath=err,
         eigenvalue_path=lam_path,
-        final_eigenvector=e_path[-1],
+        final_eigenvector=e_final,
         step_doubling_error=float(np.linalg.norm(u_final - coarse)) / _RICHARDSON,
     )
-
-
-def adiabatic_eigenvalue_track(sched: Schedule, eta: float, i: int, g: TimeGrid) -> np.ndarray:
-    """Eigenvalue-shift estimator ``lambda_i(t) - lambda_i(0)`` from the state.
-
-    Evaluates the logarithmic-derivative estimator
-    ``(1/eta) i d/dt log <e^{-i eta t lambda_i(0)} e_i(0), u(t)>``, which
-    simplifies to ``<e_i(0), H(t) u(t)> / <e_i(0), u(t)> - lambda_i(0)``, with
-    ``H(t)`` as the integration evaluated it; returns its real part on the grid nodes.  Raises
-    :class:`TrackingLossError` when the overlap magnitude drops below 1e-6.
-    """
-    matcore.check_positive(eta, "eta")
-    nodes, us, hus, e_path, lam_path, _ = _integrate_schedule(sched, eta, i, g)
-    e0 = e_path[0]
-    ovs = us @ e0.conj()
-    for k in np.flatnonzero(np.abs(ovs) < 1e-6)[:1]:
-        raise TrackingLossError(f"reference overlap {abs(ovs[k]):.2e} lost at t={nodes[k]:g}")
-    return (hus @ e0.conj() / ovs).real - lam_path[0]
-
-
-@dataclass
-class AdiabaticSeriesResult:
-    """Eigenvector direction from the ramped Dyson series, with error budget."""
-
-    vector: np.ndarray
-    budget: float
-
-
-def adiabatic_eigvec_series(a, b, f, i: int, eta: float, m_max: int, g: TimeGrid) -> AdiabaticSeriesResult:
-    """Eigenvector of ``A + B`` from the time-ordered ramped series.
-
-    Integrates the interaction-picture cascade with kernel
-    ``eta f(t) Btilde(eta t)`` on [0,1] starting from the unperturbed
-    eigenvector, undoes the free phase, and normalizes the result.  The
-    claimed error budget ``1/eta + (||B|| eta)^{m_max} / m_max!`` is
-    reported; the call refuses (with a diagnostic) when it reaches one.
-    """
-    matcore.check_positive(eta, "eta")
-    matcore.check_order(m_max, "m_max")
-    a, b = matcore.as_pair(a, b)
-    dec = matcore.eig_hermitian(a, what="A")
-    b = matcore.require_hermitian(b, what="B")
-    f = _ramp(f)
-    norm_b = matcore.op_norm(b)
-    budget = 1.0 / eta + (norm_b * eta) ** m_max / math.factorial(m_max)
-    if budget >= 1.0:
-        raise ConvergenceError(
-            f"error budget {budget:.3g} >= 1 (eta*||B|| = {eta * norm_b:.3g}, "
-            f"m_max = {m_max}); raise m_max or lower eta*||B||"
-        )
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    matcore.check_index(i, lam.size)
-    if norm_b > _nearest_gaps(lam)[i]:
-        raise ArgumentError("||B|| exceeds the unperturbed spectral gap")
-    b_eig = v.conj().T @ b @ v
-    dlam = lam[:, None] - lam[None, :]
-
-    def deriv(t, ys):
-        w = b_eig * np.exp(1j * eta * t * dlam)
-        out = np.zeros_like(ys)
-        # matrix times a stack of column vectors: the same gemv per order
-        out[1:] = -1j * eta * f(t) * np.matmul(w, ys[:-1, :, None])[..., 0]
-        return out
-
-    state = np.zeros((m_max + 1, lam.size), dtype=complex)
-    state[0, i] = 1.0
-    final = _rk4_system(deriv, state, 0.0, 1.0, g.steps)
-    vec = v @ (np.exp(-1j * eta * lam) * sum(final))
-    nv = np.linalg.norm(vec)
-    if nv == 0:
-        raise ConvergenceError("series produced a null vector")
-    return AdiabaticSeriesResult(vector=vec / nv, budget=float(budget))

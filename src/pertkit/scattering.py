@@ -137,7 +137,7 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     is ``1_{i=j}`` and term 1 reduces, for diagonal ``A``, to
     ``i*tau / ((lambda_i-lambda_j)^2/4 + tau^2) * <v_i, B v_j>``.
     ``(A - lambda_tau)^{-1}`` is a diagonal scaling in the eigenbasis of
-    ``A``.
+    ``A``.  A term that overflows raises :class:`ArgumentError`.
     """
     matcore.check_order(order, "order")
     lam, vecs, _, b = _operands(a, b)
@@ -150,10 +150,14 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     # right-to-left in A's eigenbasis: x_k = [B (lambda_tau - A)^{-1}]^k e_j
     x = np.zeros(lam.size, dtype=complex)
     x[q.j] = 1.0
-    for k in range(order + 1):
-        y = d * x
-        terms[k] = 1j * q.tau * y[q.i]
-        x = -(b_eig @ y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(order + 1):
+            y = d * x
+            terms[k] = 1j * q.tau * y[q.i]
+            if not np.isfinite(terms[k]):
+                raise ArgumentError(f"scattering series overflows the float range at order {k}")
+            if k < order:
+                x = -(b_eig @ y)
     return matcore.Series(terms, float(ratio))
 
 

@@ -365,27 +365,6 @@ def eigenvector_tilde(s: SchurData, z: complex) -> np.ndarray:
     return s.v + s.basis @ _perp_solve(m, s.b)
 
 
-def eigenvector_series(s: SchurData, lambda_hat: float, count: int) -> matcore.Series:
-    """Resolvent-series terms for the orthocomplement solve at ``lambda_hat``.
-
-    Term ``l`` (1-based) is
-    ``(-1)^{l-1} [(A_perp - lhat)^{-1} B_perp]^{l-1} (A_perp - lhat)^{-1} b``;
-    the partial sums converge to ``(A_perp + B_perp - lhat)^{-1} b`` when the
-    spectral ratio ``||(A_perp - lhat)^{-1} B_perp||`` is below one.  The
-    perturbed eigenvector's orthocomplement part is ``-<v,vhat>`` times that
-    limit. Vectors are in the orthocomplement coordinates of the split: a 1x1
-    split gives zero-length terms and ratio 0.
-    """
-    m0 = s.a_perp - lambda_hat * np.eye(s.b.size, dtype=complex)
-    step = _perp_solve(m0, s.b_perp)
-    terms = np.empty((count, s.b.size), dtype=complex)
-    t = _perp_solve(m0, s.b)
-    for m in range(count):
-        terms[m] = t
-        t = -(step @ t)
-    return matcore.Series(terms, float(matcore.op_norm(step) if s.b.size else 0.0))
-
-
 def overlap_squared(s: SchurData, lambda_hat: float) -> float:
     """Squared overlap ``|<v, vhat>|^2`` from the normalization identity.
 
@@ -433,21 +412,6 @@ def spectral_measure(a, b, v) -> SpectralMeasure:
     dec = matcore.eig_hermitian(a + b)
     weights = np.abs(dec.eigenvectors.conj().T @ v) ** 2
     return SpectralMeasure(locations=dec.eigenvalues.copy(), weights=weights)
-
-
-def sandwich(sv: SchurData, sw: SchurData, c) -> complex:
-    """Matrix element ``<vhat, C what>`` between two perturbed eigenvectors.
-
-    Both fixed-point eigenvalues are computed internally; the element is
-    ``<vtilde(lhat), C wtilde(muhat)> / (||vtilde|| ||wtilde||)``, equal to
-    the exact matrix element up to a unit phase.
-    """
-    c = matcore.as_matrix(c, square=True)
-    lhat = fixed_point_eigenvalue(sv)
-    muhat = fixed_point_eigenvalue(sw)
-    vt = eigenvector_tilde(sv, lhat)
-    wt = eigenvector_tilde(sw, muhat)
-    return complex(np.vdot(vt, c @ wt) / (np.linalg.norm(vt) * np.linalg.norm(wt)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ BASIS_CAP = 10**5
 #: Momenta in one box grid, and components in one momentum: a move list then pairs at most
 #: MOMENTUM_CAP**2 grid momenta.
 MOMENTUM_CAP = 1000
+#: Largest mass, and the reciprocal of the smallest: ``m**2 + |p|**2`` is then a positive, finite
+#: float for every grid momentum, and so is every dispersion and vertex amplitude.
+MASS_CAP = 1e150
 #: States of a dense reference: 2**26 entries per matrix, 1 GiB of complex128, ``matcore.GRID_CAP``'s budget.
 DENSE_CAP = 2**13
 
@@ -170,7 +173,8 @@ class TrilinearVertex:
     particles: states differing by one particle of each species (any side),
     amplitude ``1/sqrt(omega_c)`` of the third species' momentum, momenta on an
     integer box grid.  No move leaves that space, so the rule is reversible:
-    ``t`` is a move of ``s`` exactly when ``s`` is one of ``t``, with the same real amplitude."""
+    ``t`` is a move of ``s`` exactly when ``s`` is one of ``t``, with the same real amplitude.
+    A mass outside ``[1/MASS_CAP, MASS_CAP]``, NaN included, raises :class:`ArgumentError`."""
 
     masses: dict
     grid: tuple
@@ -178,6 +182,9 @@ class TrilinearVertex:
     max_particles: int = 7
 
     def __post_init__(self):
+        for sp, m in self.masses.items():
+            if not 1 / MASS_CAP <= m <= MASS_CAP:  # NaN fails too
+                raise ArgumentError(f"mass of {sp!r} is {m:g}; it must lie in [{1 / MASS_CAP:g}, {MASS_CAP:g}]")
         object.__setattr__(self, "_grid_set", frozenset(self.grid))
 
     def dispersion(self, species: str, p: Momentum) -> float:
@@ -366,20 +373,6 @@ def restricted_inverse(a, b, u, i: int, j: int) -> complex:
     rhs[int(np.flatnonzero(idx == j)[0])] = 1.0
     x = matcore.solve(sub, rhs)
     return complex(x[int(np.flatnonzero(idx == i)[0])])
-
-
-def momentum_operator(basis) -> np.ndarray:
-    """Diagonal operator encoding each state's total momentum as a scalar.
-
-    Components are folded with the generic irrational weights
-    ``sqrt(2), sqrt(3), ...`` so distinct momenta map to distinct diagonal
-    values.
-    """
-    dims = {len(s.total_momentum()) for s in basis if s.particles}
-    dim = dims.pop() if dims else 1
-    weights = np.sqrt(np.arange(2, 2 + dim))
-    vals = [float(np.dot(weights, s.total_momentum())) if s.particles else 0.0 for s in basis]
-    return np.diag(vals).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,24 @@
-"""Product-space operators: Kronecker sums, exponential factorization,
-frequency-convolution resolvent identities, and the Dirac / Klein-Gordon
-closed-form block inverses.
+"""Product-space operators: Kronecker sums, the frequency-convolution
+resolvent identity, and the Dirac / Klein-Gordon closed-form block inverses.
 
 For ``A = A1 (x) I + I (x) A2`` (Hermitian factors) the shifted inverse has
 the line-convolution representation
 
     ``(A - w + 2ie)^{-1} = -(1/(2*pi*i)) * integral over w1 of
-      (A1 - w1 + ie)^{-1} (x) (A2 - (w - w1) + ie)^{-1} dw1``
+      (A1 - w1 + ie)^{-1} (x) (A2 - (w - w1) + ie)^{-1} dw1``,
 
-and the even-kernel variant composes ``(M + ie)/((M + ie)^2 - w^2)``
-factors with prefactor ``i/pi``.  Both are evaluated by composite trapezoid
-on ``[-cutoff, cutoff]``; the integrand of the first decays like
-``1/w1^2``, so the truncated rule carries a universal ``-i/(pi*cutoff)``
-leading tail that is returned alongside the raw value.  In the factor
-eigenbases every shifted inverse is diagonal, so the line integral is one
-``(n1, n2)`` matrix of scalar sums: one gemm per ``LINE_CHUNK`` nodes.
+evaluated by composite trapezoid on ``[-cutoff, cutoff]``; the integrand
+decays like ``1/w1^2``, so the truncated rule carries a universal
+``-i/(pi*cutoff)`` leading tail that is returned alongside the raw value.
+In the factor eigenbases every shifted inverse is diagonal, so the line
+integral is one ``(n1, n2)`` matrix of scalar sums: one gemm per
+``LINE_CHUNK`` nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -75,16 +72,6 @@ def kron_sum_materialize(k: KroneckerSum) -> np.ndarray:
     for idx, m in enumerate(mats):
         total += np.kron(np.kron(np.eye(math.prod(dims[:idx])), m), np.eye(math.prod(dims[idx + 1:])))
     return total
-
-
-def exp_factorization_check(k: KroneckerSum, t: float) -> float:
-    """Defect ``||e^{it A} - (x)_k e^{it A_k}||`` of the exponential splitting."""
-    if not math.isfinite(t):
-        raise ArgumentError("t must be finite")
-    total = kron_sum_materialize(k)
-    lhs = matcore.expm(1j * t * total)
-    rhs = reduce(np.kron, [matcore.expm(1j * t * np.asarray(f, dtype=complex)) for f in k.factors])
-    return matcore.op_norm(lhs - rhs)
 
 
 @dataclass
@@ -143,25 +130,6 @@ def convolution_resolvent(k: KroneckerSum, omega: float, eps: float, q: LineQuad
     return ConvolutionValue(raw=raw, tail_correction=tail)
 
 
-def convolution_resolvent_symmetric(k: KroneckerSum, omega: float, eps: float, q: LineQuadrature) -> ConvolutionValue:
-    """Even-kernel convolution composing ``(M + ie)/((M + ie)^2 - w^2)``.
-
-    The integrand decays like ``1/w1^4``; the tail correction uses the
-    exact integral of the leading asymptote.
-    """
-    matcore.check_positive(eps, "eps")
-    lam1, lam2, v = _two_factor_eigs(k)
-    z1 = lam1 + 1j * eps
-    z2 = lam2 + 1j * eps
-    diag = _line_sum(q, lambda w: z1 / (z1**2 - w[:, None] ** 2),
-                     lambda w: z2 / (z2**2 - (omega - w)[:, None] ** 2))
-    diag = (1j / np.pi) * diag
-    tail_diag = (1j / np.pi) * np.multiply.outer(z1, z2) * (2.0 / (3.0 * q.cutoff**3))
-    raw = (v * diag.ravel()) @ v.conj().T
-    tail = (v * tail_diag.ravel()) @ v.conj().T
-    return ConvolutionValue(raw=raw, tail_correction=tail)
-
-
 # ---------------------------------------------------------------------------
 # relativistic block inverses
 
@@ -208,8 +176,3 @@ def klein_gordon_block_inverse(a: float, z: complex) -> np.ndarray:
     if abs(denom) < 1e-14 * max(1.0, abs(z) ** 2 + a**2):
         raise SingularMatrixError("Klein-Gordon block evaluated at its pole")
     return np.array([[-z, -a], [-a, -z]], dtype=complex) / denom
-
-
-def klein_gordon_first_order_form(a: float) -> np.ndarray:
-    """First-order form ``[[0, ia], [-ia, 0]]``; squares to ``a^2 I``."""
-    return np.array([[0.0, 1j * a], [-1j * a, 0.0]], dtype=complex)

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import scipy.linalg
 
-from pertkit import matcore, resolvent, scattering, spectral, symdiag, tensor
+from pertkit import matcore, resolvent, scattering, spectral, symdiag
 from pertkit.errors import ArgumentError, ConvergenceError, EnumerationLimitError, GapCollapseError, ShapeError, StepSizeError
 
 
@@ -100,8 +100,8 @@ def van_loan_dyson_terms(a, b, t, m_max):
 
 # ---------------------------------------------------------------------------
 # Reference time steppers: the list-state RK4, the second oracle of the exact
-# cascades and of `adiabatic_eigvec_series` and the independent oracle of the
-# Magnus steppers at refined grids, and the per-node Magnus adiabatic core
+# cascades and the independent oracle of the Magnus stepper at refined grids
+# and of its step-doubling estimate, and the per-node Magnus adiabatic core
 # that the block-batched core in `evolution` must match error for error.
 
 
@@ -166,28 +166,6 @@ def dyson_terms_ref(a, b, t, m_max, steps):
     return rk4_list(deriv, _cascade_start(a.shape[0], m_max), 0.0, t, steps)
 
 
-def adiabatic_eigvec_ref(a, b, f, i, eta, m_max, steps):
-    """Normalized eigenvector estimate of ``adiabatic_eigvec_series``."""
-    dec = matcore.eig_hermitian(a)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    b_eig = v.conj().T @ b @ v
-    dlam = lam[:, None] - lam[None, :]
-    e_i = np.zeros(lam.size, dtype=complex)
-    e_i[i] = 1.0
-
-    def deriv(t, ys):
-        w = b_eig * np.exp(1j * eta * t * dlam)
-        out = [np.zeros_like(e_i)]
-        coeff = -1j * eta * f(t)
-        for m in range(1, len(ys)):
-            out.append(coeff * (w @ ys[m - 1]))
-        return out
-
-    final = rk4_list(deriv, [e_i] + [np.zeros_like(e_i) for _ in range(m_max)], 0.0, 1.0, steps)
-    vec = v @ (np.exp(-1j * eta * lam) * sum(final))
-    return vec / np.linalg.norm(vec)
-
-
 def _node_matrix(x, n):
     """``H`` at a node or midpoint, guarded as the block core guards it."""
     a = np.asarray(x, dtype=complex)
@@ -212,10 +190,11 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     ``eig_hermitian`` per node, checked in the order midpoint, end node, gap,
     step estimate.  The estimate is taken at every odd step and at the last
     one: ``||U_2h - U_k U_{k-1}||_F / 15``, ``U_2h`` one step over both with
-    ``H(t_{k-1})`` as its midpoint.  Returns nodes, states, eigenvector and
-    eigenvalue paths, like ``evolution._integrate_schedule`` without its ``H u``
-    history, and the final state of the chain of the pairs' coarse steps (an
-    odd last step its own)."""
+    ``H(t_{k-1})`` as its midpoint.  Returns nodes, and the states, eigenvector
+    and eigenvalue paths at every node, where ``evolution._integrate_schedule``
+    keeps only the eigenvalue path and the final state and eigenvector; and
+    the final state of the chain of the pairs' coarse steps (an odd last step
+    its own)."""
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
     dec0 = matcore.eig_hermitian(sched.evaluator(0.0), what="H(0)")
@@ -350,26 +329,6 @@ def simpson_grid_ref(steps, t_max):
     return ts, weights * (h / 3.0)
 
 
-def propagator_whole_grid_ref(a, b_of_t, s, t, steps):
-    """``propagator_time_dependent`` as one pass over its whole grid: every
-    ``A + B`` in one array, one Hermiticity decision and one
-    ``_doubled_steps`` call over all steps, the first failure raised."""
-    from pertkit import evolution
-
-    h = (t - s) / steps
-    ts = s + (h / 2) * np.arange(2 * steps + 1)
-    hs = np.array([a + np.asarray(b_of_t(tt), dtype=complex) for tt in ts])
-    for j in np.flatnonzero(~matcore.is_hermitian(hs))[:1]:
-        matcore.require_hermitian(hs[j], what=f"A + B({ts[j]:g})")
-    fine, _, est = evolution._doubled_steps(hs[0::2], hs[1::2], np.full(steps, h))
-    for j in np.flatnonzero(~(est <= evolution._MAX_STEP_ESTIMATE))[:1]:
-        raise StepSizeError(f"step estimate {est[j]:.2e} at t={ts[2 * j + 2]:g}; refine the grid")
-    u = np.eye(a.shape[0], dtype=complex)
-    for step in fine:
-        u = step @ u
-    return u
-
-
 def laplace_bridge_ref(a, b, tau, t_max, steps):
     """``-i integral_0^t_max e^{it(A+B) - tau t} dt`` for Hermitian ``A + B``
     on :func:`simpson_grid_ref`, per eigenvalue of ``A + B``."""
@@ -439,29 +398,16 @@ def s_series_ref(a, b, i, j, tau, order):
     return terms, ratio
 
 
-def convolution_diag_ref(lam1, lam2, omega, eps, cutoff, nodes, symmetric=False):
+def convolution_diag_ref(lam1, lam2, omega, eps, cutoff, nodes):
     """The ``(n1, n2)`` line sum by one three-operand ``einsum`` over all nodes,
     scaled like the raw value in the factor eigenbasis."""
     w1 = np.linspace(-cutoff, cutoff, nodes)
     weights = np.full(nodes, w1[1] - w1[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    if symmetric:
-        z1, z2 = lam1 + 1j * eps, lam2 + 1j * eps
-        g1 = z1[None, :] / (z1[None, :] ** 2 - w1[:, None] ** 2)
-        g2 = z2[None, :] / (z2[None, :] ** 2 - (omega - w1)[:, None] ** 2)
-        return (1j / np.pi) * np.einsum("k,ki,kj->ij", weights, g1, g2)
     d1 = 1.0 / (lam1[None, :] - w1[:, None] + 1j * eps)
     d2 = 1.0 / (lam2[None, :] - (omega - w1)[:, None] + 1j * eps)
     return -np.einsum("k,ki,kj->ij", weights, d1, d2) / (2j * np.pi)
-
-
-def symmetric_kernel_reference(k, omega, eps):
-    """Exact even-kernel target ``(A + 2ie)/((A + 2ie)^2 - omega^2)``."""
-    lam1, lam2, v = tensor._two_factor_eigs(k)
-    s = np.add.outer(lam1, lam2).ravel() + 2j * eps
-    diag = s / (s**2 - omega**2)
-    return (v * diag) @ v.conj().T
 
 
 def exact_remainder_ref(a, b, k):

@@ -19,7 +19,8 @@ import pytest
 
 from ensembles import random_diagonal, random_ensemble, random_hermitian
 from pertkit import cli, evolution, iotools, matcore, resolvent, symdiag
-from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, NotHermitianError, ShapeError
+from pertkit.errors import (ArgumentError, EnumerationLimitError, MatrixFormatError, NotHermitianError, ShapeError,
+                            SingularMatrixError)
 from pertkit.symdiag import SparseInteraction
 
 
@@ -842,6 +843,34 @@ class TestOperandContract:
 
     def test_three_particle_demo_with_a_nan_tau(self, capsys):
         self._fails(capsys, ["demo", "three-particle", "--tau", "nan"], ArgumentError, "tau must be positive")
+
+    @pytest.mark.parametrize("route, mass, shown", [
+        ("demo", "0", "0"), ("demo", "1e200", "1e+200"), ("demo", "nan", "nan"), ("demo", "-1", "-1"),
+        ("model", 0.0, "0"),
+    ], ids=["demo-0", "demo-1e200", "demo-nan", "demo-negative", "model-0"])
+    def test_a_mass_outside_the_float_range_is_refused(self, tmp_path, capsys, route, mass, shown):
+        # --mc 0 ended in a ZeroDivisionError traceback and 1e200 in an OverflowError one, nan reached a
+        # failing row and -1 ran as if the mass were 1; a model mass of 0.0 went the way of --mc 0
+        if route == "demo":
+            argv = ["demo", "three-particle", "--mc", mass]
+        else:
+            (tmp_path / "model.json").write_text(json.dumps(dict(self.MODEL, species=self._species(2, mass=mass))))
+            argv = ["diagrams", "--model", str(tmp_path / "model.json"), "--i", "a:1,b:-1", "--j", "a:-1,b:1",
+                    "--ell", "2", "--tau", "0.05"]
+        start = time.perf_counter()
+        self._fails(capsys, argv, ArgumentError, f"mass of 'c' is {shown}; it must lie in [1e-150, 1e+150]")
+        assert time.perf_counter() - start < 1.0
+
+    def test_scatter_with_an_overflowing_series_is_refused_without_a_warning(self, tmp_path, capsys):
+        # the series formed one more product after its last term: with B = 1e150 H its two numpy overflow
+        # warnings came before the singularity refusal, and B = 1e200 H left non-finite terms to the report
+        a = np.diag([0.0, 1.0, 2.0, 3.0])
+        h = random_hermitian(4, 1.0, 7)
+        for scale, error, message in [(1e150, SingularMatrixError, "tau = 5.000e-01 is not above 1e-13 ||A+B||_F"),
+                                      (1e200, ArgumentError, "scattering series overflows the float range at order 2")]:
+            p = _save(tmp_path, a=a, b=scale * h)
+            self._fails(capsys, ["scatter", "--a", p["a"], "--b", p["b"], "--i", "0", "--j", "1", "--tau", "0.5",
+                                 "--order", "2"], error, message)
 
     def test_resolvent_entry_with_a_nan_tau(self, tmp_path, capsys):
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)

@@ -1,15 +1,15 @@
 """The operand contract of the public API, found from signatures.
 
 Every public function of the library modules that takes an operand pair
-(``a`` or ``a_diag`` with ``b`` or ``b_of_t``, or ``u`` with ``m``) raises
+(``a`` or ``a_diag`` with ``b``, or ``u`` with ``m``) raises
 :class:`ShapeError` when the two shapes differ, every one that takes a rate
 (``tau``, ``eta``, ``eps``, ``t_max``) raises :class:`ArgumentError` unless
 the rate is positive and finite, and every one that takes an order
 (``order``, ``m_max`` or an integer ``k``) raises :class:`ArgumentError` when
-it is negative.  Every one that takes a float time (``t``, or the start
-``s``) raises :class:`ArgumentError` when it is NaN or infinite, every one
-that takes an ``int`` index ``i`` or ``j`` raises it at ``-1``, at ``n`` and
-at the non-integer ``0.5``, and a NaN entry in either operand raises
+it is negative.  Every one that takes a float time ``t`` raises
+:class:`ArgumentError` when it is NaN or infinite, every one that takes an
+``int`` index ``i`` or ``j`` raises it at ``-1``, at ``n`` and at the
+non-integer ``0.5``, and a NaN entry in either operand raises
 :class:`MatrixFormatError`.  A time grid is a :class:`matcore.TimeGrid` of
 an integer count of at least 8 steps, and every function that takes one
 (``g``) and holds arrays over its nodes raises :class:`EnumerationLimitError`
@@ -32,17 +32,15 @@ from pertkit import cli, evolution, matcore, resolvent, scattering, spectral, sy
 from pertkit.errors import ArgumentError, EnumerationLimitError, MatrixFormatError, PertkitError, ShapeError
 
 MODULES = (matcore, resolvent, spectral, evolution, scattering, symdiag, tensor)
-PAIRS = (("a", "b"), ("a_diag", "b"), ("a", "b_of_t"), ("u", "m"))
+PAIRS = (("a", "b"), ("a_diag", "b"), ("u", "m"))
 #: a valid value of each rate
 RATES = {"tau": 0.5, "eta": 10.0, "eps": 0.2, "t_max": 5.0}
 BAD_RATES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
 #: the names of an order; a ``k`` is one only when it is an ``int``
 ORDERS = ("order", "m_max", "k")
-#: the names of a time, when it is a ``float``, and of an index, when it is an ``int``
-TIMES = ("t", "s")
+#: the name of a time, when it is a ``float``, and the names of an index, when it is an ``int``
+TIMES = ("t",)
 INDICES = ("i", "j")
-#: the one integrator taking a time grid ``g`` that holds no array over its nodes (RK4 in place)
-NO_NODE_ARRAYS = {"evolution.adiabatic_eigvec_series"}
 #: the oscillator's ``eta`` shifts its split, ``A = -Lap + (1 + eta) X^2``; 0 is its default
 NOT_RATES = {"spectral.harmonic_oscillator_operators", "spectral.harmonic_oscillator_demo"}
 
@@ -64,14 +62,12 @@ BOP = symdiag.build_interaction(RULE, [I_STATE, J_STATE], depth=2)
 #: Every required parameter of the covered API other than its operands and rates.
 FILL = {
     "bop": BOP,
-    "c": matcore.ContourSpec(center=1.5, radius=3.0),  # encloses the spectrum of A + B
     "charge": 1.0,
     "contour": matcore.ContourSpec(center=1.0, radius=0.5),  # encloses one level of A
     "dispersion": lambda p: p * p,
     "eigenvalues": np.array([1.0, 2.0]),
     "ell": 2,
     "eps_shell": 1.0,
-    "f": lambda x: x,  # a ramp, and a holomorphic function
     "g": evolution.TimeGrid(64),
     "grid_radius": 1,
     "grid_spec": (1, 2),
@@ -105,7 +101,7 @@ FILL = {
         "LineQuadrature": tensor.LineQuadrature(cutoff=10.0, nodes=200),
     }),
     "q0": (0.0, 0.0, 0.0),
-    "s": ByAnnotation({"float": 0.0, "SchurData": spectral.schur_split(A, B, 0)}),
+    "s": spectral.schur_split(A, B, 0),
     "sched": evolution.ramped_schedule(A, B),
     "t": 0.5,
     "u": np.eye(2),
@@ -159,8 +155,6 @@ def _call(fn, a=A, b=B, **values):
     """``fn`` on the pair ``(a, b)`` if it takes one, the given values, valid
     values of its other rates and :data:`FILL` for everything else."""
     kwargs = dict(zip(_pair(fn), (a, b)))
-    if "b_of_t" in kwargs:
-        kwargs["b_of_t"] = lambda t: b
     kwargs |= {r: RATES[r] for r in RATES if r in inspect.signature(fn).parameters}
     for p in _others(fn):
         value = FILL[p.name]
@@ -172,12 +166,11 @@ def test_the_contract_finds_the_operand_and_rate_api():
     assert {
         "matcore.as_pair", "resolvent.exact_remainder", "resolvent.feynman_parameter_entry",
         "scattering.s_term_index_sum", "spectral.spectral_measure", "spectral.eigenvalue_coefficients",
-        "evolution.propagator_time_dependent", "evolution.holomorphic_calculus",
         "symdiag.commute_check", "symdiag.restricted_inverse",
     } <= PAIR_API.keys()
     assert {
-        "scattering.s_matrix_unitarity_defect", "evolution.adiabatic_evolve", "evolution.adiabatic_eigvec_series",
-        "symdiag.diagram_values", "symdiag.three_particle_demo", "tensor.convolution_resolvent_symmetric",
+        "scattering.s_matrix_unitarity_defect", "evolution.adiabatic_evolve", "symdiag.diagram_values",
+        "symdiag.three_particle_demo", "tensor.convolution_resolvent",
     } <= RATE_API.keys()
     assert {
         "resolvent.series_terms", "resolvent.feynman_parameter_entry", "spectral.unit_eigenvector_expansion",
@@ -185,8 +178,7 @@ def test_the_contract_finds_the_operand_and_rate_api():
     } <= ORDER_API.keys()
     assert "scattering.s_entry_time_average" in RATE_API and "tensor.convolution_resolvent" not in ORDER_API
     assert {
-        "evolution.remainder_bound", "evolution.exp_series_terms", "evolution.dyson_terms",
-        "evolution.propagator_time_dependent", "tensor.exp_factorization_check", "matcore.cascade",
+        "evolution.remainder_bound", "evolution.exp_series_terms", "evolution.dyson_terms", "matcore.cascade",
     } == TIME_API.keys()
     assert {
         "matcore.check_index", "resolvent.feynman_parameter_entry", "spectral.default_contour",
@@ -194,8 +186,7 @@ def test_the_contract_finds_the_operand_and_rate_api():
         "symdiag.restricted_inverse",
     } <= INDEX_API.keys()
     assert {
-        "evolution.propagator_time_dependent", "evolution.laplace_resolvent_bridge", "evolution.adiabatic_evolve",
-        "evolution.adiabatic_eigenvalue_track", "evolution.adiabatic_eigvec_series", "scattering.s_entry_time_average",
+        "evolution.laplace_resolvent_bridge", "evolution.adiabatic_evolve", "scattering.s_entry_time_average",
     } == GRID_API.keys()
 
 
@@ -274,7 +265,7 @@ def test_a_grid_that_is_not_an_integer_count_of_at_least_8_steps_is_refused(step
 
 
 @pytest.mark.parametrize("steps", [matcore.GRID_CAP, 10**301], ids=["cap", "1e301"])
-@pytest.mark.parametrize("qual", sorted(GRID_API.keys() - NO_NODE_ARRAYS))
+@pytest.mark.parametrize("qual", sorted(GRID_API))
 def test_a_grid_past_the_cap_is_refused_before_its_nodes_are_allocated(qual, steps):
     tracemalloc.start()
     start = time.perf_counter()
@@ -313,8 +304,10 @@ def test_a_float_step_count_within_the_cap_is_truncated_and_floored(count, at_le
      "^eigenvalue coefficient overflows the float range at order 4$"),
     (lambda: resolvent.feynman_parameter_entry([[1e200]], [[1e200]], 0, 0, 0.5, 2, resolvent.SimplexQuadrature()),
      "^Feynman-parameter entry overflows the float range at order 2$"),
+    (lambda: scattering.s_series(A, 1e200 * B, scattering.ScatteringQuery(0, 0, 0.5), 2),
+     "^scattering series overflows the float range at order 2$"),
 ], ids=["remainder-bound", "exp-series", "dyson-non-hermitian", "resolvent-series", "eigenvalue-coefficients",
-        "feynman-entry"])
+        "feynman-entry", "scattering-series"])
 def test_a_result_past_the_float_range_is_refused(refuse, message):
     # e^x passes the largest float at x = 709.8: an untyped OverflowError, or a non-finite result
     start = time.perf_counter()

@@ -20,15 +20,7 @@ BAD_CALLS = {
     "matcore-index": (lambda: matcore.check_index(3, 3), ArgumentError),
     "matcore-diagonal": (lambda: matcore.diagonal_of(NOT_DIAGONAL), MatrixFormatError),
     "matcore-complex-diagonal": (lambda: matcore.diagonal_of(COMPLEX_LEVELS), NotHermitianError),
-    "evolution-index": (
-        lambda: evolution.adiabatic_eigvec_series(LEVELS, 0.01 * np.ones((3, 3)), "linear", 3, 10.0, 4, evolution.TimeGrid(8)),
-        ArgumentError,
-    ),
     "evolution-ramp": (lambda: evolution.ramped_schedule(LEVELS, LEVELS, "bogus"), ArgumentError),
-    "evolution-series-ramp": (
-        lambda: evolution.adiabatic_eigvec_series(LEVELS, 0.01 * LEVELS, "bogus", 0, 10.0, 4, evolution.TimeGrid(8)),
-        ArgumentError,
-    ),
     "reporting": (lambda: reporting.Report("cmd", {}, 0, ["a", "b"]).add_row(1.0), ArgumentError),
     "resolvent": (lambda: resolvent.SimplexQuadrature(method="recursive-grid", samples_or_depth=1), ArgumentError),
     "resolvent-diagonal": (
@@ -107,13 +99,6 @@ BRANCHES = {
                                (ArgumentError, "^mode numbers out of range$")),
     "rutherford-on-the-shell": (lambda: scattering.rutherford_demo(1, 1.0, (1, 0, 0), (1, 0, 0), 0.5, 0.1),
                                 (ArgumentError, "^Coulomb kernel pole: p0 lies on the shell$")),
-    "adiabatic-series-past-the-gap": (
-        lambda: evolution.adiabatic_eigvec_series(LEVELS, 1.5 * np.eye(3), "linear", 0, 10.0, 60,
-                                                  evolution.TimeGrid(8)),
-        (ArgumentError, r"^\|\|B\|\| exceeds the unperturbed spectral gap$")),
-    "propagator-at-its-start": (
-        lambda: evolution.propagator_time_dependent(LEVELS, lambda t: LEVEL_B, 0.5, 0.5, evolution.TimeGrid(8)),
-        np.eye(3)),
     "measure-nan-probe": (lambda: spectral.spectral_measure(LEVELS, LEVEL_B, [np.nan, 0.0, 0.0]),
                           (MatrixFormatError, "^expected a finite, non-empty vector$")),
     "empty-state-literal": (lambda: iotools.parse_state(","), (MatrixFormatError, "^empty state literal$")),
@@ -122,9 +107,6 @@ BRANCHES = {
 
 @pytest.mark.parametrize("call, outcome", BRANCHES.values(), ids=BRANCHES.keys())
 def test_each_guarded_branch_gives_its_outcome(call, outcome):
-    if isinstance(outcome, tuple):
-        error, message = outcome
-        with pytest.raises(error, match=message):
-            call()
-    else:
-        np.testing.assert_array_equal(call(), outcome)
+    error, message = outcome
+    with pytest.raises(error, match=message):
+        call()

@@ -12,13 +12,10 @@ from ensembles import random_hermitian
 from pertkit import evolution, matcore, scattering
 from pertkit.errors import (
     ArgumentError,
-    ContourEnclosureError,
-    ConvergenceError,
     GapCollapseError,
     MatrixFormatError,
     NotHermitianError,
     ShapeError,
-    SingularMatrixError,
     StepSizeError,
 )
 
@@ -134,52 +131,6 @@ class TestDysonSeries:
         assert defect <= evolution.remainder_bound(t, na, nb, 11) + 1e-8
 
 
-class TestPropagator:
-    def test_zero_schedule(self):
-        a, _ = scaled_pair(4, 0.7, 0.0, 11)
-        u = evolution.propagator_time_dependent(a, lambda t: np.zeros((4, 4)), 0.5, 1.5, evolution.TimeGrid(200))
-        assert matcore.op_norm(u - scipy.linalg.expm(-1j * 1.0 * a)) <= 1e-8
-
-    def test_constant_schedule(self):
-        a, b = scaled_pair(4, 0.7, 0.3, 12)
-        u = evolution.propagator_time_dependent(a, lambda t: b, 0.0, 1.2, evolution.TimeGrid(300))
-        assert matcore.op_norm(u - scipy.linalg.expm(-1j * 1.2 * (a + b))) <= 1e-8
-
-    def test_composition_and_unitarity(self):
-        a, b = scaled_pair(5, 0.8, 0.4, 13)
-        sched = lambda t: math.sin(t) * b
-        u02 = evolution.propagator_time_dependent(a, sched, 0.0, 2.0, evolution.TimeGrid(800))
-        u01 = evolution.propagator_time_dependent(a, sched, 0.0, 1.0, evolution.TimeGrid(400))
-        u12 = evolution.propagator_time_dependent(a, sched, 1.0, 2.0, evolution.TimeGrid(400))
-        assert matcore.op_norm(u02 - u12 @ u01) <= 1e-8
-        assert matcore.op_norm(u02.conj().T @ u02 - np.eye(5)) <= 1e-7
-
-    def test_rejects_reversed_interval(self):
-        with pytest.raises(ValueError):
-            evolution.propagator_time_dependent(np.eye(2), lambda t: np.zeros((2, 2)), 1.0, 0.0, evolution.TimeGrid(8))
-
-    @pytest.mark.parametrize("steps", [8, 9, evolution._BLOCK, evolution._BLOCK + 1, evolution._BLOCK + 2,
-                                       2 * evolution._BLOCK + 1, 3 * evolution._BLOCK - 5, 1001])
-    def test_blocks_are_bit_equal_to_one_pass_over_the_whole_grid(self, steps):
-        # a lone last step joins the block before it, so every step keeps its estimate
-        a, b = scaled_pair(4, 0.8, 0.4, 14)
-        sched = lambda t: math.cos(3 * t) * b
-        got = evolution.propagator_time_dependent(a, sched, 0.0, 2.0, evolution.TimeGrid(steps))
-        assert got.tobytes() == reference.propagator_whole_grid_ref(a, sched, 0.0, 2.0, steps).tobytes()
-
-    @pytest.mark.parametrize("steps", [3 * evolution._BLOCK - 5, 3 * evolution._BLOCK + 1])
-    @pytest.mark.parametrize("bad", ["hermiticity", "estimate", "both"])
-    def test_a_refusal_in_a_later_block_is_the_whole_grid_refusal(self, steps, bad):
-        # a non-Hermitian H anywhere is refused before any step estimate
-        a, b = scaled_pair(3, 0.7, 0.3, 15)
-        h_late = 1j * b if bad != "estimate" else b
-        kick = 200.0 if bad != "hermiticity" else 1.0
-        sched = lambda t: h_late if t > 1.9 else (kick * math.sin(40 * t) if t > 1.5 else 1.0) * b
-        got = _outcome(lambda: evolution.propagator_time_dependent(a, sched, 0.0, 2.0, evolution.TimeGrid(steps)))
-        want = _outcome(lambda: reference.propagator_whole_grid_ref(a, sched, 0.0, 2.0, steps))
-        assert got == want and got[0] == (StepSizeError if bad == "estimate" else NotHermitianError)
-
-
 class TestLaplaceBridge:
     def test_scalar(self):
         # -i * integral of e^{-tau t} for a 1x1 zero matrix
@@ -272,41 +223,6 @@ def test_the_node_integral_is_bit_equal_to_inline_weights(intervals):
     assert evolution._integral_on_nodes(values, h) == reference.integral_on_nodes_ref(values, h)
 
 
-class TestHolomorphicCalculus:
-    def setup_method(self):
-        self.a, self.b = scaled_pair(6, 0.8, 0.3, 17)
-        w = np.linalg.eigvalsh(self.a + self.b)
-        self.c = matcore.ContourSpec(
-            center=complex((w.max() + w.min()) / 2), radius=(w.max() - w.min()) / 2 + 1.0
-        )
-
-    def test_constant_function(self):
-        out = evolution.holomorphic_calculus(self.a, self.b, lambda z: 1.0 + 0 * z, self.c)
-        assert matcore.op_norm(out - np.eye(6)) <= 1e-12
-
-    def test_identity_function(self):
-        out = evolution.holomorphic_calculus(self.a, self.b, lambda z: z, self.c)
-        assert matcore.op_norm(out - (self.a + self.b)) <= 1e-12
-
-    def test_exponential(self):
-        out = evolution.holomorphic_calculus(self.a, self.b, np.exp, self.c)
-        assert matcore.op_norm(out - scipy.linalg.expm(self.a + self.b)) <= 1e-8
-
-    def test_enclosure_failure(self):
-        small = matcore.ContourSpec(center=self.c.center, radius=1e-3)
-        with pytest.raises(ContourEnclosureError):
-            evolution.holomorphic_calculus(self.a, self.b, np.exp, small)
-
-    def test_node_next_to_an_eigenvalue_raises(self):
-        # an eigenvalue at radius (1 - 1e-15) is enclosed, but the node z =
-        # radius sits 1e-15 radius from it: an unguarded solve returns
-        # entries of about 1e15 instead of refusing
-        c = matcore.ContourSpec(center=0.0, radius=2.0, num_points=64)
-        a = np.diag([2.0 * (1.0 - 1e-15), 0.3]).astype(complex)
-        with pytest.raises(SingularMatrixError):
-            evolution.holomorphic_calculus(a, np.zeros((2, 2)), np.exp, c)
-
-
 def two_level_schedule(coupling, ramp):
     a = np.diag([0.0, 1.0]).astype(complex)
     b = coupling * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -349,62 +265,11 @@ class TestAdiabaticEvolve:
             evolution.adiabatic_evolve(sched, 5000.0, 0, evolution.TimeGrid(16))
 
 
-class TestAdiabaticEigvecSeries:
-    def test_zero_perturbation(self):
-        a = np.diag([0.0, 1.0, 2.5]).astype(complex)
-        res = evolution.adiabatic_eigvec_series(
-            a, np.zeros((3, 3)), "linear", 1, 80.0, 3, evolution.TimeGrid(800)
-        )
-        gauge = res.vector * np.exp(-1j * np.angle(res.vector[1]))
-        np.testing.assert_allclose(gauge, [0, 1, 0], atol=1e-12)
-
-    def test_two_level_overlap_within_budget(self):
-        a = np.diag([0.0, 1.0]).astype(complex)
-        b = 0.01 * np.array([[0, 1], [1, 0]], dtype=complex)
-        res = evolution.adiabatic_eigvec_series(a, b, "linear", 0, 200.0, 6, evolution.TimeGrid(6000))
-        exact = matcore.eig_hermitian(a + b).eigenvectors[:, 0]
-        assert abs(np.vdot(res.vector, exact)) >= 1.0 - res.budget
-
-    def test_budget_blowup_refused(self):
-        a = np.diag([0.0, 1.0]).astype(complex)
-        b = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-        with pytest.raises(ConvergenceError):
-            evolution.adiabatic_eigvec_series(a, b, "linear", 0, 500.0, 4, evolution.TimeGrid(800))
-
-
-class TestAdiabaticEigenvalueTrack:
-    def test_constant_hamiltonian(self):
-        h = np.diag([0.0, 1.0]).astype(complex)
-        sched = evolution.Schedule(evaluator=lambda t: h)
-        est = evolution.adiabatic_eigenvalue_track(sched, 100.0, 0, evolution.TimeGrid(1600))
-        assert np.max(np.abs(est)) <= 1e-8
-
-    def test_supdeviation_halves(self):
-        sched = two_level_schedule(0.2, "linear")
-        nodes_lam = {}
-
-        def supdev(eta, steps):
-            est = evolution.adiabatic_eigenvalue_track(sched, eta, 0, evolution.TimeGrid(steps))
-            nodes = np.linspace(0.0, 1.0, steps + 1)
-            lam = np.array([np.linalg.eigvalsh(sched.evaluator(t))[0] for t in nodes])
-            return np.max(np.abs(est - (lam - lam[0])))
-
-        d100 = supdev(100.0, 4800)
-        d200 = supdev(200.0, 9600)
-        assert 1.4 <= d100 / d200 <= 2.6
-
-    def test_diagonal_schedule_sanity(self):
-        sched = evolution.Schedule(evaluator=lambda t: np.diag([0.0, 1.0 + 0.3 * t]).astype(complex))
-        eta = 100.0
-        est = evolution.adiabatic_eigenvalue_track(sched, eta, 1, evolution.TimeGrid(1600))
-        nodes = np.linspace(0.0, 1.0, 1601)
-        assert np.max(np.abs(est - 0.3 * nodes)) <= 10.0 / eta
-
-
 class TestGridMemory:
-    """Each grid integrator holds what its cap counts: a traced peak within 1.5
-    times ``(steps + 1) * per_node`` complex entries, plus 1 MiB for the
-    operands and the per-block work."""
+    """Each grid integrator peaks within what its cap counts: 1.5 times
+    ``(steps + 1) * per_node`` complex entries, plus 1 MiB for the operands and
+    the per-block work.  The adiabatic core's count bounds its run length: over
+    the grid it holds only the eigenvalue path and the nodes."""
 
     @staticmethod
     def _cases():
@@ -412,8 +277,6 @@ class TestGridMemory:
         a8, b8 = random_hermitian(8, 1.0, 80), random_hermitian(8, 0.1, 81)
         q = scattering.ScatteringQuery(1, 3, 0.3)
         return {  # name: (steps, entries per node, the call on a grid)
-            "propagator": (4000, 2 * 16, lambda g: evolution.propagator_time_dependent(
-                a4, lambda t: math.cos(t) * b4, 0.0, 1.0, g)),
             "bridge-hermitian": (100000, 8, lambda g: evolution.laplace_resolvent_bridge(a8, b8, 0.5, 40.0, g)),
             "bridge-general": (4000, 8, lambda g: evolution.laplace_resolvent_bridge(np.triu(a8), b8, 0.5, 40.0, g)),
             "time-average": (100000, 8, lambda g: scattering.s_entry_time_average(a8, b8, q, 40.0, g)),
@@ -421,7 +284,7 @@ class TestGridMemory:
                 evolution.ramped_schedule(a4, b4), 10.0, 0, g)),
         }
 
-    @pytest.mark.parametrize("name", ["propagator", "bridge-hermitian", "bridge-general", "time-average", "adiabatic"])
+    @pytest.mark.parametrize("name", ["bridge-hermitian", "bridge-general", "time-average", "adiabatic"])
     def test_the_peak_is_within_the_counted_entries(self, name):
         steps, per_node, run = self._cases()[name]
         tracemalloc.start()
@@ -501,7 +364,7 @@ class TestCascadeOracles:
 
 
 # ---------------------------------------------------------------------------
-# the Magnus steppers against RK4 at 8x the steps and the per-node reference
+# the Magnus stepper against RK4 at 8x the steps and the per-node reference
 
 
 #: One step count below a block, and full blocks with and without a partial
@@ -518,16 +381,7 @@ def _ramp_instance(n, steps, ramp):
 class TestMagnusSteppers:
     """Final states within 1e-7 of the list-state RK4 at 8x the steps (itself
     within 3e-10 of RK4 at 64x the steps on these instances), and the guards
-    of both Magnus paths."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    @pytest.mark.parametrize("steps", (8, 100))
-    def test_propagator_time_dependent(self, n, steps):
-        a, b = _ref_pair(n, 30 * n)
-        a = a / (n + 1)
-        u = evolution.propagator_time_dependent(a, lambda t: np.sin(t) * b, 0.2, 0.5, evolution.TimeGrid(steps))
-        ref = reference.schrodinger_rk4(lambda t: a + np.sin(t) * b, np.eye(n, dtype=complex), 0.2, 0.5, 8 * steps)
-        assert np.linalg.norm(u - ref, 2) <= 1e-7
+    of the Magnus path."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("steps", MAGNUS_STEPS)
@@ -550,22 +404,6 @@ class TestMagnusSteppers:
         np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
         assert res.tracked_phase == evolution._integral_on_nodes(lam_path, nodes[1] - nodes[0])
 
-    def test_eigenvalue_track_reuses_the_node_matrices(self):
-        base = two_level_schedule(0.2, "linear")
-        calls = []
-
-        def evaluator(t):
-            calls.append(t)
-            return base.evaluator(t)
-
-        est = evolution.adiabatic_eigenvalue_track(evolution.Schedule(evaluator), 20.0, 0, evolution.TimeGrid(100))
-        assert len(calls) == 2 * 100 + 1
-        nodes, us, _, e_path, lam_path, _ = evolution._integrate_schedule(base, 20.0, 0, evolution.TimeGrid(100))
-        e0 = e_path[0]
-        want = np.array([(np.vdot(e0, base.evaluator(t) @ u) / np.vdot(e0, u)).real for t, u in zip(nodes, us)])
-        want -= lam_path[0]
-        np.testing.assert_allclose(est, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
-
     @pytest.mark.parametrize(
         "bad, error",
         [(np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError), (np.eye(3), ShapeError)],
@@ -578,19 +416,6 @@ class TestMagnusSteppers:
         sched = evolution.Schedule(evaluator=lambda t: bad if round(t * 2 * steps) == 81 else good(t))
         with pytest.raises(error):
             evolution.adiabatic_evolve(sched, 2.0, 0, evolution.TimeGrid(steps))
-
-    def test_propagator_refuses_a_non_hermitian_generator(self):
-        a, b = scaled_pair(3, 0.7, 0.3, 18)
-        skew = 1j * b  # anti-Hermitian
-        with pytest.raises(NotHermitianError, match=r"A \+ B\(0\.5"):
-            evolution.propagator_time_dependent(a, lambda t: skew if t >= 0.5 else b, 0.0, 1.0, evolution.TimeGrid(16))
-
-    def test_propagator_refuses_a_coarse_grid(self):
-        a, b = scaled_pair(2, 1.0, 1.0, 19)
-        # the estimate of the first pair of steps belongs to its second step
-        with pytest.raises(StepSizeError, match="step estimate .* at t=1.25;"):
-            evolution.propagator_time_dependent(a, lambda t: np.sin(40 * t) * b, 0.0, 5.0, evolution.TimeGrid(8))
-
 
 def _pair_on(sched, eta, t0, h):
     """:func:`evolution._doubled_steps` of the pair of steps ``h`` from ``t0``."""
@@ -615,13 +440,13 @@ class TestStepDoubling:
 
     @pytest.mark.parametrize("n, ramp", CASES)
     def test_within_a_factor_1_5_of_the_local_error(self, n, ramp):
-        # the true local error of the pair, against eight steps of h / 4 over it
+        # the true local error of the pair, against 64 RK4 steps over it
         a, b = random_hermitian(n, 1.0, n), random_hermitian(n, 1.0, 100 + n)
         f = evolution.RAMPS[ramp]
         for h in (0.01, 0.005):
             fine, _, est = _pair_on(evolution.ramped_schedule(a, b, ramp), 10.0, 0.3, h)
-            ref = evolution.propagator_time_dependent(10.0 * a, lambda t: 10.0 * f(t) * b, 0.3, 0.3 + 2 * h,
-                                                      evolution.TimeGrid(8))
+            ref = reference.schrodinger_rk4(lambda t: 10.0 * (a + f(t) * b), np.eye(n, dtype=complex), 0.3, 0.3 + 2 * h,
+                                            64)
             assert 1 / 1.5 <= est[1] / np.linalg.norm(fine[1] @ fine[0] - ref) <= 1.5
 
     def test_an_odd_last_step_pairs_with_the_step_before_it(self):
@@ -701,17 +526,6 @@ class TestLeadingCoefficient:
 
 
 class TestReferenceSteppers:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    @pytest.mark.parametrize("m_max", [1, 6])
-    @pytest.mark.parametrize("steps", (8, 100))
-    def test_adiabatic_eigvec_series(self, n, m_max, steps):
-        a = np.diag(np.arange(n, dtype=float)).astype(complex)
-        b = random_hermitian(n, 0.004, 40 * n + m_max).astype(complex)
-        i = n // 2
-        res = evolution.adiabatic_eigvec_series(a, b, "smoothstep", i, 30.0, m_max, evolution.TimeGrid(steps))
-        ref = reference.adiabatic_eigvec_ref(a, b, evolution.RAMPS["smoothstep"], i, 30.0, m_max, steps)
-        np.testing.assert_array_equal(res.vector, ref)
-
     def test_nan_at_a_midpoint_raises(self):
         # the midpoint of step 40 is NaN: both cores raise there
         steps = 80

@@ -240,8 +240,6 @@ class TestOneHermiticityDecision:
         "s_entry_time_average": (lambda a, b: scattering.s_entry_time_average(
             a, b, scattering.ScatteringQuery(1, 4, 0.5), 10.0, matcore.TimeGrid(64)), 2),  # A, A + B
         "s_matrix_unitarity_defect": (lambda a, b: scattering.s_matrix_unitarity_defect(a, b, 0.5), 2),  # A, A + B
-        "adiabatic_eigvec_series": (lambda a, b: evolution.adiabatic_eigvec_series(
-            a, 0.01 * b, "linear", 2, 10.0, 6, matcore.TimeGrid(16)), 2),  # A, B
         "laplace_resolvent_bridge": (lambda a, b: evolution.laplace_resolvent_bridge(
             a, b, 0.5, 10.0, matcore.TimeGrid(64)), 1),  # A + B
         "laplace_resolvent_bridge-non-hermitian": (lambda a, b: evolution.laplace_resolvent_bridge(
@@ -269,9 +267,7 @@ class TestOneHermiticityDecision:
         (lambda a, b: spectral.schur_split(a, b, 0), "A"),
         (lambda a, b: resolvent.symmetrized_ratio(a, b), "A"),
         (lambda a, b: scattering.s_matrix_unitarity_defect(b, a, 0.5), "A\\+B"),
-        (lambda a, b: evolution.adiabatic_eigvec_series(a, b, "linear", 0, 10.0, 4, matcore.TimeGrid(8)), "A"),
-    ], ids=["eigenvalue_coefficients", "schur_split", "symmetrized_ratio", "s_matrix_unitarity_defect",
-            "adiabatic_eigvec_series"])
+    ], ids=["eigenvalue_coefficients", "schur_split", "symmetrized_ratio", "s_matrix_unitarity_defect"])
     def test_the_refusal_names_the_operand(self, call, what):
         skew = np.array([[1.0, 1.0], [0.0, 2.0]])
         with pytest.raises(matcore.NotHermitianError, match=f"^{what} is not Hermitian to relative 1e-10$"):
@@ -280,16 +276,14 @@ class TestOneHermiticityDecision:
 
 class TestLineConvolution:
     @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 8), (8, 2), (33, 1)])
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_chunked_sum_matches_einsum(self, dims, symmetric):
+    def test_chunked_sum_matches_einsum(self, dims):
         a1, a2 = (random_hermitian(m, 1.0, 70 + m) for m in dims)
         k = tensor.KroneckerSum(factors=(a1, a2))
         q = tensor.LineQuadrature(cutoff=200.0, nodes=3 * tensor.LINE_CHUNK + 17)
-        fn = tensor.convolution_resolvent_symmetric if symmetric else tensor.convolution_resolvent
-        got = fn(k, 0.3, 0.2, q).raw
+        got = tensor.convolution_resolvent(k, 0.3, 0.2, q).raw
         d1, d2 = matcore.eig_hermitian(a1), matcore.eig_hermitian(a2)
         v = np.kron(d1.eigenvectors, d2.eigenvectors)
-        diag = reference.convolution_diag_ref(d1.eigenvalues, d2.eigenvalues, 0.3, 0.2, 200.0, q.nodes, symmetric)
+        diag = reference.convolution_diag_ref(d1.eigenvalues, d2.eigenvalues, 0.3, 0.2, 200.0, q.nodes)
         want = (v * diag.ravel()) @ v.conj().T
         assert matcore.op_norm(got - want) <= 1e-12 * matcore.op_norm(want)
 

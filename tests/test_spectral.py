@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from ensembles import random_diagonal, random_hermitian
-from pertkit import matcore, spectral
+from pertkit import matcore, resolvent, spectral
 from pertkit.errors import ContourEnclosureError, ConvergenceError, NotHermitianError, SingularMatrixError
 
 
@@ -228,13 +228,9 @@ class TestSelfEnergyAndFixedPoint:
         np.testing.assert_array_equal(spectral.eigenvector_tilde(s, 2.3), [1.0])
 
     def test_one_by_one_split_in_the_perpendicular_solves(self):
-        # the orthocomplement of a 1x1 split is empty: no self-energy, no
-        # series terms, unit overlap
+        # the orthocomplement of a 1x1 split is empty: no self-energy, unit overlap
         s = spectral.schur_split([[2.0]], [[0.3]], 0)
         assert spectral.self_energy(s, 0.5 + 1j) == 0.0
-        res = spectral.eigenvector_series(s, 2.3, 3)
-        assert res.terms.shape == (3, 0) and res.ratio == 0.0 and res.convergent
-        assert res.partial_sum().shape == (0,)
         assert spectral.overlap_squared(s, 2.3) == 1.0
 
     def test_one_by_one_split_expansion(self):
@@ -352,61 +348,19 @@ class TestEigenvectorMachinery:
         vt = vt / np.linalg.norm(vt)
         assert abs(np.vdot(vt, self.vhat)) >= 1.0 - 1e-9
 
-    def test_series_zero_bperp_single_term(self):
-        s0 = spectral.schur_split(self.a, np.diag(np.diagonal(self.b)) + 0 * self.b, 2)
-        # make a split with nonzero b but vanishing B_perp: couple only to v
-        s = spectral.SchurData(
-            lambda0=1.0,
-            diag_coupling=0.0,
-            b=np.array([0.3 + 0.1j, -0.2j]),
-            a_perp=np.diag([2.0, 3.0]).astype(complex),
-            b_perp=np.zeros((2, 2), dtype=complex),
-            v=np.array([1.0, 0, 0], dtype=complex),
-            basis=np.eye(3, dtype=complex)[:, 1:],
-        )
-        res = spectral.eigenvector_series(s, 1.1, 4)
-        direct = matcore.solve(s.a_perp - 1.1 * np.eye(2), s.b)
-        np.testing.assert_allclose(res.terms[0], direct)
-        for t in res.terms[1:]:
-            np.testing.assert_allclose(t, 0.0, atol=1e-14)
-
-    def test_series_partial_sum_budget(self):
-        res = spectral.eigenvector_series(self.s, self.lhat, 8)
-        assert res.convergent
+    def test_the_orthocomplement_series_is_the_resolvent_series_on_b(self):
+        # term m of the perturbed eigenvector's orthocomplement part is
+        # (-1)^m [(A_perp - lhat)^{-1} B_perp]^m (A_perp - lhat)^{-1} b = series_terms(A_perp - lhat, B_perp)[m] b;
+        # the partial sums approach (A_perp + B_perp - lhat)^{-1} b within the ratio's geometric tail
+        m0 = self.s.a_perp - self.lhat * np.eye(9)
+        terms = [t @ self.s.b for t in resolvent.series_terms(m0, self.s.b_perp, 8).terms]
+        step = matcore.solve(m0, self.s.b_perp)
+        np.testing.assert_allclose(terms[0], matcore.solve(m0, self.s.b), rtol=1e-12)
+        for t, t_next in zip(terms, terms[1:]):
+            np.testing.assert_allclose(t_next, -(step @ t), rtol=1e-10, atol=1e-14 * np.linalg.norm(terms[0]))
+        ratio = matcore.op_norm(step)
         direct = matcore.solve(self.s.perp_matrix() - self.lhat * np.eye(9), self.s.b)
-        budget = res.ratio**8 / (1.0 - res.ratio) * np.linalg.norm(res.terms[0])
-        assert np.linalg.norm(res.partial_sum() - direct) <= budget
-
-    def test_series_partial_sum_sums_the_first_k_terms(self):
-        res = spectral.eigenvector_series(self.s, self.lhat, 6)
-        assert isinstance(res, matcore.Series) and res.terms.shape == (6, 9)
-        for k in range(7):
-            # bit for bit the left-to-right sum
-            np.testing.assert_array_equal(res.partial_sum(k), sum(res.terms[:k], np.zeros(9)))
-        np.testing.assert_array_equal(res.partial_sum(), res.partial_sum(6))
-
-    def test_series_non_convergent_flag(self):
-        # evaluation point close to the unperturbed block spectrum blows up
-        # the spectral ratio; terms are still returned, flagged divergent
-        near_pole = float(np.linalg.eigvalsh(self.s.a_perp)[0]) + 1e-3
-        res = spectral.eigenvector_series(self.s, near_pole, 4)
-        assert not res.convergent
-        assert len(res.terms) == 4
-
-    def test_series_linear_in_coupling(self):
-        res1 = spectral.eigenvector_series(self.s, self.lhat, 4)
-        s2 = spectral.SchurData(
-            lambda0=self.s.lambda0,
-            diag_coupling=self.s.diag_coupling,
-            b=2.5 * self.s.b,
-            a_perp=self.s.a_perp,
-            b_perp=self.s.b_perp,
-            v=self.s.v,
-            basis=self.s.basis,
-        )
-        res2 = spectral.eigenvector_series(s2, self.lhat, 4)
-        for t1, t2 in zip(res1.terms, res2.terms):
-            np.testing.assert_allclose(t2, 2.5 * t1)
+        assert ratio < 1 and np.linalg.norm(sum(terms) - direct) <= ratio**8 / (1 - ratio) * np.linalg.norm(terms[0])
 
     def test_overlap_squared(self):
         s0 = spectral.schur_split(self.a, np.zeros((10, 10)), 2)
@@ -458,35 +412,6 @@ class TestSpectralMeasure:
         for z in (0.1 + 0.5j, -2.0 + 1.0j):
             direct = np.vdot(v, matcore.solve(a + b - z * np.eye(12), v))
             assert abs(mu.stieltjes(z) - direct) <= 1e-10
-
-
-class TestSandwich:
-    def setup_method(self):
-        self.a = random_diagonal(10, 10.0, 90)
-        self.b = random_hermitian(10, 0.3, 91)
-        self.sv = spectral.schur_split(self.a, self.b, 3)
-        self.sw = spectral.schur_split(self.a, self.b, 6)
-        dec = matcore.eig_hermitian(self.a + self.b)
-        _, _, self.vhat = spectral.match_eigenpair(dec, self.sv.v)
-        _, _, self.what = spectral.match_eigenpair(dec, self.sw.v)
-
-    def test_identity_same_vector(self):
-        val = spectral.sandwich(self.sv, self.sv, np.eye(10))
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity_distinct_vectors(self):
-        val = spectral.sandwich(self.sv, self.sw, np.eye(10))
-        assert abs(val) <= 1e-9
-
-    def test_one_by_one_split(self):
-        s = spectral.schur_split([[-1.0]], [[0.25]], 0)
-        assert spectral.sandwich(s, s, [[3.0]]) == 3.0
-
-    def test_random_observable(self):
-        c = random_hermitian(10, 1.0, 92)
-        val = spectral.sandwich(self.sv, self.sw, c)
-        exact = np.vdot(self.vhat, c @ self.what)
-        assert abs(abs(val) - abs(exact)) <= 1e-9
 
 
 class TestCancellation:

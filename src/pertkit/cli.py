@@ -77,7 +77,7 @@ def _run_resolvent(ns) -> Report:
         except OverflowError:
             raise ArgumentError(f"the Feynman row's tail term ratio^{order + 1} overflows the float range "
                                 f"(ratio {series.ratio:.3g})") from None
-        quad = resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=20000, seed=ns.seed)
+        quad = resolvent.SimplexQuadrature(seed=ns.seed)
         entry = resolvent.feynman_parameter_entry(a, b, i, j, ns.tau, order, quad)
         direct = matcore.inverse(a + b + 1j * ns.tau * np.eye(a.shape[0]))[i, j]
         rep.check(

@@ -34,6 +34,11 @@ PATH_CAP = 10**6
 INTEGRAND_CAP = 2**28
 #: (sample, column) entries per block of the simplex integrand: 1 MiB of complex128, kept in cache.
 BLOCK_ENTRIES = 2**16
+#: Points of the Korobov lattice ``k (1, a, a^2, ...) / N mod 1`` behind the ``lattice`` rule, and its
+#: generator ``a``: 97 minimizes the largest ratio of the lattice's ``P_2`` to each dimension's best over
+#: dimensions 2-8 (``tests/test_resolvent.py`` repeats the search), so no search runs at run time.
+LATTICE_POINTS = 251
+LATTICE_GENERATOR = 97
 
 
 def symmetrized_ratio(a, b) -> float:
@@ -92,28 +97,49 @@ def exact_remainder(a, b, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimplexQuadrature:
-    """Quadrature policy on the standard simplex of Feynman parameters."""
+    """Quadrature policy on the standard simplex of Feynman parameters.
 
-    method: str = "monte-carlo"
-    samples_or_depth: int = 20000
+    ``lattice`` is a randomized rank-1 lattice rule: the
+    :data:`LATTICE_POINTS`-point Korobov lattice of generator
+    :data:`LATTICE_GENERATOR`, taken at ``samples_or_depth`` random shifts
+    (at least 2), so that each order's standard error comes from its shift
+    means.  ``recursive-grid`` is the deterministic Gauss-Legendre product
+    rule of ``samples_or_depth`` nodes per axis (at least 2).  A negative
+    ``seed`` raises :class:`ArgumentError`.
+    """
+
+    method: str = "lattice"
+    samples_or_depth: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("monte-carlo", "recursive-grid"):
+        if self.method not in ("lattice", "recursive-grid"):
             raise ArgumentError(f"unknown simplex method {self.method!r}")
-        if self.method == "monte-carlo" and self.samples_or_depth < 1000:
-            raise ArgumentError("monte-carlo needs at least 1000 samples")
+        if self.method == "lattice" and self.samples_or_depth < 2:
+            raise ArgumentError("lattice needs at least 2 shifts")
         if self.method == "recursive-grid" and self.samples_or_depth < 2:
             raise ArgumentError("recursive-grid needs depth >= 2")
+        if self.seed < 0:  # numpy seeds no generator from a negative integer
+            raise ArgumentError("seed must be nonnegative")
+
+    def points(self, m: int) -> int:
+        """Nodes of the order-``m`` rule: one at order 0, ``LATTICE_POINTS`` per shift, ``depth^m`` on the grid."""
+        if m == 0:
+            return 1
+        if self.method == "lattice":
+            return LATTICE_POINTS * self.samples_or_depth
+        return self.samples_or_depth**m
 
 
 @dataclass(frozen=True)
 class FeynmanEntry:
-    """Value of the simplex representation with its sampling uncertainty."""
+    """Value of the simplex representation with its sampling uncertainty: ``std_error`` is the root
+    sum of squares of the per-order ``order_std_errors``."""
 
     value: complex
     std_error: float
     order_values: tuple
+    order_std_errors: tuple
 
 
 def dense_links(b) -> list:
@@ -160,39 +186,58 @@ def index_paths(links, i, j, m: int):
     yield from extend((i,), 1.0 + 0.0j)
 
 
-def _simplex_nodes(m: int, q: SimplexQuadrature, seed_offset: int = 0):
+def _simplex_nodes(m: int, q: SimplexQuadrature, out: np.ndarray):
     """Points and probability weights over the standard simplex in m+1 vars.
 
-    Returns ``(x, w)`` with ``x`` of shape (npts, m+1) and ``w`` summing to
-    one, so Lebesgue integrals over the simplex are
-    ``(1/m!) * sum_s w_s f(x_s)``.  Monte-carlo draws uniform
-    Dirichlet(1,..,1) points; recursive-grid maps an iterated Gauss-Legendre
-    rule of the unit cube onto the simplex by stick breaking.
+    Returns ``(x, w)`` with ``x`` of shape (``q.points(m)``, m+1), the
+    transpose of a coordinate-major view of the flat buffer ``out``, and
+    ``w`` summing to one, so Lebesgue integrals over the simplex are
+    ``(1/m!) * sum_s w_s f(x_s)``.  Both rules take points of the unit cube
+    onto the simplex by stick breaking, ``x_k = (1 - x_0 - ... - x_{k-1}) v_k``.
+    The lattice rule adds shift ``r``, drawn from ``q.seed + m``, to every
+    lattice point, folds the sum by the baker's transform
+    ``u -> 1 - |2u - 1|`` and takes ``v_k = 1 - u_k^(1/(m-k))``, so its
+    points are uniform on the simplex and shift ``r`` holds points
+    ``r N .. r N + N - 1``; its weights are equal.  The recursive grid maps
+    an iterated Gauss-Legendre rule of the unit cube, ``v_k = u_k``,
+    weighting each node by the map's Jacobian.
     """
     if m == 0:
         return np.ones((1, 1)), np.ones(1)
-    if q.method == "monte-carlo":
-        rng = np.random.default_rng(q.seed + seed_offset)
-        e = rng.exponential(size=(q.samples_or_depth, m + 1))
-        x = e / e.sum(axis=1, keepdims=True)
-        w = np.full(q.samples_or_depth, 1.0 / q.samples_or_depth)
-        return x, w
+    coords = out[:q.points(m) * (m + 1)].reshape(m + 1, -1)  # one contiguous row per coordinate
+    remaining = coords[m]
+    remaining.fill(1.0)
+    if q.method == "lattice":
+        z = np.array([pow(LATTICE_GENERATOR, k, LATTICE_POINTS) for k in range(m)])
+        lattice = np.outer(z, np.arange(LATTICE_POINTS)) % LATTICE_POINTS / LATTICE_POINTS
+        shifts = np.random.default_rng(q.seed + m).random((q.samples_or_depth, m)).T
+        u = coords[:m].reshape(m, q.samples_or_depth, LATTICE_POINTS)
+        np.add(lattice[:, None, :], shifts[:, :, None], out=u)
+        u -= u >= 1.0  # the fractional part: lattice point and shift each lie in [0, 1)
+        u *= 2.0  # the baker's transform 1 - |2u - 1|
+        u -= 1.0
+        np.abs(u, out=u)
+        np.subtract(1.0, u, out=u)
+        for axis in range(m):
+            v = coords[axis]
+            np.power(v, 1.0 / (m - axis), out=v)
+            np.subtract(1.0, v, out=v)
+            v *= remaining
+            remaining -= v
+        return coords.T, np.full(coords.shape[1], 1.0 / coords.shape[1])
     if q.samples_or_depth**3 > INTEGRAND_CAP:  # the Gauss-Legendre rule alone takes O(depth^3) work
         raise EnumerationLimitError(f"recursive-grid depth {q.samples_or_depth} cubed exceeds cap {INTEGRAND_CAP}")
     nodes, weights = np.polynomial.legendre.leggauss(q.samples_or_depth)
     u = (nodes + 1.0) / 2.0
     wu = weights / 2.0
     combos = np.indices((q.samples_or_depth,) * m).reshape(m, -1)  # one column per node, in product order
-    x = np.empty((combos.shape[1], m + 1))
-    remaining = np.ones(combos.shape[1])
     w = np.ones(combos.shape[1])
     for axis, idx in enumerate(combos):
-        x[:, axis] = remaining * u[idx]
+        np.multiply(remaining, u[idx], out=coords[axis])
         # Jacobian of the stick-breaking map is the remaining length
         w *= wu[idx] * remaining
-        remaining -= x[:, axis]
-    x[:, m] = remaining
-    return x, w / w.sum()
+        remaining -= coords[axis]
+    return coords.T, w / w.sum()
 
 
 def _multiset_columns(walk, lam) -> tuple[np.ndarray, np.ndarray, int]:
@@ -216,24 +261,35 @@ def _multiset_columns(walk, lam) -> tuple[np.ndarray, np.ndarray, int]:
     return np.array(list(sums), dtype=float), np.array(list(sums.values()), dtype=complex), paths
 
 
-def _path_sums(x, lam_rows, wts, tau: float, m: int) -> np.ndarray:
-    """``sum_c wts_c / (x_s . lam_rows_c + i*tau)^(m+1)`` over columns ``c``, for every sample ``s``.
+def _block_buffers(shapes) -> tuple:
+    """Flat buffers that :func:`_path_sums` reuses for every ``(points, columns)`` shape of ``shapes``:
+    a block's denominators and their powers, each sized for the largest block, and the per-point sums,
+    sized for the most points."""
+    block = max((min(max(1, BLOCK_ENTRIES // c), p) * c for p, c in shapes), default=0)
+    points = max((p for p, _ in shapes), default=0)
+    return np.empty(block, dtype=complex), np.empty(block, dtype=complex), np.empty(points, dtype=complex)
 
-    Each block of about :data:`BLOCK_ENTRIES` (sample, column) entries is
-    formed in three reused buffers: one real gemm and the shift give the
-    denominators ``z``, ``m`` complex multiplications and one reciprocal
-    give ``z^-(m+1)``, and one ``zgemv`` sums it against the weights.
+
+def _path_sums(x, lam_rows, wts, tau: float, m: int, buffers) -> np.ndarray:
+    """``sum_c wts_c / (x_s . lam_rows_c + i*tau)^(m+1)`` over columns ``c``, for every point ``s``.
+
+    Each block of about :data:`BLOCK_ENTRIES` (point, column) entries is
+    formed in views of the two block buffers of :func:`_block_buffers`: one
+    real gemm into the real parts and ``tau`` in the imaginary parts give the
+    denominators ``z``, ``m`` complex multiplications and one reciprocal give
+    ``z^-(m+1)``, and one ``zgemv`` sums it against the weights into a view
+    of the sums buffer, which is returned and overwritten by the next call.
     """
-    rows = max(1, BLOCK_ENTRIES // len(wts))
-    dots = np.empty((min(rows, len(x)), len(wts)))
-    z = np.empty(dots.shape, dtype=complex)
-    p = np.empty_like(z)
-    sums = np.empty(len(x), dtype=complex)
+    z, p, sums = buffers
+    cols = len(wts)
+    rows = max(1, BLOCK_ENTRIES // cols)
+    sums = sums[:len(x)]
     for s in range(0, len(x), rows):
         xb = x[s:s + rows]
-        d, zb, pb = dots[:len(xb)], z[:len(xb)], p[:len(xb)]
-        np.matmul(xb, lam_rows.T, out=d)
-        np.add(d, 1j * tau, out=zb)
+        shape, size = (len(xb), cols), len(xb) * cols
+        zb, pb = z[:size].reshape(shape), p[:size].reshape(shape)
+        np.matmul(xb, lam_rows.T, out=zb.real)
+        zb.imag.fill(tau)
         np.copyto(pb, zb)
         for _ in range(m):
             np.multiply(pb, zb, out=pb)
@@ -255,9 +311,13 @@ def feynman_parameter_entry(
     enumerated exhaustively and summed by the multiset of their intermediate
     levels (:func:`_multiset_columns`), so the integrand runs once per column:
     ``C(n+m-2, m-1)`` of them for a dense ``B`` against ``n^(m-1)`` paths.
-    :data:`INTEGRAND_CAP` bounds samples times columns, :data:`PATH_CAP` the walk.
-    Monte-Carlo sampling reports a standard error.  The first order whose
-    sum or variance leaves the float range raises :class:`ArgumentError`.
+    :data:`INTEGRAND_CAP` bounds points times columns, :data:`PATH_CAP` the walk.
+    The node and block buffers are allocated once, for the largest order,
+    and reused by every order.  On the lattice rule each order ``m >= 1``
+    has the squared standard error ``sum_r |mu_r - mu|^2 / (R (R - 1))`` of
+    its ``R`` shift means ``mu_r``; ``std_error`` is the root of their sum,
+    and zero on the grid.  The first order whose sum or variance leaves the
+    float range raises :class:`ArgumentError`.
     """
     matcore.check_positive(tau, "tau")
     matcore.check_order(m_max, "m_max")
@@ -270,32 +330,35 @@ def feynman_parameter_entry(
     orders = []  # every order is walked, and its integrand bounded, before any is integrated
     for m in range(m_max + 1):
         lam_rows, wts, paths = _multiset_columns(index_paths(links, i, j, m), lam)
-        samples = q.samples_or_depth ** m if q.method == "recursive-grid" else q.samples_or_depth
-        if samples * len(wts) > INTEGRAND_CAP:
+        if q.points(m) * len(wts) > INTEGRAND_CAP:
             raise EnumerationLimitError(
-                f"order {m}: {samples} samples x {len(wts)} columns of {paths} paths exceed cap {INTEGRAND_CAP}")
+                f"order {m}: {q.points(m)} samples x {len(wts)} columns of {paths} paths exceed cap {INTEGRAND_CAP}")
         orders.append((lam_rows, wts))
-    order_values = []
+    integrated = [m for m, (_, wts) in enumerate(orders) if len(wts)]
+    nodes = np.empty(max((q.points(m) * (m + 1) for m in integrated), default=0))
+    buffers = _block_buffers([(q.points(m), len(orders[m][1])) for m in integrated])
+    order_values, order_variances = [], []
     variance = 0.0
     total = 0.0 + 0.0j
     for m, (lam_rows, wts) in enumerate(orders):
+        order_variances.append(0.0)
         if not len(wts):
             order_values.append(0.0 + 0.0j)
             continue
-        x, w = _simplex_nodes(m, q, seed_offset=m)
-        integrand = _path_sums(x, lam_rows, wts, tau, m)  # per sample
+        x, w = _simplex_nodes(m, q, nodes)
+        integrand = _path_sums(x, lam_rows, wts, tau, m, buffers)  # per point
         # Lebesgue integral over the simplex = mean/ m! for probability weights;
         # the m! prefactor of the representation cancels it exactly.
         mean = complex(np.sum(w * integrand))
         term = (-1) ** m * mean
         order_values.append(term)
         total += term
-        if q.method == "monte-carlo" and m >= 1:
-            s = q.samples_or_depth
-            dev = integrand - mean
-            variance += float(np.sum(w * np.abs(dev) ** 2)) / max(s - 1, 1)
+        if q.method == "lattice" and m >= 1:
+            shifts = q.samples_or_depth
+            shift_means = integrand.reshape(shifts, LATTICE_POINTS).mean(axis=1)
+            order_variances[m] = float(np.sum(np.abs(shift_means - mean) ** 2)) / (shifts * (shifts - 1))
+            variance += order_variances[m]
         if not (np.isfinite(total) and math.isfinite(variance)):
             raise ArgumentError(f"Feynman-parameter entry overflows the float range at order {m}")
-    return FeynmanEntry(
-        value=total, std_error=math.sqrt(variance), order_values=tuple(order_values)
-    )
+    return FeynmanEntry(value=total, std_error=math.sqrt(variance), order_values=tuple(order_values),
+                        order_std_errors=tuple(map(math.sqrt, order_variances)))

@@ -37,8 +37,9 @@ BASIS_CAP = 10**5
 #: Momenta in one box grid, and components in one momentum: a move list then pairs at most
 #: MOMENTUM_CAP**2 grid momenta.
 MOMENTUM_CAP = 1000
-#: Largest mass, and the reciprocal of the smallest: ``m**2 + |p|**2`` is then a positive, finite
-#: float for every grid momentum, and so is every dispersion and vertex amplitude.
+#: Largest mass, the reciprocal of the smallest, and the largest magnitude of a state's momentum
+#: component: ``m**2 + |p|**2`` is then a positive, finite float for every state a grid's moves reach
+#: (at most MOMENTUM_CAP components), and so is every dispersion and vertex amplitude.
 MASS_CAP = 1e150
 #: States of a dense reference: 2**26 entries per matrix, 1 GiB of complex128, ``matcore.GRID_CAP``'s budget.
 DENSE_CAP = 2**13
@@ -67,7 +68,16 @@ class MultisetState:
 
     @staticmethod
     def of(*particles) -> "MultisetState":
+        """The canonical state of ``(species, momentum)`` pairs; a momentum component of magnitude past
+        :data:`MASS_CAP` raises :class:`ArgumentError`."""
         norm = tuple(sorted((str(s), tuple(int(c) for c in p)) for s, p in particles))
+        for s, p in norm:
+            for k, c in enumerate(p):
+                if abs(c) > MASS_CAP:
+                    from decimal import Decimal  # formats an int of any size; imported only to refuse one
+
+                    raise ArgumentError(f"momentum component {k} of particle {s!r} is {Decimal(c):.3e}; "
+                                        f"its magnitude must be at most {MASS_CAP:g}")
         return MultisetState(particles=norm)
 
     @property

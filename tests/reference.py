@@ -442,6 +442,25 @@ def simplex_nodes_ref(m, q):
     return x, w / w.sum()
 
 
+def lattice_nodes_ref(m, q):
+    """The lattice rule of ``resolvent._simplex_nodes``, one point at a time: lattice point ``k`` of
+    shift ``r`` is ``frac(k a^d / N + shift_rd)`` in axis ``d``, folded by the baker's transform and
+    broken onto the simplex by ``v_d = 1 - u_d^(1/(m-d))``, in Python floats."""
+    n, gen = resolvent.LATTICE_POINTS, resolvent.LATTICE_GENERATOR
+    shifts = np.random.default_rng(q.seed + m).random((q.samples_or_depth, m))
+    xs = []
+    for shift in shifts.tolist():
+        for k in range(n):
+            remaining, x = 1.0, []
+            for axis in range(m):
+                u = ((k * gen**axis) % n / n + shift[axis]) % 1.0
+                u = 1.0 - abs(2.0 * u - 1.0)
+                x.append(remaining * (1.0 - u ** (1.0 / (m - axis))))
+                remaining -= x[-1]
+            xs.append(x + [remaining])
+    return np.array(xs), np.full(len(xs), 1.0 / len(xs))
+
+
 def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
     """``resolvent.feynman_parameter_entry`` with the whole (samples, columns)
     integrand formed at once by ``** (m + 1)``, on the library's nodes and
@@ -451,24 +470,27 @@ def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
     summed into columns by the library's ``_multiset_columns``, so both sides
     integrate the same columns.  Returns the entry and, per order, the
     magnitude ``A_m = sum_s w_s sum_c |wts_c| / |z_sc|^(m+1)`` that scales the
-    rounding error of any evaluation of that order's integral.
+    rounding error of any evaluation of that order's integral.  On the lattice
+    rule each order's standard error is that of its shift means, from a
+    ``(shifts, points)`` reshape of the integrand.
     """
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a).tolist()
     links = resolvent.dense_links(b).__getitem__  # the walk's weights are recomputed below
     order_values = []
+    order_errors = []
     magnitudes = []
-    variance = 0.0
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
         paths = [p for p, _ in resolvent.index_paths(links, i, j, m)]
         weighed = ((p, math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j)) for p in paths)
         lam_rows, wts, _ = resolvent._multiset_columns(weighed, lam)
+        order_errors.append(0.0)
         if not paths:
             order_values.append(0.0 + 0.0j)
             magnitudes.append(0.0)
             continue
-        x, w = resolvent._simplex_nodes(m, q, seed_offset=m)
+        x, w = resolvent._simplex_nodes(m, q, np.empty(q.points(m) * (m + 1)))
         denom = (x @ lam_rows.T) + 1j * tau
         integrand = (wts[None, :] / denom ** (m + 1)).sum(axis=1)
         magnitudes.append(float(np.sum(w * (np.abs(wts)[None, :] / np.abs(denom) ** (m + 1)).sum(axis=1))))
@@ -476,10 +498,11 @@ def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
         term = (-1) ** m * mean
         order_values.append(term)
         total += term
-        if q.method == "monte-carlo" and m >= 1:
-            dev = integrand - mean
-            variance += float(np.sum(w * np.abs(dev) ** 2)) / max(q.samples_or_depth - 1, 1)
-    entry = resolvent.FeynmanEntry(value=total, std_error=math.sqrt(variance), order_values=tuple(order_values))
+        if q.method == "lattice" and m >= 1:
+            shift_means = integrand.reshape(q.samples_or_depth, -1).mean(axis=1)
+            order_errors[m] = float(np.std(shift_means, ddof=1)) / math.sqrt(q.samples_or_depth)
+    entry = resolvent.FeynmanEntry(value=total, std_error=math.sqrt(sum(e * e for e in order_errors)),
+                                   order_values=tuple(order_values), order_std_errors=tuple(order_errors))
     return entry, tuple(magnitudes)
 
 

@@ -861,6 +861,22 @@ class TestOperandContract:
         self._fails(capsys, argv, ArgumentError, f"mass of 'c' is {shown}; it must lie in [1e-150, 1e+150]")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("route", ["diagrams", "demo"])
+    def test_a_momentum_past_the_float_range_is_refused(self, tmp_path, capsys, route):
+        # the square of a 201-digit component has no float: both routes ended in an OverflowError traceback
+        # from the dispersion, exit 1
+        huge = "1" + "0" * 200
+        if route == "demo":
+            argv = ["demo", "three-particle", "--momentum", huge]
+        else:
+            (tmp_path / "model.json").write_text(json.dumps(self.MODEL))
+            argv = ["diagrams", "--model", str(tmp_path / "model.json"), "--i", f"a:{huge},b:-{huge}",
+                    "--j", f"a:-{huge},b:{huge}", "--ell", "2", "--tau", "0.1"]
+        start = time.perf_counter()
+        self._fails(capsys, argv, ArgumentError,
+                    "momentum component 0 of particle 'a' is 1.000e+200; its magnitude must be at most 1e+150")
+        assert time.perf_counter() - start < 1.0
+
     def test_scatter_with_an_overflowing_series_is_refused_without_a_warning(self, tmp_path, capsys):
         # the series formed one more product after its last term: with B = 1e150 H its two numpy overflow
         # warnings came before the singularity refusal, and B = 1e200 H left non-finite terms to the report
@@ -871,6 +887,13 @@ class TestOperandContract:
             p = _save(tmp_path, a=a, b=scale * h)
             self._fails(capsys, ["scatter", "--a", p["a"], "--b", p["b"], "--i", "0", "--j", "1", "--tau", "0.5",
                                  "--order", "2"], error, message)
+
+    def test_resolvent_entry_with_a_negative_seed(self, tmp_path, capsys):
+        # the lattice shifts are drawn from seed + m, and numpy seeds no generator from a negative integer:
+        # --seed -5 ended in a ValueError traceback, exit 1
+        p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
+        self._fails(capsys, ["--seed", "-5", "resolvent", "--a", p["a"], "--b", p["b"], "--order", "2", "--tau", "0.5",
+                             "--entry", "0,1"], ArgumentError, "seed must be nonnegative")
 
     def test_resolvent_entry_with_a_nan_tau(self, tmp_path, capsys):
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)

@@ -378,31 +378,33 @@ def test_a_huge_enumeration_is_refused_up_front(n, order):
         assert time.perf_counter() - start < 1.0
 
 
-def test_a_simplex_integrand_past_2_gib_is_refused():
+@pytest.mark.parametrize("shifts", [66, 80])
+def test_a_simplex_integrand_past_2_gib_is_refused(shifts):
     # n = 45, order 4: 45**3 paths fall into C(47, 3) = 16,215 multiset columns, and those times
-    # 20,000 samples are past the 2**28-entry work bound, which a 2 GiB float64 x @ lam_rows.T
-    # would hold were the integrand formed at once
+    # 251 points per shift are past the 2**28-entry work bound from 66 shifts on (65 make 264,533,725
+    # sample-columns), which a 2 GiB float64 x @ lam_rows.T would hold were the integrand formed at once
     a, b = np.diag(np.arange(1.0, 46.0)), 0.001 * np.ones((45, 45))
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError,
-                       match="order 4: 20000 samples x 16215 columns of 91125 paths exceed cap 268435456"):
-        resolvent.feynman_parameter_entry(a, b, 0, 1, 0.5, 4, resolvent.SimplexQuadrature())
+                       match=f"order 4: {251 * shifts} samples x 16215 columns of 91125 paths exceed cap 268435456"):
+        resolvent.feynman_parameter_entry(a, b, 0, 1, 0.5, 4, resolvent.SimplexQuadrature("lattice", shifts))
     assert time.perf_counter() - start < 1.0
+    assert 251 * 65 * 16215 <= resolvent.INTEGRAND_CAP < 251 * 66 * 16215
 
 
 def test_an_integrand_within_the_cap_by_columns_runs():
-    # n = 8, order 6: 8**5 = 32,768 paths times 8,200 samples passed the cap when it counted paths; the
-    # integrand runs over C(12, 5) = 792 columns, 6.5e6 sample-columns
+    # n = 8, order 6: 8**5 = 32,768 paths times 33 shifts of 251 points, 8,283, pass the cap when it counted
+    # paths; the integrand runs over C(12, 5) = 792 columns, 6.6e6 sample-columns
     rng = np.random.default_rng(0)
     lam, b = np.linspace(1.0, 3.0, 8), rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     b = 0.3 * (b + b.conj().T) / np.linalg.norm(b + b.conj().T, 2)
-    assert 8200 * 8**5 > resolvent.INTEGRAND_CAP
+    assert 251 * 33 * 8**5 > resolvent.INTEGRAND_CAP
     start = time.perf_counter()
-    q = resolvent.SimplexQuadrature(samples_or_depth=8200)
+    q = resolvent.SimplexQuadrature("lattice", 33)
     entry = resolvent.feynman_parameter_entry(np.diag(lam), b, 0, 1, 0.5, 6, q)
     assert time.perf_counter() - start < 2.0
     want = resolvent.series_terms(np.diag(lam) + 0.5j * np.eye(8), b, 7).terms[:, 0, 1].sum()
-    assert abs(entry.value - want) <= 3.0 * entry.std_error  # measured 0.70 of the standard error
+    assert abs(entry.value - want) <= 3.0 * entry.std_error  # measured 0.71 of the standard error
 
 
 def test_a_diagrams_job_with_no_paths_exits_zero(tmp_path, capsys):

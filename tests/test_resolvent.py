@@ -251,10 +251,10 @@ class TestFeynmanParameters:
         assert ent.value == 0
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (1, 2)])
-    def test_matches_direct_inverse_monte_carlo(self, entry):
+    def test_matches_direct_inverse_lattice(self, entry):
         i, j = entry
         tau = 1.0
-        q = resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=40000, seed=5)
+        q = resolvent.SimplexQuadrature(method="lattice", samples_or_depth=8, seed=5)
         ent = resolvent.feynman_parameter_entry(self.a, self.b, i, j, tau, 6, q)
         direct = matcore.inverse(self.a + self.b + 1j * tau * np.eye(3))[i, j]
         assert abs(ent.value - direct) <= max(1e-6, 3.0 * ent.std_error)
@@ -281,19 +281,55 @@ class TestFeynmanParameters:
         assert entry.value == pytest.approx(sum((-1) ** m / (1.0 + 1.0j) ** (m + 1) for m in range(7)), rel=1e-12)
 
     def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
-            resolvent.SimplexQuadrature(method="monte-carlo", samples_or_depth=10)
-        with pytest.raises(ValueError):
-            resolvent.SimplexQuadrature(method="bogus")
+        with pytest.raises(ArgumentError, match="^lattice needs at least 2 shifts$"):
+            resolvent.SimplexQuadrature(method="lattice", samples_or_depth=1)
+        for method in ("bogus", "monte-carlo"):
+            with pytest.raises(ArgumentError, match=f"^unknown simplex method '{method}'$"):
+                resolvent.SimplexQuadrature(method=method)
+        for method in ("lattice", "recursive-grid"):
+            with pytest.raises(ArgumentError, match="^seed must be nonnegative$"):
+                resolvent.SimplexQuadrature(method, 4, seed=-1)
 
 
 class TestSimplexNodes:
     @pytest.mark.parametrize("m, depth", [(1, 12), (3, 12), (4, 12), (5, 10), (4, 20), (2, 2)])
     def test_grid_is_bit_equal_to_the_node_by_node_loop(self, m, depth):
         q = resolvent.SimplexQuadrature("recursive-grid", depth, 0)
-        x, w = resolvent._simplex_nodes(m, q)
+        x, w = resolvent._simplex_nodes(m, q, np.empty(q.points(m) * (m + 1)))
         want_x, want_w = reference.simplex_nodes_ref(m, q)
         assert (x.tobytes(), w.tobytes()) == (want_x.tobytes(), want_w.tobytes())
+
+    @pytest.mark.parametrize("m, shifts, seed", [(1, 2, 0), (2, 8, 3), (3, 8, 7), (4, 3, 11), (8, 2, 5)])
+    def test_lattice_is_the_point_by_point_map(self, m, shifts, seed):
+        q = resolvent.SimplexQuadrature("lattice", shifts, seed)
+        x, w = resolvent._simplex_nodes(m, q, np.empty(q.points(m) * (m + 1)))
+        want_x, want_w = reference.lattice_nodes_ref(m, q)
+        assert x.shape == (251 * shifts, m + 1) and (x >= 0).all()
+        # the same float operations in the same order, but numpy's power and the interpreter's may round apart
+        assert np.abs(x - want_x).max() <= 4 * np.finfo(float).eps and (w == want_w).all()
+
+    def test_the_generator_is_the_minimax_p2_choice(self):
+        # P_2(z) = -1 + mean_k prod_d (1 + 2 pi^2 B_2({k z_d / N})), B_2(t) = t^2 - t + 1/6: the lattice's
+        # worst-case error for periodic integrands of square-integrable mixed first derivatives (Dick, Kuo and
+        # Sloan, Acta Numerica 22 (2013) 133).  Each generator a is scored by its largest ratio to the best P_2
+        # of each dimension 2-8.  a, N - a (every axis reflected) and a^-1 mod N (the axes in reverse) give one
+        # point set up to those symmetries, hence the same P_2; 97 is one of its four generators.
+        start = time.perf_counter()
+        n, gens = resolvent.LATTICE_POINTS, np.arange(1, resolvent.LATTICE_POINTS)
+        k = np.arange(n)
+        z = np.ones((len(gens), 8), dtype=np.int64)
+        for d in range(1, 8):
+            z[:, d] = z[:, d - 1] * gens % n
+        t = (k[None, :, None] * z[:, None, :] % n) / n
+        factors = 1 + 2 * np.pi**2 * (t * t - t + 1 / 6)  # (generator, point, axis)
+        p2 = np.cumprod(factors, axis=2).mean(axis=1)[:, 1:] - 1  # dimensions 2-8
+        score = (p2 / p2.min(axis=0)).max(axis=1)
+        best = score.min()
+        tied = gens[score <= best * (1 + 1e-12)].tolist()
+        a = resolvent.LATTICE_GENERATOR
+        assert tied == sorted({a, n - a, pow(a, -1, n), n - pow(a, -1, n)}) == [44, 97, 154, 207]
+        assert np.sort(score)[4] > 1.03 * best  # the next generator is 3% worse: measured 1.2366 against 1.1986
+        assert time.perf_counter() - start < 1.0
 
 
     @pytest.mark.parametrize("depth", [646, 4000])
@@ -312,7 +348,8 @@ class TestSimplexNodes:
 class TestFeynmanExactness:
     """Hermite-Genocchi: the order-m simplex integral is the Neumann term
     ``((-D^-1 B)^m D^-1)_ij`` of ``D = A + i tau``, so a fine product grid
-    meets ``series_terms`` to rounding, order by order."""
+    meets ``series_terms`` to rounding, order by order, and the lattice rule
+    within its standard errors."""
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_depth_16_grid_orders_are_the_neumann_terms(self, n):
@@ -329,6 +366,36 @@ class TestFeynmanExactness:
             # tau 0.5) the error measured at most 3.4e-16 of that scale
             scale = np.linalg.matrix_power(np.abs(b), m)[i, j] / abs(lam.min() + 1j * tau) ** (m + 1)
             assert abs(got[m] - want[m]) <= 1e-14 * scale, (m, abs(got[m] - want[m]) / scale)
+
+    @staticmethod
+    def workload_draw(seed, n):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(1.0, 3.0, n)
+        b = random_hermitian(n, 1.0, 1000 + seed)
+        i, j = (int(k) for k in rng.integers(0, n, size=2))
+        return lam, 0.3 * b / np.linalg.norm(b, 2), i, j
+
+    def test_the_lattice_rule_meets_the_neumann_terms_within_its_standard_errors(self):
+        # the CLI's rule (8 shifts of 251 points) on the Feynman jobs' shapes, seeds 1-30: each order m >= 1
+        # within K sigma_m plus the rounding of the order's scale.  K = 6 is past the Student-t factor for
+        # 7 degrees of freedom at two-sided 0.001 (5.41).  Of the 390 orders, 372 have sigma_m above rounding;
+        # their |err| / sigma_m measured a median of 0.70 and a maximum of 5.35, and 2.2% of them passed 3,
+        # where Student's t with 7 degrees of freedom puts 2.0%
+        k, start, worst = 6.0, time.perf_counter(), 0.0
+        for seed in range(1, 31):
+            for n, order in ((6, 3), (6, 4), (10, 3), (8, 3)):
+                lam, b, i, j = self.workload_draw(seed, n)
+                got = resolvent.feynman_parameter_entry(np.diag(lam), b, i, j, 0.5, order,
+                                                        resolvent.SimplexQuadrature(seed=seed))
+                want = resolvent.series_terms(np.diag(lam) + 0.5j * np.eye(n), b, order + 1).terms[:, i, j]
+                for m in range(1, order + 1):
+                    err, sigma = abs(got.order_values[m] - want[m]), got.order_std_errors[m]
+                    scale = np.linalg.matrix_power(np.abs(b), m)[i, j] / abs(lam.min() + 0.5j) ** (m + 1)
+                    assert err <= k * sigma + 1e-14 * scale, (seed, n, order, m, err / sigma)
+                    if sigma > 1e-14 * scale:
+                        worst = max(worst, err / sigma)
+        assert time.perf_counter() - start < 5.0
+        assert worst > 1.0  # the standard errors are not so wide that no error comes near them
 
 
 class TestBlockedFeynmanIntegrand:
@@ -347,13 +414,17 @@ class TestBlockedFeynmanIntegrand:
         slack = 2 * len(bounds) * eps * sum(abs(v) for v in want.order_values)
         assert abs(got.value - want.value) <= sum(bounds) + slack
         assert abs(got.std_error - want.std_error) <= 1e-12 * want.std_error
+        # an order's standard error moves with its shift means, each within about that order's rounding bound
+        for m, (g, v) in enumerate(zip(got.order_std_errors, want.order_std_errors)):
+            assert abs(g - v) <= bounds[m], (m, abs(g - v) / (eps * magnitudes[m]))
 
     @pytest.mark.parametrize("n, m_max", [(2, 4), (3, 4), (5, 4), (8, 3), (12, 3), (12, 4)])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense-B", "sparse-B"])
     @pytest.mark.parametrize("q", [
-        resolvent.SimplexQuadrature("monte-carlo", 1009, 3),  # a prime count: no block count divides it
+        # 1,004 points: n = 12 takes blocks of 840 and 180 rows at orders 3 and 4, and neither size divides it
+        resolvent.SimplexQuadrature("lattice", 4, 3),
         resolvent.SimplexQuadrature("recursive-grid", 3, 0),
-    ], ids=["monte-carlo", "recursive-grid"])
+    ], ids=["lattice", "recursive-grid"])
     def test_within_rounding_of_the_one_shot_integrand(self, n, m_max, sparse, q):
         rng = np.random.default_rng(100 * n + m_max)
         a = np.diag(rng.uniform(1.0, 3.0, n))
@@ -366,9 +437,10 @@ class TestBlockedFeynmanIntegrand:
         self.assert_within_rounding(got, *reference.feynman_parameter_entry_ref(a, b, i, j, 0.5, m_max, q))
 
     def test_a_workload_sized_entry_in_many_blocks(self):
-        # n = 6, order 4: 216 order-4 paths in 56 columns, 20,000 samples in 18 blocks of 1,170, the last one of 110
+        # n = 6, order 4: 216 order-4 paths in 56 columns; 80 shifts, 20,080 points, in 18 blocks of 1,170, the
+        # last one of 190
         a, b = np.diag(np.linspace(1.0, 3.0, 6)), random_hermitian(6, 0.3, 61)
-        q = resolvent.SimplexQuadrature(seed=7)
+        q = resolvent.SimplexQuadrature("lattice", 80, seed=7)
         got = resolvent.feynman_parameter_entry(a, b, 0, 3, 0.5, 4, q)
         self.assert_within_rounding(got, *reference.feynman_parameter_entry_ref(a, b, 0, 3, 0.5, 4, q))
         tracemalloc.start()
@@ -380,6 +452,16 @@ class TestBlockedFeynmanIntegrand:
         # the one-shot formula's complex temporaries peak at 199 MB and a whole float64 x @ lam_rows.T takes
         # 35 MB; one block's buffers and the nodes measure about 4.5 MiB
         assert peak < 8 * 2**20
+
+
+    def test_one_set_of_buffers_serves_every_order(self, monkeypatch):
+        # the node and block buffers are sized once, for the largest order, and every order writes into views of them
+        calls, block_buffers = [], resolvent._block_buffers
+        monkeypatch.setattr(resolvent, "_block_buffers", lambda shapes: calls.append(shapes) or block_buffers(shapes))
+        a, b = np.diag(np.linspace(1.0, 3.0, 6)), random_hermitian(6, 0.3, 61)
+        got = resolvent.feynman_parameter_entry(a, b, 0, 3, 0.5, 4, resolvent.SimplexQuadrature(seed=7))
+        # orders 1-4 have 1, 6, 21 and 56 columns at 2,008 points; order 0 has none, 0 != 3
+        assert calls == [[(2008, 1), (2008, 6), (2008, 21), (2008, 56)]] and got.order_values[0] == 0
 
 
 class TestMultisetColumns:
@@ -459,7 +541,7 @@ class TestMultisetColumns:
         assert len(wts) < len(walked)
 
         def integral(x, rows, weights):
-            return np.mean(resolvent._path_sums(x, rows, weights, 0.5, m))
+            return np.mean(resolvent._path_sums(x, rows, weights, 0.5, m, resolvent._block_buffers([(len(x), len(weights))])))
 
         # A_m, the order's sum of moduli, scales the rounding of either evaluation (TestBlockedFeynmanIntegrand)
         magnitude = np.mean((abs(per_wts) / abs(x @ per_rows.T + 0.5j) ** (m + 1)).sum(axis=1))

@@ -14,12 +14,13 @@ matrix exponential:
   ``sum_m G_m(t)`` approximates ``e^{itA} e^{-it(A+B)}``.
 
 Also here: the Laplace-transform bridge from time evolution to the shifted
-inverse, and adiabatic evolution.  The adiabatic path takes exactly unitary
-fourth-order Magnus steps (Blanes, Casas, Oteo & Ros, 2009), a stack of them
-from one batched ``eigh``.  It runs block by block, a ramped schedule's ``H``
-as one broadcast ``A + f(t) B``; only the O(n^2) state update and the gauge
-of the tracked eigenvector run step by step, and each error is raised at the
-step it belongs to.
+inverse, and adiabatic evolution.  A schedule is ``H(t) = A + f(t) B`` with
+Hermitian ``A`` and ``B`` and a ramp ``f`` that :data:`RAMPS` names.  The
+adiabatic path takes exactly unitary fourth-order Magnus steps (Blanes,
+Casas, Oteo & Ros, 2009), a stack of them from one batched ``eigh``.  It
+runs block by block, each block's ``H`` one broadcast ``A + f(t) B``; only
+the O(n^2) state update and the gauge of the tracked eigenvector run step by
+step, and each error is raised at the step it belongs to.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import matcore
-from .errors import ArgumentError, GapCollapseError, ShapeError, StepSizeError
+from .errors import ArgumentError, GapCollapseError, StepSizeError
 from .matcore import TimeGrid
 
 
@@ -42,55 +43,44 @@ RAMPS: dict[str, Callable[[float], float]] = {
     "smootherstep": lambda t: t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
 }
 
+#: Bound, with room, on the ramp values the stepper takes: at most ``1 + 9 *
+#: 2**-52``, from the last end node (``1 + 2**-52`` over 2 to 200,000 steps) and
+#: ``smootherstep`` near 1.
+_RAMP_MAX = 1.0 + 2.0**-40
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Hermitian-valued map ``t in [0,1] -> H(t)``; caller asserts C^1."""
+    """``H(t) = A + f(t) B`` on [0, 1] for the ramp ``f = RAMPS[ramp]``, as
+    :func:`ramped_schedule` checks and builds it."""
 
-    evaluator: Callable[[float], np.ndarray]
+    a: np.ndarray
+    b: np.ndarray
+    ramp: str
 
-    def _stack(self, ts: np.ndarray, n: int):
-        """``H`` at each of ``ts`` up to the first evaluation that raises or
-        has the wrong shape, and that exception (``None`` if there is none)."""
-        mats, err = [], None
-        for t in ts:
-            try:
-                m = np.asarray(self.evaluator(t), dtype=complex)
-                if m.shape != (n, n):
-                    raise ShapeError(f"expected H of shape {(n, n)}, got {m.shape}")
-            except Exception as exc:
-                err = exc
-                break
-            mats.append(m)
-        return np.array(mats, dtype=complex).reshape(-1, n, n), err
+    def at(self, ts) -> np.ndarray:
+        """``H`` at each of ``ts``, a ``(len(ts), n, n)`` stack: a named ramp
+        is a polynomial, so these are the floats of a per-node evaluation."""
+        return self.a + RAMPS[self.ramp](np.asarray(ts, dtype=float))[:, None, None] * self.b
 
 
-class _RampedSchedule(Schedule):
-    """``H(t) = A + f(t) B``; a stack is one broadcast of ``f`` at Python floats."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, f: Callable[[float], float]):
-        super().__init__(evaluator=lambda t: a + f(t) * b)
-        self.a, self.b, self.f = a, b, f
-
-    def _stack(self, ts: np.ndarray, n: int):
-        fs, err = [], None
-        for t in ts.tolist():
-            try:
-                fs.append(complex(self.f(t)))
-            except Exception as exc:
-                err = exc
-                break
-        return self.a + np.array(fs, dtype=complex)[:, None, None] * self.b, err
-
-
-def ramped_schedule(a, b, ramp: str | Callable[[float], float] = "linear") -> Schedule:
-    """Schedule ``H(t) = A + f(t) B`` for a callable ramp, or the one :data:`RAMPS` names."""
-    a, b = matcore.as_pair(a, b)
+def ramped_schedule(a, b, ramp: str = "linear") -> Schedule:
+    """Schedule ``H(t) = A + f(t) B`` for Hermitian ``A``, ``B`` and the ramp
+    that :data:`RAMPS` names.  Each ``H(t)`` lies entrywise between ``A`` and
+    ``A + f B``, ``0 <= f <= _RAMP_MAX``, so a pair whose ``A + _RAMP_MAX B``
+    overflows is refused here, with :class:`ArgumentError` as a ramp that is
+    not such a name; no ``H(t)`` of an accepted schedule overflows.  The
+    schedule holds read-only copies, so its checks hold for its lifetime."""
+    a, b = (np.array(m) for m in matcore.as_pair(a, b))
+    a.flags.writeable = b.flags.writeable = False
     a = matcore.require_hermitian(a, what="A")
     b = matcore.require_hermitian(b, what="B")
-    if isinstance(ramp, str) and ramp not in RAMPS:
+    if not isinstance(ramp, str) or ramp not in RAMPS:
         raise ArgumentError(f"unknown ramp {ramp!r}; known ramps: {', '.join(RAMPS)}")
-    return _RampedSchedule(a, b, RAMPS[ramp] if isinstance(ramp, str) else ramp)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(a + _RAMP_MAX * b).all():
+            raise ArgumentError("A + B overflows the float range: H(t) = A + f(t) B is not finite on [0, 1]")
+    return Schedule(a, b, ramp)
 
 
 #: Steps per batched eigendecomposition; a bounded block keeps memory flat.
@@ -237,16 +227,16 @@ def _require_gap(gap: float, t: float) -> None:
 def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
     """Core of :func:`adiabatic_evolve`: integrate ``i u' = eta H(t) u`` from ``u(0) = e_i(0)``.
 
-    Each step checks, before its state moves: ``H`` at the midpoint, then
-    at the end, then the gap at the end node (at least 1e-3), then the step
-    estimate (:func:`_doubled_steps`).  Returns nodes, the final state, the
-    final continued eigenvector (positive-overlap gauge), the eigenvalue path
-    and the end of the coarse chain ``u_N/2`` (an odd last step its own).  A
-    block of steps is array work, its checks as masks replayed only at the
-    first failing step; per step, only ``u = U_k u`` and the gauge run.  A
-    lone last step joins the block before it.
+    Each step checks, before its state moves: that ``H`` is Hermitian at the
+    midpoint, then at the end, then the gap at the end node (at least 1e-3),
+    then the step estimate (:func:`_doubled_steps`).  Returns nodes, the
+    final state, the final continued eigenvector (positive-overlap gauge),
+    the eigenvalue path and the end of the coarse chain ``u_N/2`` (an odd
+    last step its own).  A block of steps is array work, its checks as masks
+    replayed only at the first failing step; per step, only ``u = U_k u``
+    and the gauge run.  A lone last step joins the block before it.
     """
-    dec0 = matcore.eig_hermitian(sched.evaluator(0.0), what="H(0)")
+    dec0 = matcore.eig_hermitian(sched.at([0.0])[0], what="H(0)")
     h_end = dec0.matrix
     n = dec0.eigenvalues.size
     matcore.check_index(i, n)
@@ -265,17 +255,11 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
     for k0, k1 in _blocks(steps):
         ts = nodes[k0:k1]
         hks = (ts + h) - ts  # the width of one step on [t, t + h]
-        # H at each step's midpoint and end, through a step whose evaluation
-        # raises; non-finite and non-Hermitian ones fail the mask and are zeroed
-        raw, err = sched._stack(np.column_stack([ts + hks / 2, ts + hks]).ravel(), n)
-        hks = hks[:len(raw) // 2 + (err is not None)]
-        stack = np.zeros((2 * hks.size, n, n), dtype=complex)
-        stack[:len(raw)] = raw
-        ok = np.isfinite(stack).all(axis=(1, 2)) & (np.arange(2 * hks.size) < len(raw))
-        stack[~ok] = 0.0
-        ok &= matcore.is_hermitian(stack)
+        times = np.column_stack([ts + hks / 2, ts + hks]).ravel()
+        stack = sched.at(times)  # H at each step's midpoint and end
+        ok = matcore.is_hermitian(stack)
         ends, v_prev = stack[1::2], vecs[-1:]
-        lams, vecs = np.linalg.eigh((ends + ends.conj().swapaxes(1, 2)) / 2.0)
+        lams, vecs = np.linalg.eigh(0.5 * ends + 0.5 * ends.conj().swapaxes(1, 2))
         step_us, pairs, est = _doubled_steps(np.concatenate([h_end[None], ends]), stack[0::2], eta * hks)
         # the tracked index, chained through the argmax over r of |<v_r(t_k), v_c(t_{k-1})>|
         table = np.abs(vecs.conj().swapaxes(1, 2) @ np.concatenate([v_prev, vecs[:-1]])).argmax(axis=1)
@@ -285,10 +269,8 @@ def _integrate_schedule(sched: Schedule, eta: float, i: int, g: TimeGrid):
         bad = ~(ok[0::2] & ok[1::2]) | (gaps < 1e-3) | ~(est <= _MAX_STEP_ESTIMATE)
         for j in np.flatnonzero(bad)[:1]:  # the per-step checks, in order: one raises
             for q in (2 * j, 2 * j + 1):
-                if q >= len(raw):
-                    raise err
                 if not ok[q]:
-                    matcore.require_hermitian(raw[q])  # raises: non-finite or non-Hermitian
+                    matcore.require_hermitian(stack[q], what=f"H(t={times[q]:g})")  # raises
             _require_gap(gaps[j], nodes[k0 + j + 1])
             if not est[j] <= _MAX_STEP_ESTIMATE:  # a NaN estimate fails too
                 raise StepSizeError(f"step estimate {est[j]:.2e} at t={nodes[k0 + j + 1]:g}; refine the grid")

@@ -276,7 +276,7 @@ def eig_hermitian(m, what: str = "matrix") -> SpectralDecomposition:
     the eigenvectors orthonormal.
     """
     a = require_hermitian(m, what)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)  # by halves: no entry overflows
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, matrix=a)
 
 

@@ -15,8 +15,8 @@ from collections import Counter, defaultdict
 import numpy as np
 import scipy.linalg
 
-from pertkit import matcore, resolvent, scattering, spectral, symdiag
-from pertkit.errors import ArgumentError, ConvergenceError, EnumerationLimitError, GapCollapseError, ShapeError, StepSizeError
+from pertkit import evolution, matcore, resolvent, scattering, spectral, symdiag
+from pertkit.errors import ArgumentError, ConvergenceError, EnumerationLimitError, GapCollapseError, StepSizeError
 
 
 def cheb_nodes(eps_max: float, count: int) -> np.ndarray:
@@ -166,18 +166,19 @@ def dyson_terms_ref(a, b, t, m_max, steps):
     return rk4_list(deriv, _cascade_start(a.shape[0], m_max), 0.0, t, steps)
 
 
-def _node_matrix(x, n):
-    """``H`` at a node or midpoint, guarded as the block core guards it."""
-    a = np.asarray(x, dtype=complex)
-    if a.shape != (n, n):
-        raise ShapeError(f"expected H of shape {(n, n)}, got {a.shape}")
-    return matcore.require_hermitian(a)
+def _node_matrix(sched, t):
+    """``H(t) = A + f(t) B`` at a Python float ``t``, guarded as the block core
+    guards it."""
+    return matcore.require_hermitian(sched.a + evolution.RAMPS[sched.ramp](t) * sched.b, what=f"H(t={t:g})")
 
 
 def _magnus_generator(h_start, h_mid, h_end, c):
-    s = (h_start + 4.0 * h_mid + h_end) / 6.0
-    d = h_end - h_start
-    return c * s + 1j * c**2 / 12.0 * (s @ d - d @ s)
+    """The generator of one Magnus step; one that overflows is not finite, and
+    :func:`_expm_step` makes its step NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (h_start + 4.0 * h_mid + h_end) / 6.0
+        d = h_end - h_start
+        return c * s + 1j * c**2 / 12.0 * (s @ d - d @ s)
 
 
 def _expm_step(gen):
@@ -197,7 +198,8 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     its own)."""
     h = 1.0 / steps
     nodes = h * np.arange(steps + 1)
-    dec0 = matcore.eig_hermitian(sched.evaluator(0.0), what="H(0)")
+    h0 = sched.a + evolution.RAMPS[sched.ramp](0.0) * sched.b
+    dec0 = matcore.eig_hermitian(h0, what="H(0)")
     n = dec0.eigenvalues.size
     e_path = np.empty((steps + 1, n), dtype=complex)
     lam_path = np.empty(steps + 1)
@@ -211,13 +213,13 @@ def integrate_schedule_ref(sched, eta, i, steps, min_gap=1e-3):
     coarse = u.copy()
     us = np.empty((steps + 1, n), dtype=complex)
     us[0] = u
-    h_nodes = [np.asarray(sched.evaluator(0.0), dtype=complex)]  # evaluated again for the first step
+    h_nodes = [h0]
     widths, step_list = [], []
     for k in range(steps):
         t = nodes[k]
         hk = (t + h) - t
-        h_mid = _node_matrix(sched.evaluator(t + hk / 2), n)
-        h_end = _node_matrix(sched.evaluator(t + hk), n)
+        h_mid = _node_matrix(sched, t + hk / 2)
+        h_end = _node_matrix(sched, t + hk)
         dec = matcore.eig_hermitian(h_end)
         overlaps = np.abs(dec.eigenvectors.conj().T @ e_prev)
         idx = int(np.argmax(overlaps))

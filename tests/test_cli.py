@@ -841,6 +841,30 @@ class TestOperandContract:
         self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", f"{eta},20,40",
                              "--index", "0"], ArgumentError, "eta must be positive")
 
+    @pytest.mark.parametrize("steps_per_eta, t", [("149", "0.42953"), ("75", "0.433333")],
+                             ids=["block-edge", "mid-block"])
+    def test_adiabatic_with_a_sum_that_is_not_hermitian(self, tmp_path, capsys, steps_per_eta, t):
+        # A and B are each Hermitian to 1e-10, and the anti-Hermitian K of norm 2e-5 in each is
+        # below 1e-10 of their norms, 1e6; past t = 0.4286 the norm of H(t) = A + t B has fallen
+        # and 2 (1 + t) K has grown past it.  At 149 steps the first node that fails is the last
+        # of the first block, 64/149; at 75 steps the midpoint of step 32, 32.5/75
+        k = 2e-5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        _save(tmp_path, ha=np.diag([0.0, 1e6]) + k, hb=k - np.diag([0.0, 1e6 - 1.0]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
+        self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", "1,2,4",
+                             "--index", "0", "--steps-per-eta", steps_per_eta],
+                    NotHermitianError, f"H(t={t}) is not Hermitian to relative 1e-10")
+
+    @pytest.mark.parametrize("a", [1e308, np.finfo(float).max - 1e308], ids=["past-the-range", "at-the-largest-float"])
+    def test_adiabatic_with_a_sum_that_overflows(self, tmp_path, capsys, a):
+        # A + B is infinite, or at the largest float, which the last end node (t = 1 + 2^-52)
+        # passes; the run used to end in a step estimate of NaN (exit 5) or a non-finite node (exit 2)
+        _save(tmp_path, ha=np.diag([0.0, a]), hb=np.diag([0.0, 1e308]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
+        self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", "10,20,40",
+                             "--index", "0"], ArgumentError,
+                    "A + B overflows the float range: H(t) = A + f(t) B is not finite on [0, 1]")
+
     def test_three_particle_demo_with_a_nan_tau(self, capsys):
         self._fails(capsys, ["demo", "three-particle", "--tau", "nan"], ArgumentError, "tau must be positive")
 

@@ -14,6 +14,8 @@ NEARLY_DIAGONAL = np.array([[0.0, 1e-13], [1e-13, 2.0]])
 LEVELS = np.diag([0.0, 1.0, 3.0])
 #: diagonal but not Hermitian: its real part alone is not the operator
 COMPLEX_LEVELS = np.diag([1.0 + 0.5j, 2.0, 3.0])
+#: each finite, twice itself not: the sum of a schedule's pair overflows
+HUGE_LEVELS = np.diag([0.0, 1e308])
 
 BAD_CALLS = {
     "matcore": (lambda: matcore.simpson_weights(3, 0.1), ArgumentError),
@@ -21,6 +23,10 @@ BAD_CALLS = {
     "matcore-diagonal": (lambda: matcore.diagonal_of(NOT_DIAGONAL), MatrixFormatError),
     "matcore-complex-diagonal": (lambda: matcore.diagonal_of(COMPLEX_LEVELS), NotHermitianError),
     "evolution-ramp": (lambda: evolution.ramped_schedule(LEVELS, LEVELS, "bogus"), ArgumentError),
+    "evolution-ramp-number": (lambda: evolution.ramped_schedule(LEVELS, LEVELS, 3), ArgumentError),
+    "evolution-ramp-none": (lambda: evolution.ramped_schedule(LEVELS, LEVELS, None), ArgumentError),
+    "evolution-ramp-list": (lambda: evolution.ramped_schedule(LEVELS, LEVELS, ["linear"]), ArgumentError),
+    "evolution-overflow": (lambda: evolution.ramped_schedule(HUGE_LEVELS, HUGE_LEVELS), ArgumentError),
     "reporting": (lambda: reporting.Report("cmd", {}, 0, ["a", "b"]).add_row(1.0), ArgumentError),
     "resolvent": (lambda: resolvent.SimplexQuadrature(method="recursive-grid", samples_or_depth=1), ArgumentError),
     "resolvent-diagonal": (

@@ -10,14 +10,7 @@ import scipy.linalg
 import reference
 from ensembles import random_hermitian
 from pertkit import evolution, matcore, scattering
-from pertkit.errors import (
-    ArgumentError,
-    GapCollapseError,
-    MatrixFormatError,
-    NotHermitianError,
-    ShapeError,
-    StepSizeError,
-)
+from pertkit.errors import ArgumentError, GapCollapseError, NotHermitianError, StepSizeError
 
 
 def scaled_pair(n, na, nb, seed):
@@ -229,10 +222,51 @@ def two_level_schedule(coupling, ramp):
     return evolution.ramped_schedule(a, b, ramp)
 
 
+def _h(sched, t):
+    """``H(t) = A + f(t) B`` at one float ``t``, as the per-node reference evaluates it."""
+    return sched.a + evolution.RAMPS[sched.ramp](t) * sched.b
+
+
+#: eta of the runs through an overflowing level of :func:`_bad_pair`: its phases ``eta h H``
+#: stay below 1e-7, so no step estimate fails before the overflow
+TINY_ETA = 1e-160
+
+
+def _bad_pair(steps, gap_at=None, side=1, hermitian_to=None, overflow_at=None):
+    """``A`` and ``B`` of a ``linear`` schedule on ``steps`` steps with a level 0 to
+    track (index 1 for ``side`` -1, else 0), and a level for each fault asked for:
+
+    * ``gap_at``: ``side * (5e-4 + gap_at / steps - t)``, 5e-4 from level 0 at that end
+      node and at least ``1 / steps`` from it at every node before;
+    * ``hermitian_to``: ``M (1 - t) + t``, ``M = 1e6``, coupled to level 0 by ``(1 + t) K``,
+      ``K`` anti-Hermitian.  ``A`` and ``B`` are each Hermitian to 1e-10, but ``H(t)``'s
+      defect ``2 (1 + t) ||K||`` passes 1e-10 of its norm ``M (1 - t) + t`` a quarter step
+      before ``hermitian_to / steps``: first at that end node, or midpoint for a half;
+    * ``overflow_at``: ``M (1 + t)``, ``M`` about 1e155, whose term ``S (H1 - H0)`` first
+      overflows in the coarse step of the pair with middle node ``overflow_at - 1``, so
+      that pair's estimate is NaN.
+    """
+    levels, coupled = [(0.0, 0.0)], None
+    if gap_at is not None:
+        levels.append((side * (5e-4 + gap_at / steps), -side))
+    if hermitian_to is not None:
+        f, m = (hermitian_to - 0.25) / steps, 1e6
+        coupled = len(levels), 1e-10 * (m * (1.0 - f) + f) / (2.0 * (1.0 + f))
+        levels.append((m, 1.0 - m))
+    if overflow_at is not None:
+        m = math.sqrt(np.finfo(float).max) / math.sqrt(2.0 / steps * (1.0 + (overflow_at - 1.5) / steps))
+        levels.append((m, m))
+    a, b = (np.diag(x).astype(complex) for x in zip(*levels))
+    if coupled:
+        j, k = coupled
+        for m in (a, b):
+            m[0, j], m[j, 0] = k, -k
+    return a, b
+
+
 class TestAdiabaticEvolve:
     def test_constant_hamiltonian(self):
-        h = np.diag([0.0, 1.0]).astype(complex)
-        sched = evolution.Schedule(evaluator=lambda t: h)
+        sched = evolution.ramped_schedule(np.diag([0.0, 1.0]), np.zeros((2, 2)))
         res = evolution.adiabatic_evolve(sched, 60.0, 0, evolution.TimeGrid(3000))
         assert res.error_vs_eigenpath <= 1e-8
         assert abs(np.linalg.norm(res.final_state) - 1.0) <= 1e-8
@@ -301,10 +335,26 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             evolution.TimeGrid(4)
 
-    def test_schedule_hermiticity_checked(self):
-        sched = evolution.Schedule(evaluator=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NotHermitianError, match="^H\\(0\\) is not Hermitian"):
-            evolution.adiabatic_evolve(sched, 10.0, 0, evolution.TimeGrid(8))
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_schedule_hermiticity_checked(self, which):
+        pair = {"A": np.diag([0.0, 1.0]), "B": np.zeros((2, 2)), which: np.array([[0.0, 1.0], [0.0, 0.0]])}
+        with pytest.raises(NotHermitianError, match=f"^{which} is not Hermitian"):
+            evolution.ramped_schedule(pair["A"], pair["B"])
+
+    def test_the_schedule_holds_its_checked_operands(self):
+        a = np.diag([0.0, 1.0]).astype(complex)
+        sched = evolution.ramped_schedule(a, np.zeros((2, 2)))
+        a[1, 1] = np.inf
+        assert np.isfinite(sched.a).all() and not sched.a.flags.writeable and not sched.b.flags.writeable
+
+    def test_the_margin_covers_every_ramp_value_at_a_node(self):
+        # the set-up overflow check holds for ramp values up to _RAMP_MAX: the last end node
+        # over 2 to 2,000 steps, and each ramp near 1, reach at most 1 + 9 * 2^-52
+        steps = np.arange(2, 2001, dtype=float)
+        ts = (1.0 / steps) * (steps - 1)
+        near_one = np.concatenate([ts + ((ts + 1.0 / steps) - ts), 1.0 - np.linspace(0.0, 1e-6, 100001)])
+        for f in evolution.RAMPS.values():
+            assert 0.0 <= f(near_one).min() and f(near_one).max() <= 1.0 + 9 * 2.0**-52 < evolution._RAMP_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +439,8 @@ class TestMagnusSteppers:
     def test_adiabatic_evolve(self, n, steps, ramp):
         sched, i = _ramp_instance(n, steps, ramp)
         res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(steps))
-        u0 = matcore.eig_hermitian(sched.evaluator(0.0)).eigenvectors[:, i]
-        ref = reference.schrodinger_rk4(lambda t: 3.0 * sched.evaluator(t), u0, 0.0, 1.0, 8 * steps)
+        u0 = matcore.eig_hermitian(sched.a).eigenvectors[:, i]
+        ref = reference.schrodinger_rk4(lambda t: 3.0 * _h(sched, t), u0, 0.0, 1.0, 8 * steps)
         assert np.linalg.norm(res.final_state - ref) <= 1e-7
 
     @pytest.mark.parametrize("n", [1, 2, 8])
@@ -404,23 +454,18 @@ class TestMagnusSteppers:
         np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
         assert res.tracked_phase == evolution._integral_on_nodes(lam_path, nodes[1] - nodes[0])
 
-    @pytest.mark.parametrize(
-        "bad, error",
-        [(np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError), (np.eye(3), ShapeError)],
-        ids=["non-hermitian", "wrong-shape"],
-    )
-    def test_a_bad_midpoint_alone_raises(self, bad, error):
-        # every node is good; the block core guards the midpoints as well
-        steps = 80
-        good = two_level_schedule(0.1, "linear").evaluator
-        sched = evolution.Schedule(evaluator=lambda t: bad if round(t * 2 * steps) == 81 else good(t))
-        with pytest.raises(error):
-            evolution.adiabatic_evolve(sched, 2.0, 0, evolution.TimeGrid(steps))
+    def test_a_bad_midpoint_alone_raises(self):
+        # every node up to t = 40/80 is good, the midpoint after it is not; the block
+        # core guards the midpoints as well
+        sched = evolution.ramped_schedule(*_bad_pair(80, hermitian_to=40.5))
+        with pytest.raises(NotHermitianError, match="^H\\(t=0.50625\\) is not Hermitian"):
+            evolution.adiabatic_evolve(sched, 2.0, 0, evolution.TimeGrid(80))
+
 
 def _pair_on(sched, eta, t0, h):
     """:func:`evolution._doubled_steps` of the pair of steps ``h`` from ``t0``."""
-    hn = np.array([sched.evaluator(t0 + k * h) for k in range(3)])
-    mids = np.array([sched.evaluator(t0 + k * h) for k in (0.5, 1.5)])
+    hn = np.array([_h(sched, t0 + k * h) for k in range(3)])
+    mids = np.array([_h(sched, t0 + k * h) for k in (0.5, 1.5)])
     return evolution._doubled_steps(hn, mids, eta * np.array([h, h]))
 
 
@@ -451,8 +496,8 @@ class TestStepDoubling:
 
     def test_an_odd_last_step_pairs_with_the_step_before_it(self):
         sched = evolution.ramped_schedule(random_hermitian(3, 1.0, 3), random_hermitian(3, 1.0, 103), "smoothstep")
-        hn = np.array([sched.evaluator(t) for t in 0.1 * np.arange(4)])
-        mids = np.array([sched.evaluator(t) for t in 0.1 * np.arange(3) + 0.05])
+        hn = sched.at(0.1 * np.arange(4))
+        mids = sched.at(0.1 * np.arange(3) + 0.05)
         fine, coarse, est = evolution._doubled_steps(hn, mids, np.full(3, 0.1))
         assert len(coarse) == 2 and est[0] == 0.0 and est[1] > 0
         _, _, last = evolution._doubled_steps(hn[1:], mids[1:], np.full(2, 0.1))
@@ -468,10 +513,9 @@ class TestStepDoubling:
         assert 0 < res.step_doubling_error <= 1e-6
 
     @pytest.mark.parametrize("steps", [96, 97, evolution._BLOCK + 1])
-    def test_a_jump_at_the_last_node_is_refused_at_the_last_step(self, steps):
-        # only the pair that ends at t = 1 sees the jump; an odd last step is that pair's second step
-        kick = np.diag([0.0, 1.0]) + 5.0 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        kind, message = TestErrorOrder._both(lambda t: kick if t > 1 - 0.25 / steps else np.diag([0.0, 1.0 + t]), 1.0, 0, steps)
+    def test_a_bad_last_pair_is_refused_at_the_last_step(self, steps):
+        # only the pair that ends at t = 1 overflows; an odd last step is that pair's second step
+        kind, message = TestErrorOrder._both(_bad_pair(steps, overflow_at=steps), TINY_ETA, 0, steps)
         assert kind is StepSizeError and message.endswith("at t=1; refine the grid")
 
     def test_the_richardson_estimate_tracks_the_final_state_error(self):
@@ -526,70 +570,23 @@ class TestLeadingCoefficient:
 
 
 class TestReferenceSteppers:
-    def test_nan_at_a_midpoint_raises(self):
-        # the midpoint of step 40 is NaN: both cores raise there
-        steps = 80
-        a = np.diag([0.0, 1.0]).astype(complex)
-        b = 0.1 * np.array([[0, 1], [1, 0]], dtype=complex)
-
-        def evaluator(t):
-            return np.full((2, 2), np.nan) if round(t * 2 * steps) == 81 else a + t * b
-
-        sched = evolution.Schedule(evaluator=evaluator)
-        with pytest.raises(MatrixFormatError, match="non-finite"):
-            reference.integrate_schedule_ref(sched, 2.0, 0, steps)
-        with pytest.raises(MatrixFormatError, match="non-finite"):
-            evolution._integrate_schedule(sched, 2.0, 0, evolution.TimeGrid(steps))
-
     def test_overflowing_step_fails_the_step_estimate(self):
         # eta H overflows to inf: the step estimate is NaN, and a NaN estimate
         # must read as a failure, not as a small error
-        sched = evolution.Schedule(evaluator=lambda t: np.diag([0.0, 1e300]))
+        sched = evolution.ramped_schedule(np.diag([0.0, 1e300]), np.zeros((2, 2)))
         with pytest.raises(StepSizeError, match="estimate nan"):
             evolution.adiabatic_evolve(sched, 1e10, 1, evolution.TimeGrid(8))
 
-    @staticmethod
-    def _nan_midpoint_run(other, steps=80):
-        """Adiabatic run whose ``H`` is NaN at the midpoint of step 40 (t =
-        81/160) and ``other(half_step_index)`` elsewhere."""
-        def evaluator(t):
-            half_steps = round(t * 2 * steps)
-            return np.full((2, 2), np.nan) if half_steps == 81 else other(half_steps)
-
-        return lambda: evolution.adiabatic_evolve(evolution.Schedule(evaluator), 1.0, 0, evolution.TimeGrid(steps))
-
-    @pytest.mark.parametrize(
-        "late",
-        [np.array([[0.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 1e-4])],
-        ids=["non-hermitian", "collapsed-gap"],
-    )
-    def test_midpoint_error_wins_over_a_later_bad_node(self, late):
-        good = np.diag([0.0, 1.0])
-        with pytest.raises(MatrixFormatError, match="non-finite"):
-            self._nan_midpoint_run(lambda k: late if k >= 86 else good)()
-
-    def test_earlier_gap_collapse_wins_over_a_midpoint_error(self):
-        good = np.diag([0.0, 1.0])
-        with pytest.raises(GapCollapseError, match="at t=0.475"):
-            self._nan_midpoint_run(lambda k: np.diag([0.0, 1e-4]) if k == 76 else good)()
-
-    def test_evaluates_h_at_the_reference_times(self):
+    def test_evaluates_h_at_the_reference_times(self, monkeypatch):
         # t + ((t + h) - t) / 2 differs from t + h / 2 in the last bit at
         # about a quarter of the steps of this grid
-        calls = {"new": [], "ref": []}
-
-        def schedule(log):
-            def evaluator(t):
-                log.append(t)
-                return np.diag([0.0, 1.0 + t])
-
-            return evolution.Schedule(evaluator=evaluator)
-
-        evolution.adiabatic_evolve(schedule(calls["new"]), 2.0, 0, evolution.TimeGrid(1000))
-        reference.integrate_schedule_ref(schedule(calls["ref"]), 2.0, 0, 1000)
-        # the reference evaluates H(0) twice: once guarded, once for the first step
-        assert calls["ref"][:2] == [0.0, 0.0]
-        assert calls["new"] == calls["ref"][1:]
+        calls = []
+        monkeypatch.setitem(evolution.RAMPS, "linear", lambda t: calls.extend(np.ravel(t).tolist()) or t)
+        sched = evolution.ramped_schedule(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]))
+        evolution.adiabatic_evolve(sched, 2.0, 0, evolution.TimeGrid(1000))
+        core, calls[:] = calls[:], []
+        reference.integrate_schedule_ref(sched, 2.0, 0, 1000)
+        assert len(core) == 2001 and core == calls
 
 
 def _outcome(fn):
@@ -606,176 +603,119 @@ class TestErrorOrder:
     same type and message, wherever they fall in a block."""
 
     @staticmethod
-    def _both(evaluator, eta, i, steps):
-        sched = evolution.Schedule(evaluator=evaluator)
+    def _both(pair, eta, i, steps):
+        sched = evolution.ramped_schedule(*pair)
         got = _outcome(lambda: evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(steps)))
         want = _outcome(lambda: reference.integrate_schedule_ref(sched, eta, i, steps))
         assert want is not None
         assert got == want
         return got
 
-    @pytest.mark.parametrize(
-        "late",
-        [np.array([[0.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 0.0]), np.full((2, 2), np.inf)],
-        ids=["non-hermitian", "collapsed-gap", "non-finite"],
-    )
+    @pytest.mark.parametrize("late", ["hermitian_to", "gap_at"], ids=["non-hermitian", "collapsed-gap"])
     def test_early_step_estimate_wins_over_a_later_bad_node(self, late):
-        # the early H does not commute with itself at other times, so the
-        # first pair's estimate, taken at its second step, is far above its limit
-        early = lambda t: np.diag([0.0, 1.0]) + 10.0 * t * np.array([[0.0, 1.0], [1.0, 0.0]])
-        kind, message = self._both(lambda t: late if t > 0.05 else early(t), 2000.0, 1, 40)
-        assert kind is StepSizeError
-        assert "at t=0.05;" in message
+        # levels 3 and 4 coupled by 2 t sigma_x do not commute with themselves at other
+        # times: at eta 2000 the first pair's estimate, taken at its second step, is far
+        # above its limit, and at eta 1 the run reaches the later bad node, t = 20/40
+        a, b = _bad_pair(40, **{late: 20})
+        a = scipy.linalg.block_diag(a, np.diag([3.0, 4.0]))
+        b = scipy.linalg.block_diag(b, 2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        kind, message = self._both((a, b), 1.0, 0, 40)
+        assert kind is not StepSizeError and "t=0.5" in message
+        kind, message = self._both((a, b), 2000.0, 0, 40)
+        assert kind is StepSizeError and "at t=0.05;" in message
 
     @pytest.mark.parametrize("node", [evolution._BLOCK + 1, evolution._BLOCK], ids=["first-of-block", "last-of-block"])
     @pytest.mark.parametrize("tracked", [0, 1], ids=["upper-neighbour", "lower-neighbour"])
     def test_gap_collapse_at_block_edges(self, node, tracked):
+        # the other level comes within 5e-4 of the tracked one from its own side;
+        # the tracked level stays put
         steps = 3 * evolution._BLOCK // 2
-        threshold = (node - 0.25) / steps
+        kind, message = self._both(_bad_pair(steps, gap_at=node, side=1 - 2 * tracked), 1.0, tracked, steps)
+        assert (kind, message) == (GapCollapseError, f"spectral gap 5.00e-04 below 0.001 at t={node / steps:g}")
 
-        def evaluator(t):
-            # the other level comes within 1e-4 of the tracked one from its
-            # own side; the tracked level stays put
-            levels = [0.0, 1.0]
-            if t > threshold:
-                levels[1 - tracked] = [1e-4, 1.0 - 1e-4][tracked]
-            return np.diag(levels)
-
-        kind, message = self._both(evaluator, 1.0, tracked, steps)
-        assert kind is GapCollapseError
-        assert message.endswith(f"at t={node / steps:g}")
-
-    @pytest.mark.parametrize(
-        "bad, error",
-        [
-            (np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError),
-            (np.array([[np.nan, 0.0], [0.0, 1.0]]), MatrixFormatError),
-            (np.zeros((2, 3)), ValueError),
-        ],
-        ids=["non-hermitian", "non-finite", "wrong-shape"],
-    )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_evaluator_goes_bad_mid_block(self, bad, error):
-        good = np.diag([0.0, 1.0])
-        kind, _ = self._both(lambda t: bad if t > 0.45 else good + t * np.eye(2), 1.0, 0, 96)
-        assert issubclass(kind, error)
-
-    def test_evaluator_exception_is_raised_after_an_earlier_gap_collapse(self):
-        def evaluator(t):
-            if t > 0.5:
-                raise RuntimeError(f"no H at {t:g}")
-            return np.diag([0.0, 1e-4 if t > 0.4 else 1.0])
-
-        kind, _ = self._both(evaluator, 1.0, 0, 96)
-        assert kind is GapCollapseError
-
-    @pytest.mark.parametrize("start", [evolution._BLOCK + 0.25, evolution._BLOCK / 2], ids=["first-of-block", "mid-block"])
-    def test_evaluator_exception_keeps_its_message(self, start):
+    @pytest.mark.parametrize("first", [evolution._BLOCK, evolution._BLOCK + 0.5, evolution._BLOCK // 2,
+                                       evolution._BLOCK // 2 + 0.5],
+                             ids=["block-edge-node", "block-edge-midpoint", "mid-block-node", "mid-block-midpoint"])
+    def test_h_goes_non_hermitian(self, first):
+        # A and B are each Hermitian, their sum H(t) is not from t = first / steps on
         steps = 3 * evolution._BLOCK // 2
-
-        def evaluator(t):
-            if t > start / steps:
-                raise RuntimeError(f"no H at {t:.17g}")
-            return np.diag([0.0, 1.0])
-
-        kind, message = self._both(evaluator, 1.0, 0, steps)
-        assert kind is RuntimeError and message.startswith("no H at ")
-
-
-def _quarter_sine(t):
-    return math.sin(0.5 * math.pi * t) ** 2
+        kind, message = self._both(_bad_pair(steps, hermitian_to=first), 1.0, 0, steps)
+        assert (kind, message) == (NotHermitianError, f"H(t={first / steps:g}) is not Hermitian to relative 1e-10")
 
 
 class TestBlockCore:
     """The block-wide index chain, check masks and ramp broadcast against the
-    per-node evaluator and the per-node reference, across block boundaries."""
+    per-node evaluation and the per-node reference, across block boundaries."""
 
-    @pytest.mark.parametrize("ramp", ["linear", "smoothstep", "smootherstep", _quarter_sine])
+    @pytest.mark.parametrize("ramp", ["linear", "smoothstep", "smootherstep"])
     @pytest.mark.parametrize("n", [1, 2, 8])
     @pytest.mark.parametrize("steps", [evolution._BLOCK + 1, 3 * evolution._BLOCK - 5])
-    def test_ramp_broadcast_matches_the_evaluator(self, ramp, n, steps):
+    def test_ramp_broadcast_matches_the_per_node_evaluation(self, ramp, n, steps):
+        # a named ramp is a polynomial: at the stepper's times the broadcast is the
+        # per-node evaluation at floats, bit for bit, and so is the run
         sched, i = _ramp_instance(n, steps, ramp)
-        f = evolution.RAMPS[ramp] if isinstance(ramp, str) else ramp
-        general = evolution.Schedule(evaluator=lambda t: sched.a + f(t) * sched.b)
-        grid = evolution.TimeGrid(steps)
-        got, want = (evolution.adiabatic_evolve(s, 3.0, i, grid) for s in (sched, general))
-        for field in ("final_state", "eigenvalue_path", "final_eigenvector"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-        assert got.tracked_phase == want.tracked_phase
+        ts = (1.0 / steps) * np.arange(steps)
+        hks = (ts + 1.0 / steps) - ts
+        times = np.column_stack([ts + hks / 2, ts + hks]).ravel()
+        np.testing.assert_array_equal(sched.at(times), np.array([_h(sched, t) for t in times.tolist()]))
+        res = evolution.adiabatic_evolve(sched, 3.0, i, evolution.TimeGrid(steps))
+        _, _, e_path, lam_path, _ = reference.integrate_schedule_ref(sched, 3.0, i, steps)
+        np.testing.assert_array_equal(res.eigenvalue_path, lam_path)
+        np.testing.assert_array_equal(res.final_eigenvector, e_path[-1])
 
-    #: ``H`` at one end node that fails a check of the step ending there.
+    #: The :func:`_bad_pair` argument that brings each kind of failure, and its error.
     BAD_NODES = {
-        "non-hermitian": (np.array([[0.0, 1.0], [0.0, 1.0]]), NotHermitianError),
-        "non-finite": (np.full((2, 2), np.nan), MatrixFormatError),
-        "collapsed-gap": (np.diag([0.0, 1e-4]), GapCollapseError),
-        # a jump the estimate of the pair around the node sees, wherever the node is in its pair
-        "step-estimate": (np.diag([0.0, 1.0]) + 5.0 * np.array([[0.0, 1.0], [1.0, 0.0]]), StepSizeError),
-        "raises": (None, RuntimeError),
+        "non-hermitian": ("hermitian_to", NotHermitianError),
+        "collapsed-gap": ("gap_at", GapCollapseError),
+        "step-estimate": ("overflow_at", StepSizeError),
     }
 
     @staticmethod
-    def _bad_at(nodes, steps):
-        """Evaluator of ``diag(0, 1)`` except at the end nodes ``{index: kind}``."""
-        def evaluator(t):
-            half_steps = round(t * 2 * steps)
-            kind = nodes.get(half_steps // 2) if half_steps % 2 == 0 else None
-            if kind == "raises":
-                raise RuntimeError(f"no H at t={t:g}")
-            return np.diag([0.0, 1.0]) if kind is None else TestBlockCore.BAD_NODES[kind][0]
-
-        return evaluator
+    def _refused_at(kind, node):
+        """The end node whose ``t`` the refusal of a failure of ``kind`` at
+        ``node`` names: a step estimate belongs to its pair's second step,
+        which ends at an even node."""
+        return node + node % 2 if kind == "step-estimate" else node
 
     @pytest.mark.parametrize("kind", ["collapsed-gap", "step-estimate", "non-hermitian"])
     @pytest.mark.parametrize("offset", [1, evolution._BLOCK // 2, evolution._BLOCK])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_a_bad_node_in_a_later_block(self, kind, offset):
         steps = 3 * evolution._BLOCK
-        node = evolution._BLOCK + offset
-        got, message = TestErrorOrder._both(self._bad_at({node: kind}, steps), 1.0, 0, steps)
+        node = self._refused_at(kind, evolution._BLOCK + offset)
+        got, message = TestErrorOrder._both(_bad_pair(steps, **{self.BAD_NODES[kind][0]: node}), TINY_ETA, 0, steps)
         assert got is self.BAD_NODES[kind][1]
-        if kind == "step-estimate":  # at the second step of the pair whose steps meet at an odd node
-            node += node % 2
-        if kind != "non-hermitian":
-            assert f"at t={node / steps:g}" in message
+        assert f"t={node / steps:g}" in message
 
-    @pytest.mark.parametrize("early, late", list(itertools.permutations(BAD_NODES, 2)))
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # a non-Hermitian sum needs the norm of H at the scale of its 1e6 level, an
+    # overflowing one at 1e155: no one schedule brings both
+    @pytest.mark.parametrize("early, late", [("collapsed-gap", "non-hermitian"), ("non-hermitian", "collapsed-gap"),
+                                             ("collapsed-gap", "step-estimate"), ("step-estimate", "collapsed-gap")])
     def test_a_later_bad_node_in_the_block_never_wins(self, early, late):
         steps = 3 * evolution._BLOCK
         first = evolution._BLOCK + 5
-        evaluator = self._bad_at({first: early, first + 3: late}, steps)
-        got, message = TestErrorOrder._both(evaluator, 1.0, 0, steps)
+        nodes = {early: self._refused_at(early, first), late: self._refused_at(late, first + 3)}
+        pair = _bad_pair(steps, **{self.BAD_NODES[kind][0]: node for kind, node in nodes.items()})
+        got, message = TestErrorOrder._both(pair, TINY_ETA, 0, steps)
         assert got is self.BAD_NODES[early][1]
-        if early in ("collapsed-gap", "raises"):
-            assert f"at t={first / steps:g}" in message
-        if early == "step-estimate":  # the odd node joins the pair's two steps; the second one ends a node later
-            assert f"at t={(first + 1) / steps:g}" in message
+        assert f"t={nodes[early] / steps:g}" in message
 
-    @pytest.mark.parametrize("raise_at, collapse_at", [(20, 40), (40, 20)], ids=["ramp-first", "gap-first"])
-    def test_a_raising_ramp_raises_at_its_step(self, raise_at, collapse_at):
-        # both in the second block, at these offsets from its start
+    @pytest.mark.parametrize("kind", ["non-hermitian", "step-estimate"])
+    def test_the_checks_of_one_step_run_in_order(self, kind):
+        # a collapsed gap at the step's end node, and at the same step a non-Hermitian
+        # end node, checked before the gap, or a NaN estimate, checked after it
         steps = 3 * evolution._BLOCK
-        raise_at, collapse_at = evolution._BLOCK + raise_at, evolution._BLOCK + collapse_at
-
-        def ramp(t):
-            if abs(t * steps - (raise_at - 0.5)) < 0.1:  # only the midpoint before node raise_at
-                raise RuntimeError(f"no ramp at t={t:g}")
-            return 0.99995 if t * steps > collapse_at - 0.25 else 0.0
-
-        sched = evolution.ramped_schedule(np.diag([0.0, 1.0]), np.diag([0.0, -1.0]), ramp)
-        got = _outcome(lambda: evolution.adiabatic_evolve(sched, 1.0, 0, evolution.TimeGrid(steps)))
-        assert got == _outcome(lambda: reference.integrate_schedule_ref(sched, 1.0, 0, steps))
-        if raise_at < collapse_at:
-            assert got == (RuntimeError, f"no ramp at t={(raise_at - 0.5) / steps:g}")
-        else:
-            assert got == (GapCollapseError, f"spectral gap 5.00e-05 below 0.001 at t={collapse_at / steps:g}")
+        node = evolution._BLOCK + 6
+        got, message = TestErrorOrder._both(_bad_pair(steps, gap_at=node, **{self.BAD_NODES[kind][0]: node}), TINY_ETA,
+                                            0, steps)
+        assert got is (NotHermitianError if kind == "non-hermitian" else GapCollapseError)
+        assert f"t={node / steps:g}" in message
 
     @pytest.mark.parametrize("crossing", [evolution._BLOCK + 0.5, evolution._BLOCK + 20.5], ids=["block-edge", "mid-block"])
     def test_the_tracked_level_crosses_another(self, crossing):
         # the levels of diag(0, 2 (t_c - t)) swap order between two nodes;
         # the index chain must follow the level, not its rank
         steps = 3 * evolution._BLOCK - 5
-        sched = evolution.Schedule(evaluator=lambda t: np.diag([0.0, 2.0 * (crossing / steps - t)]))
+        sched = evolution.ramped_schedule(np.diag([0.0, 2.0 * crossing / steps]), np.diag([0.0, -2.0]))
         res = evolution.adiabatic_evolve(sched, 1.0, 0, evolution.TimeGrid(steps))
         nodes, us, e_path, lam_path, _ = reference.integrate_schedule_ref(sched, 1.0, 0, steps)
         np.testing.assert_array_equal(res.eigenvalue_path, lam_path)

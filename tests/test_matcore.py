@@ -315,6 +315,10 @@ class TestEigHermitian:
         assert matcore.op_norm(v.conj().T @ v - np.eye(16)) <= 1e-12
         assert matcore.op_norm((v * dec.eigenvalues) @ v.conj().T - m) <= 1e-10 * matcore.op_norm(m)
 
+    def test_entries_past_half_the_float_range(self):
+        # symmetrized by halves: (A + A*) / 2 overflowed to eigenvalues [nan, nan]
+        np.testing.assert_array_equal(matcore.eig_hermitian(np.diag([0.0, 1e308])).eigenvalues, [0.0, 1e308])
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             matcore.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -855,12 +855,15 @@ class TestOperandContract:
                              "--index", "0", "--steps-per-eta", steps_per_eta],
                     NotHermitianError, f"H(t={t}) is not Hermitian to relative 1e-10")
 
-    @pytest.mark.parametrize("a", [1e308, np.finfo(float).max - 1e308], ids=["past-the-range", "at-the-largest-float"])
-    def test_adiabatic_with_a_sum_that_overflows(self, tmp_path, capsys, a):
+    @pytest.mark.parametrize("a, b, ramp", [(1e308, 1e308, "linear"), (np.finfo(float).max - 1e308, 1e308, "linear"),
+                                            (1.7e308, 1.7e308, "smoothstep"), (1.79e308, 1e308, "linear")],
+                             ids=["past-the-range", "at-the-largest-float", "smoothstep", "a-near-the-largest-float"])
+    def test_adiabatic_with_a_sum_that_overflows(self, tmp_path, capsys, a, b, ramp):
         # A + B is infinite, or at the largest float, which the last end node (t = 1 + 2^-52)
-        # passes; the run used to end in a step estimate of NaN (exit 5) or a non-finite node (exit 2)
-        _save(tmp_path, ha=np.diag([0.0, a]), hb=np.diag([0.0, 1e308]))
-        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": "linear"}))
+        # passes; the run used to end in a step estimate of NaN (exit 5) or, for the last case,
+        # a non-finite node (exit 2)
+        _save(tmp_path, ha=np.diag([0.0, a]), hb=np.diag([0.0, b]))
+        (tmp_path / "sched.json").write_text(json.dumps({"a": "ha.json", "b": "hb.json", "ramp": ramp}))
         self._fails(capsys, ["adiabatic", "--schedule", str(tmp_path / "sched.json"), "--eta-list", "10,20,40",
                              "--index", "0"], ArgumentError,
                     "A + B overflows the float range: H(t) = A + f(t) B is not finite on [0, 1]")

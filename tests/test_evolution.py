@@ -341,6 +341,28 @@ class TestGridValidation:
         with pytest.raises(NotHermitianError, match=f"^{which} is not Hermitian"):
             evolution.ramped_schedule(pair["A"], pair["B"])
 
+    @pytest.mark.parametrize("ramp", [lambda t: t, evolution.RAMPS["linear"], b"linear", 1.0, {"linear"}],
+                             ids=["callable", "a-named-ramps-function", "bytes", "float", "unhashable"])
+    def test_a_ramp_that_is_not_a_name_is_refused(self, ramp):
+        # a ramp is its RAMPS name: a callable, even a named ramp's own function, is refused
+        # at set-up, and an unhashable one never reaches the lookup
+        with pytest.raises(ArgumentError, match="^unknown ramp "):
+            evolution.ramped_schedule(np.diag([0.0, 1.0]), np.zeros((2, 2)), ramp)
+
+    @pytest.mark.parametrize("ramp", list(evolution.RAMPS))
+    @pytest.mark.parametrize("node", [1, evolution._BLOCK + 1, 2 * evolution._BLOCK],
+                             ids=["first-step", "later-block", "last-node"])
+    def test_a_pair_that_overflows_from_a_later_node_on_is_refused_at_set_up(self, node, ramp):
+        # H(t) is finite up to node - 1 and overflows from that node on; the pair is refused
+        # before any step, wherever that node falls
+        steps, big, f = 2 * evolution._BLOCK, np.finfo(float).max, evolution.RAMPS[ramp]
+        mid = (f((node - 1) / steps) + f(node / steps)) / 2.0
+        a, b = np.diag([0.0, big * (1.0 - mid / 2.0)]), np.diag([0.0, big / 2.0])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(a + f((node - 1) / steps) * b).all() and not np.isfinite(a + f(node / steps) * b).all()
+        with pytest.raises(ArgumentError, match="^A \\+ B overflows the float range"):
+            evolution.ramped_schedule(a, b, ramp)
+
     def test_the_schedule_holds_its_checked_operands(self):
         a = np.diag([0.0, 1.0]).astype(complex)
         sched = evolution.ramped_schedule(a, np.zeros((2, 2)))
@@ -604,6 +626,8 @@ class TestErrorOrder:
 
     @staticmethod
     def _both(pair, eta, i, steps):
+        """The outcome of the stepper and of the reference on ``pair``, ``(a, b)`` or
+        ``(a, b, ramp)``, which must fail, and fail alike."""
         sched = evolution.ramped_schedule(*pair)
         got = _outcome(lambda: evolution.adiabatic_evolve(sched, eta, i, evolution.TimeGrid(steps)))
         want = _outcome(lambda: reference.integrate_schedule_ref(sched, eta, i, steps))
@@ -641,6 +665,33 @@ class TestErrorOrder:
         steps = 3 * evolution._BLOCK // 2
         kind, message = self._both(_bad_pair(steps, hermitian_to=first), 1.0, 0, steps)
         assert (kind, message) == (NotHermitianError, f"H(t={first / steps:g}) is not Hermitian to relative 1e-10")
+
+
+    @pytest.mark.parametrize("gap_step", [0, 1], ids=["same-step", "next-step"])
+    @pytest.mark.parametrize("step", [evolution._BLOCK, evolution._BLOCK // 2], ids=["block-edge", "mid-block"])
+    def test_a_midpoint_error_wins_over_a_later_gap_collapse(self, step, gap_step):
+        # the midpoint of step `step` is the first node that is not Hermitian; the gap collapses
+        # at that step's end node, checked after its midpoint, or at the next step's
+        steps = 3 * evolution._BLOCK // 2
+        pair = _bad_pair(steps, hermitian_to=step - 0.5, gap_at=step + gap_step)
+        kind, message = self._both(pair, 1.0, 0, steps)
+        assert (kind, message) == (NotHermitianError, f"H(t={(step - 0.5) / steps:g}) is not Hermitian to relative 1e-10")
+
+    @pytest.mark.parametrize("step", [evolution._BLOCK, evolution._BLOCK // 2], ids=["block-edge", "mid-block"])
+    def test_an_earlier_gap_collapse_wins_over_a_midpoint_error(self, step):
+        # the gap collapses at the end of step `step`, the midpoint of the step after it is
+        # the first node that is not Hermitian
+        steps = 3 * evolution._BLOCK // 2
+        kind, message = self._both(_bad_pair(steps, gap_at=step, hermitian_to=step + 0.5), 1.0, 0, steps)
+        assert (kind, message) == (GapCollapseError, f"spectral gap 5.00e-04 below 0.001 at t={step / steps:g}")
+
+    @pytest.mark.parametrize("ramp", list(evolution.RAMPS))
+    def test_entries_past_half_the_float_range_fail_the_step_estimate(self, ramp):
+        # every H(t) is finite and Hermitian, with a level up to 1.5e308, but the sum in its Magnus
+        # generator overflows: the first pair's estimate is NaN.  The batched eigh symmetrizes
+        # by halves, so no eigenvalue goes NaN, and no warning is raised, before it
+        pair = np.diag([0.0, 1.5e308]), np.diag([0.0, -1e308]), ramp
+        assert self._both(pair, 1e-300, 0, 80) == (StepSizeError, "step estimate nan at t=0.025; refine the grid")
 
 
 class TestBlockCore:

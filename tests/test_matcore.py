@@ -319,6 +319,27 @@ class TestEigHermitian:
         # symmetrized by halves: (A + A*) / 2 overflowed to eigenvalues [nan, nan]
         np.testing.assert_array_equal(matcore.eig_hermitian(np.diag([0.0, 1e308])).eigenvalues, [0.0, 1e308])
 
+    @pytest.mark.parametrize("m, want", [
+        ([[0.0, 1e308], [1e308, 0.0]], [-1e308, 1e308]),
+        ([[0.0, 1e308j], [-1e308j, 0.0]], [-1e308, 1e308]),
+        ([[-1.5e308, 0.0], [0.0, 1.5e308]], [-1.5e308, 1.5e308]),
+    ], ids=["real-coupling", "complex-coupling", "both-signs"])
+    def test_entries_past_half_the_float_range_anywhere(self, m, want):
+        dec = matcore.eig_hermitian(np.array(m))
+        np.testing.assert_allclose(dec.eigenvalues, want, rtol=4 * np.finfo(float).eps)
+        np.testing.assert_allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_halves_give_the_floats_of_the_halved_sum(self, n):
+        # halving a normal number is exact, so off the subnormal range the symmetrization by
+        # halves is the float (A + A*) / 2: the decomposition is numpy's, bit for bit, for a
+        # matrix that is Hermitian to 1e-10 but not exactly
+        a = random_hermitian(n, 1.0, n) + 1e-12 * np.random.default_rng(n).standard_normal((n, n))
+        dec = matcore.eig_hermitian(a)
+        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+        np.testing.assert_array_equal(dec.eigenvalues, w)
+        np.testing.assert_array_equal(dec.eigenvectors, v)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             matcore.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -44,6 +44,8 @@ def _run_resolvent(ns) -> Report:
     b = load_matrix(ns.b)
     order = ns.order
     matcore.check_order(order, "order")  # series_terms takes order + 1, which -1 would pass
+    if (ns.tau is None) != (ns.entry is None):
+        raise ArgumentError("--tau and --entry go together: the Feynman row needs both")
     rep = _report(ns, ["order", "term_norm", "partial_residual", "remainder_norm", "identity_residual", "tolerance"])
     series = resolvent.series_terms(a, b, order + 1)
     # every exact remainder (-1)^k (A^{-1} B)^k (A+B)^{-1} from one inverse and one solve
@@ -70,7 +72,7 @@ def _run_resolvent(ns) -> Report:
     rep.config["ratio"] = series.ratio
     rep.config["convergent"] = series.convergent
 
-    if ns.tau is not None and ns.entry is not None:
+    if ns.tau is not None:
         i, j = ns.entry
         try:  # the series tail past `order` widens the row's tolerance, so it must be finite
             tail = series.ratio ** (order + 1) if np.isfinite(series.ratio) else 0.0
@@ -212,7 +214,7 @@ def _run_diagrams(ns) -> Report:
     i = parse_state(ns.i)
     j = parse_state(ns.j)
     ell, tau = ns.ell, ns.tau
-    bop = symdiag.build_interaction(rule, [i, j], depth=ell // 2)  # holds every order-ell path
+    bop = symdiag.build_interaction(rule, [i, j], depth=max(ell, 0) // 2)  # every order-ell path; ell < 1 refused below
     groups = symdiag.group_terms_by_diagram(bop, i, j, ell)
     values = symdiag.diagram_values(bop, groups, tau)
     rep = _report(ns, ["diagram", "multiplicity", "value_re", "value_im"])

@@ -93,9 +93,13 @@ def check_positive(x: float, name: str) -> None:
 
 
 def check_order(k: int, name: str) -> None:
-    """Raise :class:`ArgumentError` unless ``k >= 0``: a series has no
-    negative order or term count."""
-    if not k >= 0:
+    """Raise :class:`ArgumentError` unless ``k`` is an integer ``>= 0``: a
+    series has no negative or fractional order, and a count no fraction."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {k!r}") from None
+    if k < 0:
         raise ArgumentError(f"{name} must be nonnegative")
 
 
@@ -402,6 +406,7 @@ class ContourSpec:
         check_positive(self.radius, "contour radius")
         if self.num_points < 16:
             raise ArgumentError("contour needs at least 16 quadrature points")
+        check_order(self.num_points, "contour num_points")
 
 
 def contour_integrate(f, c: ContourSpec):

@@ -8,11 +8,10 @@ truncating at order ``k`` leaves the exact remainder
 ``(-1)^k (A^{-1} B)^k (A+B)^{-1}``, an identity valid at every order
 whether or not the series converges.
 
-The series are sums over index paths, and :func:`index_paths` walks them
-all: the nonzero entries of a dense ``B`` here and in the scattering index
-sum, the sparse diagram basis in ``symdiag``.  It owns the one enumeration
-limit, ``PATH_CAP`` partial paths counted before the walk, and each path's
-weight, the product of its link entries.
+The series are sums over index paths.  On a dense ``B`` a path enters the
+Feynman integral and the scattering index sum only by the multiset of its
+inner levels, which :func:`multiset_columns` sums by, layer by layer; the
+diagrams of ``symdiag`` label the paths of :func:`index_paths` one by one.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ import numpy as np
 from . import matcore
 from .errors import ArgumentError, DefinitenessError, EnumerationLimitError
 
-#: Partial paths one walk of :func:`index_paths` may extend.
+#: Partial paths one walk of :func:`index_paths` may extend; links one :func:`multiset_columns` may follow.
 PATH_CAP = 10**6
 #: Samples times multiset columns of one order: a bound on the integrand's work, which runs once
-#: per (sample, column) in blocks; no (samples, columns) array is formed.  The walk that finds the
+#: per (sample, column) in blocks; no (samples, columns) array is formed.  The sweep that finds the
 #: columns is bounded by PATH_CAP.  The cube of a recursive grid's depth, the work of its
 #: Gauss-Legendre rule, is held to this cap too.
 INTEGRAND_CAP = 2**28
@@ -104,8 +103,8 @@ class SimplexQuadrature:
     :data:`LATTICE_GENERATOR`, taken at ``samples_or_depth`` random shifts
     (at least 2), so that each order's standard error comes from its shift
     means.  ``recursive-grid`` is the deterministic Gauss-Legendre product
-    rule of ``samples_or_depth`` nodes per axis (at least 2).  A negative
-    ``seed`` raises :class:`ArgumentError`.
+    rule of ``samples_or_depth`` nodes per axis (at least 2).  A fractional
+    count or a negative ``seed`` raises :class:`ArgumentError`.
     """
 
     method: str = "lattice"
@@ -119,8 +118,8 @@ class SimplexQuadrature:
             raise ArgumentError("lattice needs at least 2 shifts")
         if self.method == "recursive-grid" and self.samples_or_depth < 2:
             raise ArgumentError("recursive-grid needs depth >= 2")
-        if self.seed < 0:  # numpy seeds no generator from a negative integer
-            raise ArgumentError("seed must be nonnegative")
+        matcore.check_order(self.samples_or_depth, "samples_or_depth")
+        matcore.check_order(self.seed, "seed")  # numpy seeds no generator from a negative integer
 
     def points(self, m: int) -> int:
         """Nodes of the order-``m`` rule: one at order 0, ``LATTICE_POINTS`` per shift, ``depth^m`` on the grid."""
@@ -186,6 +185,36 @@ def index_paths(links, i, j, m: int):
     yield from extend((i,), 1.0 + 0.0j)
 
 
+def multiset_columns(links, lam, i, j, m_max: int) -> list:
+    """Every order's columns ``(lam_rows, wts)``, ``m = 0..m_max``, of the paths ``i -> ... -> j``, listing none.
+
+    Layer ``L`` of the sweep maps the index reached by ``L`` links and the sorted levels ``lam[k]`` of the inner
+    indices so far to the summed weight of its walks from ``i``; ``links(r)`` maps each next index to its entry.
+    Order ``m`` is layer ``m`` at ``j``, in first-seen order: rows ``(lam[i], *levels, lam[j])``, just
+    ``(lam[i],)`` at order 0, and their weights.  Layer ``m_max`` follows only links into ``j``.  Each layer's
+    links are counted before it is built; past :data:`PATH_CAP` in all, :class:`EnumerationLimitError`.
+    """
+    matcore.check_order(m_max, "m_max")
+    layer, followed, columns = {(i, ()): 1.0 + 0.0j}, 0, []
+    for m in range(m_max + 1):
+        if m:
+            followed += sum(len(links(r)) if m < m_max else j in links(r) for r, _ in layer)
+            if followed > PATH_CAP:
+                raise EnumerationLimitError(f"path enumeration exceeds cap {PATH_CAP}")
+            nxt = {}
+            for (r, levels), weight in layer.items():
+                out = links(r)
+                levels = tuple(sorted((*levels, lam[r]))) if m > 1 else levels  # the start i is not inner
+                for t in out if m < m_max else out.keys() & {j}:
+                    key = (t, levels)
+                    nxt[key] = nxt[key] + weight * out[t] if key in nxt else weight * out[t]
+            layer = nxt
+        ends = {levels: weight for (r, levels), weight in layer.items() if r == j}
+        rows = [(lam[i], *levels, lam[j])[:m + 1] for levels in ends]
+        columns.append((np.array(rows, dtype=float).reshape(-1, m + 1), np.array(list(ends.values()), dtype=complex)))
+    return columns
+
+
 def _simplex_nodes(m: int, q: SimplexQuadrature, out: np.ndarray):
     """Points and probability weights over the standard simplex in m+1 vars.
 
@@ -240,27 +269,6 @@ def _simplex_nodes(m: int, q: SimplexQuadrature, out: np.ndarray):
     return coords.T, w / w.sum()
 
 
-def _multiset_columns(walk, lam) -> tuple[np.ndarray, np.ndarray, int]:
-    """The walked ``(path, weight)`` pairs of one order, summed by the sorted
-    levels ``lam[k]`` of their intermediate indices ``path[1:-1]``.
-
-    Returns ``(lam_rows, wts, paths)``: one row ``(lam[i], *sorted levels,
-    lam[j])``, just ``(lam[i],)`` at order 0, and one summed weight per
-    multiset, both in first-seen walk order with each weight summed in walk
-    order, and the number of walked paths.  The simplex measure is
-    exchangeable, so every path of a multiset has the same integral
-    (Hermite-Genocchi); equal float levels of a degenerate ``A`` merge too.
-    """
-    sums = {}
-    paths = 0
-    for path, weight in walk:
-        # the endpoints bracket the sorted middle; [:len(path)] keeps the one level of an order-0 path
-        row = (lam[path[0]], *sorted(lam[k] for k in path[1:-1]), lam[path[-1]])[:len(path)]
-        sums[row] = sums[row] + weight if row in sums else weight
-        paths += 1
-    return np.array(list(sums), dtype=float), np.array(list(sums.values()), dtype=complex), paths
-
-
 def _block_buffers(shapes) -> tuple:
     """Flat buffers that :func:`_path_sums` reuses for every ``(points, columns)`` shape of ``shapes``:
     a block's denominators and their powers, each sized for the largest block, and the per-point sums,
@@ -307,11 +315,11 @@ def feynman_parameter_entry(
     For diagonal real ``A`` the order-``m`` contribution is
     ``(-1)^m m! * integral over the simplex of
     sum over index paths of prod B / (x . lambda_path + i*tau)^{m+1}``,
-    the Feynman parameters being the simplex coordinates.  Index paths are
-    enumerated exhaustively and summed by the multiset of their intermediate
-    levels (:func:`_multiset_columns`), so the integrand runs once per column:
-    ``C(n+m-2, m-1)`` of them for a dense ``B`` against ``n^(m-1)`` paths.
-    :data:`INTEGRAND_CAP` bounds points times columns, :data:`PATH_CAP` the walk.
+    the Feynman parameters being the simplex coordinates.  One sweep of
+    :func:`multiset_columns` sums the paths of every order by the multiset of
+    their inner levels, so the integrand runs once per column: ``C(n+m-2,
+    m-1)`` of them for a dense ``B`` against ``n^(m-1)`` paths.
+    :data:`INTEGRAND_CAP` bounds points times columns, :data:`PATH_CAP` the sweep.
     The node and block buffers are allocated once, for the largest order,
     and reused by every order.  On the lattice rule each order ``m >= 1``
     has the squared standard error ``sum_r |mu_r - mu|^2 / (R (R - 1))`` of
@@ -326,14 +334,10 @@ def feynman_parameter_entry(
     n = b.shape[0]
     matcore.check_index(i, n)
     matcore.check_index(j, n)
-    links = dense_links(b).__getitem__
-    orders = []  # every order is walked, and its integrand bounded, before any is integrated
-    for m in range(m_max + 1):
-        lam_rows, wts, paths = _multiset_columns(index_paths(links, i, j, m), lam)
+    orders = multiset_columns(dense_links(b).__getitem__, lam, i, j, m_max)
+    for m, (_, wts) in enumerate(orders):  # every integrand is bounded before any is integrated
         if q.points(m) * len(wts) > INTEGRAND_CAP:
-            raise EnumerationLimitError(
-                f"order {m}: {q.points(m)} samples x {len(wts)} columns of {paths} paths exceed cap {INTEGRAND_CAP}")
-        orders.append((lam_rows, wts))
+            raise EnumerationLimitError(f"order {m}: {q.points(m)} samples x {len(wts)} columns exceed cap {INTEGRAND_CAP}")
     integrated = [m for m, (_, wts) in enumerate(orders) if len(wts)]
     nodes = np.empty(max((q.points(m) * (m + 1) for m in integrated), default=0))
     buffers = _block_buffers([(q.points(m), len(orders[m][1])) for m in integrated])

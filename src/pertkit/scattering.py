@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matcore
 from .errors import ArgumentError, SingularMatrixError
-from .resolvent import dense_links, index_paths
+from .resolvent import dense_links, multiset_columns
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,6 @@ def s_series(a, b, q: ScatteringQuery, order: int) -> matcore.Series:
     return matcore.Series(terms, float(ratio))
 
 
-def path_terms(paths, energy, shift: complex):
-    """The term ``weight / prod_k (energy(k) - shift)`` of each ``(path,
-    weight)`` pair, over the inner states ``k`` of the path in path order."""
-    for path, weight in paths:
-        for k in path[1:-1]:
-            weight /= energy(k) - shift
-        yield weight
-
-
 def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     """Order-``ell`` series term as an explicit multi-index sum (diagonal A).
 
@@ -177,18 +168,18 @@ def s_term_index_sum(a_diag, b, q: ScatteringQuery, ell: int) -> complex:
     sum over k_1..k_{ell-1} of B_{i k_1} ... B_{k_{ell-1} j} /
     prod_a (lambda_{k_a} - lambda_tau)``.
 
-    Enumerates the nonzero-weight paths exhaustively (at ``ell = 1`` the one
-    path ``i -> j``); the matrix-product route in :func:`s_series` is the
-    independent cross-check.
+    The denominators are symmetric in the inner levels, so it sums the
+    order-``ell`` columns of :func:`resolvent.multiset_columns`; the
+    matrix-product route in :func:`s_series` is the independent cross-check.
     """
     if ell < 1:
         raise ArgumentError("ell must be at least 1")
+    matcore.check_order(ell, "ell")
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a)
     q.check_indices(lam.size)
-    lt = lambda_shift(lam[q.i], lam[q.j], q.tau)
-
-    total = sum(path_terms(index_paths(dense_links(b).__getitem__, q.i, q.j, ell), lam.__getitem__, lt))
+    lam_rows, wts = multiset_columns(dense_links(b).__getitem__, lam.tolist(), q.i, q.j, ell)[ell]
+    total = np.sum(wts / np.prod(lam_rows[:, 1:-1] - lambda_shift(lam[q.i], lam[q.j], q.tau), axis=1))
     return complex(term_prefactor(lam[q.i], lam[q.j], q.tau, ell) * total)
 
 

@@ -38,19 +38,12 @@ class EigenPerturbationSeries:
     coefficients: np.ndarray
     contour: ContourSpec
 
-    def evaluate(self, eps: float, order: int | None = None) -> float:
-        c = self.coefficients if order is None else self.coefficients[: order + 1]
-        return float(np.polynomial.polynomial.polyval(eps, c))
-
 
 @dataclass
 class ProjectionSeries:
     """Matrix coefficients of the perturbed spectral-projector series."""
 
     coefficients: list
-
-    def evaluate(self, eps: float) -> np.ndarray:
-        return sum((eps**k) * c for k, c in enumerate(self.coefficients))
 
 
 def default_contour(eigenvalues, i: int, num_points: int = 256) -> ContourSpec:
@@ -229,15 +222,6 @@ class SchurData:
     def perp_matrix(self) -> np.ndarray:
         return self.a_perp + self.b_perp
 
-    def block_matrix(self) -> np.ndarray:
-        n = self.b.size + 1
-        m = np.zeros((n, n), dtype=complex)
-        m[0, 0] = self.lambda0 + self.diag_coupling
-        m[0, 1:] = self.b.conj()
-        m[1:, 0] = self.b
-        m[1:, 1:] = self.perp_matrix()
-        return m
-
 
 def _orthocomplement_basis(v: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the orthocomplement of unit ``v``."""
@@ -394,9 +378,6 @@ class SpectralMeasure:
 
     def stieltjes(self, z: complex) -> complex:
         return complex(np.sum(self.weights / (self.locations - z)))
-
-    def first_moment(self) -> float:
-        return float(np.sum(self.weights * self.locations))
 
 
 def spectral_measure(a, b, v) -> SpectralMeasure:

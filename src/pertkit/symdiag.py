@@ -270,11 +270,13 @@ def box_grid(dim: int, radius: int) -> tuple:
     """Integer momentum box ``{-radius..radius}^dim``; more than :data:`MOMENTUM_CAP`
     momenta, or components per momentum, raise :class:`EnumerationLimitError`
     before a tuple is built."""
+    matcore.check_order(dim, "dim")
+    matcore.check_order(radius, "radius")
     if dim > MOMENTUM_CAP:
         raise EnumerationLimitError(f"momentum box of more than {MOMENTUM_CAP} dimensions")
     size = 1
     for _ in range(dim):  # a side of 3 or more passes the cap within 7 steps
-        size *= max(2 * radius + 1, 0)
+        size *= 2 * radius + 1
         if size > MOMENTUM_CAP:
             raise EnumerationLimitError(f"momentum box exceeds cap {MOMENTUM_CAP} momenta")
     axis = range(-radius, radius + 1)
@@ -291,10 +293,11 @@ def build_interaction(rule, seeds, depth: int) -> SparseInteraction:
     Under a reversible rule, depth ``ell // 2`` holds every order-``ell`` path
     between two seeds: each of its states is that close to one end.
     """
+    matcore.check_order(depth, "depth")
     frontier = list(dict.fromkeys(seeds))
     seen = dict.fromkeys(frontier)
     entries = {}
-    for level in range(max(depth, 0) + 1):
+    for level in range(depth + 1):
         nxt = []
         for s in frontier:
             for t, amp in rule.moves(s):
@@ -454,6 +457,7 @@ def group_terms_by_diagram(bop: SparseInteraction, i: MultisetState, j: Multiset
     different total momenta have none."""
     if ell < 1:
         raise ArgumentError("ell must be at least 1")
+    matcore.check_order(ell, "ell")
     if not i.same_momentum(j):
         return {}
     groups = defaultdict(list)
@@ -479,7 +483,12 @@ def diagram_values(bop: SparseInteraction, groups: dict, tau: float) -> dict:
         lam_i, lam_j = bop.free_energy(i), bop.free_energy(j)
         shift = scattering.lambda_shift(lam_i, lam_j, tau)
         pref = scattering.term_prefactor(lam_i, lam_j, tau, ell)
-        out[diagram] = pref * sum(scattering.path_terms(pairs, bop.free_energy, shift))
+        terms = []
+        for path, weight in pairs:
+            for k in path[1:-1]:  # one division per inner state, in path order
+                weight /= bop.free_energy(k) - shift
+            terms.append(weight)
+        out[diagram] = pref * sum(terms)
     return out
 
 

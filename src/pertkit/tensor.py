@@ -60,6 +60,7 @@ class LineQuadrature:
             raise ArgumentError("cutoff must be finite and at least 10")
         if self.nodes < 200:
             raise ArgumentError("need at least 200 nodes")
+        matcore.check_order(self.nodes, "nodes")
 
 
 def kron_sum_materialize(k: KroneckerSum) -> np.ndarray:

@@ -468,27 +468,32 @@ def feynman_parameter_entry_ref(a_diag, b, i, j, tau, m_max, q):
     integrand formed at once by ``** (m + 1)``, on the library's nodes and
     multiset columns.
 
-    The walked paths' weights are recomputed as products of ``B`` entries and
-    summed into columns by the library's ``_multiset_columns``, so both sides
-    integrate the same columns.  Returns the entry and, per order, the
-    magnitude ``A_m = sum_s w_s sum_c |wts_c| / |z_sc|^(m+1)`` that scales the
+    Every index tuple ``(i, k_1, ..., k_{m-1}, j)`` whose links are nonzero
+    entries of ``B`` is a path; its weight, the product of those entries, is
+    added into the column of its sorted inner levels here, so the columns come
+    from no library code.  Returns the entry and, per order, the magnitude
+    ``A_m = sum_s w_s sum_c |wts_c| / |z_sc|^(m+1)`` that scales the
     rounding error of any evaluation of that order's integral.  On the lattice
     rule each order's standard error is that of its shift means, from a
     ``(shifts, points)`` reshape of the integrand.
     """
     a, b = matcore.as_pair(a_diag, b)
     lam = matcore.diagonal_of(a).tolist()
-    links = resolvent.dense_links(b).__getitem__  # the walk's weights are recomputed below
     order_values = []
     order_errors = []
     magnitudes = []
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
-        paths = [p for p, _ in resolvent.index_paths(links, i, j, m)]
-        weighed = ((p, math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j)) for p in paths)
-        lam_rows, wts, _ = resolvent._multiset_columns(weighed, lam)
+        sums = {}
+        mids = itertools.product(range(len(lam)), repeat=m - 1) if m else ()
+        tuples = [(i, *mid, j) for mid in mids] if m else [(i,)] * (i == j)
+        for p in tuples:
+            if all(b[r, c] != 0 for r, c in zip(p, p[1:])):
+                row = (lam[i], *sorted(lam[k] for k in p[1:-1]), lam[j])[:m + 1]
+                sums[row] = sums.get(row, 0) + math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j)
+        lam_rows, wts = np.array(list(sums), dtype=float), np.array(list(sums.values()), dtype=complex)
         order_errors.append(0.0)
-        if not paths:
+        if not sums:
             order_values.append(0.0 + 0.0j)
             magnitudes.append(0.0)
             continue

@@ -567,8 +567,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("args, message", [
         (["--ell", "0", "--tau", "0.1"], "ell must be at least 1"),
+        (["--ell=-1", "--tau", "0.1"], "ell must be at least 1"),  # not the closure's negative depth, -1 // 2
         (["--ell", "2", "--tau", "-0.1"], "tau must be positive"),
-    ], ids=["zero-order", "negative-tau"])
+    ], ids=["zero-order", "negative-order", "negative-tau"])
     def test_diagrams_bad_argument_exit_code(self, tmp_path, capsys, args, message):
         (tmp_path / "model.json").write_text(json.dumps(self.DIAGRAM_MODEL))
         code = cli.main(["diagrams", "--model", str(tmp_path / "model.json"),
@@ -921,6 +922,13 @@ class TestOperandContract:
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
         self._fails(capsys, ["--seed", "-5", "resolvent", "--a", p["a"], "--b", p["b"], "--order", "2", "--tau", "0.5",
                              "--entry", "0,1"], ArgumentError, "seed must be nonnegative")
+
+    @pytest.mark.parametrize("flag", [["--tau", "0.5"], ["--entry", "0,1"]], ids=["tau-alone", "entry-alone"])
+    def test_resolvent_refuses_tau_or_entry_alone(self, tmp_path, capsys, flag):
+        # either flag alone exited 0 with no Feynman row, while the config line echoed it
+        p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)
+        self._fails(capsys, ["resolvent", "--a", p["a"], "--b", p["b"], "--order", "2", *flag], ArgumentError,
+                    "--tau and --entry go together: the Feynman row needs both")
 
     def test_resolvent_entry_with_a_nan_tau(self, tmp_path, capsys):
         p = _save(tmp_path, a=np.diag([1.0, 2.0]), b=self.X2)

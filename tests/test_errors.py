@@ -1,6 +1,8 @@
 """Every module's argument checks raise a typed :class:`PertkitError` that
 is still a ``ValueError``, so ``except ValueError`` callers keep working."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,4 +117,70 @@ BRANCHES = {
 def test_each_guarded_branch_gives_its_outcome(call, outcome):
     error, message = outcome
     with pytest.raises(error, match=message):
+        call()
+
+
+ROW_STATE = symdiag.MultisetState.of(("a", (1,)), ("b", (-1,)))
+COL_STATE = symdiag.MultisetState.of(("a", (-1,)), ("b", (1,)))
+RULE = symdiag.TrilinearVertex(masses={"a": 1.0, "b": 2.0, "c": 0.5}, grid=symdiag.box_grid(1, 1))
+#: counts that are not integers, each refused by name; before, a float order ended in an untyped TypeError,
+#: 16.5 contour points took 17 nodes weighted by 1/16.5 (1.0303 for a residue of 1), 2.5 shifts reported
+#: 627.5 points, a 1.5 seed ended in numpy's TypeError and remainder_bound(1, 1, 1, 2.5) returned 2.22
+FRACTIONAL_COUNTS = {
+    "contour-points": (lambda: matcore.contour_integrate(lambda z: 1 / (z - 1), matcore.ContourSpec(1, 0.5, 16.5)),
+                       "contour num_points must be an integer, got 16.5"),
+    "eigenvalue-contour-points": (
+        lambda: spectral.eigenvalue_coefficients(LEVELS, LEVEL_B, 1, 2, contour=matcore.ContourSpec(1.0, 0.5, 16.5)),
+        "contour num_points must be an integer, got 16.5"),
+    "series-terms": (lambda: resolvent.series_terms(LEVELS + np.eye(3), LEVEL_B, 2.0), "k must be an integer, got 2.0"),
+    "eigenvalue-order": (lambda: spectral.eigenvalue_coefficients(LEVELS, LEVEL_B, 1, 2.0),
+                         "order must be an integer, got 2.0"),
+    "projection-order": (lambda: spectral.projection_coefficients(LEVELS, LEVEL_B, spectral.default_contour(
+        [0.0, 1.0, 3.0], 1), 2.0), "order must be an integer, got 2.0"),
+    "scattering-series": (lambda: scattering.s_series(LEVELS, LEVEL_B, scattering.ScatteringQuery(0, 1, 0.1), 2.0),
+                          "order must be an integer, got 2.0"),
+    "exp-series": (lambda: evolution.exp_series_terms(LEVELS, LEVEL_B, 0.5, 2.0), "m_max must be an integer, got 2.0"),
+    "dyson": (lambda: evolution.dyson_terms(LEVELS, LEVEL_B, 0.5, 2.0), "m_max must be an integer, got 2.0"),
+    "eigenvector-order": (lambda: spectral.unit_eigenvector_expansion(
+        spectral.schur_split(LEVELS, LEVEL_B, 0), spectral.eigenvalue_coefficients(LEVELS, LEVEL_B, 0, 3), 2.0),
+        "order must be an integer, got 2.0"),
+    "feynman-order": (lambda: resolvent.feynman_parameter_entry(LEVELS, LEVEL_B, 0, 1, 0.5, 2.0,
+                                                                resolvent.SimplexQuadrature()),
+                      "m_max must be an integer, got 2.0"),
+    "index-sum-order": (lambda: scattering.s_term_index_sum(LEVELS, LEVEL_B, scattering.ScatteringQuery(0, 1, 0.1), 2.0),
+                        "ell must be an integer, got 2.0"),
+    "diagram-order": (lambda: symdiag.group_terms_by_diagram(
+        symdiag.build_interaction(RULE, [ROW_STATE, COL_STATE], 1), ROW_STATE, COL_STATE, 2.0),
+        "ell must be an integer, got 2.0"),
+    "simplex-shifts": (lambda: resolvent.SimplexQuadrature(samples_or_depth=2.5),
+                       "samples_or_depth must be an integer, got 2.5"),
+    "simplex-seed": (lambda: resolvent.SimplexQuadrature(seed=1.5), "seed must be an integer, got 1.5"),
+    "remainder-bound": (lambda: evolution.remainder_bound(1, 1, 1, 2.5), "k must be an integer, got 2.5"),
+    "line-nodes": (lambda: tensor.LineQuadrature(cutoff=10.0, nodes=200.5), "nodes must be an integer, got 200.5"),
+    "box-radius": (lambda: symdiag.box_grid(1, 1.5), "radius must be an integer, got 1.5"),
+    "box-dimension": (lambda: symdiag.box_grid(1.0, 1), "dim must be an integer, got 1.0"),
+    "closure-depth": (lambda: symdiag.build_interaction(RULE, [ROW_STATE], 1.5), "depth must be an integer, got 1.5"),
+}
+
+
+@pytest.mark.parametrize("call, message", FRACTIONAL_COUNTS.values(), ids=FRACTIONAL_COUNTS.keys())
+def test_a_count_that_is_not_an_integer_is_refused_by_name(call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+#: a count below its own bound keeps that bound's message, fraction or not, and a negative seed keeps its own
+KEPT_REFUSALS = {
+    "few-contour-points": (lambda: matcore.ContourSpec(1, 0.5, 8.5), "contour needs at least 16 quadrature points"),
+    "few-shifts": (lambda: resolvent.SimplexQuadrature(samples_or_depth=1.5), "lattice needs at least 2 shifts"),
+    "few-nodes": (lambda: tensor.LineQuadrature(cutoff=10.0, nodes=199.5), "need at least 200 nodes"),
+    "negative-seed": (lambda: resolvent.SimplexQuadrature(seed=-1), "seed must be nonnegative"),
+    "negative-ell": (lambda: scattering.s_term_index_sum(LEVELS, LEVEL_B, scattering.ScatteringQuery(0, 1, 0.1), -1),
+                     "ell must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", KEPT_REFUSALS.values(), ids=KEPT_REFUSALS.keys())
+def test_the_integer_rule_keeps_each_earlier_refusal(call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call()

@@ -163,13 +163,17 @@ class TestIndexPaths:
             next(walk)
 
     def test_a_dense_index_sum_stops_past_the_cap(self, monkeypatch):
-        # a full 4 x 4 B at order 5: the walk extends 1 + 4 + 16 + 64 + 256 = 341 partial paths
+        # a full 4 x 4 B at order 5: the sweep's layers 0-3 hold 1, 4, 16 and 40 keys of 4 links each, and
+        # layer 4's 80 keys link into j once each: 4 + 16 + 64 + 160 + 80 = 324 links
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         q = scattering.ScatteringQuery(0, 1, 0.5)
-        monkeypatch.setattr(resolvent, "PATH_CAP", 340)
-        with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 340"):
+        monkeypatch.setattr(resolvent, "PATH_CAP", 324)
+        scattering.s_term_index_sum(a, np.ones((4, 4)), q, 5)
+        resolvent.feynman_parameter_entry(a, np.ones((4, 4)), 0, 1, 0.5, 5, resolvent.SimplexQuadrature())
+        monkeypatch.setattr(resolvent, "PATH_CAP", 323)
+        with pytest.raises(EnumerationLimitError, match="^path enumeration exceeds cap 323$"):
             scattering.s_term_index_sum(a, np.ones((4, 4)), q, 5)
-        with pytest.raises(EnumerationLimitError, match="path enumeration exceeds cap 340"):
+        with pytest.raises(EnumerationLimitError, match="^path enumeration exceeds cap 323$"):
             resolvent.feynman_parameter_entry(a, np.ones((4, 4)), 0, 1, 0.5, 5, resolvent.SimplexQuadrature())
 
     def test_one_path_runs_at_any_size(self):
@@ -465,10 +469,12 @@ class TestBlockedFeynmanIntegrand:
 
 
 class TestMultisetColumns:
-    """Walked paths summed by the sorted levels of their intermediate indices:
-    the column weights against a brute-force sum over index tuples, the column
-    counts, and the grouped integral against the per-path one on a rule that
-    is exchangeable by construction."""
+    """The sweep's columns, the paths summed by the sorted levels of their
+    inner indices: the column weights against a brute-force sum over index
+    tuples and against the walk's paths grouped here, the column counts, its
+    link count against a brute-force count, its reach past the walk's cap, and
+    the grouped integral against the per-path one on a rule that is
+    exchangeable by construction."""
 
     @staticmethod
     def draw(seed, n, sparse):
@@ -482,47 +488,107 @@ class TestMultisetColumns:
 
     @staticmethod
     def columns(lam, b, i, j, m):
-        walk = resolvent.index_paths(resolvent.dense_links(b).__getitem__, i, j, m)
-        return resolvent._multiset_columns(walk, lam)
+        return resolvent.multiset_columns(resolvent.dense_links(b).__getitem__, lam, i, j, m)[m]
+
+    @staticmethod
+    def within_summation_order(got, want, moduli, n, m):
+        # both sides sum at most n**(m-1) products of m entries, in different orders and groupings
+        eps = np.finfo(float).eps
+        for row, value in want.items():
+            assert abs(got.get(row, 0) - value) <= 2 * (m + n ** max(m - 1, 0)) * eps * moduli[row], row
 
     @pytest.mark.parametrize("m", range(5))
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense-B", "sparse-B"])
     def test_column_weights_are_the_sums_over_index_tuples(self, n, m, sparse):
         lam, b, i, j = self.draw(10 * n + m, n, sparse)
-        lam_rows, wts, paths = self.columns(lam, b, i, j, m)
-        want, moduli, linked = {}, {}, 0
+        lam_rows, wts = self.columns(lam, b, i, j, m)
+        want, moduli = {}, {}
         tuples = [(i, *mid, j) for mid in itertools.product(range(n), repeat=m - 1)] if m else [(i,)] * (i == j)
         for p in tuples:
             row = (lam[i],) if m == 0 else (lam[i], *sorted(lam[k] for k in p[1:-1]), lam[j])
             weight = math.prod((b[r, c] for r, c in zip(p, p[1:])), start=1.0 + 0.0j)
             want[row] = want.get(row, 0) + weight
             moduli[row] = moduli.get(row, 0) + abs(weight)
-            linked += weight != 0
         got = dict(zip(map(tuple, lam_rows.tolist()), wts.tolist()))
-        assert len(got) == len(wts) and all(len(row) == m + 1 for row in got) and paths == linked
+        assert len(got) == len(wts) and lam_rows.shape == (len(wts), m + 1)
         assert got.keys() <= want.keys()
-        eps = np.finfo(float).eps
-        for row, value in want.items():
-            # both sides sum at most n**(m-1) products of m entries, in different orders
-            assert abs(got.get(row, 0) - value) <= 2 * (m + n ** max(m - 1, 0)) * eps * moduli[row]
+        self.within_summation_order(got, want, moduli, n, m)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_one_sweep_gives_the_walks_columns_at_every_order(self, seed):
+        # n 1-8, orders 0-5, dense, sparse and degenerate levels: the column set of each order is the walk's
+        # grouping of its paths by sorted inner levels, and each weight its sum within summation order
+        rng = np.random.default_rng(seed)
+        n, m_max = int(rng.integers(1, 9)), int(rng.integers(0, 6))
+        lam, b, i, j = self.draw(seed, n, sparse=seed % 3 == 1)
+        if seed % 3 == 2:
+            lam = rng.choice([1.0, 2.5], size=n).tolist()
+        swept = resolvent.multiset_columns(resolvent.dense_links(b).__getitem__, lam, i, j, m_max)
+        assert len(swept) == m_max + 1
+        for m, (lam_rows, wts) in enumerate(swept):
+            want, moduli = {}, {}
+            for path, weight in resolvent.index_paths(resolvent.dense_links(b).__getitem__, i, j, m):
+                row = (lam[i], *sorted(lam[k] for k in path[1:-1]), lam[j])[:m + 1]
+                want[row] = want.get(row, 0) + weight
+                moduli[row] = moduli.get(row, 0) + abs(weight)
+            got = dict(zip(map(tuple, lam_rows.tolist()), wts.tolist()))
+            assert got.keys() == want.keys() and len(got) == len(wts)
+            self.within_summation_order(got, want, moduli, n, m)
 
     @pytest.mark.parametrize("n, m, columns", [(6, 4, 56), (10, 3, 55), (8, 3, 36), (6, 3, 21), (4, 5, 35), (3, 1, 1)])
     def test_a_dense_b_has_a_column_per_multiset(self, n, m, columns):
         # C(n + m - 2, m - 1) multisets of m - 1 intermediate levels out of n distinct ones
         lam, b, i, j = self.draw(n, n, sparse=False)
-        lam_rows, wts, paths = self.columns(lam, b, i, j, m)
-        assert (len(wts), paths) == (columns, n ** (m - 1)) and columns == math.comb(n + m - 2, m - 1)
+        lam_rows, wts = self.columns(lam, b, i, j, m)
+        assert len(wts) == columns == math.comb(n + m - 2, m - 1)
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_a_degenerate_a_merges_equal_levels(self, m):
         # levels 1.0 and 2.5, each twice: a multiset of m - 1 intermediates is its count of 1.0's, 0 to m - 1
         lam = [1.0, 2.5, 1.0, 2.5]
         b = np.random.default_rng(m).standard_normal((4, 4))
-        lam_rows, wts, paths = self.columns(lam, b, 0, 3, m)
-        assert (len(wts), paths) == (m, 4 ** (m - 1))
+        lam_rows, wts = self.columns(lam, b, 0, 3, m)
+        assert len(wts) == m
         assert sorted(int(np.sum(row[1:-1] == 1.0)) for row in lam_rows) == list(range(m))
         assert abs(wts.sum() - np.linalg.matrix_power(b, m)[0, 3]) <= 1e-13 * np.linalg.matrix_power(abs(b), m)[0, 3]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_link_count_is_checked_before_each_layer(self, monkeypatch, seed):
+        # the keys of layer L are the (index, sorted inner levels) of the L-link walks from i; every layer
+        # below m_max follows each key's links, the last only those into j
+        rng = np.random.default_rng(seed)
+        n, m_max = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        lam, b, i, j = self.draw(seed, n, sparse=True)
+        links = resolvent.dense_links(b).__getitem__
+        walks, count = [(i,)], 0
+        for layer in range(m_max):
+            keys = {(w[-1], tuple(sorted(lam[k] for k in w[1:-1]))) for w in walks}
+            count += sum(len(links(r)) if layer < m_max - 1 else j in links(r) for r, _ in keys)
+            walks = [w + (t,) for w in walks for t in links(w[-1])]
+        monkeypatch.setattr(resolvent, "PATH_CAP", count)
+        resolvent.multiset_columns(links, lam, i, j, m_max)
+        monkeypatch.setattr(resolvent, "PATH_CAP", count - 1)
+        with pytest.raises(EnumerationLimitError, match=f"^path enumeration exceeds cap {count - 1}$"):
+            resolvent.multiset_columns(links, lam, i, j, m_max)
+
+    def test_both_dense_sums_run_at_n_10_order_7(self):
+        # the walk would extend 1 + 10 + ... + 10**6 partial paths, past PATH_CAP; the sweep follows 120,130
+        # links into 5,005 order-7 columns.  The entry lands within 3 standard errors of the Neumann sum, and
+        # the index sum meets the matrix-product series
+        lam, b, i, j = TestFeynmanExactness.workload_draw(7, 10)
+        a, tau = np.diag(lam), 0.5
+        start = time.perf_counter()
+        entry = resolvent.feynman_parameter_entry(a, b, i, j, tau, 7, resolvent.SimplexQuadrature(seed=7))
+        assert time.perf_counter() - start < 1.0
+        neumann = resolvent.series_terms(a + 1j * tau * np.eye(10), b, 8).terms[:, i, j].sum()
+        assert abs(entry.value - neumann) <= 3 * entry.std_error
+        q = scattering.ScatteringQuery(i, j, tau)
+        start = time.perf_counter()
+        term = scattering.s_term_index_sum(a, b, q, 7)
+        assert time.perf_counter() - start < 1.0
+        want = scattering.s_series(a, b, q, 7).terms[7]
+        assert abs(term - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_on_an_exchangeable_rule_grouping_changes_only_rounding(self, seed):
@@ -537,7 +603,7 @@ class TestMultisetColumns:
         x = np.concatenate([x0[:, list(order)] for order in itertools.permutations(range(m + 1))])
         per_rows = np.array([[lam[k] for k in p] for p, _ in walked])
         per_wts = np.array([weight for _, weight in walked])
-        lam_rows, wts, _ = resolvent._multiset_columns(walked, lam)
+        lam_rows, wts = self.columns(lam, b, i, j, m)
         assert len(wts) < len(walked)
 
         def integral(x, rows, weights):

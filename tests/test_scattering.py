@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from ensembles import random_diagonal, random_hermitian
-from pertkit import matcore, scattering
+from pertkit import matcore, resolvent, scattering
 from pertkit.errors import ArgumentError, EnumerationLimitError, SingularMatrixError
 
 
@@ -142,6 +142,29 @@ class TestIndexSum:
     def test_requires_ell_at_least_one(self):
         with pytest.raises(ArgumentError, match="^ell must be at least 1$"):
             scattering.s_term_index_sum(self.a, self.b, scattering.ScatteringQuery(0, 0, 0.1), 0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_explicit_walk_within_summation_order(self, seed):
+        # the paper's sum path by path: each walked weight divided by its inner denominators in path order.
+        # Either side rounds each path's term within about 3 ell eps and sums n**(ell-1) of them in its own
+        # order and grouping
+        rng = np.random.default_rng(seed)
+        n, ell = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        a, b = diagonal_instance(n, 0.3, 60 + seed)
+        if seed % 2:
+            b = b * (rng.uniform(size=(n, n)) < 0.5)
+        i, j = (int(k) for k in rng.integers(0, n, size=2))
+        q = scattering.ScatteringQuery(i, j, 0.2)
+        lam = np.real(np.diagonal(a))
+        shift = scattering.lambda_shift(lam[i], lam[j], q.tau)
+        terms = []
+        for path, weight in resolvent.index_paths(resolvent.dense_links(b).__getitem__, i, j, ell):
+            for k in path[1:-1]:
+                weight /= lam[k] - shift
+            terms.append(weight)
+        pref = scattering.term_prefactor(lam[i], lam[j], q.tau, ell)
+        bound = 2 * (3 * ell + n ** (ell - 1)) * np.finfo(float).eps * abs(pref) * sum(map(abs, terms))
+        assert abs(scattering.s_term_index_sum(a, b, q, ell) - pref * sum(terms)) <= bound
 
     @pytest.mark.parametrize("seed", range(10))
     def test_first_order_is_the_one_link_path(self, seed):
